@@ -29,8 +29,6 @@ import json
 import time
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.nvm import PAPER_PROTOTYPE
 from repro.systems import (BaselineSystem, HardwareNdsSystem, OracleSystem,
                            SoftwareNdsSystem)
@@ -38,7 +36,7 @@ from repro.workloads.conv2d import Conv2dWorkload
 from repro.workloads.gemm import GemmWorkload
 
 __all__ = ["BENCH_SYSTEMS", "bench_workloads", "run_scenario",
-           "run_hotpath_bench", "run_micro_bench", "format_bench",
+           "run_hotpath_bench", "format_bench",
            "bench_json", "apply_tuning"]
 
 BENCH_SYSTEMS = (BaselineSystem, SoftwareNdsSystem, HardwareNdsSystem,
@@ -55,41 +53,26 @@ def bench_workloads(max_tiles: int = 48) -> Dict[str, Callable[[], object]]:
     }
 
 
-def apply_tuning(system, mode: Optional[str]) -> None:
-    """Force a hot-path tuning mode on an already-built system.
-
-    ``"columnar"`` turns the flash arrays' columnar chains on;
-    ``"scalar"`` turns every batched fast path (columnar chains, epoch
-    batching, fan-out batching) off. Both change wall-clock only — the
-    A/B cells below assert the simulated sections stay byte-identical.
+def apply_tuning(system, scalar: bool) -> None:
+    """With ``scalar`` set, turn the STL's batched fast paths (epoch
+    batching, fan-out batching) off on an already-built system. This
+    changes wall-clock only — the ``@scalar`` A/B cell below asserts
+    the simulated section stays byte-identical.
     """
-    if mode is None:
+    if not scalar:
         return
-    if mode not in ("columnar", "scalar"):
-        raise ValueError(f"unknown tuning mode {mode!r}")
     cluster = getattr(system, "cluster", None)
     members = ([handle.system for handle in cluster.pool.devices]
                if cluster is not None else [system])
     for member in members:
         stl = getattr(member, "stl", None)
-        flash = getattr(stl, "flash", None)
-        if flash is None:
-            ssd = getattr(member, "ssd", None)
-            flash = getattr(ssd, "flash", None)
-        if mode == "columnar":
-            if flash is not None:
-                flash.columnar = True
-        else:
-            if flash is not None:
-                flash.columnar = False
-            if stl is not None:
-                stl.batch_epochs = False
-                stl.batch_fanout = False
+        if stl is not None:
+            stl.batch_epochs = False
+            stl.batch_fanout = False
 
 
-def run_scenario(cls, workload, devices: int = 1,
-                 cache=None, parallel: int = 0,
-                 tuning: Optional[str] = None) -> Tuple[int, Dict[str, str]]:
+def run_scenario(cls, workload, devices: int = 1, cache=None,
+                 scalar: bool = False) -> Tuple[int, Dict[str, str]]:
     """Ingest every dataset, read the full tile plan, write one tile.
 
     Returns ``(ops, simulated)`` where ``simulated`` holds the
@@ -97,19 +80,15 @@ def run_scenario(cls, workload, devices: int = 1,
     measured by the caller around this function. ``devices > 1`` runs
     the scenario over a device pool (the cluster-layer hot path);
     ``cache=CacheConfig(...)`` puts the host DRAM tier in the hot path
-    (lookup/insert bookkeeping on every access); ``parallel=N`` runs
-    the pool's devices in N worker processes — the simulated section
-    must stay byte-identical to the serial pool's.
+    (lookup/insert bookkeeping on every access); ``scalar`` applies
+    :func:`apply_tuning`.
     """
     kwargs = {} if cache is None else {"cache": cache}
-    if parallel:
-        kwargs["parallel"] = parallel
     system = (cls(PAPER_PROTOTYPE, store_data=False, **kwargs)
               if devices <= 1
               else cls(PAPER_PROTOTYPE, store_data=False, devices=devices,
                        **kwargs))
-    # before the first op, so parallel workers fork with the mode set
-    apply_tuning(system, tuning)
+    apply_tuning(system, scalar)
     plan = workload.tile_plan()
     ops = 0
     ingest_result = None
@@ -149,23 +128,20 @@ def run_scenario(cls, workload, devices: int = 1,
         "write_end": write_end.hex(),
         "reads": len(plan),
     }
-    cluster = getattr(system, "cluster", None)
-    if cluster is not None:
-        cluster.pool.close_workers()
     return ops, simulated
 
 
 def run_hotpath_bench(max_tiles: int = 48, repeats: int = 1,
                       systems: Optional[Sequence] = None,
-                      tuning: Optional[str] = None) -> Dict:
+                      scalar: bool = False) -> Dict:
     """Run every ``system × workload`` scenario and time it.
 
     With ``repeats > 1`` each cell keeps the *fastest* wall time (the
     usual benchmarking practice: minimum wall time has the least noise)
     while asserting the simulated section never changes between
-    repeats. ``tuning`` forces one :func:`apply_tuning` mode on every
-    cell (the CLI's ``--scalar`` A/B switch); per-cell tuning variants
-    are skipped then, since they would all measure the same thing.
+    repeats. ``scalar`` applies :func:`apply_tuning` to every cell (the
+    CLI's ``--scalar`` A/B switch); the ``@scalar`` variant cell is
+    skipped then, since it would measure the same thing.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -178,21 +154,14 @@ def run_hotpath_bench(max_tiles: int = 48, repeats: int = 1,
              for cls in chosen]
     if SoftwareNdsSystem in chosen:
         gemm = bench_workloads(max_tiles)["gemm"]
-        # the cluster translation layer's hot path, serial and with
-        # process-per-device workers (must agree byte-for-byte)
+        # the cluster translation layer's hot path
         cells.append({"key": "gemm/software-nds@4dev", "factory": gemm,
                       "cls": SoftwareNdsSystem, "devices": 4})
-        cells.append({"key": "gemm/software-nds@4dev-par2",
-                      "factory": gemm, "cls": SoftwareNdsSystem,
-                      "devices": 4, "parallel": 2})
-        # columnar-vs-scalar A/B on the same scenario: wall may move,
+        # batched-vs-scalar A/B on the same scenario: wall may move,
         # simulated output must not
-        cells.append({"key": "gemm/software-nds@columnar",
-                      "factory": gemm, "cls": SoftwareNdsSystem,
-                      "tuning": "columnar"})
         cells.append({"key": "gemm/software-nds@scalar",
                       "factory": gemm, "cls": SoftwareNdsSystem,
-                      "tuning": "scalar"})
+                      "scalar": True})
 
         # one serving cell: many tiny single-row reads (embedding
         # lookups) stress per-request translation instead of fan-out
@@ -210,9 +179,9 @@ def run_hotpath_bench(max_tiles: int = 48, repeats: int = 1,
         cells.append({"key": "embedding-cached/software-nds",
                       "factory": embedding, "cls": SoftwareNdsSystem,
                       "cache": CacheConfig(capacity_bytes=8 * 2**20)})
-    if tuning is not None:
-        cells = [dict(cell, tuning=tuning) for cell in cells
-                 if "tuning" not in cell]
+    if scalar:
+        cells = [dict(cell, scalar=True) for cell in cells
+                 if not cell.get("scalar")]
     for cell in cells:
         key = cell["key"]
         best = None
@@ -222,8 +191,7 @@ def run_hotpath_bench(max_tiles: int = 48, repeats: int = 1,
             t0 = time.perf_counter()
             ops, sim = run_scenario(
                 cell["cls"], workload, devices=cell.get("devices", 1),
-                cache=cell.get("cache"), parallel=cell.get("parallel", 0),
-                tuning=cell.get("tuning"))
+                cache=cell.get("cache"), scalar=cell.get("scalar", False))
             elapsed = time.perf_counter() - t0
             prior = simulated.get(key)
             if prior is not None and prior != sim:
@@ -238,106 +206,20 @@ def run_hotpath_bench(max_tiles: int = 48, repeats: int = 1,
             "ops_per_s": round(ops / best, 1) if best > 0 else 0.0,
             "us_wall_per_op": round(best / ops * 1e6, 2),
         }
-    # the A/B cells exist to prove the fast paths change wall time
-    # only: their simulated sections must equal their reference cell's
-    for variant, reference in (
-            ("gemm/software-nds@columnar", "gemm/software-nds"),
-            ("gemm/software-nds@scalar", "gemm/software-nds"),
-            ("gemm/software-nds@4dev-par2", "gemm/software-nds@4dev")):
-        if variant in simulated and reference in simulated:
-            if simulated[variant] != simulated[reference]:
-                raise AssertionError(
-                    f"{variant} diverged from {reference}: "
-                    f"{simulated[variant]} != {simulated[reference]}")
+    # the A/B cell exists to prove the fast paths change wall time
+    # only: its simulated section must equal its reference cell's
+    variant, reference = "gemm/software-nds@scalar", "gemm/software-nds"
+    if variant in simulated and reference in simulated:
+        if simulated[variant] != simulated[reference]:
+            raise AssertionError(
+                f"{variant} diverged from {reference}: "
+                f"{simulated[variant]} != {simulated[reference]}")
     return {
         "config": {"max_tiles": max_tiles, "repeats": repeats,
                    "systems": [cls.name for cls in chosen],
                    "workloads": sorted(bench_workloads(max_tiles))},
         "simulated": simulated,
         "wall": wall,
-        "micro": run_micro_bench(),
-    }
-
-
-def run_micro_bench(servers: int = 256, batch: int = 4096,
-                    rounds: int = 8) -> Dict[str, Dict[str, float]]:
-    """Wall-clock micro-benchmarks of the columnar reservation core.
-
-    Two cells over a 32 × 8 = 256-server :class:`MultiTimeline` (the
-    paper prototype's channel × bank pool):
-
-    - ``fanout``: one :meth:`~repro.sim.resources.MultiTimeline.
-      reserve_fanout` batch vs the equivalent sequential
-      ``reserve_on`` loop;
-    - ``argmin_dispatch``: earliest-available dispatch through the
-      numpy ``argmin`` mirror vs the plain Python scan.
-
-    Both variants are asserted bit-identical on the final server state
-    before the speedup is reported; only wall time differs.
-    """
-    from repro.sim.resources import MultiTimeline
-
-    # the fan-out batch stripes over the 32 channels of the pool (one
-    # contiguous run per channel), the shape a flash chain produces
-    # when a wide access fans its pages over the array
-    idx = ((np.arange(batch) * 32) // batch).astype(np.intp) % servers
-    durs = ((np.arange(batch) % 7) + 1) * 1e-6
-    starts = np.zeros(batch)
-
-    mt_vec = MultiTimeline(servers)
-    mt_seq = MultiTimeline(servers)
-    t0 = time.perf_counter()
-    for _ in range(rounds):
-        mt_vec.reserve_fanout(idx, starts, durs)
-    vec_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    for _ in range(rounds):
-        for i in range(batch):
-            mt_seq.reserve_on(int(idx[i]), 0.0, float(durs[i]))
-    seq_s = time.perf_counter() - t0
-    if [s.free_at for s in mt_vec.servers] != \
-            [s.free_at for s in mt_seq.servers]:
-        raise AssertionError("reserve_fanout diverged from reserve_on")
-
-    mt_arg = MultiTimeline(servers)
-    mt_scan = MultiTimeline(servers)
-    n_dispatch = rounds * batch // 4
-    t0 = time.perf_counter()
-    for i in range(n_dispatch):
-        mt_arg.reserve(0.0, 1e-6)
-    arg_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    for i in range(n_dispatch):
-        servers_list = mt_scan.servers
-        best = servers_list[0]
-        index = 0
-        best_free = best.free_at
-        for j in range(1, len(servers_list)):
-            candidate = servers_list[j]
-            if candidate.free_at < best_free:
-                best = candidate
-                best_free = candidate.free_at
-                index = j
-        best.reserve(0.0, 1e-6)
-        mt_scan._free_col[index] = best.free_at
-    scan_s = time.perf_counter() - t0
-    if [s.free_at for s in mt_arg.servers] != \
-            [s.free_at for s in mt_scan.servers]:
-        raise AssertionError("argmin dispatch diverged from plain scan")
-
-    return {
-        "fanout": {
-            "reservations": rounds * batch,
-            "vectorized_s": round(vec_s, 6),
-            "sequential_s": round(seq_s, 6),
-            "speedup": round(seq_s / vec_s, 2) if vec_s > 0 else 0.0,
-        },
-        "argmin_dispatch": {
-            "reservations": n_dispatch,
-            "argmin_s": round(arg_s, 6),
-            "scan_s": round(scan_s, 6),
-            "speedup": round(scan_s / arg_s, 2) if arg_s > 0 else 0.0,
-        },
     }
 
 
@@ -353,21 +235,6 @@ def format_bench(bench: Dict) -> str:
     table = format_table(
         ["workload/system", "wall (s)", "ops", "ops/s", "us wall/op"],
         rows, title="Hot-path wall-clock benchmark")
-    micro = bench.get("micro")
-    if micro:
-        micro_rows = []
-        for key in sorted(micro):
-            cell = micro[key]
-            fast, slow = (("vectorized_s", "sequential_s")
-                          if "vectorized_s" in cell
-                          else ("argmin_s", "scan_s"))
-            micro_rows.append([key, str(cell["reservations"]),
-                               f"{cell[fast]:.4f}", f"{cell[slow]:.4f}",
-                               f"{cell['speedup']:.1f}x"])
-        table += "\n" + format_table(
-            ["micro cell", "reservations", "fast (s)", "slow (s)",
-             "speedup"],
-            micro_rows, title="Reservation-core micro-benchmark")
     return table
 
 

@@ -342,20 +342,19 @@ def _cmd_monitor(args: argparse.Namespace) -> None:
 def _cmd_bench(args: argparse.Namespace) -> None:
     from repro.analysis.bench import (bench_json, format_bench,
                                       run_hotpath_bench)
-    tuning = "scalar" if args.scalar else None
     if args.profile:
         import cProfile
         import pstats
         profiler = cProfile.Profile()
         profiler.enable()
         bench = run_hotpath_bench(max_tiles=args.tiles,
-                                  repeats=args.repeats, tuning=tuning)
+                                  repeats=args.repeats, scalar=args.scalar)
         profiler.disable()
         stats = pstats.Stats(profiler)
         stats.sort_stats("cumulative").print_stats(20)
     else:
         bench = run_hotpath_bench(max_tiles=args.tiles,
-                                  repeats=args.repeats, tuning=tuning)
+                                  repeats=args.repeats, scalar=args.scalar)
     print(format_bench(bench))
     if args.json:
         out = Path(args.json)
@@ -563,9 +562,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run under cProfile and print the top 20 "
                             "functions by cumulative time")
     bench.add_argument("--scalar", action="store_true",
-                       help="A/B switch: force the per-access scalar "
-                            "paths (no columnar chains, no epoch/fan-"
-                            "out batching) on every cell")
+                       help="A/B switch: turn off the STL's epoch and "
+                            "fan-out batching on every cell")
     bench.set_defaults(fn=_cmd_bench)
     sub.add_parser("overhead", help="Sec 7.3 overheads").set_defaults(
         fn=_cmd_overhead)

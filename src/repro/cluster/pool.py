@@ -50,16 +50,10 @@ class DevicePool:
 
     def __init__(self, systems: Sequence,
                  queue_depth: Optional[int] = DEFAULT_DEVICE_QUEUE_DEPTH,
-                 parallel: int = 0,
                  ) -> None:
         if not systems:
             raise ValueError("a device pool needs at least one device")
         self.queue_depth = queue_depth
-        #: worker-process count for process-per-device execution; 0
-        #: keeps everything in the host process. Workers fork lazily on
-        #: the first routed op (see :mod:`repro.cluster.parallel`).
-        self.parallel = int(parallel)
-        self.workers = None
         self.devices: List[DeviceHandle] = [
             DeviceHandle(index, system, queue_depth)
             for index, system in enumerate(systems)]
@@ -74,31 +68,12 @@ class DevicePool:
     @classmethod
     def from_factory(cls, count: int, factory: Callable[[int], object],
                      queue_depth: Optional[int] = DEFAULT_DEVICE_QUEUE_DEPTH,
-                     parallel: int = 0,
                      ) -> "DevicePool":
         """Build ``count`` devices with ``factory(device_id)``."""
         if count < 1:
             raise ValueError("a device pool needs at least one device")
         return cls([factory(index) for index in range(count)],
-                   queue_depth=queue_depth, parallel=parallel)
-
-    def ensure_workers(self):
-        """Fork the worker group on first use (``parallel > 0`` only).
-
-        Deferred so every device system is fully constructed — and any
-        observability or fault configuration attached — before the fork
-        snapshots them."""
-        if self.parallel <= 0:
-            return None
-        if self.workers is None:
-            from repro.cluster.parallel import WorkerGroup
-            self.workers = WorkerGroup(self.devices, self.parallel)
-        return self.workers
-
-    def close_workers(self) -> None:
-        if self.workers is not None:
-            self.workers.close()
-            self.workers = None
+                   queue_depth=queue_depth)
 
     def __len__(self) -> int:
         return len(self.devices)
@@ -168,23 +143,17 @@ class DevicePool:
         """Per-device accounting snapshot, JSON-ready, ``d0``/``d1``...
         keys matching the trace/metrics label convention."""
         report: Dict[str, Dict[str, object]] = {}
-        # once workers own the device state the parent's systems are
-        # stale mirrors — fetch the STL-derived fields over RPC instead
-        extras = self.workers.extras() if self.workers is not None else None
         for handle in self.devices:
             entry: Dict[str, object] = dict(self._counters[handle.device_id])
             entry["dead"] = handle.device_id in self.dead
-            if extras is not None:
-                entry.update(extras.get(handle.device_id, {}))
-            else:
-                stl = getattr(handle.system, "stl", None)
-                if stl is not None:
-                    gc = getattr(stl, "gc", None)
-                    if gc is not None:
-                        entry["gc_erased_blocks"] = gc.total_erased
-                    allocator = getattr(stl, "allocator", None)
-                    if allocator is not None:
-                        entry["free_pages"] = allocator.total_free_pages()
+            stl = getattr(handle.system, "stl", None)
+            if stl is not None:
+                gc = getattr(stl, "gc", None)
+                if gc is not None:
+                    entry["gc_erased_blocks"] = gc.total_erased
+                allocator = getattr(stl, "allocator", None)
+                if allocator is not None:
+                    entry["free_pages"] = allocator.total_free_pages()
             report[f"d{handle.device_id}"] = entry
         return report
 
@@ -195,8 +164,6 @@ class DevicePool:
         for handle in self.devices:
             handle.system.reset_time()
             handle.window.reset()
-        if self.workers is not None:
-            self.workers.reset_time()
 
     def fault_counters(self) -> Optional[Dict[str, int]]:
         """Summed per-device injector counters (None when no device has

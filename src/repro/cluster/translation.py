@@ -113,30 +113,22 @@ class GcCoordinator:
     def offer(self, now: float) -> None:
         """Give one device its idle-time GC slice at model time ``now``."""
         count = len(self.pool)
-        workers = self.pool.workers
         for step in range(count):
             device = (self._next + step) % count
             if self.pool.is_dead(device):
                 continue
-            # structure check only — in parallel mode the parent's
-            # member system is a stale mirror, but whether the device
-            # architecture has a background-collectable STL is fixed at
-            # construction
             stl = getattr(self.pool.handle(device).system, "stl", None)
             gc = getattr(stl, "gc", None)
             if gc is None:
                 continue
             self._next = (device + 1) % count
-            if workers is not None:
-                ran, erased = workers.gc_offer(device, now,
-                                               self.budget_seconds)
-            else:
-                result = gc.collect_background(now, self.budget_seconds)
-                ran, erased = result.ran, result.blocks_erased
-            if ran:
+            result = gc.collect_background(now, self.budget_seconds)
+            if result.ran:
                 self.stats.count("cluster_gc_runs")
-                self.stats.count("cluster_gc_blocks_erased", erased)
-                self.pool.note(device, "gc_background_blocks", erased)
+                self.stats.count("cluster_gc_blocks_erased",
+                                 result.blocks_erased)
+                self.pool.note(device, "gc_background_blocks",
+                               result.blocks_erased)
             return
 
     def gc_report(self) -> Dict[str, int]:
@@ -183,20 +175,12 @@ class ClusterTranslationLayer:
         """Run one dataset-level op across the pool (the owning
         system's ``_execute_op`` delegates here when pooled)."""
         self.pool.observe(earliest_start)
-        workers = (self._parallel_workers()
-                   if self.pool.parallel > 0 else None)
         if op.kind == "ingest":
-            result = (self._ingest_parallel(op, earliest_start, workers)
-                      if workers is not None
-                      else self._ingest(op, earliest_start))
+            result = self._ingest(op, earliest_start)
         elif op.kind == "read":
-            result = (self._read_parallel(op, earliest_start, workers)
-                      if workers is not None
-                      else self._read(op, earliest_start))
+            result = self._read(op, earliest_start)
         elif op.kind == "write":
-            result = (self._write_parallel(op, earliest_start, workers)
-                      if workers is not None
-                      else self._write(op, earliest_start))
+            result = self._write(op, earliest_start)
         else:
             raise ValueError(f"unknown TileOp kind {op.kind!r}")
         self._ops_since_check += 1
@@ -204,49 +188,6 @@ class ClusterTranslationLayer:
         if self.rebalance is not None:
             self._maybe_rebalance(result.end_time)
         return result
-
-    def _parallel_workers(self):
-        """Spawn (lazily) and return the pool's worker group.
-
-        Every feature that keeps cross-device or observer state a fork
-        would split is refused up front rather than silently diverging:
-        parity RMW orders sub-ops *across* devices, rebalance/kill plans
-        mutate extent homes mid-run, and trace/metrics recorders attach
-        in-process observers the workers could not reach.
-        """
-        workers = self.pool.workers
-        if workers is not None:
-            return workers
-        if self.parity:
-            raise RuntimeError(
-                "parallel device workers do not support cross-device "
-                "parity (RMW chains order sub-ops across devices)")
-        if self.rebalance is not None:
-            raise RuntimeError(
-                "parallel device workers do not support rebalancing")
-        if self.trace is not None or self.metrics is not None:
-            raise RuntimeError(
-                "parallel device workers do not support trace/metrics "
-                "recorders (in-process observers)")
-        if self.pool.has_kill_plan:
-            raise RuntimeError(
-                "parallel device workers do not support whole-device "
-                "kill plans")
-        if self.pool.fault_counters() is not None:
-            raise RuntimeError(
-                "parallel device workers do not support per-device "
-                "fault injection")
-        return self.pool.ensure_workers()
-
-    @staticmethod
-    def _record_result(record):
-        """Rehydrate one worker result record as a SystemOpResult."""
-        from repro.systems.base import SystemOpResult
-        return SystemOpResult(
-            start_time=record["start_time"], end_time=record["end_time"],
-            useful_bytes=record["useful_bytes"],
-            fetched_bytes=record["fetched_bytes"],
-            requests=record["requests"], data=record["data"])
 
     def _instant(self, time: float, name: str, **args) -> None:
         if self.trace is not None:
@@ -260,11 +201,7 @@ class ClusterTranslationLayer:
     # ------------------------------------------------------------------
     # ingest: build the layout and place every extent
     # ------------------------------------------------------------------
-    def _ingest_prepare(self, op):
-        """Shared ingest prologue: resolve placement, build the layout
-        and validate the functional payload. Returns ``(key, layout,
-        array, dims, elem)``; the caller registers the layout once the
-        extents are placed."""
+    def _ingest(self, op, earliest: float):
         params = dict(op.params)
         pool_shard = PoolShardSpec.normalize(params.pop("shard", None))
         dims = tuple(int(d) for d in op.extents)
@@ -295,10 +232,7 @@ class ClusterTranslationLayer:
             if tuple(array.shape) != dims:
                 raise ValueError(
                     f"data shape {array.shape} != dims {dims}")
-        return key, layout, array, dims, elem
 
-    def _ingest(self, op, earliest: float):
-        key, layout, array, dims, elem = self._ingest_prepare(op)
         completions: List[float] = []
         fetched = 0
         requests = 0
@@ -328,38 +262,6 @@ class ClusterTranslationLayer:
             handle.window.complete(res.end_time)
             self.pool.note_io(parity.device, res)
             self.pool.note(parity.device, "extents")
-            completions.append(res.end_time)
-            fetched += res.fetched_bytes
-            requests += res.requests
-        self.layouts[key] = layout
-        from repro.systems.base import SystemOpResult
-        return SystemOpResult(
-            start_time=earliest, end_time=max(completions, default=earliest),
-            useful_bytes=layout.total_bytes, fetched_bytes=fetched,
-            requests=requests)
-
-    def _ingest_parallel(self, op, earliest: float, workers):
-        """Parallel ingest: one batched call per worker, bookkeeping in
-        extent order (identical to the serial loop's). Parity extents
-        never occur here — :meth:`_parallel_workers` refuses parity."""
-        key, layout, array, dims, elem = self._ingest_prepare(op)
-        calls = []
-        for extent in layout.extents:
-            payload = (array[extent.row_start:extent.row_end]
-                       if array is not None else None)
-            calls.append((extent.device, "ingest",
-                          (extent.store_key, (extent.rows,) + dims[1:],
-                           elem),
-                          {"data": payload, **layout.inner_params},
-                          earliest))
-        records = workers.run_batch(calls)
-        completions: List[float] = []
-        fetched = 0
-        requests = 0
-        for extent, record in zip(layout.extents, records):
-            res = self._record_result(record)
-            self.pool.note_io(extent.device, res)
-            self.pool.note(extent.device, "extents")
             completions.append(res.end_time)
             fetched += res.fetched_bytes
             requests += res.requests
@@ -441,50 +343,6 @@ class ClusterTranslationLayer:
             useful_bytes=useful, fetched_bytes=fetched, requests=requests,
             data=data)
 
-    def _read_parallel(self, op, earliest: float, workers):
-        """Parallel read: ship every sub-read in one batch (each sub-op
-        of one host op shares the same ready time — kill plans are
-        refused, so ``_ensure_alive`` would be a pure passthrough) and
-        fold results in subregion order, byte-identical to the serial
-        loop."""
-        from repro.cluster.parallel import merge_completions
-        layout = self._layout_for(op.dataset, op.extents)
-        elem = layout.element_size
-        extents = tuple(int(e) for e in op.extents)
-        functional = op.with_data and self.store_data
-        out = (np.zeros(extents + (elem,), dtype=np.uint8)
-               if functional else None)
-        subs = list(layout.subregions(op.origin, extents))
-        calls = [(extent.device, "read_tile",
-                  (extent.store_key, lorigin, lextents),
-                  {"with_data": functional}, earliest)
-                 for extent, lorigin, lextents, _out_row in subs]
-        records = workers.run_batch(calls)
-        fetched = 0
-        requests = 0
-        for (extent, lorigin, lextents, out_row), record in \
-                zip(subs, records):
-            res = self._record_result(record)
-            self.pool.note_io(extent.device, res)
-            if out is not None and res.data is not None:
-                out[out_row:out_row + lextents[0]] = res.data
-            self.heat[(layout.ordinal, extent.index)] = \
-                self.heat.get((layout.ordinal, extent.index), 0.0) + 1.0
-            fetched += res.fetched_bytes
-            requests += res.requests
-        merged = merge_completions(records)
-        end = merged[-1]["end_time"] if merged else earliest
-        useful = elem
-        for extent_len in extents:
-            useful *= extent_len
-        data = None
-        if out is not None:
-            data = out if op.dtype is None else bytes_to_array(out, op.dtype)
-        from repro.systems.base import SystemOpResult
-        return SystemOpResult(
-            start_time=earliest, end_time=end, useful_bytes=useful,
-            fetched_bytes=fetched, requests=requests, data=data)
-
     # ------------------------------------------------------------------
     # write: plain per-extent writes, or parity read-modify-write
     # ------------------------------------------------------------------
@@ -534,49 +392,6 @@ class ClusterTranslationLayer:
         return SystemOpResult(
             start_time=earliest, end_time=max(completions, default=earliest),
             useful_bytes=useful, fetched_bytes=fetched, requests=requests)
-
-    def _write_parallel(self, op, earliest: float, workers):
-        """Parallel write: plain per-extent writes only (parity RMW is
-        refused by :meth:`_parallel_workers`), batched per worker and
-        folded in subregion order."""
-        from repro.cluster.parallel import merge_completions
-        layout = self._layout_for(op.dataset, op.extents)
-        elem = layout.element_size
-        extents = tuple(int(e) for e in op.extents)
-        array = None
-        if op.data is not None and self.store_data:
-            array = np.ascontiguousarray(np.asarray(op.data))
-            if tuple(array.shape) != extents:
-                raise ValueError(
-                    f"data shape {array.shape} != extents {extents}")
-        subs = list(layout.subregions(op.origin, extents))
-        calls = []
-        for extent, lorigin, lextents, out_row in subs:
-            payload = (array[out_row:out_row + lextents[0]]
-                       if array is not None else None)
-            calls.append((extent.device, "write_tile",
-                          (extent.store_key, lorigin, lextents),
-                          {"data": payload}, earliest))
-        records = workers.run_batch(calls)
-        fetched = 0
-        requests = 0
-        for (extent, lorigin, lextents, out_row), record in \
-                zip(subs, records):
-            res = self._record_result(record)
-            self.pool.note_io(extent.device, res)
-            self.heat[(layout.ordinal, extent.index)] = \
-                self.heat.get((layout.ordinal, extent.index), 0.0) + 1.0
-            fetched += res.fetched_bytes
-            requests += res.requests
-        merged = merge_completions(records)
-        end = merged[-1]["end_time"] if merged else earliest
-        useful = elem
-        for extent_len in extents:
-            useful *= extent_len
-        from repro.systems.base import SystemOpResult
-        return SystemOpResult(
-            start_time=earliest, end_time=end, useful_bytes=useful,
-            fetched_bytes=fetched, requests=requests)
 
     def _parity_rmw(self, layout: ClusterLayout, extent: Extent,
                     parity: ParityExtent, lorigin, lextents, payload,
@@ -893,10 +708,6 @@ class ClusterTranslationLayer:
     # ------------------------------------------------------------------
     def set_trace(self, recorder) -> None:
         from repro.runtime.trace import ScopedTraceRecorder
-        if recorder is not None and self.pool.workers is not None:
-            raise RuntimeError(
-                "cannot attach a trace recorder after parallel workers "
-                "spawned (device state lives in the worker processes)")
         self.trace = recorder
         for handle in self.pool.devices:
             scoped = (ScopedTraceRecorder(recorder,
@@ -906,10 +717,6 @@ class ClusterTranslationLayer:
 
     def set_metrics(self, registry) -> None:
         from repro.obs.metrics import ScopedMetrics
-        if registry is not None and self.pool.workers is not None:
-            raise RuntimeError(
-                "cannot attach a metrics registry after parallel workers "
-                "spawned (device state lives in the worker processes)")
         self.metrics = registry
         for handle in self.pool.devices:
             scoped = (ScopedMetrics(registry, f"d{handle.device_id}.")

@@ -579,10 +579,7 @@ class SpaceTranslationLayer:
         """
         self._sync_faults()
         index = self.indexes[space_id]
-        want_cols = self.flash.columnar
         ppas: List = []
-        chans: List[int] = []
-        banks: List[int] = []
         metas = []
         for access in accesses:
             lookup = index.lookup(access.block_coord)
@@ -598,14 +595,10 @@ class SpaceTranslationLayer:
                     batch = [pages[p] for p in positions
                              if pages[p] is not None]
                 ppas.extend(batch)
-                if want_cols:
-                    chans.extend(p.channel for p in batch)
-                    banks.extend(p.bank for p in batch)
             metas.append((access, lookup, first))
         completions: List[float] = []
         if ppas:
-            cols = (chans, banks) if want_cols else None
-            op = self.flash.read_pages(ppas, start_time, columns=cols)
+            op = self.flash.read_pages(ppas, start_time)
             completions = op.completions
         total = len(ppas)
         for i, (access, lookup, first) in enumerate(metas):
@@ -680,12 +673,9 @@ class SpaceTranslationLayer:
         allowed = self._shard_planes.get(space_id)
         page_bytes = self._page_size
         store = self.flash.store_data
-        want_cols = self.flash.columnar
         pending_ppas: List = []
         pending_data: List = []
         pending_owner: List = []
-        pend_ch: List[int] = []
-        pend_bk: List[int] = []
         #: per batched access: [completion, units, gc_time,
         #: nodes_visited, access] — finalized after the last flush
         blocks: List = []
@@ -693,18 +683,15 @@ class SpaceTranslationLayer:
         def flush() -> None:
             if not pending_ppas:
                 return
-            cols = (pend_ch, pend_bk) if want_cols else None
             op = self.flash.program_pages(
                 pending_ppas, start_time,
-                data=pending_data if store else None, columns=cols)
+                data=pending_data if store else None)
             for st, done in zip(pending_owner, op.completions):
                 if done > st[0]:
                     st[0] = done
             pending_ppas.clear()
             pending_data.clear()
             pending_owner.clear()
-            pend_ch.clear()
-            pend_bk.clear()
 
         for access in accesses:
             peek = index.lookup(access.block_coord).entry
@@ -779,9 +766,6 @@ class SpaceTranslationLayer:
                 pending_ppas.append(ppa)
                 pending_data.append(payload)
                 pending_owner.append(st)
-                if want_cols:
-                    pend_ch.append(ppa.channel)
-                    pend_bk.append(ppa.bank)
                 st[1] += 1
         flush()
         for item in blocks:

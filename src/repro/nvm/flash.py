@@ -20,7 +20,7 @@ This is the lowest substrate layer. It models:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -95,14 +95,6 @@ class FlashArray:
             [Timeline(f"ch{c}/bk{b}") for b in range(geometry.banks_per_channel)]
             for c in range(geometry.channels)
         ]
-        #: bank timelines indexed by flat plane id (channel-major), the
-        #: columnar core's lookup table
-        self._bank_lines_flat = [line for row in self.bank_lines
-                                 for line in row]
-        #: dense per-plane free_at/busy_time scratch reused across
-        #: columnar calls (only entries of involved planes are read)
-        self._bank_free_scratch = np.zeros(len(self._bank_lines_flat))
-        self._bank_busy_scratch = np.zeros(len(self._bank_lines_flat))
         self._pages: Dict[int, np.ndarray] = {}
         self._programmed: set = set()
         #: page-index -> checksum of the programmed content (the ECC
@@ -125,27 +117,6 @@ class FlashArray:
         #: bit-identical timings, a fraction of the interpreter work.
         #: Set False to force the per-page path (A/B equivalence tests).
         self.fast_path = True
-        #: columnar core switch: wide batches (and parallel enough
-        #: across channels) run the chain as numpy column operations —
-        #: one vector op per pipeline depth level instead of one Python
-        #: iteration per page. Channels are independent servers and
-        #: within-channel order is preserved, so every float operation
-        #: still happens with the identical operands: timings stay
-        #: bit-identical either way (CI A/Bs the two paths). Off by
-        #: default: on hosts where a numpy ufunc dispatch costs ~1 µs
-        #: (containerized single-core runners, including this repo's
-        #: CI) the measured crossover never arrives — the inlined
-        #: scalar chain runs at ~0.2 µs/page, so per-bank snapshot and
-        #: column extraction eat the vector win at every realistic
-        #: batch shape (see docs/PERFORMANCE.md for the numbers). On
-        #: hosts with cheap numpy dispatch, enable it for epoch-scale
-        #: batches.
-        self.columnar = False
-        #: minimum batch size before the columnar core engages when the
-        #: caller supplies integer column hints; without hints the
-        #: per-page column extraction itself costs as much as the
-        #: scalar chain, so the threshold is four times higher
-        self.columnar_min_pages = 32
 
     def attach_faults(self, injector) -> None:
         """Attach a fault injector (None detaches). Attach before any
@@ -188,24 +159,18 @@ class FlashArray:
     # timed operations
     # ------------------------------------------------------------------
     def read_pages(self, ppas: Sequence[PhysicalPageAddress],
-                   start_time: float = 0.0,
-                   columns: Optional[Tuple[Sequence[int], Sequence[int]]]
-                   = None) -> FlashOpResult:
+                   start_time: float = 0.0) -> FlashOpResult:
         """Read a batch of pages issued in order at ``start_time``.
 
         Returns per-page completion times; the scheduler exposes exactly
         as much channel/bank parallelism as the addresses allow, which
         is the effect the paper's Figures 1 and 5 are about.
-        ``columns``, when given, carries the batch's ``(channels,
-        banks)`` as plain integer sequences so the columnar core skips
-        the per-page attribute extraction; it must match ``ppas``.
         """
         result = FlashOpResult(start_time=start_time, end_time=start_time)
         if (self.fast_path and self.faults is None and self.trace is None
                 and self.metrics is None):
             result.end_time = self._read_chain(ppas, start_time,
-                                               result.completions,
-                                               columns=columns)
+                                               result.completions)
         else:
             for ppa in ppas:
                 end = self._read_one(ppa, start_time)
@@ -219,21 +184,17 @@ class FlashArray:
     def program_pages(self, ppas: Sequence[PhysicalPageAddress],
                       start_time: float = 0.0,
                       data: Optional[Sequence[Optional[np.ndarray]]] = None,
-                      columns: Optional[Tuple[Sequence[int], Sequence[int]]]
-                      = None) -> FlashOpResult:
+                      ) -> FlashOpResult:
         """Program a batch of pages issued in order at ``start_time``.
 
         ``data[i]``, when given, must be at most ``page_size`` bytes and
-        is stored (zero-padded) for functional read-back. ``columns``
-        carries optional ``(channels, banks)`` integer hints for the
-        columnar core, as in :meth:`read_pages`.
+        is stored (zero-padded) for functional read-back.
         """
         result = FlashOpResult(start_time=start_time, end_time=start_time)
         if (self.fast_path and self.faults is None and self.trace is None
                 and self.metrics is None):
             result.end_time = self._program_chain(ppas, start_time, data,
-                                                  result.completions,
-                                                  columns=columns)
+                                                  result.completions)
         else:
             for position, ppa in enumerate(ppas):
                 payload = data[position] if data is not None else None
@@ -286,9 +247,7 @@ class FlashArray:
     # ------------------------------------------------------------------
     def _read_chain(self, ppas: Sequence[PhysicalPageAddress],
                     start_time: float,
-                    completions: Optional[List[float]] = None,
-                    columns: Optional[Tuple[Sequence[int], Sequence[int]]]
-                    = None) -> float:
+                    completions: Optional[List[float]] = None) -> float:
         """Batched fan-out of a read batch: the same bank→channel
         reserve chain as :meth:`_read_one` for every page, in the same
         FCFS issue order, with the Timeline bookkeeping inlined. Every
@@ -296,36 +255,7 @@ class FlashArray:
         are bit-identical to the per-page path. ``completions``, when
         given, receives the per-page completion times; callers that only
         need the batch end time (the engine fast path) pass None. The
-        caller accounts ``pages_read`` stats. Wide batches dispatch to
-        the columnar core (:meth:`_read_chain_columnar`); without
-        ``columns`` hints the engagement threshold is 4× higher because
-        extracting the channel/bank columns from the ppa objects costs
-        about as much as the scalar chain itself."""
-        if self.columnar:
-            n = len(ppas)
-            min_pages = self.columnar_min_pages
-            if columns is not None:
-                if n >= min_pages:
-                    ch = np.ascontiguousarray(columns[0], dtype=np.intp)
-                    bk = np.ascontiguousarray(columns[1], dtype=np.intp)
-                    prep = self._columnar_prep(n, ch, bk)
-                    if prep is not None:
-                        return self._read_chain_columnar(
-                            n, start_time, completions, prep)
-            elif n >= min_pages * 4:
-                ch = np.fromiter((p.channel for p in ppas),
-                                 dtype=np.intp, count=n)
-                bk = np.fromiter((p.bank for p in ppas),
-                                 dtype=np.intp, count=n)
-                prep = self._columnar_prep(n, ch, bk)
-                if prep is not None:
-                    return self._read_chain_columnar(
-                        n, start_time, completions, prep)
-        return self._read_chain_scalar(ppas, start_time, completions)
-
-    def _read_chain_scalar(self, ppas: Sequence[PhysicalPageAddress],
-                           start_time: float,
-                           completions: Optional[List[float]] = None) -> float:
+        caller accounts ``pages_read`` stats."""
         timing = self.timing
         t_read = timing.t_read
         issue = start_time + timing.t_cmd
@@ -365,269 +295,12 @@ class FlashArray:
                 end_time = xfer_end
         return end_time
 
-    def _columnar_prep(self, n: int, ch: np.ndarray, bk: np.ndarray):
-        """Shared setup for the columnar chains, or None when the batch
-        should fall back to the scalar chain.
-
-        Snapshots the involved timelines' ``free_at`` into dense arrays
-        and groups pages into pipeline depth levels: level ``k`` holds
-        each channel's k-th page of the batch. Pages at one level touch
-        distinct channels, so the levels run as elementwise vector steps
-        while every within-channel dependency stays in its scalar order.
-        Falls back when the batch is too serial for vector steps to win
-        or when any involved timeline has a per-reservation observer
-        attached (the columnar core cannot interleave callbacks)."""
-        geometry = self.geometry
-        counts = np.bincount(ch, minlength=geometry.channels)
-        depth = int(counts.max())
-        if depth * 4 > n and depth > 2:
-            # not enough cross-channel parallelism: the per-level numpy
-            # calls would outnumber the pages they replace
-            return None
-        channel_lines = self.channel_lines
-        active = np.flatnonzero(counts).tolist()
-        chan_free = np.empty(geometry.channels)
-        chan_busy = np.empty(geometry.channels)
-        for c in active:
-            line = channel_lines[c]
-            if line.observer is not None:
-                return None
-            chan_free[c] = line.free_at
-            chan_busy[c] = line.busy_time
-        flat = ch * geometry.banks_per_channel + bk
-        flat_counts = np.bincount(flat)
-        banks = np.flatnonzero(flat_counts).tolist()
-        bank_free = self._bank_free_scratch
-        bank_busy = self._bank_busy_scratch
-        bank_lines_flat = self._bank_lines_flat
-        for f in banks:
-            line = bank_lines_flat[f]
-            if line.observer is not None:
-                return None
-            bank_free[f] = line.free_at
-            bank_busy[f] = line.busy_time
-        unique_banks = int(flat_counts.max()) == 1
-        if depth == 1:
-            # every page on its own channel: a single level in issue
-            # order, no regrouping needed
-            return (counts, active, chan_free, chan_busy, flat,
-                    flat_counts, banks, bank_free, bank_busy,
-                    unique_banks, ch, flat, None, None, 1)
-        order = np.argsort(ch, kind="stable")
-        sorted_ch = ch[order]
-        run_starts = np.concatenate(
-            ([0], np.flatnonzero(np.diff(sorted_ch)) + 1))
-        marks = np.zeros(n, dtype=np.intp)
-        marks[run_starts[1:]] = 1
-        run_id = np.cumsum(marks)
-        pos_sorted = np.arange(n, dtype=np.intp) - run_starts[run_id]
-        pos = np.empty(n, dtype=np.intp)
-        pos[order] = pos_sorted
-        dorder = np.argsort(pos, kind="stable")
-        bounds = np.searchsorted(pos[dorder], np.arange(depth + 1))
-        # pre-gather the level-ordered columns once so the level loop
-        # slices views instead of fancy-indexing per level
-        ch_d = ch[dorder]
-        flat_d = flat[dorder]
-        return (counts, active, chan_free, chan_busy, flat, flat_counts,
-                banks, bank_free, bank_busy, unique_banks, ch_d, flat_d,
-                dorder, bounds, depth)
-
-    def _read_chain_columnar(self, n: int, start_time: float,
-                             completions: Optional[List[float]],
-                             prep) -> float:
-        """Columnar read fan-out: one elementwise max/add step per
-        pipeline depth level across all channels. Channels are
-        independent FCFS servers and within-channel issue order is the
-        level order, so every float max/add sees the identical operands
-        as the scalar chain — bit-identical timings. When every bank
-        appears at most once the bank-side max hoists out of the level
-        loop entirely (each bank's sense starts from its initial
-        ``free_at``)."""
-        (counts, active, chan_free, chan_busy, flat, flat_counts, banks,
-         bank_free, bank_busy, unique_banks, ch_d, flat_d, dorder,
-         bounds, depth) = prep
-        timing = self.timing
-        t_read = timing.t_read
-        issue = start_time + timing.t_cmd
-        xfer = timing.transfer_time(self.geometry.page_size)
-        # busy_time accumulates one constant add per page in level order
-        # — identical per-line add sequence to the scalar chain, done as
-        # one masked vector add per level (indices are unique within a
-        # level, so the fancy-indexed += is well-defined)
-        if unique_banks:
-            read_end_d = np.maximum(bank_free[flat_d], issue) + t_read
-            bank_busy[flat_d] += t_read
-            if depth == 1:
-                ends_d = np.maximum(chan_free[ch_d], read_end_d) + xfer
-                chan_free[ch_d] = ends_d
-                chan_busy[ch_d] += xfer
-            else:
-                ends_d = np.empty(n)
-                for level in range(depth):
-                    a = bounds[level]
-                    b = bounds[level + 1]
-                    cs = ch_d[a:b]
-                    xe = np.maximum(chan_free[cs], read_end_d[a:b]) + xfer
-                    chan_free[cs] = xe
-                    chan_busy[cs] += xfer
-                    ends_d[a:b] = xe
-            # the die's page register is held until the transfer drains
-            bank_free[flat_d] = ends_d
-        else:
-            ends_d = np.empty(n)
-            for level in range(depth):
-                a = bounds[level]
-                b = bounds[level + 1]
-                cs = ch_d[a:b]
-                fs = flat_d[a:b]
-                read_end = np.maximum(bank_free[fs], issue) + t_read
-                xe = np.maximum(chan_free[cs], read_end) + xfer
-                chan_free[cs] = xe
-                bank_free[fs] = xe
-                chan_busy[cs] += xfer
-                bank_busy[fs] += t_read
-                ends_d[a:b] = xe
-        self._columnar_writeback(prep)
-        if dorder is None:
-            ends = ends_d
-        else:
-            ends = np.empty(n)
-            ends[dorder] = ends_d
-        if completions is not None:
-            completions.extend(ends.tolist())
-        end_time = float(ends_d.max())
-        return end_time if end_time > start_time else start_time
-
-    def _columnar_writeback(self, prep) -> None:
-        """Copy the dense free/busy columns back into the Timeline
-        objects. ``tolist`` first: plain-list indexing and Python floats
-        are several times cheaper than per-element numpy scalar
-        extraction, and the values are bit-identical."""
-        (counts, active, chan_free, chan_busy, flat, flat_counts, banks,
-         bank_free, bank_busy, unique_banks, ch_d, flat_d, dorder,
-         bounds, depth) = prep
-        chan_free_l = chan_free.tolist()
-        chan_busy_l = chan_busy.tolist()
-        counts_l = counts.tolist()
-        channel_lines = self.channel_lines
-        for c in active:
-            line = channel_lines[c]
-            line.free_at = chan_free_l[c]
-            line.busy_time = chan_busy_l[c]
-            line.ops += counts_l[c]
-        bank_free_l = bank_free.tolist()
-        bank_busy_l = bank_busy.tolist()
-        bank_lines_flat = self._bank_lines_flat
-        if unique_banks:
-            for f in banks:
-                line = bank_lines_flat[f]
-                line.free_at = bank_free_l[f]
-                line.busy_time = bank_busy_l[f]
-                line.ops += 1
-        else:
-            flat_counts_l = flat_counts.tolist()
-            for f in banks:
-                line = bank_lines_flat[f]
-                line.free_at = bank_free_l[f]
-                line.busy_time = bank_busy_l[f]
-                line.ops += flat_counts_l[f]
-
-    def _program_chain_columnar(self, n: int, start_time: float,
-                                completions: List[float], prep) -> float:
-        """Columnar program fan-out (channel transfer, then bank
-        program); see :meth:`_read_chain_columnar`. Timing-only: the
-        dispatcher keeps functional batches on the scalar chain. With
-        unique banks the program step vectorizes after the channel
-        chain (each bank's program starts from its initial
-        ``free_at``)."""
-        (counts, active, chan_free, chan_busy, flat, flat_counts, banks,
-         bank_free, bank_busy, unique_banks, ch_d, flat_d, dorder,
-         bounds, depth) = prep
-        timing = self.timing
-        t_program = timing.t_program
-        issue = start_time + timing.t_cmd
-        xfer = timing.transfer_time(self.geometry.page_size)
-        if unique_banks:
-            if depth == 1:
-                xfer_ends_d = np.maximum(chan_free[ch_d], issue) + xfer
-                chan_free[ch_d] = xfer_ends_d
-                chan_busy[ch_d] += xfer
-            else:
-                xfer_ends_d = np.empty(n)
-                for level in range(depth):
-                    a = bounds[level]
-                    b = bounds[level + 1]
-                    cs = ch_d[a:b]
-                    xe = np.maximum(chan_free[cs], issue) + xfer
-                    chan_free[cs] = xe
-                    chan_busy[cs] += xfer
-                    xfer_ends_d[a:b] = xe
-            ends_d = np.maximum(bank_free[flat_d], xfer_ends_d) + t_program
-            bank_free[flat_d] = ends_d
-            bank_busy[flat_d] += t_program
-        else:
-            ends_d = np.empty(n)
-            for level in range(depth):
-                a = bounds[level]
-                b = bounds[level + 1]
-                cs = ch_d[a:b]
-                fs = flat_d[a:b]
-                xe = np.maximum(chan_free[cs], issue) + xfer
-                pe = np.maximum(bank_free[fs], xe) + t_program
-                chan_free[cs] = xe
-                bank_free[fs] = pe
-                chan_busy[cs] += xfer
-                bank_busy[fs] += t_program
-                ends_d[a:b] = pe
-        self._columnar_writeback(prep)
-        if dorder is None:
-            ends = ends_d
-        else:
-            ends = np.empty(n)
-            ends[dorder] = ends_d
-        completions.extend(ends.tolist())
-        end_time = float(ends_d.max())
-        return end_time if end_time > start_time else start_time
-
     def _program_chain(self, ppas: Sequence[PhysicalPageAddress],
                        start_time: float,
                        data: Optional[Sequence[Optional[np.ndarray]]],
-                       completions: List[float],
-                       columns: Optional[Tuple[Sequence[int], Sequence[int]]]
-                       = None) -> float:
+                       completions: List[float]) -> float:
         """Batched fan-out of a program batch (see :meth:`_read_chain`):
-        channel→bank reserve chain per page, inlined, bit-identical.
-        Wide timing-only batches dispatch to the columnar core; batches
-        with functional content keep the scalar chain (NAND-semantics
-        bookkeeping is per-page anyway)."""
-        if self.columnar and not self.store_data:
-            n = len(ppas)
-            min_pages = self.columnar_min_pages
-            if columns is not None:
-                if n >= min_pages:
-                    ch = np.ascontiguousarray(columns[0], dtype=np.intp)
-                    bk = np.ascontiguousarray(columns[1], dtype=np.intp)
-                    prep = self._columnar_prep(n, ch, bk)
-                    if prep is not None:
-                        return self._program_chain_columnar(
-                            n, start_time, completions, prep)
-            elif n >= min_pages * 4:
-                ch = np.fromiter((p.channel for p in ppas),
-                                 dtype=np.intp, count=n)
-                bk = np.fromiter((p.bank for p in ppas),
-                                 dtype=np.intp, count=n)
-                prep = self._columnar_prep(n, ch, bk)
-                if prep is not None:
-                    return self._program_chain_columnar(
-                        n, start_time, completions, prep)
-        return self._program_chain_scalar(ppas, start_time, data,
-                                          completions)
-
-    def _program_chain_scalar(self, ppas: Sequence[PhysicalPageAddress],
-                              start_time: float,
-                              data: Optional[Sequence[Optional[np.ndarray]]],
-                              completions: List[float]) -> float:
+        channel→bank reserve chain per page, inlined, bit-identical."""
         timing = self.timing
         t_program = timing.t_program
         issue = start_time + timing.t_cmd

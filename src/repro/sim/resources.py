@@ -16,14 +16,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-import numpy as np
-
 __all__ = ["Timeline", "MultiTimeline"]
-
-#: below this server count the plain Python scan beats numpy argmin
-#: (array-call overhead dominates); at or above it the columnar mirror
-#: wins. 16 is conservative: measured crossover is ~8 servers.
-_ARGMIN_MIN_SERVERS = 16
 
 
 class Timeline:
@@ -61,76 +54,6 @@ class Timeline:
             self.observer(self.name, start, end)
         return start, end
 
-    def reserve_many(self, starts, durations) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized sequence of :meth:`reserve` calls.
-
-        ``starts[i]``/``durations[i]`` describe the i-th reservation in
-        FCFS order. Returns ``(start, end)`` float64 arrays. The result
-        is bit-identical to calling :meth:`reserve` element by element:
-        stretches where the server never idles are computed with
-        ``np.add.accumulate`` (a strictly sequential recurrence, so the
-        float rounding matches the scalar chain exactly), and every
-        arrival that finds the server idle restarts the scan from its
-        own start time. With an observer attached the scalar path runs
-        instead, so per-reservation callbacks keep their exact order.
-        """
-        starts = np.ascontiguousarray(starts, dtype=np.float64)
-        durations = np.ascontiguousarray(durations, dtype=np.float64)
-        n = starts.shape[0]
-        if durations.shape[0] != n:
-            raise ValueError(
-                f"{n} starts but {durations.shape[0]} durations")
-        if n == 0:
-            return np.empty(0), np.empty(0)
-        if durations.min() < 0:
-            raise ValueError(f"negative duration: {durations.min()}")
-        if self.observer is not None:
-            out_start = np.empty(n)
-            out_end = np.empty(n)
-            for i in range(n):
-                out_start[i], out_end[i] = self.reserve(
-                    float(starts[i]), float(durations[i]))
-            return out_start, out_end
-        out_start = np.empty(n)
-        out_end = np.empty(n)
-        free = self.free_at
-        i = 0
-        while i < n:
-            tail = n - i
-            chain = np.empty(tail + 1)
-            chain[0] = free
-            chain[1:] = durations[i:]
-            np.add.accumulate(chain, out=chain)
-            # chain[j] is the server's free time before op i+j assuming
-            # it never idles; the first op that starts later breaks the
-            # back-to-back run
-            late = np.nonzero(starts[i:] > chain[:tail])[0]
-            stop = tail if late.size == 0 else int(late[0])
-            if stop:
-                out_start[i:i + stop] = chain[:stop]
-                out_end[i:i + stop] = chain[1:stop + 1]
-                free = float(chain[stop])
-                i += stop
-            if i < n and stop < tail:
-                # this op found the server idle: it starts at its own
-                # start time and seeds the next back-to-back run
-                start = float(starts[i])
-                end = start + float(durations[i])
-                out_start[i] = start
-                out_end[i] = end
-                free = end
-                i += 1
-        self.free_at = free
-        # busy_time accumulates one duration per op in order, exactly
-        # like the scalar path (sum order changes the rounding)
-        acc = np.empty(n + 1)
-        acc[0] = self.busy_time
-        acc[1:] = durations
-        np.add.accumulate(acc, out=acc)
-        self.busy_time = float(acc[-1])
-        self.ops += n
-        return out_start, out_end
-
     def peek(self, earliest_start: float) -> float:
         """When would a reservation made now actually start?"""
         return max(earliest_start, self.free_at)
@@ -151,17 +74,9 @@ class Timeline:
 
 
 class MultiTimeline:
-    """``k`` identical FCFS servers with earliest-available dispatch.
+    """``k`` identical FCFS servers with earliest-available dispatch."""
 
-    Dispatch keeps a numpy mirror of every server's ``free_at`` so wide
-    pools (32 channels × 8 banks) pick the earliest-available server
-    with one ``argmin`` instead of a Python scan. The mirror is
-    maintained by :meth:`reserve`/:meth:`reserve_on`/:meth:`reset`;
-    code that mutates a member ``Timeline`` directly must call
-    :meth:`refresh` afterwards.
-    """
-
-    __slots__ = ("name", "servers", "_free_col")
+    __slots__ = ("name", "servers")
 
     def __init__(self, count: int, name: str = "", start_time: float = 0.0) -> None:
         if count < 1:
@@ -170,86 +85,31 @@ class MultiTimeline:
         self.servers: List[Timeline] = [
             Timeline(f"{name}[{i}]", start_time) for i in range(count)
         ]
-        self._free_col = np.full(count, float(start_time))
-
-    def refresh(self) -> None:
-        """Resync the dispatch mirror after direct server mutation."""
-        for i, server in enumerate(self.servers):
-            self._free_col[i] = server.free_at
 
     def reserve(self, earliest_start: float, duration: float) -> Tuple[float, float, int]:
         """Dispatch to the server that can start soonest.
 
         Returns ``(start, end, server_index)``.
         """
+        # Plain scan, no lambda/closure: this sits on the per-request hot
+        # path of every host copy. Strict < keeps the first-minimal
+        # tie-break of min(..., key=...).
         servers = self.servers
-        if len(servers) >= _ARGMIN_MIN_SERVERS:
-            # argmin returns the first occurrence of the minimum: the
-            # same first-minimal tie-break as the scan below
-            index = int(self._free_col.argmin())
-            best = servers[index]
-        else:
-            # Plain scan, no lambda/closure: this sits on the
-            # per-request hot path of every host copy, where the pool
-            # is small and the numpy call overhead dominates. Strict <
-            # keeps the first-minimal tie-break of min(..., key=...).
-            best = servers[0]
-            index = 0
-            best_free = best.free_at
-            for i in range(1, len(servers)):
-                candidate = servers[i]
-                if candidate.free_at < best_free:
-                    best = candidate
-                    best_free = candidate.free_at
-                    index = i
+        best = servers[0]
+        index = 0
+        best_free = best.free_at
+        for i in range(1, len(servers)):
+            candidate = servers[i]
+            if candidate.free_at < best_free:
+                best = candidate
+                best_free = candidate.free_at
+                index = i
         start, end = best.reserve(earliest_start, duration)
-        self._free_col[index] = best.free_at
         return start, end, index
 
     def reserve_on(self, index: int, earliest_start: float, duration: float) -> Tuple[float, float]:
         """Reserve on a specific server (e.g. a request pinned to one bank)."""
-        start, end = self.servers[index].reserve(earliest_start, duration)
-        self._free_col[index] = end
-        return start, end
-
-    def reserve_fanout(self, indices, earliest_starts,
-                       durations) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized batch of pinned reservations.
-
-        ``indices[i]`` names the server of the i-th reservation (issue
-        order); ``earliest_starts``/``durations`` are arrays or scalars
-        broadcast over the batch. Returns ``(start, end)`` arrays in
-        issue order, bit-identical to sequential :meth:`reserve_on`
-        calls: servers are independent, so the batch is grouped per
-        server and each group runs through
-        :meth:`Timeline.reserve_many` with its order preserved.
-        """
-        idx = np.ascontiguousarray(indices, dtype=np.intp)
-        n = idx.shape[0]
-        starts = np.broadcast_to(
-            np.asarray(earliest_starts, dtype=np.float64), (n,))
-        durs = np.broadcast_to(
-            np.asarray(durations, dtype=np.float64), (n,))
-        out_start = np.empty(n)
-        out_end = np.empty(n)
-        if n == 0:
-            return out_start, out_end
-        order = np.argsort(idx, kind="stable")
-        sorted_idx = idx[order]
-        run_starts = np.concatenate(
-            ([0], np.flatnonzero(np.diff(sorted_idx)) + 1, [n]))
-        servers = self.servers
-        col = self._free_col
-        for r in range(run_starts.size - 1):
-            sel = order[run_starts[r]:run_starts[r + 1]]
-            server_index = int(sorted_idx[run_starts[r]])
-            server = servers[server_index]
-            group_start, group_end = server.reserve_many(starts[sel],
-                                                         durs[sel])
-            out_start[sel] = group_start
-            out_end[sel] = group_end
-            col[server_index] = server.free_at
-        return out_start, out_end
+        return self.servers[index].reserve(earliest_start, duration)
 
     @property
     def count(self) -> int:
@@ -270,4 +130,3 @@ class MultiTimeline:
     def reset(self, start_time: float = 0.0) -> None:
         for s in self.servers:
             s.reset(start_time)
-        self._free_col[:] = float(start_time)

@@ -338,8 +338,7 @@ class StorageSystem(abc.ABC):
     # device-pool hooks (multi-device operation)
     # ------------------------------------------------------------------
     def _init_cluster(self, devices: int, pool, faults, rebalance,
-                      extents_per_device: int, factory,
-                      parallel: int = 0) -> bool:
+                      extents_per_device: int, factory) -> bool:
         """Attach a :class:`~repro.cluster.ClusterTranslationLayer` when
         the constructor asked for more than one device.
 
@@ -347,9 +346,7 @@ class StorageSystem(abc.ABC):
         with ``devices=1`` and no explicit pool nothing is attached and
         the caller proceeds with the classic single-device construction
         (every existing code path stays bit-identical). Returns True
-        when pooled. ``parallel`` > 0 runs pool members in that many
-        worker processes (see :mod:`repro.cluster.parallel`); reports
-        stay byte-identical to the serial pool.
+        when pooled.
         """
         if pool is None and devices <= 1:
             return False
@@ -359,10 +356,7 @@ class StorageSystem(abc.ABC):
             count = int(devices)
             pool = DevicePool.from_factory(
                 count,
-                lambda i: factory(i, split_fault_config(faults, i, count)),
-                parallel=parallel)
-        elif parallel:
-            pool.parallel = int(parallel)
+                lambda i: factory(i, split_fault_config(faults, i, count)))
         parity = bool(faults.parity) if faults is not None else False
         self.cluster = ClusterTranslationLayer(
             pool, self, parity=parity,

@@ -106,8 +106,7 @@ class BaselineSystem(LpnTierOps, StorageSystem):
                  faults: Optional["FaultConfig"] = None,
                  devices: int = 1, pool=None,
                  extents_per_device: int = 1, rebalance=None,
-                 cache: Optional[CacheConfig] = None,
-                 parallel: int = 0) -> None:
+                 cache: Optional[CacheConfig] = None) -> None:
         self.profile = profile
         self.store_data = store_data
         self.max_request_bytes = max_request_bytes
@@ -117,8 +116,7 @@ class BaselineSystem(LpnTierOps, StorageSystem):
                 lambda i, f: BaselineSystem(
                     profile, store_data=store_data, queue_depth=queue_depth,
                     max_request_bytes=max_request_bytes,
-                    cache_pages=cache_pages, faults=f, cache=cache),
-                parallel=parallel):
+                    cache_pages=cache_pages, faults=f, cache=cache)):
             return
         self.ssd = BaselineSSD(profile, store_data=store_data)
         if faults is not None:

@@ -57,8 +57,7 @@ class HardwareNdsSystem(StorageSystem):
                  faults: Optional[FaultConfig] = None,
                  devices: int = 1, pool=None,
                  extents_per_device: int = 1, rebalance=None,
-                 cache: Optional[CacheConfig] = None,
-                 parallel: int = 0) -> None:
+                 cache: Optional[CacheConfig] = None) -> None:
         self.profile = profile
         self.store_data = store_data
         self.segment_bytes = segment_bytes
@@ -71,8 +70,7 @@ class HardwareNdsSystem(StorageSystem):
                     profile, store_data=store_data,
                     controller_timing=controller_timing,
                     segment_bytes=segment_bytes, bb_override=bb_override,
-                    cipher=cipher, faults=f, cache=cache),
-                parallel=parallel):
+                    cipher=cipher, faults=f, cache=cache)):
             return
         self.flash = FlashArray(profile.geometry, profile.timing,
                                 store_data=store_data)

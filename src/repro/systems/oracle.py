@@ -54,8 +54,7 @@ class OracleSystem(LpnTierOps, StorageSystem):
                  faults: Optional[FaultConfig] = None,
                  devices: int = 1, pool=None,
                  extents_per_device: int = 1, rebalance=None,
-                 cache: Optional[CacheConfig] = None,
-                 parallel: int = 0) -> None:
+                 cache: Optional[CacheConfig] = None) -> None:
         self.profile = profile
         self.store_data = store_data
         self.max_request_bytes = max_request_bytes
@@ -65,8 +64,7 @@ class OracleSystem(LpnTierOps, StorageSystem):
                 lambda i, f: OracleSystem(
                     profile, store_data=store_data, queue_depth=queue_depth,
                     max_request_bytes=max_request_bytes, faults=f,
-                    cache=cache),
-                parallel=parallel):
+                    cache=cache)):
             return
         self.ssd = BaselineSSD(profile, store_data=store_data)
         if faults is not None:

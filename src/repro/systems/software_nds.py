@@ -71,8 +71,7 @@ class SoftwareNdsSystem(StorageSystem):
                  faults: Optional[FaultConfig] = None,
                  devices: int = 1, pool=None,
                  extents_per_device: int = 1, rebalance=None,
-                 cache: Optional[CacheConfig] = None,
-                 parallel: int = 0) -> None:
+                 cache: Optional[CacheConfig] = None) -> None:
         self.profile = profile
         self.store_data = store_data
         self.queue_depth = queue_depth
@@ -84,8 +83,7 @@ class SoftwareNdsSystem(StorageSystem):
                 lambda i, f: SoftwareNdsSystem(
                     profile, store_data=store_data, queue_depth=queue_depth,
                     costs=costs, bb_override=bb_override, faults=f,
-                    cache=cache),
-                parallel=parallel):
+                    cache=cache)):
             return
         self.flash = FlashArray(profile.geometry, profile.timing,
                                 store_data=store_data)

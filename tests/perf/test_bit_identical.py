@@ -96,7 +96,6 @@ def _disable_fast_paths(system):
     if flash is None:
         flash = system.ssd.flash
     flash.fast_path = False
-    flash.columnar = False
     engine = getattr(system, "engine", None)
     if engine is not None:
         engine.fast_path = False
