@@ -36,8 +36,7 @@ from repro.workloads.conv2d import Conv2dWorkload
 from repro.workloads.gemm import GemmWorkload
 
 __all__ = ["BENCH_SYSTEMS", "bench_workloads", "run_scenario",
-           "run_hotpath_bench", "format_bench",
-           "bench_json", "apply_tuning"]
+           "run_hotpath_bench", "format_bench", "bench_json"]
 
 BENCH_SYSTEMS = (BaselineSystem, SoftwareNdsSystem, HardwareNdsSystem,
                  OracleSystem)
@@ -53,26 +52,8 @@ def bench_workloads(max_tiles: int = 48) -> Dict[str, Callable[[], object]]:
     }
 
 
-def apply_tuning(system, scalar: bool) -> None:
-    """With ``scalar`` set, turn the STL's batched fast paths (epoch
-    batching, fan-out batching) off on an already-built system. This
-    changes wall-clock only — the ``@scalar`` A/B cell below asserts
-    the simulated section stays byte-identical.
-    """
-    if not scalar:
-        return
-    cluster = getattr(system, "cluster", None)
-    members = ([handle.system for handle in cluster.pool.devices]
-               if cluster is not None else [system])
-    for member in members:
-        stl = getattr(member, "stl", None)
-        if stl is not None:
-            stl.batch_epochs = False
-            stl.batch_fanout = False
-
-
-def run_scenario(cls, workload, devices: int = 1, cache=None,
-                 scalar: bool = False) -> Tuple[int, Dict[str, str]]:
+def run_scenario(cls, workload, devices: int = 1,
+                 cache=None) -> Tuple[int, Dict[str, str]]:
     """Ingest every dataset, read the full tile plan, write one tile.
 
     Returns ``(ops, simulated)`` where ``simulated`` holds the
@@ -80,15 +61,13 @@ def run_scenario(cls, workload, devices: int = 1, cache=None,
     measured by the caller around this function. ``devices > 1`` runs
     the scenario over a device pool (the cluster-layer hot path);
     ``cache=CacheConfig(...)`` puts the host DRAM tier in the hot path
-    (lookup/insert bookkeeping on every access); ``scalar`` applies
-    :func:`apply_tuning`.
+    (lookup/insert bookkeeping on every access).
     """
     kwargs = {} if cache is None else {"cache": cache}
     system = (cls(PAPER_PROTOTYPE, store_data=False, **kwargs)
               if devices <= 1
               else cls(PAPER_PROTOTYPE, store_data=False, devices=devices,
                        **kwargs))
-    apply_tuning(system, scalar)
     plan = workload.tile_plan()
     ops = 0
     ingest_result = None
@@ -132,16 +111,13 @@ def run_scenario(cls, workload, devices: int = 1, cache=None,
 
 
 def run_hotpath_bench(max_tiles: int = 48, repeats: int = 1,
-                      systems: Optional[Sequence] = None,
-                      scalar: bool = False) -> Dict:
+                      systems: Optional[Sequence] = None) -> Dict:
     """Run every ``system × workload`` scenario and time it.
 
     With ``repeats > 1`` each cell keeps the *fastest* wall time (the
     usual benchmarking practice: minimum wall time has the least noise)
     while asserting the simulated section never changes between
-    repeats. ``scalar`` applies :func:`apply_tuning` to every cell (the
-    CLI's ``--scalar`` A/B switch); the ``@scalar`` variant cell is
-    skipped then, since it would measure the same thing.
+    repeats.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -157,11 +133,6 @@ def run_hotpath_bench(max_tiles: int = 48, repeats: int = 1,
         # the cluster translation layer's hot path
         cells.append({"key": "gemm/software-nds@4dev", "factory": gemm,
                       "cls": SoftwareNdsSystem, "devices": 4})
-        # batched-vs-scalar A/B on the same scenario: wall may move,
-        # simulated output must not
-        cells.append({"key": "gemm/software-nds@scalar",
-                      "factory": gemm, "cls": SoftwareNdsSystem,
-                      "scalar": True})
 
         # one serving cell: many tiny single-row reads (embedding
         # lookups) stress per-request translation instead of fan-out
@@ -179,9 +150,6 @@ def run_hotpath_bench(max_tiles: int = 48, repeats: int = 1,
         cells.append({"key": "embedding-cached/software-nds",
                       "factory": embedding, "cls": SoftwareNdsSystem,
                       "cache": CacheConfig(capacity_bytes=8 * 2**20)})
-    if scalar:
-        cells = [dict(cell, scalar=True) for cell in cells
-                 if not cell.get("scalar")]
     for cell in cells:
         key = cell["key"]
         best = None
@@ -191,7 +159,7 @@ def run_hotpath_bench(max_tiles: int = 48, repeats: int = 1,
             t0 = time.perf_counter()
             ops, sim = run_scenario(
                 cell["cls"], workload, devices=cell.get("devices", 1),
-                cache=cell.get("cache"), scalar=cell.get("scalar", False))
+                cache=cell.get("cache"))
             elapsed = time.perf_counter() - t0
             prior = simulated.get(key)
             if prior is not None and prior != sim:
@@ -206,14 +174,6 @@ def run_hotpath_bench(max_tiles: int = 48, repeats: int = 1,
             "ops_per_s": round(ops / best, 1) if best > 0 else 0.0,
             "us_wall_per_op": round(best / ops * 1e6, 2),
         }
-    # the A/B cell exists to prove the fast paths change wall time
-    # only: its simulated section must equal its reference cell's
-    variant, reference = "gemm/software-nds@scalar", "gemm/software-nds"
-    if variant in simulated and reference in simulated:
-        if simulated[variant] != simulated[reference]:
-            raise AssertionError(
-                f"{variant} diverged from {reference}: "
-                f"{simulated[variant]} != {simulated[reference]}")
     return {
         "config": {"max_tiles": max_tiles, "repeats": repeats,
                    "systems": [cls.name for cls in chosen],

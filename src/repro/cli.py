@@ -348,13 +348,13 @@ def _cmd_bench(args: argparse.Namespace) -> None:
         profiler = cProfile.Profile()
         profiler.enable()
         bench = run_hotpath_bench(max_tiles=args.tiles,
-                                  repeats=args.repeats, scalar=args.scalar)
+                                  repeats=args.repeats)
         profiler.disable()
         stats = pstats.Stats(profiler)
         stats.sort_stats("cumulative").print_stats(20)
     else:
         bench = run_hotpath_bench(max_tiles=args.tiles,
-                                  repeats=args.repeats, scalar=args.scalar)
+                                  repeats=args.repeats)
     print(format_bench(bench))
     if args.json:
         out = Path(args.json)
@@ -561,9 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--profile", action="store_true",
                        help="run under cProfile and print the top 20 "
                             "functions by cumulative time")
-    bench.add_argument("--scalar", action="store_true",
-                       help="A/B switch: turn off the STL's epoch and "
-                            "fan-out batching on every cell")
     bench.set_defaults(fn=_cmd_bench)
     sub.add_parser("overhead", help="Sec 7.3 overheads").set_defaults(
         fn=_cmd_overhead)

@@ -134,23 +134,6 @@ class SpaceTranslationLayer:
         self.stats = StatSet()
         #: page-sized byte count of one block page slot
         self._page_size = flash.geometry.page_size
-        #: batched page fan-out on the write path: with no injector
-        #: attached, programs between GC events go to the flash array as
-        #: one batch instead of one call per page. Issue order and
-        #: times are identical, so timings stay bit-identical; set
-        #: False to force per-page calls (A/B equivalence tests).
-        self.batch_fanout = True
-        #: epoch batch execution across block accesses: all block ops of
-        #: one request issue at the same time, so consecutive same-kind
-        #: page batches concatenate into single flash submissions —
-        #: flushed at every GC epoch boundary (and before any RMW read),
-        #: which keeps the reservation sequence, and therefore every
-        #: timing, bit-identical to per-access calls. Accesses that
-        #: need an RMW read or touch a compressed block drain the epoch
-        #: and run the scalar path; fault injection, parity and
-        #: compression disable epoch merging entirely. False forces the
-        #: per-access path (A/B equivalence tests).
-        self.batch_epochs = True
 
     # ------------------------------------------------------------------
     # space management (§5.1 space creation/management)
@@ -415,11 +398,13 @@ class SpaceTranslationLayer:
         # Allocate + program each touched page. With no injector
         # attached, consecutive programs between GC events batch into
         # one flash call: every page still issues at ``rmw_done`` in
-        # position order, so the timings are bit-identical.
+        # position order, so the timings are bit-identical. With one,
+        # each page is programmed alone so that a ProgramFailError can
+        # re-place its unit.
         completion = rmw_done
         units = 0
         gc_time = 0.0
-        batching = self.batch_fanout and self.flash.faults is None
+        batching = self.flash.faults is None
         pending_ppas: List = []
         pending_data: Optional[List[np.ndarray]] = \
             [] if new_content is not None else None
@@ -547,77 +532,13 @@ class SpaceTranslationLayer:
             out = np.zeros(extents + (space.element_size,), dtype=np.uint8)
         result = StlOpResult(start_time=start_time, end_time=start_time,
                              data=out)
-        if (self.batch_epochs and len(accesses) > 1
-                and self.flash.faults is None):
-            self._read_accesses_merged(space_id, space, accesses,
-                                       start_time, out, result)
-        else:
-            for access in accesses:
-                block = self.read_block(space_id, access, start_time,
-                                        out=out)
-                result.blocks.append(block)
-                if block.completion_time > result.end_time:
-                    result.end_time = block.completion_time
+        for access in accesses:
+            block = self.read_block(space_id, access, start_time, out=out)
+            result.blocks.append(block)
+            if block.completion_time > result.end_time:
+                result.end_time = block.completion_time
         result.stats.count("stl_reads")
         return result
-
-    def _read_accesses_merged(self, space_id: int, space: Space,
-                              accesses: List[BlockAccess],
-                              start_time: float,
-                              out: Optional[np.ndarray],
-                              result: StlOpResult) -> None:
-        """Epoch batch execution on the read path.
-
-        Every block access of one request issues at ``start_time``, so
-        their page batches concatenate into a single flash submission:
-        page order within and across accesses is preserved and each
-        page still issues at the same time, which makes every
-        reservation — and therefore every timing — bit-identical to
-        the per-access :meth:`read_block` calls. Per-access completions
-        are recovered from each access's slice of the shared
-        completion list.
-        """
-        self._sync_faults()
-        index = self.indexes[space_id]
-        ppas: List = []
-        metas = []
-        for access in accesses:
-            lookup = index.lookup(access.block_coord)
-            positions = pages_for_region(space, access.block_slice)
-            first = len(ppas)
-            entry = lookup.entry
-            if entry is not None:
-                if entry.stored_bytes is not None:
-                    # compressed blocks are stored whole (§5.3.4)
-                    batch = entry.allocated_pages()
-                else:
-                    pages = entry.pages
-                    batch = [pages[p] for p in positions
-                             if pages[p] is not None]
-                ppas.extend(batch)
-            metas.append((access, lookup, first))
-        completions: List[float] = []
-        if ppas:
-            op = self.flash.read_pages(ppas, start_time)
-            completions = op.completions
-        total = len(ppas)
-        for i, (access, lookup, first) in enumerate(metas):
-            stop = metas[i + 1][2] if i + 1 < len(metas) else total
-            completion = start_time
-            for done in completions[first:stop]:
-                if done > completion:
-                    completion = done
-            pages_read = stop - first
-            if out is not None:
-                self._scatter_block(space, access, lookup.entry, out)
-            self.stats.count("stl_pages_read", pages_read)
-            block = BlockOpResult(access=access, issue_time=start_time,
-                                  completion_time=completion,
-                                  pages=pages_read,
-                                  nodes_visited=lookup.nodes_visited)
-            result.blocks.append(block)
-            if completion > result.end_time:
-                result.end_time = completion
 
     def _write_accesses(self, space_id: int, extents: Tuple[int, ...],
                         accesses: List[BlockAccess],
@@ -630,157 +551,18 @@ class SpaceTranslationLayer:
                 raise ValueError(
                     f"data shape {data.shape} != expected {expected}")
         result = StlOpResult(start_time=start_time, end_time=start_time)
-        if (self.batch_epochs and self.batch_fanout and len(accesses) > 1
-                and self.flash.faults is None and self.parity is None
-                and self.compressor is None):
-            self._write_accesses_epoch(space_id, space, accesses, data,
-                                       start_time, result)
-        else:
-            for access in accesses:
-                region = None
-                if data is not None and self.flash.store_data:
-                    slicer = tuple(slice(lo, hi)
-                                   for lo, hi in access.out_slice)
-                    region = data[slicer]
-                block = self.write_block(space_id, access, start_time,
-                                         region=region)
-                result.blocks.append(block)
-                if block.completion_time > result.end_time:
-                    result.end_time = block.completion_time
-        result.stats.count("stl_writes")
-        return result
-
-    def _write_accesses_epoch(self, space_id: int, space: Space,
-                              accesses: List[BlockAccess],
-                              data: Optional[np.ndarray],
-                              start_time: float,
-                              result: StlOpResult) -> None:
-        """Epoch batch execution on the write path.
-
-        Accesses that need no read-modify-write all program at
-        ``start_time``, so their page batches accumulate into one
-        pending flash submission that spans accesses. The epoch flushes
-        at every GC trigger (GC must see the same flash state the
-        scalar sequence would) and before any access that needs an RMW
-        read or touches a compressed block — those drain the epoch and
-        delegate to the scalar :meth:`write_block`. Allocation,
-        release, GC decisions and page issue order all happen in the
-        exact scalar sequence, so every timing is bit-identical;
-        per-access completions are distributed back from each flush.
-        """
-        self._sync_faults()
-        index = self.indexes[space_id]
-        allowed = self._shard_planes.get(space_id)
-        page_bytes = self._page_size
-        store = self.flash.store_data
-        pending_ppas: List = []
-        pending_data: List = []
-        pending_owner: List = []
-        #: per batched access: [completion, units, gc_time,
-        #: nodes_visited, access] — finalized after the last flush
-        blocks: List = []
-
-        def flush() -> None:
-            if not pending_ppas:
-                return
-            op = self.flash.program_pages(
-                pending_ppas, start_time,
-                data=pending_data if store else None)
-            for st, done in zip(pending_owner, op.completions):
-                if done > st[0]:
-                    st[0] = done
-            pending_ppas.clear()
-            pending_data.clear()
-            pending_owner.clear()
-
         for access in accesses:
-            peek = index.lookup(access.block_coord).entry
-            positions = pages_for_region(space, access.block_slice)
-            covers_block = all(
-                lo == 0 and hi == extent
-                for (lo, hi), extent in zip(access.block_slice, space.bb))
-            # an RMW read only happens when the scalar path would issue
-            # one: partial coverage over existing units, and (on a
-            # functional system) an actual payload to merge into
-            needs_rmw = (peek is not None and not covers_block
-                         and (data is not None or not store)
-                         and any(peek.pages[p] is not None
-                                 for p in positions))
-            compressed = peek is not None and peek.stored_bytes is not None
-            if compressed or needs_rmw:
-                flush()
-                region = None
-                if data is not None and store:
-                    slicer = tuple(slice(lo, hi)
-                                   for lo, hi in access.out_slice)
-                    region = data[slicer]
-                blocks.append(self.write_block(space_id, access,
-                                               start_time, region=region))
-                continue
-            lookup = index.ensure(access.block_coord)
-            entry = lookup.entry
             region = None
-            if data is not None and store:
+            if data is not None and self.flash.store_data:
                 slicer = tuple(slice(lo, hi) for lo, hi in access.out_slice)
                 region = data[slicer]
-            new_content: Optional[np.ndarray] = None
-            if store and region is not None:
-                new_content = self._block_buffer(space, entry)
-                view = new_content[:space.block_bytes].reshape(
-                    space.bb + (space.element_size,))
-                slicer = tuple(slice(lo, hi)
-                               for lo, hi in access.block_slice)
-                view[slicer] = region
-            st = [start_time, 0, 0.0, lookup.nodes_visited, access]
-            blocks.append(st)
-            for position in positions:
-                old = entry.pages[position]
-                if old is not None:
-                    prefer = (old.channel, old.bank)
-                    entry.record_release(position)
-                    self.allocator.invalidate(old)
-                    self.gc.note_release(old)
-                else:
-                    prefer = self.allocator.choose_target(entry,
-                                                          allowed=allowed)
-                if self.gc.needs_collection(*prefer):
-                    flush()
-                    gc_result = self.gc.collect(prefer[0], prefer[1],
-                                                st[0])
-                    st[2] += max(0.0, gc_result.end_time - st[0])
-                    if gc_result.end_time > st[0]:
-                        st[0] = gc_result.end_time
-                payload = None
-                if new_content is not None:
-                    offset = position * page_bytes
-                    payload = new_content[offset:offset + page_bytes]
-                if (self.elide_zero_pages and payload is not None
-                        and old is None and not payload.any()):
-                    self.stats.count("stl_pages_elided")
-                    continue
-                ppa = self.allocator.allocate(entry, position,
-                                              prefer=prefer,
-                                              allowed=allowed)
-                self.gc.note_alloc(ppa, space_id, access.block_coord,
-                                   position)
-                pending_ppas.append(ppa)
-                pending_data.append(payload)
-                pending_owner.append(st)
-                st[1] += 1
-        flush()
-        for item in blocks:
-            if isinstance(item, list):
-                completion, units, gc_time, nodes_visited, access = item
-                self.stats.count("stl_pages_programmed", units)
-                item = BlockOpResult(access=access, issue_time=start_time,
-                                     completion_time=completion,
-                                     pages=units,
-                                     nodes_visited=nodes_visited,
-                                     units_allocated=units, rmw_reads=0,
-                                     gc_time=gc_time)
-            result.blocks.append(item)
-            if item.completion_time > result.end_time:
-                result.end_time = item.completion_time
+            block = self.write_block(space_id, access, start_time,
+                                     region=region)
+            result.blocks.append(block)
+            if block.completion_time > result.end_time:
+                result.end_time = block.completion_time
+        result.stats.count("stl_writes")
+        return result
 
     def _write_block_compressed(self, space_id: int, space: Space, lookup,
                                 access: BlockAccess, issue_time: float,

@@ -157,10 +157,7 @@ class BaselineSSD:
         stats = StatSet()
         stats.count("device_pages_read", len(ppas))
         stats.count("device_pages_unmapped", len(resolved) - len(ppas))
-        data = None
-        if with_data:
-            data = [np.zeros(self.page_size, dtype=np.uint8) if ppa is None
-                    else self.flash.page_data(ppa) for ppa in resolved]
+        data = self._gather(resolved) if with_data else None
         return DeviceOpResult(start_time=start_time, end_time=op.end_time,
                               data=data, stats=stats)
 
@@ -211,6 +208,12 @@ class BaselineSSD:
         if hi >= self.logical_pages:
             raise ValueError(
                 f"LPN {hi} outside logical capacity {self.logical_pages}")
+
+    def _gather(self, resolved: Sequence) -> List[np.ndarray]:
+        """Contents of resolved pages in request order (ECC-verified);
+        unmapped LPNs (None) read back as zeros."""
+        return [np.zeros(self.page_size, dtype=np.uint8) if ppa is None
+                else self.flash.page_data(ppa) for ppa in resolved]
 
     def reset_time(self) -> None:
         """Zero all device timelines (content untouched) — used between

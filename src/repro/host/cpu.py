@@ -47,11 +47,17 @@ class HostCpu:
         start, end = self.issue_line.reserve(earliest_start, self.per_io_cost)
         self.stats.count("host_ios")
         self.stats.add_time("host_issue", self.per_io_cost)
+        if self.trace is not None or self.metrics is not None:
+            self.emit_issue(start, end)
+        return end
+
+    def emit_issue(self, start: float, end: float) -> None:
+        """Span and metric of one request's software-stack work (also
+        emitted by the host I/O engine's inlined flows)."""
         if self.trace is not None:
             self.trace.span("host_issue", start, end, name="issue_io")
         if self.metrics is not None:
             self.metrics.observe("host.issue", end - start)
-        return end
 
     def run_issue_work(self, earliest_start: float, seconds: float,
                        label: str = "issue_work") -> float:
@@ -75,13 +81,20 @@ class HostCpu:
         self.stats.count("host_copies")
         self.stats.count("host_copied_bytes", num_bytes)
         self.stats.add_time("host_copy", duration)
+        if self.trace is not None or self.metrics is not None:
+            self.emit_copy(start, end, duration, num_bytes, label)
+        return end
+
+    def emit_copy(self, start: float, end: float, duration: float,
+                  num_bytes: int, label: str = "host_copy") -> None:
+        """Span and metrics of one copy-core reservation (also emitted
+        by the host I/O engine's inlined flows)."""
         if self.trace is not None:
             self.trace.span("host_copy", start, end, name=label,
                             bytes=num_bytes)
         if self.metrics is not None:
             self.metrics.observe("host.copy", duration)
             self.metrics.count("host.copy.bytes", num_bytes)
-        return end
 
     def copy_duration(self, num_bytes: int, chunk_bytes: int = 0) -> float:
         return self.memory.copy_time(num_bytes, chunk_bytes)

@@ -17,7 +17,7 @@ same primitive that gates tenant streams in the request scheduler.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -81,7 +81,18 @@ class IoRunResult:
 
 
 class HostIoEngine:
-    """Drives a :class:`BaselineSSD` through a link with host CPU costs."""
+    """Drives a :class:`BaselineSSD` through a link with host CPU costs.
+
+    Both flows inline every layer's Timeline bookkeeping — the host
+    issue core, the device controller, the FTL map and flash fan-out,
+    the link and the host copy cores — in the FCFS order of the
+    per-layer calls (``cpu.issue_io``, ``link.transfer``, ``cpu.copy``),
+    so each float operation happens in the same sequence. When a trace,
+    metrics registry or line observer is attached, the spans, metrics
+    and observer calls those layers would make are emitted at the same
+    point. Per-layer stats are committed when the batch ends, also when
+    a request raises, so they always match the timelines.
+    """
 
     def __init__(self, ssd: BaselineSSD, link: Link, cpu: HostCpu,
                  queue_depth: int = 32) -> None:
@@ -98,74 +109,13 @@ class HostIoEngine:
         self.trace = None
         #: optional metrics registry (set via ``set_metrics``)
         self.metrics = None
-        #: when True (default) timing-only read batches with no trace /
-        #: metrics / faults attached take an inlined per-request flow
-        #: that performs the identical float operations in the identical
-        #: order — bit-identical timings and stats, far less interpreter
-        #: work. Set False to force the instrumentable path (A/B tests).
-        self.fast_path = True
-
-    def _can_fast_path(self, with_data: bool) -> bool:
-        return (self.fast_path and not with_data and self.trace is None
-                and self.metrics is None and self.cpu.trace is None
-                and self.cpu.metrics is None and self.link.trace is None
-                and self.link.metrics is None
-                and self.ssd.flash.faults is None
-                and self.ssd.flash.fast_path
-                and self.controller_line.observer is None
-                and self.cpu.issue_line.observer is None
-                and self.link.line.observer is None)
-
-    def _reserve_controller(self, earliest: float) -> float:
-        start, end = self.controller_line.reserve(
-            earliest, self.controller_command_time)
-        if self.trace is not None:
-            self.trace.span("device_ctrl", start, end, name="ftl_map")
-        if self.metrics is not None:
-            self.metrics.observe("ftl.map", end - start)
-        return end
 
     # ------------------------------------------------------------------
     def run_reads(self, requests: Sequence[IoRequest], start_time: float = 0.0,
                   with_data: bool = False) -> IoRunResult:
-        """Execute read requests in order under the queue-depth limit."""
-        if self._can_fast_path(with_data):
-            return self._run_reads_fast(requests, start_time)
-        result = IoRunResult(start_time=start_time, end_time=start_time)
-        window = QueueDepthWindow(self.queue_depth)
-        for request in requests:
-            earliest = window.earliest(start_time)
-            issued = self.cpu.issue_io(max(earliest, start_time))
-            ctrl_done = self._reserve_controller(issued)
-            device = self.ssd.read_lpns(request.lpns, ctrl_done,
-                                        with_data=with_data)
-            fetched = len(request.lpns) * self.ssd.page_size
-            transfer = self.link.transfer(fetched, device.end_time)
-            done = transfer.end_time
-            if request.placement_chunk is not None:
-                done = self.cpu.copy(request.useful_bytes, done,
-                                     request.placement_chunk)
-            window.complete(done)
-            result.completions.append(done)
-            result.useful_bytes += request.useful_bytes
-            result.fetched_bytes += fetched
-            result.stats.merge(device.stats)
-            result.data.append(device.data if with_data else None)
-            if done > result.end_time:
-                result.end_time = done
-        result.stats.count("io_requests", len(requests))
-        return result
-
-    def _run_reads_fast(self, requests: Sequence[IoRequest],
-                        start_time: float) -> IoRunResult:
-        """Per-request flow of :meth:`run_reads` with every layer's
-        Timeline bookkeeping inlined and the stat-dict churn hoisted to
-        batch totals. The float operations — reserve chains per request
-        in FCFS order, per-op time accumulators — happen in the exact
-        sequence of the instrumentable path, so timings, busy times and
-        stats are bit-identical; only object/dict allocations go away.
-        Guarded by :meth:`_can_fast_path` (timing-only, no trace /
-        metrics / faults / observers)."""
+        """Execute read requests in order under the queue-depth limit:
+        host software stack → device controller (FTL map) → flash →
+        link data transfer → optional host placement copy."""
         result = IoRunResult(start_time=start_time, end_time=start_time)
         window = QueueDepthWindow(self.queue_depth)
         cpu = self.cpu
@@ -189,93 +139,100 @@ class HostIoEngine:
         window_complete = window.complete
         completions_append = result.completions.append
         data_append = result.data.append
-        # per-op float accumulators, committed once at the end — the
-        # additions happen in the same per-request order as add_time
+        watched = self._watched()
+        # per-layer stat accumulators, committed in the finally below;
+        # the float additions happen in the per-request order of add_time
+        ops_before = self._op_counts()
         issue_time_acc = cpu.stats.times.get("host_issue", 0.0)
         copy_time_acc = cpu.stats.times.get("host_copy", 0.0)
+        copied_bytes = chains = 0
         end_time = start_time
         useful_total = 0
         fetched_total = 0
         pages_total = 0
         unmapped_total = 0
-        copies = 0
-        copied_bytes = 0
-        for request in requests:
-            earliest = window_earliest(start_time)
-            # host software stack (cpu.issue_io)
-            issued = issue_line.free_at
-            if issued < earliest:
-                issued = earliest
-            issued += per_io
-            issue_line.free_at = issued
-            issue_line.busy_time += per_io
-            issue_line.ops += 1
-            issue_time_acc += per_io
-            # device controller command handling
-            ctrl_done = ctrl_line.free_at
-            if ctrl_done < issued:
-                ctrl_done = issued
-            ctrl_done += ctrl_time
-            ctrl_line.free_at = ctrl_done
-            ctrl_line.busy_time += ctrl_time
-            ctrl_line.ops += 1
-            # device: FTL map + flash fan-out (ssd.read_lpns)
-            lpns = request.lpns
-            check_lpns(lpns)
-            ppas = [ppa for ppa in map(map_get, lpns) if ppa is not None]
-            device_end = read_chain(ppas, ctrl_done)
-            pages_total += len(ppas)
-            unmapped_total += len(lpns) - len(ppas)
-            # link data transfer
-            fetched = len(lpns) * page_size
-            duration = link_overhead + fetched / link_bandwidth
-            link_start = link_line.free_at
-            if link_start < device_end:
-                link_start = device_end
-            done = link_start + duration
-            link_line.free_at = done
-            link_line.busy_time += duration
-            link_line.ops += 1
-            # optional host placement copy (cpu.copy)
-            useful = request.useful_bytes
-            chunk = request.placement_chunk
-            if chunk is not None:
-                duration = copy_time(useful, chunk)
-                core = copy_servers[0]
-                for candidate in copy_servers[1:]:
-                    if candidate.free_at < core.free_at:
-                        core = candidate
-                copy_start = core.free_at
-                if copy_start < done:
-                    copy_start = done
-                done = copy_start + duration
-                core.free_at = done
-                core.busy_time += duration
-                core.ops += 1
-                copy_time_acc += duration
-                copies += 1
-                copied_bytes += useful
-            window_complete(done)
-            completions_append(done)
-            useful_total += useful
-            fetched_total += fetched
-            data_append(None)
-            if done > end_time:
-                end_time = done
-        if requests:
-            cpu.stats.times["host_issue"] = issue_time_acc
-            cpu_counters = cpu.stats.counters
-            cpu_counters["host_ios"] = cpu_counters.get("host_ios", 0) \
-                + len(requests)
-            if copies:
-                cpu.stats.times["host_copy"] = copy_time_acc
-                cpu_counters["host_copies"] = \
-                    cpu_counters.get("host_copies", 0) + copies
-                cpu_counters["host_copied_bytes"] = \
-                    cpu_counters.get("host_copied_bytes", 0) + copied_bytes
-            flash.stats.count("pages_read", pages_total)
-            link.stats.count("transfers", len(requests))
-            link.stats.count("bytes", fetched_total)
+        try:
+            for request in requests:
+                earliest = window_earliest(start_time)
+                # host software stack (cpu.issue_io)
+                issue_start = issue_line.free_at
+                if issue_start < earliest:
+                    issue_start = earliest
+                issued = issue_start + per_io
+                issue_line.free_at = issued
+                issue_line.busy_time += per_io
+                issue_line.ops += 1
+                issue_time_acc += per_io
+                if watched:
+                    self._issued(issue_start, issued)
+                # device controller command handling
+                ctrl_start = ctrl_line.free_at
+                if ctrl_start < issued:
+                    ctrl_start = issued
+                ctrl_done = ctrl_start + ctrl_time
+                ctrl_line.free_at = ctrl_done
+                ctrl_line.busy_time += ctrl_time
+                ctrl_line.ops += 1
+                if watched:
+                    self._mapped(ctrl_start, ctrl_done)
+                # device: FTL map + flash fan-out (ssd.read_lpns)
+                lpns = request.lpns
+                check_lpns(lpns)
+                if with_data:
+                    resolved = list(map(map_get, lpns))
+                    ppas = [ppa for ppa in resolved if ppa is not None]
+                else:
+                    ppas = [ppa for ppa in map(map_get, lpns)
+                            if ppa is not None]
+                device_end = read_chain(ppas, ctrl_done)
+                chains += 1
+                pages_total += len(ppas)
+                unmapped_total += len(lpns) - len(ppas)
+                data_append(ssd._gather(resolved) if with_data else None)
+                # link data transfer (link.transfer)
+                fetched = len(lpns) * page_size
+                duration = link_overhead + fetched / link_bandwidth
+                link_start = link_line.free_at
+                if link_start < device_end:
+                    link_start = device_end
+                done = link_start + duration
+                link_line.free_at = done
+                link_line.busy_time += duration
+                link_line.ops += 1
+                fetched_total += fetched
+                if watched:
+                    self._transferred(link_start, done, fetched)
+                # optional host placement copy (cpu.copy)
+                useful = request.useful_bytes
+                chunk = request.placement_chunk
+                if chunk is not None:
+                    duration = copy_time(useful, chunk)
+                    core = copy_servers[0]
+                    for candidate in copy_servers[1:]:
+                        if candidate.free_at < core.free_at:
+                            core = candidate
+                    copy_start = core.free_at
+                    if copy_start < done:
+                        copy_start = done
+                    done = copy_start + duration
+                    core.free_at = done
+                    core.busy_time += duration
+                    core.ops += 1
+                    copy_time_acc += duration
+                    copied_bytes += useful
+                    if watched:
+                        self._copied(core, copy_start, done, duration,
+                                     useful)
+                window_complete(done)
+                completions_append(done)
+                useful_total += useful
+                if done > end_time:
+                    end_time = done
+        finally:
+            self._commit(ops_before, issue_time_acc, copy_time_acc,
+                         copied_bytes, fetched_total)
+            if chains:
+                flash.stats.count("pages_read", pages_total)
         result.end_time = end_time
         result.useful_bytes = useful_total
         result.fetched_bytes = fetched_total
@@ -287,42 +244,10 @@ class HostIoEngine:
 
     def run_writes(self, requests: Sequence[IoRequest],
                    start_time: float = 0.0) -> IoRunResult:
-        """Execute write requests in order under the queue-depth limit."""
-        if self._can_fast_path(False):
-            return self._run_writes_fast(requests, start_time)
-        result = IoRunResult(start_time=start_time, end_time=start_time)
-        window = QueueDepthWindow(self.queue_depth)
-        for request in requests:
-            earliest = window.earliest(start_time)
-            issued = self.cpu.issue_io(max(earliest, start_time))
-            if request.placement_chunk is not None:
-                # Host gathers scattered application data into the DMA
-                # buffer before the transfer (serialization cost, [P1]).
-                issued = self.cpu.copy(request.useful_bytes, issued,
-                                       request.placement_chunk)
-            sent = len(request.lpns) * self.ssd.page_size
-            transfer = self.link.transfer(sent, issued)
-            ctrl_done = self._reserve_controller(transfer.end_time)
-            device = self.ssd.write_lpns(request.lpns, ctrl_done,
-                                         data=request.payload)
-            done = device.end_time
-            window.complete(done)
-            result.completions.append(done)
-            result.useful_bytes += request.useful_bytes
-            result.fetched_bytes += sent
-            result.stats.merge(device.stats)
-            if done > result.end_time:
-                result.end_time = done
-        result.stats.count("io_requests", len(requests))
-        return result
-
-    def _run_writes_fast(self, requests: Sequence[IoRequest],
-                         start_time: float) -> IoRunResult:
-        """Host-side flow of :meth:`run_writes` with the CPU / link /
-        controller Timeline bookkeeping inlined (same float-operation
-        order — bit-identical); the device side still goes through
-        :meth:`~repro.ftl.ssd.BaselineSSD.write_lpns`, which owns
-        allocation and GC."""
+        """Execute write requests in order under the queue-depth limit:
+        host software stack → optional host gather copy → link data
+        transfer → device controller → :meth:`BaselineSSD.write_lpns`,
+        which owns allocation, programs and GC."""
         result = IoRunResult(start_time=start_time, end_time=start_time)
         window = QueueDepthWindow(self.queue_depth)
         cpu = self.cpu
@@ -343,90 +268,163 @@ class HostIoEngine:
         window_complete = window.complete
         completions_append = result.completions.append
         merge = result.stats.merge
+        watched = self._watched()
+        ops_before = self._op_counts()
         issue_time_acc = cpu.stats.times.get("host_issue", 0.0)
         copy_time_acc = cpu.stats.times.get("host_copy", 0.0)
+        copied_bytes = 0
         end_time = start_time
         useful_total = 0
         sent_total = 0
-        copies = 0
-        copied_bytes = 0
-        for request in requests:
-            earliest = window_earliest(start_time)
-            # host software stack (cpu.issue_io)
-            issued = issue_line.free_at
-            if issued < earliest:
-                issued = earliest
-            issued += per_io
-            issue_line.free_at = issued
-            issue_line.busy_time += per_io
-            issue_line.ops += 1
-            issue_time_acc += per_io
-            # host gather copy into the DMA buffer (cpu.copy)
-            useful = request.useful_bytes
-            chunk = request.placement_chunk
-            if chunk is not None:
-                duration = copy_time(useful, chunk)
-                core = copy_servers[0]
-                for candidate in copy_servers[1:]:
-                    if candidate.free_at < core.free_at:
-                        core = candidate
-                copy_start = core.free_at
-                if copy_start < issued:
-                    copy_start = issued
-                issued = copy_start + duration
-                core.free_at = issued
-                core.busy_time += duration
-                core.ops += 1
-                copy_time_acc += duration
-                copies += 1
-                copied_bytes += useful
-            # link data transfer
-            sent = len(request.lpns) * page_size
-            duration = link_overhead + sent / link_bandwidth
-            link_start = link_line.free_at
-            if link_start < issued:
-                link_start = issued
-            link_end = link_start + duration
-            link_line.free_at = link_end
-            link_line.busy_time += duration
-            link_line.ops += 1
-            # device controller command handling
-            ctrl_done = ctrl_line.free_at
-            if ctrl_done < link_end:
-                ctrl_done = link_end
-            ctrl_done += ctrl_time
-            ctrl_line.free_at = ctrl_done
-            ctrl_line.busy_time += ctrl_time
-            ctrl_line.ops += 1
-            # device: allocation, programs, GC (unchanged call)
-            device = write_lpns(request.lpns, ctrl_done,
-                                data=request.payload)
-            done = device.end_time
-            window_complete(done)
-            completions_append(done)
-            useful_total += useful
-            sent_total += sent
-            merge(device.stats)
-            if done > end_time:
-                end_time = done
-        if requests:
-            cpu.stats.times["host_issue"] = issue_time_acc
-            cpu_counters = cpu.stats.counters
-            cpu_counters["host_ios"] = cpu_counters.get("host_ios", 0) \
-                + len(requests)
-            if copies:
-                cpu.stats.times["host_copy"] = copy_time_acc
-                cpu_counters["host_copies"] = \
-                    cpu_counters.get("host_copies", 0) + copies
-                cpu_counters["host_copied_bytes"] = \
-                    cpu_counters.get("host_copied_bytes", 0) + copied_bytes
-            link.stats.count("transfers", len(requests))
-            link.stats.count("bytes", sent_total)
+        try:
+            for request in requests:
+                earliest = window_earliest(start_time)
+                # host software stack (cpu.issue_io)
+                issue_start = issue_line.free_at
+                if issue_start < earliest:
+                    issue_start = earliest
+                issued = issue_start + per_io
+                issue_line.free_at = issued
+                issue_line.busy_time += per_io
+                issue_line.ops += 1
+                issue_time_acc += per_io
+                if watched:
+                    self._issued(issue_start, issued)
+                # host gathers scattered application data into the DMA
+                # buffer before the transfer (serialization cost, [P1])
+                useful = request.useful_bytes
+                chunk = request.placement_chunk
+                if chunk is not None:
+                    duration = copy_time(useful, chunk)
+                    core = copy_servers[0]
+                    for candidate in copy_servers[1:]:
+                        if candidate.free_at < core.free_at:
+                            core = candidate
+                    copy_start = core.free_at
+                    if copy_start < issued:
+                        copy_start = issued
+                    issued = copy_start + duration
+                    core.free_at = issued
+                    core.busy_time += duration
+                    core.ops += 1
+                    copy_time_acc += duration
+                    copied_bytes += useful
+                    if watched:
+                        self._copied(core, copy_start, issued, duration,
+                                     useful)
+                # link data transfer (link.transfer)
+                sent = len(request.lpns) * page_size
+                duration = link_overhead + sent / link_bandwidth
+                link_start = link_line.free_at
+                if link_start < issued:
+                    link_start = issued
+                link_end = link_start + duration
+                link_line.free_at = link_end
+                link_line.busy_time += duration
+                link_line.ops += 1
+                sent_total += sent
+                if watched:
+                    self._transferred(link_start, link_end, sent)
+                # device controller command handling
+                ctrl_start = ctrl_line.free_at
+                if ctrl_start < link_end:
+                    ctrl_start = link_end
+                ctrl_done = ctrl_start + ctrl_time
+                ctrl_line.free_at = ctrl_done
+                ctrl_line.busy_time += ctrl_time
+                ctrl_line.ops += 1
+                if watched:
+                    self._mapped(ctrl_start, ctrl_done)
+                # device: allocation, programs, GC
+                device = write_lpns(request.lpns, ctrl_done,
+                                    data=request.payload)
+                done = device.end_time
+                window_complete(done)
+                completions_append(done)
+                useful_total += useful
+                merge(device.stats)
+                if done > end_time:
+                    end_time = done
+        finally:
+            self._commit(ops_before, issue_time_acc, copy_time_acc,
+                         copied_bytes, sent_total)
         result.end_time = end_time
         result.useful_bytes = useful_total
         result.fetched_bytes = sent_total
         result.stats.count("io_requests", len(requests))
         return result
+
+    # ------------------------------------------------------------------
+    # observation and stats of the inlined per-layer steps
+    # ------------------------------------------------------------------
+    def _watched(self) -> bool:
+        """Is any trace, metrics registry or line observer attached to a
+        layer the flows reserve inline?"""
+        cpu = self.cpu
+        link = self.link
+        return (self.trace is not None or self.metrics is not None
+                or cpu.trace is not None or cpu.metrics is not None
+                or link.trace is not None or link.metrics is not None
+                or cpu.issue_line.observer is not None
+                or self.controller_line.observer is not None
+                or link.line.observer is not None
+                or any(core.observer is not None
+                       for core in cpu.copy_lines.servers))
+
+    def _issued(self, start: float, end: float) -> None:
+        line = self.cpu.issue_line
+        if line.observer is not None:
+            line.observer(line.name, start, end)
+        self.cpu.emit_issue(start, end)
+
+    def _mapped(self, start: float, end: float) -> None:
+        line = self.controller_line
+        if line.observer is not None:
+            line.observer(line.name, start, end)
+        if self.trace is not None:
+            self.trace.span("device_ctrl", start, end, name="ftl_map")
+        if self.metrics is not None:
+            self.metrics.observe("ftl.map", end - start)
+
+    def _transferred(self, start: float, end: float, num_bytes: int) -> None:
+        line = self.link.line
+        if line.observer is not None:
+            line.observer(line.name, start, end)
+        self.link.emit_transfer(start, end, num_bytes)
+
+    def _copied(self, core: Timeline, start: float, end: float,
+                duration: float, num_bytes: int) -> None:
+        if core.observer is not None:
+            core.observer(core.name, start, end)
+        self.cpu.emit_copy(start, end, duration, num_bytes)
+
+    def _op_counts(self) -> Tuple[int, int, int]:
+        """Reservations so far on the issue core, the copy cores and
+        the link — the request counts :meth:`_commit` writes back."""
+        cpu = self.cpu
+        return (cpu.issue_line.ops,
+                sum(core.ops for core in cpu.copy_lines.servers),
+                self.link.line.ops)
+
+    def _commit(self, ops_before: Tuple[int, int, int], issue_time: float,
+                copy_time: float, copied_bytes: int,
+                link_bytes: int) -> None:
+        """Write a batch's CPU and link accumulators back to the layers'
+        stats, as the per-request ``issue_io``/``copy``/``transfer``
+        calls would have left them."""
+        ios, copies, transfers = (now - before for now, before
+                                  in zip(self._op_counts(), ops_before))
+        cpu_stats = self.cpu.stats
+        if ios:
+            cpu_stats.times["host_issue"] = issue_time
+            cpu_stats.count("host_ios", ios)
+        if copies:
+            cpu_stats.times["host_copy"] = copy_time
+            cpu_stats.count("host_copies", copies)
+            cpu_stats.count("host_copied_bytes", copied_bytes)
+        if transfers:
+            self.link.stats.count("transfers", transfers)
+            self.link.stats.count("bytes", link_bytes)
 
     def reset_time(self) -> None:
         self.ssd.reset_time()

@@ -110,13 +110,9 @@ class FlashArray:
         #: None (default) every path is bit-identical to the fault-free
         #: model — no bookkeeping, no draws, no extra reservations
         self.faults = None
-        #: batched fan-out switch: when True (default) and no faults /
-        #: trace / metrics are attached, read and program batches run an
-        #: inlined reserve chain that performs the exact same float
-        #: operations in the exact same order as the per-page path —
-        #: bit-identical timings, a fraction of the interpreter work.
-        #: Set False to force the per-page path (A/B equivalence tests).
-        self.fast_path = True
+        #: channel-bus time of one page; geometry and timing are frozen,
+        #: so it is fixed for the array's life
+        self._page_xfer = timing.transfer_time(geometry.page_size)
 
     def attach_faults(self, injector) -> None:
         """Attach a fault injector (None detaches). Attach before any
@@ -167,16 +163,8 @@ class FlashArray:
         is the effect the paper's Figures 1 and 5 are about.
         """
         result = FlashOpResult(start_time=start_time, end_time=start_time)
-        if (self.fast_path and self.faults is None and self.trace is None
-                and self.metrics is None):
-            result.end_time = self._read_chain(ppas, start_time,
-                                               result.completions)
-        else:
-            for ppa in ppas:
-                end = self._read_one(ppa, start_time)
-                result.completions.append(end)
-                if end > result.end_time:
-                    result.end_time = end
+        result.end_time = self._read_chain(ppas, start_time,
+                                           result.completions)
         result.stats.count("pages_read", len(ppas))
         self.stats.count("pages_read", len(ppas))
         return result
@@ -191,17 +179,8 @@ class FlashArray:
         is stored (zero-padded) for functional read-back.
         """
         result = FlashOpResult(start_time=start_time, end_time=start_time)
-        if (self.fast_path and self.faults is None and self.trace is None
-                and self.metrics is None):
-            result.end_time = self._program_chain(ppas, start_time, data,
-                                                  result.completions)
-        else:
-            for position, ppa in enumerate(ppas):
-                payload = data[position] if data is not None else None
-                end = self._program_one(ppa, start_time, payload)
-                result.completions.append(end)
-                if end > result.end_time:
-                    result.end_time = end
+        result.end_time = self._program_chain(ppas, start_time, data,
+                                              result.completions)
         result.stats.count("pages_programmed", len(ppas))
         self.stats.count("pages_programmed", len(ppas))
         return result
@@ -248,136 +227,78 @@ class FlashArray:
     def _read_chain(self, ppas: Sequence[PhysicalPageAddress],
                     start_time: float,
                     completions: Optional[List[float]] = None) -> float:
-        """Batched fan-out of a read batch: the same bank→channel
-        reserve chain as :meth:`_read_one` for every page, in the same
-        FCFS issue order, with the Timeline bookkeeping inlined. Every
-        float operation happens in the identical sequence, so timings
-        are bit-identical to the per-page path. ``completions``, when
-        given, receives the per-page completion times; callers that only
-        need the batch end time (the engine fast path) pass None. The
-        caller accounts ``pages_read`` stats."""
+        """The read reserve chain of a batch, one page at a time in FCFS
+        issue order with the Timeline bookkeeping inlined: the command
+        reaches the die after ``t_cmd`` (latency only: command packets
+        are tiny and interleave with data on the bus), the die senses
+        for ``t_read``, then the page moves over the channel bus.
+
+        With an injector attached each page first checks for a dead
+        channel and afterwards walks the ECC retry ladder; spans,
+        metrics and line observers are emitted per page at the same
+        point. ``completions``, when given, receives the per-page
+        completion times; callers that only need the batch end time
+        (the host I/O engine) pass None. The caller accounts
+        ``pages_read`` stats."""
         timing = self.timing
         t_read = timing.t_read
         issue = start_time + timing.t_cmd
-        xfer = timing.transfer_time(self.geometry.page_size)
+        xfer = self._page_xfer
         channel_lines = self.channel_lines
         bank_lines = self.bank_lines
+        faults = self.faults
+        hooked = (faults is not None or self.trace is not None
+                  or self.metrics is not None)
         append = completions.append if completions is not None else None
         end_time = start_time
         for ppa in ppas:
             c = ppa.channel
+            if faults is not None:
+                faults.advance(start_time)
+                if faults.channel_dead(c):
+                    faults.stats.count("dead_channel_reads")
+                    raise UncorrectableError(ppa, fail_time=start_time,
+                                             reason="channel_dead")
             channel = channel_lines[c]
             bank = bank_lines[c][ppa.bank]
-            if bank.observer is not None or channel.observer is not None:
-                # a reservation observer is attached outside set_metrics:
-                # take the instrumented path for this page
-                xfer_end = self._read_one(ppa, start_time)
-            else:
-                read_start = bank.free_at
-                if read_start < issue:
-                    read_start = issue
-                read_end = read_start + t_read
-                bank.busy_time += t_read
-                bank.ops += 1
-                xfer_start = channel.free_at
-                if xfer_start < read_end:
-                    xfer_start = read_end
-                xfer_end = xfer_start + xfer
-                channel.free_at = xfer_end
-                channel.busy_time += xfer
-                channel.ops += 1
-                # the die's page register is held until the transfer
-                # drains
-                bank.free_at = xfer_end
+            read_start = bank.free_at
+            if read_start < issue:
+                read_start = issue
+            read_end = read_start + t_read
+            bank.busy_time += t_read
+            bank.ops += 1
+            xfer_start = channel.free_at
+            if xfer_start < read_end:
+                xfer_start = read_end
+            xfer_end = xfer_start + xfer
+            channel.free_at = xfer_end
+            channel.busy_time += xfer
+            channel.ops += 1
+            # the die's page register is held until the transfer drains
+            bank.free_at = xfer_end
+            if (hooked or bank.observer is not None
+                    or channel.observer is not None):
+                xfer_end = self._page_read(ppa, bank, channel, xfer,
+                                           read_start, read_end,
+                                           xfer_start, xfer_end)
             if append is not None:
                 append(xfer_end)
             if xfer_end > end_time:
                 end_time = xfer_end
         return end_time
 
-    def _program_chain(self, ppas: Sequence[PhysicalPageAddress],
-                       start_time: float,
-                       data: Optional[Sequence[Optional[np.ndarray]]],
-                       completions: List[float]) -> float:
-        """Batched fan-out of a program batch (see :meth:`_read_chain`):
-        channel→bank reserve chain per page, inlined, bit-identical."""
-        timing = self.timing
-        t_program = timing.t_program
-        issue = start_time + timing.t_cmd
-        geometry = self.geometry
-        xfer = timing.transfer_time(geometry.page_size)
-        channel_lines = self.channel_lines
-        bank_lines = self.bank_lines
-        store = self.store_data
-        append = completions.append
-        end_time = start_time
-        for position, ppa in enumerate(ppas):
-            c = ppa.channel
-            channel = channel_lines[c]
-            bank = bank_lines[c][ppa.bank]
-            if bank.observer is not None or channel.observer is not None:
-                payload = data[position] if data is not None else None
-                prog_end = self._program_one(ppa, start_time, payload)
-                append(prog_end)
-                if prog_end > end_time:
-                    end_time = prog_end
-                continue
-            if store:
-                idx = ppa_to_index(ppa, geometry)
-                if idx in self._programmed:
-                    raise FlashStateError(
-                        f"program to already-programmed page {ppa} "
-                        f"(erase first)")
-                self._programmed.add(idx)
-                payload = data[position] if data is not None else None
-                if payload is not None:
-                    page = np.zeros(geometry.page_size, dtype=np.uint8)
-                    raw = np.asarray(payload, dtype=np.uint8).ravel()
-                    if raw.size > geometry.page_size:
-                        raise ValueError(
-                            f"payload of {raw.size} B exceeds page size")
-                    page[: raw.size] = raw
-                    self._pages[idx] = page
-                    self._checksums[idx] = _page_checksum(page)
-            xfer_start = channel.free_at
-            if xfer_start < issue:
-                xfer_start = issue
-            xfer_end = xfer_start + xfer
-            channel.free_at = xfer_end
-            channel.busy_time += xfer
-            channel.ops += 1
-            prog_start = bank.free_at
-            if prog_start < xfer_end:
-                prog_start = xfer_end
-            prog_end = prog_start + t_program
-            bank.free_at = prog_end
-            bank.busy_time += t_program
-            bank.ops += 1
-            append(prog_end)
-            if prog_end > end_time:
-                end_time = prog_end
-        return end_time
-
-    def _read_one(self, ppa: PhysicalPageAddress, issue_time: float) -> float:
-        faults = self.faults
-        if faults is not None:
-            faults.advance(issue_time)
-            if faults.channel_dead(ppa.channel):
-                faults.stats.count("dead_channel_reads")
-                raise UncorrectableError(ppa, fail_time=issue_time,
-                                         reason="channel_dead")
-        channel = self.channel_lines[ppa.channel]
-        bank = self.bank_lines[ppa.channel][ppa.bank]
-        # The command reaches the die after t_cmd (latency only: command
-        # packets are tiny and interleave with data on the bus), the die
-        # senses for t_read, then the page moves over the channel bus.
-        read_start, read_end = bank.reserve(issue_time + self.timing.t_cmd,
-                                            self.timing.t_read)
-        xfer = self.timing.transfer_time(self.geometry.page_size)
-        xfer_start, xfer_end = channel.reserve(read_end, xfer)
-        # The die's page register is held until the transfer drains.
-        if bank.free_at < xfer_end:
-            bank.free_at = xfer_end
+    def _page_read(self, ppa: PhysicalPageAddress, bank: Timeline,
+                   channel: Timeline, xfer: float, read_start: float,
+                   read_end: float, xfer_start: float,
+                   xfer_end: float) -> float:
+        """Observation and faults of one reserved page read, in the
+        order a pair of ``Timeline.reserve`` calls would emit them: line
+        observers, spans, metrics, then the retry ladder. Returns the
+        page's completion time."""
+        if bank.observer is not None:
+            bank.observer(bank.name, read_start, read_end)
+        if channel.observer is not None:
+            channel.observer(channel.name, xfer_start, xfer_end)
         if self.trace is not None:
             self.trace.span(bank.name, read_start, read_end, name="nand_read")
             self.trace.span(channel.name, xfer_start, xfer_end,
@@ -386,7 +307,7 @@ class FlashArray:
             self.metrics.observe("flash.nand_read", read_end - read_start)
             self.metrics.observe("flash.page_out", xfer_end - xfer_start)
             self.metrics.count("flash.pages_read")
-        if faults is None:
+        if self.faults is None:
             return xfer_end
         return self._apply_read_faults(ppa, bank, channel, xfer,
                                        read_start, xfer_end)
@@ -430,36 +351,90 @@ class FlashArray:
                                      reason=plan.reason)
         return end
 
-    def _program_one(self, ppa: PhysicalPageAddress, issue_time: float,
-                     payload: Optional[np.ndarray]) -> float:
+    def _program_chain(self, ppas: Sequence[PhysicalPageAddress],
+                       start_time: float,
+                       data: Optional[Sequence[Optional[np.ndarray]]],
+                       completions: List[float]) -> float:
+        """The program reserve chain of a batch (see :meth:`_read_chain`):
+        per page the data moves in over the channel, then the bank
+        programs for ``t_program``. With an injector attached each page
+        first asks for a program verdict; a failing page skips the
+        NAND-state update, still costs its bus and array time, and
+        raises :class:`ProgramFailError` after observation."""
+        timing = self.timing
+        t_program = timing.t_program
+        issue = start_time + timing.t_cmd
+        geometry = self.geometry
+        xfer = self._page_xfer
+        channel_lines = self.channel_lines
+        bank_lines = self.bank_lines
+        store = self.store_data
         faults = self.faults
+        hooked = (faults is not None or self.trace is not None
+                  or self.metrics is not None)
+        append = completions.append
+        end_time = start_time
         verdict = None
-        if faults is not None:
-            faults.advance(issue_time)
-            idx = ppa_to_index(ppa, self.geometry)
-            verdict = faults.program_check(
-                idx, (ppa.channel, ppa.bank, ppa.block, ppa.page))
-        if self.store_data and verdict is None:
-            idx = ppa_to_index(ppa, self.geometry)
-            if idx in self._programmed:
-                raise FlashStateError(
-                    f"program to already-programmed page {ppa} (erase first)")
-            self._programmed.add(idx)
-            if payload is not None:
-                page = np.zeros(self.geometry.page_size, dtype=np.uint8)
-                raw = np.asarray(payload, dtype=np.uint8).ravel()
-                if raw.size > self.geometry.page_size:
-                    raise ValueError(
-                        f"payload of {raw.size} B exceeds page size")
-                page[: raw.size] = raw
-                self._pages[idx] = page
-                self._checksums[idx] = _page_checksum(page)
-        channel = self.channel_lines[ppa.channel]
-        bank = self.bank_lines[ppa.channel][ppa.bank]
-        xfer = self.timing.transfer_time(self.geometry.page_size)
-        xfer_start, xfer_end = channel.reserve(issue_time + self.timing.t_cmd,
-                                               xfer)
-        prog_start, prog_end = bank.reserve(xfer_end, self.timing.t_program)
+        for position, ppa in enumerate(ppas):
+            if faults is not None:
+                faults.advance(start_time)
+                verdict = faults.program_check(
+                    ppa_to_index(ppa, geometry),
+                    (ppa.channel, ppa.bank, ppa.block, ppa.page))
+            if store and verdict is None:
+                idx = ppa_to_index(ppa, geometry)
+                if idx in self._programmed:
+                    raise FlashStateError(
+                        f"program to already-programmed page {ppa} "
+                        f"(erase first)")
+                self._programmed.add(idx)
+                payload = data[position] if data is not None else None
+                if payload is not None:
+                    page = np.zeros(geometry.page_size, dtype=np.uint8)
+                    raw = np.asarray(payload, dtype=np.uint8).ravel()
+                    if raw.size > geometry.page_size:
+                        raise ValueError(
+                            f"payload of {raw.size} B exceeds page size")
+                    page[: raw.size] = raw
+                    self._pages[idx] = page
+                    self._checksums[idx] = _page_checksum(page)
+            c = ppa.channel
+            channel = channel_lines[c]
+            bank = bank_lines[c][ppa.bank]
+            xfer_start = channel.free_at
+            if xfer_start < issue:
+                xfer_start = issue
+            xfer_end = xfer_start + xfer
+            channel.free_at = xfer_end
+            channel.busy_time += xfer
+            channel.ops += 1
+            prog_start = bank.free_at
+            if prog_start < xfer_end:
+                prog_start = xfer_end
+            prog_end = prog_start + t_program
+            bank.free_at = prog_end
+            bank.busy_time += t_program
+            bank.ops += 1
+            if (hooked or bank.observer is not None
+                    or channel.observer is not None):
+                self._page_programmed(ppa, bank, channel, xfer_start,
+                                      xfer_end, prog_start, prog_end,
+                                      verdict)
+            append(prog_end)
+            if prog_end > end_time:
+                end_time = prog_end
+        return end_time
+
+    def _page_programmed(self, ppa: PhysicalPageAddress, bank: Timeline,
+                         channel: Timeline, xfer_start: float,
+                         xfer_end: float, prog_start: float,
+                         prog_end: float, verdict: Optional[str]) -> None:
+        """Observation and fault bookkeeping of one reserved page
+        program (see :meth:`_page_read`)."""
+        if channel.observer is not None:
+            channel.observer(channel.name, xfer_start, xfer_end)
+        if bank.observer is not None:
+            bank.observer(bank.name, prog_start, prog_end)
         if self.trace is not None:
             self.trace.span(channel.name, xfer_start, xfer_end,
                             name="page_in", bytes=self.geometry.page_size)
@@ -469,6 +444,7 @@ class FlashArray:
             self.metrics.observe("flash.page_in", xfer_end - xfer_start)
             self.metrics.observe("flash.nand_program", prog_end - prog_start)
             self.metrics.count("flash.pages_programmed")
+        faults = self.faults
         if verdict is not None:
             # the attempt cost real bus and array time before the status
             # register reported the failure
@@ -477,7 +453,6 @@ class FlashArray:
             raise ProgramFailError(ppa, fail_time=prog_end, reason=verdict)
         if faults is not None:
             faults.note_program(ppa_to_index(ppa, self.geometry), prog_end)
-        return prog_end
 
     # ------------------------------------------------------------------
     # reporting

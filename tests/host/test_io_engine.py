@@ -87,3 +87,68 @@ class TestWrites:
         link = Link(1e9, 1e-6)
         with pytest.raises(ValueError):
             HostIoEngine(ssd, link, HostCpu(), queue_depth=0)
+
+
+class TestStatsWhenABatchRaises:
+    """A request that raises midway leaves every layer's stats in step
+    with its timeline: the steps that ran are counted, the rest are
+    not — exactly what per-request ``issue_io``/``copy``/``transfer``
+    calls would leave behind."""
+
+    @staticmethod
+    def _system(**kwargs):
+        from repro.systems import BaselineSystem
+        return BaselineSystem(TINY_TEST, **kwargs)
+
+    def test_read_batch_with_bad_lpn(self):
+        system = self._system()
+        engine, cpu, link = system.engine, system.cpu, system.link
+        bad = system.ssd.logical_pages
+        with pytest.raises(ValueError):
+            engine.run_reads([
+                IoRequest(lpns=[0], useful_bytes=256, placement_chunk=0),
+                IoRequest(lpns=[bad], useful_bytes=256, placement_chunk=0)])
+        assert cpu.issue_line.ops == 2
+        assert cpu.stats.get_count("host_ios") == 2
+        assert cpu.stats.times["host_issue"] == 2 * cpu.per_io_cost
+        assert engine.controller_line.ops == 2
+        assert link.line.ops == 1
+        assert link.stats.get_count("transfers") == 1
+        assert link.stats.get_count("bytes") == TINY_TEST.geometry.page_size
+        assert cpu.stats.get_count("host_copies") == 1
+        assert cpu.stats.times["host_copy"] == \
+            cpu.copy_lines.servers[0].busy_time
+
+    def test_write_batch_with_bad_lpn(self):
+        system = self._system()
+        engine, cpu, link = system.engine, system.cpu, system.link
+        bad = system.ssd.logical_pages
+        with pytest.raises(ValueError):
+            engine.run_writes([
+                IoRequest(lpns=[0], useful_bytes=256, placement_chunk=0),
+                IoRequest(lpns=[bad], useful_bytes=256, placement_chunk=0)])
+        # the second request was issued, gathered, sent and decoded
+        # before the device refused it
+        assert cpu.stats.get_count("host_ios") == cpu.issue_line.ops == 2
+        assert cpu.stats.times["host_issue"] == 2 * cpu.per_io_cost
+        assert cpu.stats.get_count("host_copies") == 2
+        assert link.stats.get_count("transfers") == link.line.ops == 2
+        assert engine.controller_line.ops == 2
+
+    def test_read_batch_hitting_a_dead_channel(self):
+        from repro.faults.errors import UncorrectableError
+        from repro.faults.model import FaultConfig
+        system = self._system(store_data=False, faults=FaultConfig(seed=1))
+        engine, cpu, link, ssd = system.engine, system.cpu, system.link, \
+            system.ssd
+        engine.run_writes(_requests(2))
+        first, second = (ssd.ftl.map[lpn] for lpn in (0, 1))
+        assert first.channel != second.channel
+        ssd.flash.faults.dead_channels.add(second.channel)
+        pages_before = ssd.flash.stats.get_count("pages_read")
+        ios_before = cpu.stats.get_count("host_ios")
+        with pytest.raises(UncorrectableError):
+            engine.run_reads(_requests(2))
+        assert cpu.stats.get_count("host_ios") == ios_before + 2
+        assert link.stats.get_count("transfers") == 2 + 1
+        assert ssd.flash.stats.get_count("pages_read") == pages_before + 1

@@ -1,11 +1,14 @@
 """The observability spine must be free when absent: with no trace and
 no metrics registry attached, every timed path is bit-identical to an
-instrumented run (exact float equality, not approx)."""
+instrumented run (exact float equality, not approx) — also with a
+seeded fault injector attached, where retries and bad blocks run
+inside the same chains the spans and metrics are emitted from."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.faults.model import FaultConfig
 from repro.nvm.profiles import TINY_TEST
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime.tileop import TileOp
@@ -17,8 +20,13 @@ ALL_SYSTEMS = [BaselineSystem, SoftwareNdsSystem, HardwareNdsSystem,
                OracleSystem]
 
 
-def _run(factory, instrumented: bool):
-    system = factory(TINY_TEST, store_data=False)
+#: seeded read-retry and program-fail draws, dense enough that the
+#: scenario below walks retry ladders and re-places failed programs
+FAULTS = FaultConfig(seed=4242, rber_base=5e-3, program_fail_base=0.05)
+
+
+def _run(factory, instrumented: bool, faults=None):
+    system = factory(TINY_TEST, store_data=False, faults=faults)
     if factory is OracleSystem:
         system.ingest("d", (64, 64), 4, tile=(16, 16))
     else:
@@ -37,13 +45,21 @@ def _run(factory, instrumented: bool):
         timings.append((op.result.start_time, op.result.end_time))
     write = system.write_tile("d", (0, 0), (16, 16), start_time=1.0)
     timings.append((write.start_time, write.end_time))
-    return timings
+    return timings, system.fault_counters()
 
 
-@pytest.mark.parametrize("factory", ALL_SYSTEMS,
-                         ids=[f.name for f in ALL_SYSTEMS])
-def test_instrumentation_is_timing_neutral(factory):
-    assert _run(factory, False) == _run(factory, True)
+@pytest.mark.parametrize(
+    "factory,faults",
+    [pytest.param(f, None, id=f.name) for f in ALL_SYSTEMS]
+    + [pytest.param(f, FAULTS, id=f"{f.name}+faults") for f in ALL_SYSTEMS])
+def test_instrumentation_is_timing_neutral(factory, faults):
+    plain, plain_faults = _run(factory, False, faults)
+    traced, traced_faults = _run(factory, True, faults)
+    assert plain == traced
+    assert plain_faults == traced_faults
+    if faults is not None:
+        assert plain_faults["read_retries"] > 0
+        assert plain_faults["program_fails"] > 0
 
 
 @pytest.mark.parametrize("factory", ALL_SYSTEMS,

@@ -3,8 +3,8 @@
 ``golden_timings.json`` was captured at the pre-optimization commit:
 ingest / per-fetch read / write end times (as ``float.hex()``) for the
 four systems on a GEMM and a conv2d macro run. The cached translation,
-batched page fan-out and engine fast path must reproduce every one of
-those floats **bit for bit** — any drift here means an optimization
+batched page fan-out and inlined engine flows must reproduce every one
+of those floats **bit for bit** — any drift here means an optimization
 reordered the model's float operations and is a bug, not noise.
 """
 
@@ -90,64 +90,20 @@ def test_devices_one_bit_identical_to_single_device(wl_name, cls):
     assert [e.hex() for e in read_ends] == expected["read_ends"]
 
 
-def _disable_fast_paths(system):
-    """Force every optimized path back to its instrumentable original."""
-    flash = getattr(system, "flash", None)
-    if flash is None:
-        flash = system.ssd.flash
-    flash.fast_path = False
-    engine = getattr(system, "engine", None)
-    if engine is not None:
-        engine.fast_path = False
-    stl = getattr(system, "stl", None)
-    if stl is not None:
-        stl.batch_fanout = False
-        stl.batch_epochs = False
-
-
 @pytest.mark.parametrize("cls", SYSTEMS, ids=[c.name for c in SYSTEMS])
-def test_fast_and_slow_paths_agree(cls):
-    """A/B: the fast-path knobs off must give the same floats as on,
-    with the translation cache disabled as well."""
+def test_translation_memo_off_agrees(cls):
+    """The translation memo is invisible: with its cache limit at 0 the
+    same scenario must give the same floats."""
     from repro.core.translator import (set_translation_cache_limit,
                                        translation_cache_limit)
 
-    fast = _run_one(GemmWorkload(n=256, tile=128, max_tiles=12), cls)
+    memo = _run_one(GemmWorkload(n=256, tile=128, max_tiles=12), cls)
     saved = translation_cache_limit()
     set_translation_cache_limit(0)
     try:
-        slow = _run_one_slow(GemmWorkload(n=256, tile=128, max_tiles=12), cls)
+        plain = _run_one(GemmWorkload(n=256, tile=128, max_tiles=12), cls)
     finally:
         set_translation_cache_limit(saved)
-    assert fast[0].hex() == slow[0].hex()
-    assert fast[2].hex() == slow[2].hex()
-    assert [e.hex() for e in fast[1]] == [e.hex() for e in slow[1]]
-
-
-def _run_one_slow(workload, cls):
-    system = cls(PAPER_PROTOTYPE, store_data=False)
-    _disable_fast_paths(system)
-    plan = workload.tile_plan()
-    ingest_result = None
-    if isinstance(system, OracleSystem):
-        shapes = {}
-        for fetch in plan:
-            shapes.setdefault(fetch.dataset, [])
-            if fetch.extents not in shapes[fetch.dataset]:
-                shapes[fetch.dataset].append(fetch.extents)
-        for ds in workload.datasets():
-            for shape in shapes.get(ds.name, [ds.dims]):
-                ingest_result = system.ingest(ds.name, ds.dims,
-                                              ds.element_size, tile=shape)
-    else:
-        for ds in workload.datasets():
-            ingest_result = system.ingest(ds.name, ds.dims, ds.element_size)
-    ingest_end = ingest_result.end_time
-    system.reset_time()
-    read_ends = [system.read_tile(f.dataset, f.origin, f.extents).end_time
-                 for f in plan]
-    system.reset_time()
-    first = plan[0]
-    write_end = system.write_tile(first.dataset, first.origin,
-                                  first.extents).end_time
-    return ingest_end, read_ends, write_end
+    assert memo[0].hex() == plain[0].hex()
+    assert memo[2].hex() == plain[2].hex()
+    assert [e.hex() for e in memo[1]] == [e.hex() for e in plain[1]]
