@@ -150,6 +150,18 @@ class TestGroups:
         tier.invalidate("b")
         assert tier.group_keys("g") == []
 
+    def test_group_keys_in_insertion_order(self):
+        """Keys holding a dataset string hash differently per process
+        (``PYTHONHASHSEED``); write-back flushes walk ``group_keys``,
+        so its order must be insertion order, never hash order."""
+        tier = make_tier(capacity_bytes=1 << 20)
+        keys = [("nd", "emb", (0, 0), ((i, i + 1),)) for i in range(16)]
+        for key in keys:
+            tier.insert(key, 100, 0.0, group="g")
+        assert tier.group_keys("g") == keys
+        tier.invalidate(keys[3])
+        assert tier.group_keys("g") == keys[:3] + keys[4:]
+
 
 class TestReport:
     def test_report_carries_all_counters(self):
