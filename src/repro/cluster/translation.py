@@ -155,8 +155,10 @@ class ClusterTranslationLayer:
         self.heat: Dict[Tuple[int, int], float] = {}
         self._ops_since_check = 0
         self.stats = StatSet()
-        self.trace = None
-        self.metrics = None
+        #: the owning system's :class:`~repro.obs.probe.Probe` while a
+        #: trace or metrics subscriber is attached, else None (pool
+        #: members get device-scoped probes from the owning system)
+        self.probe = None
 
     # ------------------------------------------------------------------
     # plumbing
@@ -190,13 +192,13 @@ class ClusterTranslationLayer:
         return result
 
     def _instant(self, time: float, name: str, **args) -> None:
-        if self.trace is not None:
-            self.trace.instant("cluster", time, name, **args)
+        if self.probe is not None:
+            self.probe.instant("cluster", time, name, **args)
 
     def _count(self, name: str, amount: int = 1) -> None:
         self.stats.count(name, amount)
-        if self.metrics is not None:
-            self.metrics.count(f"cluster.{name}", amount)
+        if self.probe is not None:
+            self.probe.count(f"cluster.{name}", amount)
 
     # ------------------------------------------------------------------
     # ingest: build the layout and place every extent
@@ -704,25 +706,8 @@ class ClusterTranslationLayer:
             self.heat[key] *= policy.decay
 
     # ------------------------------------------------------------------
-    # observability and lifecycle
+    # accounting and lifecycle
     # ------------------------------------------------------------------
-    def set_trace(self, recorder) -> None:
-        from repro.runtime.trace import ScopedTraceRecorder
-        self.trace = recorder
-        for handle in self.pool.devices:
-            scoped = (ScopedTraceRecorder(recorder,
-                                          f"d{handle.device_id}:")
-                      if recorder is not None else None)
-            handle.system.set_trace(scoped)
-
-    def set_metrics(self, registry) -> None:
-        from repro.obs.metrics import ScopedMetrics
-        self.metrics = registry
-        for handle in self.pool.devices:
-            scoped = (ScopedMetrics(registry, f"d{handle.device_id}.")
-                      if registry is not None else None)
-            handle.system.set_metrics(scoped)
-
     def fault_counters(self) -> Optional[Dict[str, int]]:
         merged = self.pool.fault_counters()
         cluster = dict(self.stats.counters)

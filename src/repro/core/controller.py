@@ -62,28 +62,18 @@ class NdsController:
         self.allocate_line = Timeline("ctrl_alloc")
         self.assemble_line = Timeline("ctrl_assemble")
         self.stats = StatSet()
-        #: optional per-layer span recorder (set via the owning
-        #: system's ``set_trace``)
-        self.trace = None
-        #: optional metrics registry (set via ``set_metrics``)
-        self.metrics = None
-
-    def _span(self, resource: str, start: float, end: float,
-              name: str, **args) -> None:
-        if self.trace is not None:
-            self.trace.span(resource, start, end, name=name, **args)
-
-    def _observe(self, metric: str, seconds: float) -> None:
-        if self.metrics is not None:
-            self.metrics.observe(metric, seconds)
+        #: the owning system's :class:`~repro.obs.probe.Probe` while a
+        #: trace or metrics subscriber is attached, else None
+        self.probe = None
 
     # ------------------------------------------------------------------
     def handle_command(self, earliest_start: float) -> float:
         start, end = self.command_line.reserve(earliest_start,
                                                self.timing.command_handle)
         self.stats.count("ctrl_commands")
-        self._span("ctrl_cmd", start, end, "nvme_command")
-        self._observe("ctrl.command", end - start)
+        if self.probe is not None:
+            self.probe.stage("ctrl_cmd", "nvme_command", "ctrl.command",
+                             start, end)
         return end
 
     def translate(self, earliest_start: float, nodes_visited: int,
@@ -92,16 +82,18 @@ class NdsController:
                     + self.timing.translate_per_block * blocks)
         start, end = self.translate_line.reserve(earliest_start, duration)
         self.stats.count("ctrl_translations")
-        self._span("ctrl_translate", start, end, "stl_translate")
-        self._observe("ctrl.translate", end - start)
+        if self.probe is not None:
+            self.probe.stage("ctrl_translate", "stl_translate",
+                             "ctrl.translate", start, end)
         return end
 
     def allocate(self, earliest_start: float, units: int) -> float:
         duration = self.timing.allocate_per_unit * units
         start, end = self.allocate_line.reserve(earliest_start, duration)
         self.stats.count("ctrl_allocations", units)
-        self._span("ctrl_alloc", start, end, "stl_allocate")
-        self._observe("ctrl.allocate", end - start)
+        if self.probe is not None:
+            self.probe.stage("ctrl_alloc", "stl_allocate", "ctrl.allocate",
+                             start, end)
         return end
 
     def assemble(self, earliest_start: float, num_bytes: int,
@@ -112,10 +104,8 @@ class NdsController:
                     + num_bytes / self.timing.assemble_bandwidth)
         start, end = self.assemble_line.reserve(earliest_start, duration)
         self.stats.count("ctrl_assembled_bytes", num_bytes)
-        self._span("ctrl_assemble", start, end, "assemble", bytes=num_bytes)
-        if self.metrics is not None:
-            self.metrics.observe("ctrl.assemble", end - start)
-            self.metrics.count("ctrl.assemble.bytes", num_bytes)
+        if self.probe is not None:
+            self.probe.assemble(start, end, num_bytes)
         return end
 
     def reset_time(self) -> None:

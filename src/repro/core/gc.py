@@ -67,14 +67,12 @@ class NdsGarbageCollector:
         self.total_relocated = 0
         self.total_erased = 0
         self.total_retired = 0
-        #: optional metrics registry (set via the owning system's
-        #: ``set_metrics``)
-        self.metrics = None
-        #: optional trace recorder (set via ``set_trace``); collections
-        #: are marked as instants, never duration spans — a GC child
-        #: span would steal critical-path attribution from the flash
-        #: work it triggered
-        self.trace = None
+        #: the owning system's :class:`~repro.obs.probe.Probe` while a
+        #: trace or metrics subscriber is attached, else None;
+        #: collections are traced as instants, never duration spans — a
+        #: GC child span would steal critical-path attribution from the
+        #: flash work it triggered
+        self.probe = None
         #: relocation callback for parity units (position
         #: :data:`~repro.faults.parity.PARITY_POSITION` in the reverse
         #: table): called as ``parity_patcher(space_id, coord, new_ppa)``
@@ -116,18 +114,10 @@ class NdsGarbageCollector:
         with self._recovery():
             result = self._collect(channel, bank, now, target_fraction,
                                    max_victims)
-        if self.metrics is not None and result.ran:
-            self.metrics.observe("stl.gc", result.end_time - now)
-            self.metrics.count("stl.gc.collections")
-            self.metrics.count("stl.gc.units_relocated",
-                               result.units_relocated)
-            self.metrics.count("stl.gc.blocks_erased", result.blocks_erased)
-        if self.trace is not None and result.ran:
-            self.trace.instant(
-                "gc", result.end_time, name="gc", start=now,
-                duration=result.end_time - now, channel=channel, bank=bank,
-                units_relocated=result.units_relocated,
-                blocks_erased=result.blocks_erased)
+        if self.probe is not None and result.ran:
+            self.probe.gc("stl", now, result.end_time, channel, bank,
+                          "units_relocated", result.units_relocated,
+                          result.blocks_erased)
         return result
 
     def _collect(self, channel: int, bank: int, now: float,

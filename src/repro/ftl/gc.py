@@ -56,14 +56,12 @@ class GarbageCollector:
         self.total_relocated = 0
         self.total_erased = 0
         self.total_retired = 0
-        #: optional metrics registry (set via the owning system's
-        #: ``set_metrics``)
-        self.metrics = None
-        #: optional trace recorder (set via ``set_trace``); collections
-        #: are marked as instants, never duration spans — a GC child
-        #: span would steal critical-path attribution from the flash
-        #: work it triggered
-        self.trace = None
+        #: the owning system's :class:`~repro.obs.probe.Probe` while a
+        #: trace or metrics subscriber is attached, else None;
+        #: collections are traced as instants, never duration spans — a
+        #: GC child span would steal critical-path attribution from the
+        #: flash work it triggered
+        self.probe = None
 
     def _recovery(self):
         """Context for internal relocation traffic: probabilistic fault
@@ -96,18 +94,10 @@ class GarbageCollector:
         """
         with self._recovery():
             result = self._collect(channel, bank, now)
-        if self.metrics is not None and result.ran:
-            self.metrics.observe("ftl.gc", result.end_time - now)
-            self.metrics.count("ftl.gc.collections")
-            self.metrics.count("ftl.gc.pages_relocated",
-                               result.pages_relocated)
-            self.metrics.count("ftl.gc.blocks_erased", result.blocks_erased)
-        if self.trace is not None and result.ran:
-            self.trace.instant(
-                "gc", result.end_time, name="gc", start=now,
-                duration=result.end_time - now, channel=channel, bank=bank,
-                pages_relocated=result.pages_relocated,
-                blocks_erased=result.blocks_erased)
+        if self.probe is not None and result.ran:
+            self.probe.gc("ftl", now, result.end_time, channel, bank,
+                          "pages_relocated", result.pages_relocated,
+                          result.blocks_erased)
         return result
 
     def _collect(self, channel: int, bank: int, now: float) -> GcResult:

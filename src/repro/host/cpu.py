@@ -35,11 +35,9 @@ class HostCpu:
         #: 41 µs worst-case adder of §7.3 together with LightNVM I/O costs.
         self.stl_lookup_cost = stl_lookup_cost
         self.stats = StatSet()
-        #: optional per-layer span recorder (set via the owning
-        #: system's ``set_trace``)
-        self.trace = None
-        #: optional metrics registry (set via ``set_metrics``)
-        self.metrics = None
+        #: the owning system's :class:`~repro.obs.probe.Probe` while a
+        #: trace or metrics subscriber is attached, else None
+        self.probe = None
 
     # ------------------------------------------------------------------
     def issue_io(self, earliest_start: float) -> float:
@@ -47,17 +45,10 @@ class HostCpu:
         start, end = self.issue_line.reserve(earliest_start, self.per_io_cost)
         self.stats.count("host_ios")
         self.stats.add_time("host_issue", self.per_io_cost)
-        if self.trace is not None or self.metrics is not None:
-            self.emit_issue(start, end)
+        if self.probe is not None:
+            self.probe.stage("host_issue", "issue_io", "host.issue", start,
+                             end)
         return end
-
-    def emit_issue(self, start: float, end: float) -> None:
-        """Span and metric of one request's software-stack work (also
-        emitted by the host I/O engine's inlined flows)."""
-        if self.trace is not None:
-            self.trace.span("host_issue", start, end, name="issue_io")
-        if self.metrics is not None:
-            self.metrics.observe("host.issue", end - start)
 
     def run_issue_work(self, earliest_start: float, seconds: float,
                        label: str = "issue_work") -> float:
@@ -65,10 +56,8 @@ class HostCpu:
         ``label`` names the span in traces."""
         start, end = self.issue_line.reserve(earliest_start, seconds)
         self.stats.add_time("host_issue", seconds)
-        if self.trace is not None:
-            self.trace.span("host_issue", start, end, name=label)
-        if self.metrics is not None:
-            self.metrics.observe(f"host.{label}", end - start)
+        if self.probe is not None:
+            self.probe.stage("host_issue", label, f"host.{label}", start, end)
         return end
 
     def copy(self, num_bytes: int, earliest_start: float,
@@ -81,20 +70,9 @@ class HostCpu:
         self.stats.count("host_copies")
         self.stats.count("host_copied_bytes", num_bytes)
         self.stats.add_time("host_copy", duration)
-        if self.trace is not None or self.metrics is not None:
-            self.emit_copy(start, end, duration, num_bytes, label)
+        if self.probe is not None:
+            self.probe.copy(start, end, duration, num_bytes, label)
         return end
-
-    def emit_copy(self, start: float, end: float, duration: float,
-                  num_bytes: int, label: str = "host_copy") -> None:
-        """Span and metrics of one copy-core reservation (also emitted
-        by the host I/O engine's inlined flows)."""
-        if self.trace is not None:
-            self.trace.span("host_copy", start, end, name=label,
-                            bytes=num_bytes)
-        if self.metrics is not None:
-            self.metrics.observe("host.copy", duration)
-            self.metrics.count("host.copy.bytes", num_bytes)
 
     def copy_duration(self, num_bytes: int, chunk_bytes: int = 0) -> float:
         return self.memory.copy_time(num_bytes, chunk_bytes)

@@ -87,10 +87,9 @@ class HostIoEngine:
     issue core, the device controller, the FTL map and flash fan-out,
     the link and the host copy cores — in the FCFS order of the
     per-layer calls (``cpu.issue_io``, ``link.transfer``, ``cpu.copy``),
-    so each float operation happens in the same sequence. When a trace,
-    metrics registry or line observer is attached, the spans, metrics
-    and observer calls those layers would make are emitted at the same
-    point. Per-layer stats are committed when the batch ends, also when
+    so each float operation happens in the same sequence. With a probe
+    attached, the events those layers would emit are emitted at the
+    same point. Per-layer stats are committed when the batch ends, also when
     a request raises, so they always match the timelines.
     """
 
@@ -104,11 +103,9 @@ class HostIoEngine:
         self.queue_depth = queue_depth
         self.controller_line = Timeline("device_ctrl")
         self.controller_command_time = ssd.profile.controller_command_time
-        #: optional per-layer span recorder (set via the owning
-        #: system's ``set_trace``)
-        self.trace = None
-        #: optional metrics registry (set via ``set_metrics``)
-        self.metrics = None
+        #: the owning system's :class:`~repro.obs.probe.Probe` while a
+        #: trace or metrics subscriber is attached, else None
+        self.probe = None
 
     # ------------------------------------------------------------------
     def run_reads(self, requests: Sequence[IoRequest], start_time: float = 0.0,
@@ -139,7 +136,7 @@ class HostIoEngine:
         window_complete = window.complete
         completions_append = result.completions.append
         data_append = result.data.append
-        watched = self._watched()
+        probe = self.probe
         # per-layer stat accumulators, committed in the finally below;
         # the float additions happen in the per-request order of add_time
         ops_before = self._op_counts()
@@ -163,8 +160,9 @@ class HostIoEngine:
                 issue_line.busy_time += per_io
                 issue_line.ops += 1
                 issue_time_acc += per_io
-                if watched:
-                    self._issued(issue_start, issued)
+                if probe is not None:
+                    probe.stage("host_issue", "issue_io", "host.issue",
+                                issue_start, issued)
                 # device controller command handling
                 ctrl_start = ctrl_line.free_at
                 if ctrl_start < issued:
@@ -173,8 +171,9 @@ class HostIoEngine:
                 ctrl_line.free_at = ctrl_done
                 ctrl_line.busy_time += ctrl_time
                 ctrl_line.ops += 1
-                if watched:
-                    self._mapped(ctrl_start, ctrl_done)
+                if probe is not None:
+                    probe.stage("device_ctrl", "ftl_map", "ftl.map",
+                                ctrl_start, ctrl_done)
                 # device: FTL map + flash fan-out (ssd.read_lpns)
                 lpns = request.lpns
                 check_lpns(lpns)
@@ -200,8 +199,8 @@ class HostIoEngine:
                 link_line.busy_time += duration
                 link_line.ops += 1
                 fetched_total += fetched
-                if watched:
-                    self._transferred(link_start, done, fetched)
+                if probe is not None:
+                    probe.transfer(link_start, done, fetched)
                 # optional host placement copy (cpu.copy)
                 useful = request.useful_bytes
                 chunk = request.placement_chunk
@@ -220,9 +219,9 @@ class HostIoEngine:
                     core.ops += 1
                     copy_time_acc += duration
                     copied_bytes += useful
-                    if watched:
-                        self._copied(core, copy_start, done, duration,
-                                     useful)
+                    if probe is not None:
+                        probe.copy(copy_start, done, duration, useful,
+                                   "host_copy")
                 window_complete(done)
                 completions_append(done)
                 useful_total += useful
@@ -268,7 +267,7 @@ class HostIoEngine:
         window_complete = window.complete
         completions_append = result.completions.append
         merge = result.stats.merge
-        watched = self._watched()
+        probe = self.probe
         ops_before = self._op_counts()
         issue_time_acc = cpu.stats.times.get("host_issue", 0.0)
         copy_time_acc = cpu.stats.times.get("host_copy", 0.0)
@@ -288,8 +287,9 @@ class HostIoEngine:
                 issue_line.busy_time += per_io
                 issue_line.ops += 1
                 issue_time_acc += per_io
-                if watched:
-                    self._issued(issue_start, issued)
+                if probe is not None:
+                    probe.stage("host_issue", "issue_io", "host.issue",
+                                issue_start, issued)
                 # host gathers scattered application data into the DMA
                 # buffer before the transfer (serialization cost, [P1])
                 useful = request.useful_bytes
@@ -309,9 +309,9 @@ class HostIoEngine:
                     core.ops += 1
                     copy_time_acc += duration
                     copied_bytes += useful
-                    if watched:
-                        self._copied(core, copy_start, issued, duration,
-                                     useful)
+                    if probe is not None:
+                        probe.copy(copy_start, issued, duration, useful,
+                                   "host_copy")
                 # link data transfer (link.transfer)
                 sent = len(request.lpns) * page_size
                 duration = link_overhead + sent / link_bandwidth
@@ -323,8 +323,8 @@ class HostIoEngine:
                 link_line.busy_time += duration
                 link_line.ops += 1
                 sent_total += sent
-                if watched:
-                    self._transferred(link_start, link_end, sent)
+                if probe is not None:
+                    probe.transfer(link_start, link_end, sent)
                 # device controller command handling
                 ctrl_start = ctrl_line.free_at
                 if ctrl_start < link_end:
@@ -333,8 +333,9 @@ class HostIoEngine:
                 ctrl_line.free_at = ctrl_done
                 ctrl_line.busy_time += ctrl_time
                 ctrl_line.ops += 1
-                if watched:
-                    self._mapped(ctrl_start, ctrl_done)
+                if probe is not None:
+                    probe.stage("device_ctrl", "ftl_map", "ftl.map",
+                                ctrl_start, ctrl_done)
                 # device: allocation, programs, GC
                 device = write_lpns(request.lpns, ctrl_done,
                                     data=request.payload)
@@ -355,49 +356,8 @@ class HostIoEngine:
         return result
 
     # ------------------------------------------------------------------
-    # observation and stats of the inlined per-layer steps
+    # stats of the inlined per-layer steps
     # ------------------------------------------------------------------
-    def _watched(self) -> bool:
-        """Is any trace, metrics registry or line observer attached to a
-        layer the flows reserve inline?"""
-        cpu = self.cpu
-        link = self.link
-        return (self.trace is not None or self.metrics is not None
-                or cpu.trace is not None or cpu.metrics is not None
-                or link.trace is not None or link.metrics is not None
-                or cpu.issue_line.observer is not None
-                or self.controller_line.observer is not None
-                or link.line.observer is not None
-                or any(core.observer is not None
-                       for core in cpu.copy_lines.servers))
-
-    def _issued(self, start: float, end: float) -> None:
-        line = self.cpu.issue_line
-        if line.observer is not None:
-            line.observer(line.name, start, end)
-        self.cpu.emit_issue(start, end)
-
-    def _mapped(self, start: float, end: float) -> None:
-        line = self.controller_line
-        if line.observer is not None:
-            line.observer(line.name, start, end)
-        if self.trace is not None:
-            self.trace.span("device_ctrl", start, end, name="ftl_map")
-        if self.metrics is not None:
-            self.metrics.observe("ftl.map", end - start)
-
-    def _transferred(self, start: float, end: float, num_bytes: int) -> None:
-        line = self.link.line
-        if line.observer is not None:
-            line.observer(line.name, start, end)
-        self.link.emit_transfer(start, end, num_bytes)
-
-    def _copied(self, core: Timeline, start: float, end: float,
-                duration: float, num_bytes: int) -> None:
-        if core.observer is not None:
-            core.observer(core.name, start, end)
-        self.cpu.emit_copy(start, end, duration, num_bytes)
-
     def _op_counts(self) -> Tuple[int, int, int]:
         """Reservations so far on the issue core, the copy cores and
         the link — the request counts :meth:`_commit` writes back."""

@@ -52,11 +52,9 @@ class Link:
         self.command_overhead = command_overhead
         self.line = Timeline(name)
         self.stats = StatSet()
-        #: optional per-layer span recorder (set via the owning
-        #: system's ``set_trace``)
-        self.trace = None
-        #: optional metrics registry (set via ``set_metrics``)
-        self.metrics = None
+        #: the owning system's :class:`~repro.obs.probe.Probe` while a
+        #: trace or metrics subscriber is attached, else None
+        self.probe = None
 
     def transfer_duration(self, num_bytes: int) -> float:
         return self.command_overhead + num_bytes / self.bandwidth
@@ -69,19 +67,9 @@ class Link:
                                        self.transfer_duration(num_bytes))
         self.stats.count("transfers")
         self.stats.count("bytes", num_bytes)
-        if self.trace is not None or self.metrics is not None:
-            self.emit_transfer(start, end, num_bytes)
+        if self.probe is not None:
+            self.probe.transfer(start, end, num_bytes)
         return LinkTransfer(start_time=start, end_time=end, num_bytes=num_bytes)
-
-    def emit_transfer(self, start: float, end: float, num_bytes: int) -> None:
-        """Span and metrics of one transfer (also emitted by the host
-        I/O engine's inlined flows)."""
-        if self.trace is not None:
-            self.trace.span("link", start, end, name="link_transfer",
-                            bytes=num_bytes)
-        if self.metrics is not None:
-            self.metrics.observe("link.transfer", end - start)
-            self.metrics.count("link.bytes", num_bytes)
 
     def efficiency(self, request_bytes: int) -> float:
         """Achieved fraction of peak bandwidth at a given request size."""

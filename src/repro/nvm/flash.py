@@ -101,11 +101,9 @@ class FlashArray:
         #: model); pages whose content diverges raise on verified reads
         self._checksums: Dict[int, int] = {}
         self.stats = StatSet()
-        #: optional per-layer span recorder (set via the owning
-        #: system's ``set_trace``): records channel/bank occupancy
-        self.trace = None
-        #: optional metrics registry (set via ``set_metrics``)
-        self.metrics = None
+        #: the owning system's :class:`~repro.obs.probe.Probe` while a
+        #: trace or metrics subscriber is attached, else None
+        self.probe = None
         #: optional :class:`~repro.faults.injector.FaultInjector`; with
         #: None (default) every path is bit-identical to the fault-free
         #: model — no bookkeeping, no draws, no extra reservations
@@ -196,6 +194,8 @@ class FlashArray:
             verdict = faults.erase_check((channel, bank, block))
         line = self.bank_lines[channel][bank]
         start, end = line.reserve(start_time, self.timing.t_erase)
+        if self.probe is not None:
+            self.probe.erase(line.name, start, end, verdict is not None)
         if verdict is not None:
             self.stats.count("erase_fails")
             faults.stats.count("erase_fails")
@@ -214,9 +214,6 @@ class FlashArray:
                               ppa_to_index(base, self.geometry),
                               self.geometry.pages_per_block, end)
         self.stats.count("blocks_erased")
-        if self.metrics is not None:
-            self.metrics.observe("flash.erase", end - start)
-            self.metrics.count("flash.blocks_erased")
         result = FlashOpResult(start_time=start, end_time=end, completions=[end])
         result.stats.count("blocks_erased")
         return result
@@ -234,12 +231,11 @@ class FlashArray:
         for ``t_read``, then the page moves over the channel bus.
 
         With an injector attached each page first checks for a dead
-        channel and afterwards walks the ECC retry ladder; spans,
-        metrics and line observers are emitted per page at the same
-        point. ``completions``, when given, receives the per-page
-        completion times; callers that only need the batch end time
-        (the host I/O engine) pass None. The caller accounts
-        ``pages_read`` stats."""
+        channel and afterwards walks the ECC retry ladder; probe events
+        are emitted per page at the same point. ``completions``, when
+        given, receives the per-page completion times; callers that only
+        need the batch end time (the host I/O engine) pass None. The
+        caller accounts ``pages_read`` stats."""
         timing = self.timing
         t_read = timing.t_read
         issue = start_time + timing.t_cmd
@@ -247,8 +243,7 @@ class FlashArray:
         channel_lines = self.channel_lines
         bank_lines = self.bank_lines
         faults = self.faults
-        hooked = (faults is not None or self.trace is not None
-                  or self.metrics is not None)
+        hooked = faults is not None or self.probe is not None
         append = completions.append if completions is not None else None
         end_time = start_time
         for ppa in ppas:
@@ -276,8 +271,7 @@ class FlashArray:
             channel.ops += 1
             # the die's page register is held until the transfer drains
             bank.free_at = xfer_end
-            if (hooked or bank.observer is not None
-                    or channel.observer is not None):
+            if hooked:
                 xfer_end = self._page_read(ppa, bank, channel, xfer,
                                            read_start, read_end,
                                            xfer_start, xfer_end)
@@ -291,22 +285,13 @@ class FlashArray:
                    channel: Timeline, xfer: float, read_start: float,
                    read_end: float, xfer_start: float,
                    xfer_end: float) -> float:
-        """Observation and faults of one reserved page read, in the
-        order a pair of ``Timeline.reserve`` calls would emit them: line
-        observers, spans, metrics, then the retry ladder. Returns the
-        page's completion time."""
-        if bank.observer is not None:
-            bank.observer(bank.name, read_start, read_end)
-        if channel.observer is not None:
-            channel.observer(channel.name, xfer_start, xfer_end)
-        if self.trace is not None:
-            self.trace.span(bank.name, read_start, read_end, name="nand_read")
-            self.trace.span(channel.name, xfer_start, xfer_end,
-                            name="page_out", bytes=self.geometry.page_size)
-        if self.metrics is not None:
-            self.metrics.observe("flash.nand_read", read_end - read_start)
-            self.metrics.observe("flash.page_out", xfer_end - xfer_start)
-            self.metrics.count("flash.pages_read")
+        """Observation and faults of one reserved page read: the probe
+        event, then the retry ladder. Returns the page's completion
+        time."""
+        if self.probe is not None:
+            self.probe.page_read(bank.name, channel.name, read_start,
+                                 read_end, xfer_start, xfer_end,
+                                 self.geometry.page_size)
         if self.faults is None:
             return xfer_end
         return self._apply_read_faults(ppa, bank, channel, xfer,
@@ -328,21 +313,16 @@ class FlashArray:
             xfer_start, xfer_end = channel.reserve(retry_end, xfer)
             if bank.free_at < xfer_end:
                 bank.free_at = xfer_end
-            if self.trace is not None:
-                self.trace.span(bank.name, retry_start, retry_end,
-                                name="read_retry")
-                self.trace.span(channel.name, xfer_start, xfer_end,
-                                name="page_out_retry",
-                                bytes=self.geometry.page_size)
-            if self.metrics is not None:
-                self.metrics.observe("flash.read_retry",
-                                     retry_end - retry_start)
+            if self.probe is not None:
+                self.probe.read_retry(bank.name, channel.name, retry_start,
+                                      retry_end, xfer_start, xfer_end,
+                                      self.geometry.page_size)
             end = xfer_end
         if plan.retries:
             self.stats.count("read_retries", plan.retries)
             self.faults.stats.count("read_retries", plan.retries)
-            if self.metrics is not None:
-                self.metrics.count("flash.read_retries", plan.retries)
+            if self.probe is not None:
+                self.probe.count("flash.read_retries", plan.retries)
         if plan.uncorrectable:
             self.stats.count("uncorrectable_reads")
             self.faults.stats.count("uncorrectable_reads")
@@ -370,8 +350,7 @@ class FlashArray:
         bank_lines = self.bank_lines
         store = self.store_data
         faults = self.faults
-        hooked = (faults is not None or self.trace is not None
-                  or self.metrics is not None)
+        hooked = faults is not None or self.probe is not None
         append = completions.append
         end_time = start_time
         verdict = None
@@ -415,8 +394,7 @@ class FlashArray:
             bank.free_at = prog_end
             bank.busy_time += t_program
             bank.ops += 1
-            if (hooked or bank.observer is not None
-                    or channel.observer is not None):
+            if hooked:
                 self._page_programmed(ppa, bank, channel, xfer_start,
                                       xfer_end, prog_start, prog_end,
                                       verdict)
@@ -431,19 +409,10 @@ class FlashArray:
                          prog_end: float, verdict: Optional[str]) -> None:
         """Observation and fault bookkeeping of one reserved page
         program (see :meth:`_page_read`)."""
-        if channel.observer is not None:
-            channel.observer(channel.name, xfer_start, xfer_end)
-        if bank.observer is not None:
-            bank.observer(bank.name, prog_start, prog_end)
-        if self.trace is not None:
-            self.trace.span(channel.name, xfer_start, xfer_end,
-                            name="page_in", bytes=self.geometry.page_size)
-            self.trace.span(bank.name, prog_start, prog_end,
-                            name="nand_program")
-        if self.metrics is not None:
-            self.metrics.observe("flash.page_in", xfer_end - xfer_start)
-            self.metrics.observe("flash.nand_program", prog_end - prog_start)
-            self.metrics.count("flash.pages_programmed")
+        if self.probe is not None:
+            self.probe.page_program(channel.name, bank.name, xfer_start,
+                                    xfer_end, prog_start, prog_end,
+                                    self.geometry.page_size)
         faults = self.faults
         if verdict is not None:
             # the attempt cost real bus and array time before the status

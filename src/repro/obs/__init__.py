@@ -2,9 +2,13 @@
 
 ``repro.obs`` turns the raw spans the runtime records into answers:
 
+* :mod:`repro.obs.probe` — the observation bus: one
+  :class:`~repro.obs.probe.Probe` per system fans every layer's typed
+  events out to the trace, metrics and monitor subscribers
+  (``set_trace`` / ``set_metrics`` / ``set_monitor``; nothing
+  subscribed ⇒ bit-identical timings);
 * :mod:`repro.obs.metrics` — a deterministic Counter/Gauge/Histogram
-  registry threaded through every timed layer via ``set_metrics``
-  (absent ⇒ bit-identical timings, like ``set_trace``);
+  registry, the probe's numeric subscriber;
 * :mod:`repro.obs.critical_path` — per-op latency attribution: each
   op's ``[start, end)`` is partitioned over the component spans that
   were active, yielding a "where time goes" breakdown per layer;
@@ -32,12 +36,13 @@ from repro.obs.metrics import (DEFAULT_LATENCY_BUCKETS, Counter, Gauge,
                                Histogram, MetricsRegistry)
 from repro.obs.monitor import (Monitor, format_monitor, monitor_csv,
                                monitor_json, monitor_prometheus)
+from repro.obs.probe import Probe
 from repro.obs.slo import AlertEvent, BurnRule, SloPolicy
 from repro.obs.utilization import (DEFAULT_WINDOWS, utilization_csv,
                                    utilization_timeline)
 
 __all__ = [
-    "Counter", "Gauge", "Histogram", "MetricsRegistry",
+    "Probe", "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "DEFAULT_LATENCY_BUCKETS",
     "LAYERS", "OpAttribution", "attribute_op", "classify_span",
     "critical_path",

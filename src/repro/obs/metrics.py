@@ -1,11 +1,13 @@
 """Deterministic metrics registry: Counter / Gauge / Histogram.
 
-The registry is the numeric side of the observability spine: components
-record *model-time* durations and counts into it the same way they
-record spans into a :class:`~repro.runtime.trace.TraceRecorder` — via
-an optional attribute that defaults to ``None``, so an absent registry
-leaves every timed path bit-identical. Nothing in this module reads a
-wall clock; two identical runs produce byte-identical snapshots.
+The registry is the numeric side of the observability spine: it
+subscribes to a system's :class:`~repro.obs.probe.Probe`
+(``system.set_metrics``) beside a
+:class:`~repro.runtime.trace.TraceRecorder`, and components record
+*model-time* durations and counts into it through the probe; with
+nothing subscribed every timed path is bit-identical. Nothing in this
+module reads a wall clock; two identical runs produce byte-identical
+snapshots.
 
 Histograms use fixed log-spaced bucket boundaries (quarter-decade steps
 from 100 ns to 10 s by default) so latency distributions from different
@@ -15,10 +17,10 @@ runs and systems are directly comparable.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
-           "ScopedMetrics", "DEFAULT_LATENCY_BUCKETS"]
+           "DEFAULT_LATENCY_BUCKETS"]
 
 #: quarter-decade log-spaced upper bounds, 1e-7 s .. 10 s (an implicit
 #: +Inf bucket catches anything slower)
@@ -205,14 +207,6 @@ class MetricsRegistry:
     def set_gauge(self, name: str, value: float) -> None:
         self.gauge(name).set(value)
 
-    def timeline_observer(self) -> Callable[[str, float, float], None]:
-        """Observer for :class:`~repro.sim.resources.Timeline` hooks:
-        accumulates per-resource busy seconds and reservation counts."""
-        def observe(name: str, start: float, end: float) -> None:
-            self.count(f"timeline.{name}.busy_seconds", end - start)
-            self.count(f"timeline.{name}.reservations")
-        return observe
-
     # ------------------------------------------------------------------
     # export
     # ------------------------------------------------------------------
@@ -262,50 +256,6 @@ class MetricsRegistry:
         self._histograms.clear()
 
 
-class ScopedMetrics:
-    """A device-scoped view of a shared :class:`MetricsRegistry`.
-
-    A :class:`~repro.cluster.DevicePool` hands one of these to each
-    member system so every metric lands in the shared registry with the
-    device label prefixed to the name (``d0.flash.nand_read``,
-    ``d2.link.transfer``) — the per-device attribution the report
-    layer's cluster section reads back out.
-    """
-
-    def __init__(self, parent: MetricsRegistry, prefix: str) -> None:
-        self.parent = parent
-        self.prefix = prefix
-
-    def counter(self, name: str) -> Counter:
-        return self.parent.counter(self.prefix + name)
-
-    def gauge(self, name: str) -> Gauge:
-        return self.parent.gauge(self.prefix + name)
-
-    def histogram(self, name: str,
-                  bounds: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
-                  ) -> Histogram:
-        return self.parent.histogram(self.prefix + name, bounds)
-
-    def count(self, name: str, amount=1) -> None:
-        self.parent.count(self.prefix + name, amount)
-
-    def observe(self, name: str, value: float) -> None:
-        self.parent.observe(self.prefix + name, value)
-
-    def set_gauge(self, name: str, value: float) -> None:
-        self.parent.set_gauge(self.prefix + name, value)
-
-    def timeline_observer(self) -> Callable[[str, float, float], None]:
-        prefix = self.prefix
-
-        def observe(name: str, start: float, end: float) -> None:
-            self.parent.count(
-                f"timeline.{prefix}{name}.busy_seconds", end - start)
-            self.parent.count(f"timeline.{prefix}{name}.reservations")
-        return observe
-
-
 def _sanitize(name: str) -> str:
     out = []
     for char in name:
@@ -317,7 +267,3 @@ def _format_value(value) -> str:
     if isinstance(value, int):
         return str(value)
     return repr(float(value))
-
-
-# typing helper for callers that accept an optional registry
-OptionalRegistry = Optional[MetricsRegistry]

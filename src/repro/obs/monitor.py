@@ -88,9 +88,9 @@ class Monitor:
     """Windowed streaming observer for one deterministic run.
 
     Attach by passing ``monitor=`` to the
-    :class:`~repro.traffic.injector.OpenLoopInjector` (which wires the
-    scheduler hook too), or call :meth:`attach` and set
-    ``scheduler.monitor`` yourself for scheduler-only runs. After the
+    :class:`~repro.traffic.injector.OpenLoopInjector` (which subscribes
+    it to the system's probe), or for scheduler-only runs call
+    :meth:`attach` and then ``system.set_monitor(monitor)``. After the
     run, :meth:`report` renders the JSON-ready payload; pass the run's
     trace to add windowed attribution, per-device series, GC share,
     and — with an :class:`~repro.obs.slo.SloPolicy` — burn-rate alerts

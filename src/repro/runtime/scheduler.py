@@ -25,13 +25,9 @@ base: the same sliding completion window limits NVMe queue pairs inside
 from __future__ import annotations
 
 from heapq import heappush, heapreplace
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, List, Optional
 
 from repro.runtime.tileop import DEFAULT_STREAM, TileOp
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.metrics import MetricsRegistry
-    from repro.runtime.trace import TraceRecorder
 
 __all__ = ["QueueDepthWindow", "StreamHandle", "RequestScheduler",
            "percentile"]
@@ -202,30 +198,22 @@ class RequestScheduler:
         ``"weighted"`` serves the backlogged stream with the smallest
         virtual time (service consumed / weight), so a weight-3 stream
         receives ~3× the service share of a weight-1 co-tenant.
-    trace:
-        Optional :class:`~repro.runtime.trace.TraceRecorder`; every
-        executed op gets a parent span and component spans inherit the
-        op's stream context. SLO violations are marked as instant
-        events.
     """
 
-    def __init__(self, executor, arbitration: str = "fifo",
-                 trace: Optional["TraceRecorder"] = None,
-                 metrics: Optional["MetricsRegistry"] = None) -> None:
+    def __init__(self, executor, arbitration: str = "fifo") -> None:
         if arbitration not in _ARBITRATIONS:
             raise ValueError(
                 f"arbitration must be one of {_ARBITRATIONS}, "
                 f"got {arbitration!r}")
         self.executor = executor
         self.arbitration = arbitration
-        self.trace = trace
-        #: optional :class:`~repro.obs.metrics.MetricsRegistry`; per-op
-        #: queue-wait / service / latency observations land here
-        self.metrics = metrics
-        #: optional :class:`~repro.obs.monitor.Monitor`; completed ops
-        #: are streamed to it (observation only — the monitor never
-        #: feeds anything back into scheduling or timing)
-        self.monitor = None
+        #: the owning system's :class:`~repro.obs.probe.Probe` while
+        #: any subscriber is attached, else None: every executed op
+        #: gets a parent span (component spans inherit its stream
+        #: context), per-op queue-wait / service / latency metrics, an
+        #: SLO-violation instant mark and a monitor completion
+        #: (observation only — nothing feeds back into scheduling)
+        self.probe = None
         self.streams: Dict[str, StreamHandle] = {}
         self.executed: List[TileOp] = []
         self._pending: List[TileOp] = []
@@ -497,27 +485,28 @@ class RequestScheduler:
     def _run(self, op: TileOp) -> None:
         handle = self.streams[op.stream]
         earliest = handle.window.earliest(op.submit_time)
-        probe = getattr(self.executor, "fault_counters", None)
-        before = probe() if probe is not None else None
-        cache_probe = getattr(self.executor, "cache_counters", None)
-        cache_before = cache_probe() if cache_probe is not None else None
-        if self.trace is not None:
-            self.trace.push_op(op.stream, op.op_id)
+        faults = getattr(self.executor, "fault_counters", None)
+        before = faults() if faults is not None else None
+        cache = getattr(self.executor, "cache_counters", None)
+        cache_before = cache() if cache is not None else None
+        probe = self.probe
+        if probe is not None:
+            probe.op_begin(op.stream, op.op_id)
         try:
             result = self.executor._execute_op(op, earliest)
         except Exception:
             if before is not None:
-                self._account_faults(op, before, probe(), failed=True)
+                self._account_faults(op, before, faults(), failed=True)
             raise
         finally:
-            if self.trace is not None:
-                self.trace.pop_op()
+            if probe is not None:
+                probe.op_end()
         op.result = result
         op.issue_time = result.start_time
         op.complete_time = result.end_time
         if before is not None:
-            self._account_faults(op, before, probe(), result=result)
-        cache_after = cache_probe() if cache_before is not None else None
+            self._account_faults(op, before, faults(), result=result)
+        cache_after = cache() if cache_before is not None else None
         if cache_before is not None:
             self._account_cache(op, cache_before, cache_after)
         handle.window.complete(result.end_time)
@@ -525,27 +514,6 @@ class RequestScheduler:
         self.executed.append(op)
         violated = handle.note_result(result.end_time - result.start_time,
                                       result.end_time - op.submit_time)
-        if self.metrics is not None:
-            self.metrics.observe("sched.queue_wait",
-                                 result.start_time - op.submit_time)
-            self.metrics.observe("sched.service",
-                                 result.end_time - result.start_time)
-            self.metrics.observe("sched.latency",
-                                 result.end_time - op.submit_time)
-            self.metrics.count("sched.ops")
-        if self.trace is not None:
-            self.trace.op_span(op.stream, op.op_id, op.label,
-                               result.start_time, result.end_time,
-                               kind=op.kind, dataset=op.dataset,
-                               queue_wait=result.start_time - op.submit_time,
-                               submit=op.submit_time)
-            if violated:
-                self.trace.instant(
-                    "slo", result.end_time, name="slo_violation",
-                    stream=op.stream, op_id=op.op_id,
-                    latency=result.end_time - op.submit_time,
-                    target=handle.latency_target)
-        if self.monitor is not None:
-            self.monitor.note_op(op, violated=violated,
-                                 cache_before=cache_before,
-                                 cache_after=cache_after)
+        if probe is not None:
+            probe.op_done(op, result, handle.latency_target, violated,
+                          cache_before, cache_after)

@@ -1,11 +1,12 @@
 """Per-layer span recording with Chrome ``trace_event`` export.
 
-Every timed component (link, host CPU, SSD controller pipeline, flash
-channels/banks, I/O engine) accepts an optional recorder and emits one
-span per resource reservation: STL translation, FTL mapping,
-channel/bank occupancy, link transfers, host copies. The scheduler
-wraps each executed :class:`~repro.runtime.tileop.TileOp` in a parent
-span, so component spans nest inside the op that caused them.
+A recorder subscribes to a system's :class:`~repro.obs.probe.Probe`
+(``system.set_trace``); every timed component (link, host CPU, SSD
+controller pipeline, flash channels/banks, I/O engine) then emits one
+span per resource reservation through the probe: STL translation, FTL
+mapping, channel/bank occupancy, link transfers, host copies. The
+scheduler wraps each executed :class:`~repro.runtime.tileop.TileOp` in
+a parent span, so component spans nest inside the op that caused them.
 
 Export targets ``chrome://tracing`` / Perfetto: complete events
 (``"ph": "X"``) with microsecond timestamps, one process per tenant
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-__all__ = ["TraceSpan", "TraceRecorder", "ScopedTraceRecorder"]
+__all__ = ["TraceSpan", "TraceRecorder"]
 
 
 @dataclass(frozen=True)
@@ -298,56 +299,3 @@ class TraceRecorder:
     def clear(self) -> None:
         self.spans.clear()
         self._context.clear()
-
-
-class ScopedTraceRecorder:
-    """A device-scoped view of a shared :class:`TraceRecorder`.
-
-    A :class:`~repro.cluster.DevicePool` hands one of these to each
-    member system so every component span lands in the shared recorder
-    with the device's label prefixed to the resource (``d0:ch3/bk1``,
-    ``d2:link``). Op context is owned by the *host-level* scheduler:
-    ``push_op``/``pop_op``/``op_span`` are deliberately no-ops here —
-    the inner systems' synchronous facades must not override the
-    executing host op (and a per-device "ops" lane would register as an
-    unattributed child in critical-path sweeps).
-    """
-
-    def __init__(self, parent: TraceRecorder, prefix: str) -> None:
-        self.parent = parent
-        self.prefix = prefix
-
-    # context is owned by the host-level scheduler
-    def push_op(self, stream: str, op_id: int) -> None:
-        pass
-
-    def pop_op(self) -> None:
-        pass
-
-    @property
-    def current_stream(self) -> str:
-        return self.parent.current_stream
-
-    @property
-    def current_op(self) -> int:
-        return self.parent.current_op
-
-    def span(self, resource: str, start: float, end: float,
-             name: Optional[str] = None, **args) -> None:
-        self.parent.span(self.prefix + resource, start, end,
-                         name=name, **args)
-
-    def op_span(self, stream: str, op_id: int, label: str,
-                start: float, end: float, **args) -> None:
-        pass
-
-    def instant(self, resource: str, time: float,
-                name: Optional[str] = None, stream: Optional[str] = None,
-                op_id: Optional[int] = None, **args) -> None:
-        self.parent.instant(self.prefix + resource, time, name=name,
-                            stream=stream, op_id=op_id, **args)
-
-    def counter(self, resource: str, time: float, name: str,
-                stream: Optional[str] = None, **series) -> None:
-        self.parent.counter(self.prefix + resource, time, name=name,
-                            stream=stream, **series)

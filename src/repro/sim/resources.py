@@ -22,20 +22,16 @@ __all__ = ["Timeline", "MultiTimeline"]
 class Timeline:
     """A single FCFS server with a next-free-time cursor.
 
-    Tracks total busy time so utilization can be reported. An optional
-    ``observer`` callable ``(name, start, end)`` is invoked after every
-    reservation — the metrics registry's hook for per-server busy
-    counters. It never feeds back into timing.
+    Tracks total busy time so utilization can be reported.
     """
 
-    __slots__ = ("name", "free_at", "busy_time", "ops", "observer")
+    __slots__ = ("name", "free_at", "busy_time", "ops")
 
     def __init__(self, name: str = "", start_time: float = 0.0) -> None:
         self.name = name
         self.free_at = float(start_time)
         self.busy_time = 0.0
         self.ops = 0
-        self.observer = None
 
     def reserve(self, earliest_start: float, duration: float) -> Tuple[float, float]:
         """Occupy the server for ``duration`` seconds, starting no earlier
@@ -50,8 +46,6 @@ class Timeline:
         self.free_at = end
         self.busy_time += duration
         self.ops += 1
-        if self.observer is not None:
-            self.observer(self.name, start, end)
         return start, end
 
     def peek(self, earliest_start: float) -> float:

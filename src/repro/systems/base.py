@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,6 +37,9 @@ from repro.runtime.scheduler import RequestScheduler
 from repro.runtime.tileop import DEFAULT_STREAM, TileOp
 from repro.runtime.trace import TraceRecorder
 from repro.sim.stats import StatSet
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.probe import Probe
 
 __all__ = ["SystemOpResult", "StorageSystem", "row_runs"]
 
@@ -80,6 +83,10 @@ class StorageSystem(abc.ABC):
     #: :meth:`_init_tier` when a constructor is given ``cache=``)
     tier = None
 
+    #: the system's observation bus (None until a subscriber is first
+    #: attached; see :meth:`set_trace`)
+    _probe: Optional[Probe] = None
+
     # ------------------------------------------------------------------
     # the request spine
     # ------------------------------------------------------------------
@@ -93,59 +100,64 @@ class StorageSystem(abc.ABC):
         return sched
 
     def set_trace(self, recorder: Optional[TraceRecorder]) -> None:
-        """Attach (or detach with None) a trace recorder to the
-        scheduler and to every instrumented component this system
-        exposes (host CPU, link, I/O engine, controller, flash)."""
-        self.scheduler.trace = recorder
-        if self.cluster is not None:
-            self.cluster.set_trace(recorder)
-            return
-        for attr in ("cpu", "link", "engine", "controller"):
-            component = getattr(self, attr, None)
-            if component is not None and hasattr(component, "trace"):
-                component.trace = recorder
-        for holder in (self, getattr(self, "ssd", None)):
-            flash = getattr(holder, "flash", None)
-            if flash is not None and hasattr(flash, "trace"):
-                flash.trace = recorder
-        for holder in (getattr(self, "ssd", None), getattr(self, "stl", None)):
-            gc = getattr(holder, "gc", None)
-            if gc is not None and hasattr(gc, "trace"):
-                gc.trace = recorder
+        """Subscribe (or unsubscribe with None) a trace recorder to the
+        system's probe."""
+        self._bus().trace = recorder
+        self._attach_probe()
 
     def set_metrics(self, registry) -> None:
-        """Attach (or detach with None) a
-        :class:`~repro.obs.metrics.MetricsRegistry` to the scheduler and
-        every instrumented component, mirroring :meth:`set_trace`.
-        Flash channel/bank timelines additionally get a reservation
-        observer so per-server busy counters accumulate without a trace.
-        Observation never feeds back into timing: with no registry
-        attached the model is bit-identical."""
-        self.scheduler.metrics = registry
+        """Subscribe (or unsubscribe with None) a
+        :class:`~repro.obs.metrics.MetricsRegistry` to the system's
+        probe. The flash events also count per-line busy time
+        (``timeline.<line>.busy_seconds`` / ``.reservations``), so
+        channel and bank utilization accumulates without a trace."""
+        self._bus().metrics = registry
+        self._attach_probe()
+
+    def set_monitor(self, monitor) -> None:
+        """Subscribe (or unsubscribe with None) a live
+        :class:`~repro.obs.monitor.Monitor` to the system's probe: it
+        receives every completed op (and, through an
+        :class:`~repro.traffic.injector.OpenLoopInjector`, the traffic
+        events)."""
+        self._bus().monitor = monitor
+        self._attach_probe()
+
+    def _bus(self) -> Probe:
+        """The system's probe (created on first subscription, so an
+        unobserved run never imports :mod:`repro.obs`)."""
+        if self._probe is None:
+            from repro.obs.probe import Probe
+            self._probe = Probe()
+        return self._probe
+
+    def _attach_probe(self) -> None:
+        """Hand the probe to the scheduler and to every instrumented
+        layer, or None to each that has nothing to emit to. Component
+        layers emit only trace and metrics events; the monitor takes op
+        and traffic events. Pool members get device-scoped probes over
+        the same subscribers. Observation never feeds back into timing:
+        with nothing subscribed the model is bit-identical."""
+        probe = self._probe
+        recording = (probe if probe.trace is not None
+                     or probe.metrics is not None else None)
+        self.scheduler.probe = (recording if probe.monitor is None
+                                else probe)
         if self.cluster is not None:
-            self.cluster.set_metrics(registry)
+            self.cluster.probe = recording
+            for handle in self.cluster.pool.devices:
+                member = handle.system
+                member._probe = probe.scoped(handle.device_id)
+                member._attach_probe()
             return
-        observer = registry.timeline_observer() if registry is not None \
-            else None
-        for attr in ("cpu", "link", "engine", "controller"):
-            component = getattr(self, attr, None)
-            if component is not None and hasattr(component, "metrics"):
-                component.metrics = registry
-        for holder in (self, getattr(self, "ssd", None)):
-            flash = getattr(holder, "flash", None)
-            if flash is not None and hasattr(flash, "metrics"):
-                flash.metrics = registry
-                for line in flash.channel_lines:
-                    line.observer = observer
-                for bank_row in flash.bank_lines:
-                    for line in bank_row:
-                        line.observer = observer
-        for holder in (getattr(self, "ssd", None), getattr(self, "stl", None)):
-            gc = getattr(holder, "gc", None)
-            if gc is not None and hasattr(gc, "metrics"):
-                gc.metrics = registry
-        if self.tier is not None:
-            self.tier.metrics = registry
+        for layer in self._probed_layers():
+            if layer is not None:
+                layer.probe = recording
+
+    def _probed_layers(self) -> tuple:
+        """The layers that emit through the probe (None entries, such
+        as an absent DRAM tier, are skipped)."""
+        return ()
 
     def fault_counters(self) -> Optional[dict]:
         """Snapshot of the flash fault injector's counters (None when no

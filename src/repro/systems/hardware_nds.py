@@ -98,11 +98,14 @@ class HardwareNdsSystem(StorageSystem):
             return earliest_start
         start, end = self.cipher_line.reserve(
             earliest_start, self.cipher.crypt_time(num_bytes))
-        trace = self.scheduler.trace
-        if trace is not None:
-            trace.span("aes_engine", start, end, name="crypt",
-                       bytes=num_bytes)
+        probe = self.scheduler.probe
+        if probe is not None:
+            probe.span("aes_engine", start, end, "crypt", bytes=num_bytes)
         return end
+
+    def _probed_layers(self) -> tuple:
+        return (self.cpu, self.link, self.controller, self.flash,
+                self.stl.gc, self.tier)
 
     # ------------------------------------------------------------------
     def _execute_ingest(self, dataset: str, dims: Sequence[int],

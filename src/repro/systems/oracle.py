@@ -78,6 +78,10 @@ class OracleSystem(LpnTierOps, StorageSystem):
         self._next_page = 0
         self._init_tier(cache)
 
+    def _probed_layers(self) -> tuple:
+        return (self.cpu, self.link, self.engine, self.ssd.flash, self.ssd.gc,
+                self.tier)
+
     # ------------------------------------------------------------------
     def _execute_ingest(self, dataset: str, dims: Sequence[int],
                         element_size: int,

@@ -99,6 +99,9 @@ class SoftwareNdsSystem(StorageSystem):
         self._bulk_ingest = False
         self._init_tier(cache)
 
+    def _probed_layers(self) -> tuple:
+        return (self.cpu, self.link, self.flash, self.stl.gc, self.tier)
+
     # ------------------------------------------------------------------
     def _execute_ingest(self, dataset: str, dims: Sequence[int],
                         element_size: int,

@@ -24,11 +24,13 @@ Admission control sits in front of the spine:
 
 Every shed is a typed :class:`ShedRecord`; per-stream totals, goodput
 and latency tails (p50/p99/p999) land in :class:`StreamTrafficReport`.
-With a metrics registry attached the injector counts
-``traffic.offered`` / ``traffic.admitted`` / ``traffic.shed_throttled``
-/ ``traffic.shed_queue_full`` / ``traffic.failed`` and observes
-``traffic.backlog``; with a trace recorder it emits ``offered_load``
-instant marks per reporting window. Neither feeds back into timing.
+The injector emits through the system's :class:`~repro.obs.probe.Probe`:
+a metrics registry counts ``traffic.offered`` / ``traffic.admitted`` /
+``traffic.shed_throttled`` / ``traffic.shed_queue_full`` /
+``traffic.failed`` and observes ``traffic.backlog``; a trace recorder
+gets ``offered_load`` instant marks per reporting window; a live
+monitor gets every arrival, shed and completed request. None feeds
+back into timing.
 """
 
 from __future__ import annotations
@@ -296,23 +298,26 @@ class OpenLoopInjector:
         self.trace = trace
         self.metrics = metrics
         self.marks = marks
-        #: optional :class:`~repro.obs.monitor.Monitor`; arrival /
-        #: admission / shed events stream into it and it is attached to
-        #: the scheduler for op completions. Observation only — it
-        #: never feeds back into admission or timing.
+        #: optional :class:`~repro.obs.monitor.Monitor`; :meth:`run`
+        #: subscribes it (like ``trace`` and ``metrics``) to the
+        #: system's probe, which feeds it arrival / admission / shed
+        #: events and op completions. Observation only — it never feeds
+        #: back into admission or timing.
         self.monitor = monitor
 
     # ------------------------------------------------------------------
     def run(self) -> TrafficRunResult:
-        scheduler = self.system.scheduler
+        system = self.system
         if self.trace is not None:
-            self.system.set_trace(self.trace)
+            system.set_trace(self.trace)
         if self.metrics is not None:
-            self.system.set_metrics(self.metrics)
+            system.set_metrics(self.metrics)
         if self.monitor is not None:
-            self.monitor.attach(self.system, horizon=self.horizon,
+            self.monitor.attach(system, horizon=self.horizon,
                                 request_driven=True)
-            scheduler.monitor = self.monitor
+            system.set_monitor(self.monitor)
+        scheduler = system.scheduler
+        probe = scheduler.probe
 
         # merged arrival schedule: (time, stream index, per-stream seq);
         # stream order breaks exact-time ties deterministically
@@ -336,27 +341,25 @@ class OpenLoopInjector:
             s.name: [0, 0, 0] for s in self.streams}  # offered/admitted/shed
 
         def flush_marks(boundary: float) -> None:
-            if self.trace is None:
+            if probe is None:
                 return
             for index, stream in enumerate(self.streams):
                 offered, admitted, shed = window_counts[stream.name]
-                self.trace.instant(
-                    "traffic", boundary, name="offered_load",
-                    stream=stream.name, op_id=-1, offered=offered,
-                    admitted=admitted, shed=shed)
+                probe.instant("traffic", boundary, "offered_load",
+                              stream=stream.name, op_id=-1, offered=offered,
+                              admitted=admitted, shed=shed)
                 # Perfetto counter tracks alongside the spans
-                self.trace.counter("counters", boundary, "queue_depth",
-                                   stream=stream.name,
-                                   depth=len(backlogs[index]))
-                self.trace.counter("counters", boundary, "offered",
-                                   stream=stream.name, offered=offered,
-                                   shed=shed)
+                probe.counter("counters", boundary, "queue_depth",
+                              stream=stream.name,
+                              depth=len(backlogs[index]))
+                probe.counter("counters", boundary, "offered",
+                              stream=stream.name, offered=offered,
+                              shed=shed)
                 window_counts[stream.name] = [0, 0, 0]
-            dirty = self.system.cache_dirty_bytes() \
-                if hasattr(self.system, "cache_dirty_bytes") else None
+            dirty = system.cache_dirty_bytes()
             if dirty is not None:
-                self.trace.counter("counters", boundary, "dirty_bytes",
-                                   stream="main", dirty_bytes=dirty)
+                probe.counter("counters", boundary, "dirty_bytes",
+                              stream="main", dirty_bytes=dirty)
 
         for time, index, seq in schedule:
             stream = self.streams[index]
@@ -367,43 +370,35 @@ class OpenLoopInjector:
                 window_end += window
             report.offered += 1
             counts[0] += 1
-            if self.metrics is not None:
-                self.metrics.count("traffic.offered")
-            if self.monitor is not None:
-                self.monitor.note_offered(stream.name, time)
+            if probe is not None:
+                probe.offered(stream.name, time)
             # admission control, in frontend order: throttle, then queue
             if not buckets[index].take(time):
                 report.shed_throttled += 1
                 counts[2] += 1
                 sheds.append(ShedRecord(time, stream.name, seq,
                                         SHED_THROTTLED))
-                if self.metrics is not None:
-                    self.metrics.count("traffic.shed_throttled")
-                if self.monitor is not None:
-                    self.monitor.note_shed(stream.name, time, SHED_THROTTLED)
+                if probe is not None:
+                    probe.shed(stream.name, time, SHED_THROTTLED)
                 continue
             backlog = backlogs[index]
             while backlog and backlog[0] <= time:
                 heappop(backlog)
-            if self.metrics is not None:
-                self.metrics.observe("traffic.backlog", float(len(backlog)))
-            if self.monitor is not None:
-                self.monitor.note_backlog(stream.name, time, len(backlog))
+            if probe is not None:
+                probe.backlog(stream.name, time, len(backlog))
             if (stream.admission_queue is not None
                     and len(backlog) >= stream.admission_queue):
                 report.shed_queue_full += 1
                 counts[2] += 1
                 sheds.append(ShedRecord(time, stream.name, seq,
                                         SHED_QUEUE_FULL))
-                if self.metrics is not None:
-                    self.metrics.count("traffic.shed_queue_full")
-                if self.monitor is not None:
-                    self.monitor.note_shed(stream.name, time, SHED_QUEUE_FULL)
+                if probe is not None:
+                    probe.shed(stream.name, time, SHED_QUEUE_FULL)
                 continue
             report.admitted += 1
             counts[1] += 1
-            if self.metrics is not None:
-                self.metrics.count("traffic.admitted")
+            if probe is not None:
+                probe.count("traffic.admitted")
             ops = stream.request_ops(seq, time)
             if isinstance(ops, TileOp):
                 ops = [ops]
@@ -423,14 +418,14 @@ class OpenLoopInjector:
             heappush(backlog, finish)
             if failed:
                 report.failed += 1
-                if self.metrics is not None:
-                    self.metrics.count("traffic.failed")
+                if probe is not None:
+                    probe.count("traffic.failed")
                 continue
             report.completed += 1
             report.makespan = max(report.makespan, finish)
             report.latencies.append(finish - time)
-            if self.monitor is not None:
-                self.monitor.note_request(stream.name, time, finish)
+            if probe is not None:
+                probe.request_done(stream.name, time, finish)
         if window_end is not None:
             flush_marks(window_end)
 

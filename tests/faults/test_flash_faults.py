@@ -11,6 +11,7 @@ from repro.faults import (EraseFailError, FaultConfig, FaultInjector,
 from repro.nvm import TINY_TEST
 from repro.nvm.address import PhysicalPageAddress
 from repro.nvm.flash import FlashArray
+from repro.obs.probe import Probe
 from repro.runtime import TraceRecorder
 
 
@@ -55,7 +56,7 @@ class TestRetryLadder:
         flash = _flash(FaultConfig(
             plan=FaultPlan().corrupt_page(0, 0, 0, 0, at=0.0)))
         trace = TraceRecorder()
-        flash.trace = trace
+        flash.probe = Probe(trace=trace)
         ppa = PhysicalPageAddress(0, 0, 0, 0)
         flash.program_pages([ppa], 0.0, data=[np.arange(256, dtype=np.uint8)])
         clean_end = _flash().read_pages(

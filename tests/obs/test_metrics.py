@@ -7,6 +7,7 @@ import pytest
 
 from repro.obs.metrics import (DEFAULT_LATENCY_BUCKETS, Counter, Gauge,
                                Histogram, MetricsRegistry)
+from repro.obs.probe import Probe
 
 
 class TestCounter:
@@ -137,11 +138,11 @@ class TestRegistry:
             return reg.snapshot()
         assert run() == run()
 
-    def test_timeline_observer_accumulates(self):
+    def test_probe_accumulates_line_busy_time(self):
         reg = MetricsRegistry()
-        observe = reg.timeline_observer()
-        observe("ch0", 0.0, 2e-5)
-        observe("ch0", 5e-5, 6e-5)
+        probe = Probe(metrics=reg)
+        probe.page_read("ch0/bk0", "ch0", 0.0, 1e-5, 1e-5, 2e-5, 256)
+        probe.page_program("ch0", "ch0/bk1", 5e-5, 7e-5, 7e-5, 9e-5, 256)
         snap = reg.snapshot()
         assert snap["counters"]["timeline.ch0.busy_seconds"] == \
             pytest.approx(3e-5)

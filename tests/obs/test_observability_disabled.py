@@ -1,8 +1,9 @@
-"""The observability spine must be free when absent: with no trace and
-no metrics registry attached, every timed path is bit-identical to an
-instrumented run (exact float equality, not approx) — also with a
+"""The observability spine must be free when absent: with nothing
+subscribed to the system's probe, every timed path is bit-identical to
+an instrumented run (exact float equality, not approx) — also with a
 seeded fault injector attached, where retries and bad blocks run
-inside the same chains the spans and metrics are emitted from."""
+inside the same chains the probe events are emitted from, and with a
+trace, a metrics registry and a live monitor subscribed at once."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import pytest
 from repro.faults.model import FaultConfig
 from repro.nvm.profiles import TINY_TEST
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.monitor import Monitor
 from repro.runtime.tileop import TileOp
 from repro.runtime.trace import TraceRecorder
 from repro.systems import (BaselineSystem, HardwareNdsSystem, OracleSystem,
@@ -25,16 +27,25 @@ ALL_SYSTEMS = [BaselineSystem, SoftwareNdsSystem, HardwareNdsSystem,
 FAULTS = FaultConfig(seed=4242, rber_base=5e-3, program_fail_base=0.05)
 
 
-def _run(factory, instrumented: bool, faults=None):
+def _trace_and_metrics(system) -> None:
+    system.set_trace(TraceRecorder())
+    system.set_metrics(MetricsRegistry())
+
+
+def _all_three(system) -> None:
+    _trace_and_metrics(system)
+    system.set_monitor(Monitor(windows=4).attach(system, horizon=2.0))
+
+
+def _run(factory, subscribe=None, faults=None):
     system = factory(TINY_TEST, store_data=False, faults=faults)
     if factory is OracleSystem:
         system.ingest("d", (64, 64), 4, tile=(16, 16))
     else:
         system.ingest("d", (64, 64), 4)
     system.reset_time()
-    if instrumented:
-        system.set_trace(TraceRecorder())
-        system.set_metrics(MetricsRegistry())
+    if subscribe is not None:
+        subscribe(system)
     timings = []
     scheduler = system.scheduler
     scheduler.stream("t", 2)
@@ -49,12 +60,16 @@ def _run(factory, instrumented: bool, faults=None):
 
 
 @pytest.mark.parametrize(
-    "factory,faults",
-    [pytest.param(f, None, id=f.name) for f in ALL_SYSTEMS]
-    + [pytest.param(f, FAULTS, id=f"{f.name}+faults") for f in ALL_SYSTEMS])
-def test_instrumentation_is_timing_neutral(factory, faults):
-    plain, plain_faults = _run(factory, False, faults)
-    traced, traced_faults = _run(factory, True, faults)
+    "factory,faults,subscribe",
+    [pytest.param(f, None, _trace_and_metrics, id=f.name)
+     for f in ALL_SYSTEMS]
+    + [pytest.param(f, FAULTS, _trace_and_metrics, id=f"{f.name}+faults")
+       for f in ALL_SYSTEMS]
+    + [pytest.param(f, FAULTS, _all_three, id=f"{f.name}+faults+monitor")
+       for f in ALL_SYSTEMS])
+def test_instrumentation_is_timing_neutral(factory, faults, subscribe):
+    plain, plain_faults = _run(factory, faults=faults)
+    traced, traced_faults = _run(factory, subscribe, faults)
     assert plain == traced
     assert plain_faults == traced_faults
     if faults is not None:
@@ -66,19 +81,17 @@ def test_instrumentation_is_timing_neutral(factory, faults):
                          ids=[f.name for f in ALL_SYSTEMS])
 def test_detach_restores_uninstrumented_state(factory):
     system = factory(TINY_TEST, store_data=False)
-    system.set_trace(TraceRecorder())
-    system.set_metrics(MetricsRegistry())
+    _all_three(system)
+    layers = [layer for layer in system._probed_layers()
+              if layer is not None]
+    assert system.scheduler.probe is not None
+    assert all(layer.probe is not None for layer in layers)
     system.set_trace(None)
     system.set_metrics(None)
-    assert system.scheduler.trace is None
-    assert system.scheduler.metrics is None
-    for holder in (system, getattr(system, "ssd", None)):
-        flash = getattr(holder, "flash", None)
-        if flash is not None:
-            assert flash.trace is None
-            assert flash.metrics is None
-            assert all(line.observer is None
-                       for line in flash.channel_lines)
+    assert all(layer.probe is None for layer in layers)
+    assert system.scheduler.probe is not None  # the monitor remains
+    system.set_monitor(None)
+    assert system.scheduler.probe is None
 
 
 def test_metrics_capture_layer_activity():
@@ -96,5 +109,5 @@ def test_metrics_capture_layer_activity():
         assert snap["histograms"][metric]["count"] > 0, metric
     assert snap["counters"]["flash.pages_read"] > 0
     assert snap["counters"]["link.bytes"] > 0
-    # per-timeline busy counters came through the reserve observer
+    # per-line busy counters came through the flash probe events
     assert snap["counters"]["timeline.ch0.busy_seconds"] > 0

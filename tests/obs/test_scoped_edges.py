@@ -1,4 +1,4 @@
-"""Edge cases of the device-scoped observation plumbing: ScopedMetrics
+"""Edge cases of the device-scoped observation plumbing: scoped probe
 prefix collisions, per-device aggregation with a mid-run device kill,
 and the monitor's view of both."""
 
@@ -11,8 +11,9 @@ from repro.faults.model import FaultConfig
 from repro.faults.plan import FaultPlan
 from repro.nvm.profiles import TINY_TEST
 from repro.obs.critical_path import device_layer_totals, span_device
-from repro.obs.metrics import MetricsRegistry, ScopedMetrics
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.monitor import Monitor
+from repro.obs.probe import Probe
 from repro.runtime.trace import TraceRecorder
 from repro.systems import SoftwareNdsSystem
 from repro.traffic.injector import OpenLoopInjector, TrafficStream
@@ -21,39 +22,56 @@ HORIZON = 0.02
 KILL_AT = HORIZON / 2
 
 
-class TestScopedMetricsEdges:
+def scoped(parent: MetricsRegistry, device: int) -> Probe:
+    return Probe(metrics=parent).scoped(device)
+
+
+class TestScopedProbeEdges:
     def test_scoped_and_direct_names_share_one_metric(self):
-        """A scoped ``flash.reads`` with prefix ``d1.`` and a direct
-        ``d1.flash.reads`` are the same counter — the prefix is pure
-        namespacing, not a separate registry."""
+        """A ``flash.reads`` count through the device-1 probe and a
+        direct ``d1.flash.reads`` are the same counter — the prefix is
+        pure namespacing, not a separate registry."""
         parent = MetricsRegistry()
-        scoped = ScopedMetrics(parent, "d1.")
-        scoped.count("flash.reads", 2)
+        scoped(parent, 1).count("flash.reads", 2)
         parent.count("d1.flash.reads", 3)
-        assert scoped.counter("flash.reads").value == 5
+        assert parent.counter("d1.flash.reads").value == 5
 
     def test_cross_type_collision_through_scope_raises(self):
         parent = MetricsRegistry()
-        scoped = ScopedMetrics(parent, "d0.")
         parent.observe("d0.lat", 1e-5)
         with pytest.raises(ValueError):
-            scoped.count("lat")
+            scoped(parent, 0).count("lat")
 
     def test_sibling_scopes_do_not_collide(self):
         parent = MetricsRegistry()
-        ScopedMetrics(parent, "d0.").count("ops")
-        ScopedMetrics(parent, "d1.").count("ops", 4)
+        scoped(parent, 0).count("ops")
+        scoped(parent, 1).count("ops", 4)
         snap = parent.snapshot()["counters"]
         assert snap["d0.ops"] == 1
         assert snap["d1.ops"] == 4
 
-    def test_scoped_timeline_observer_prefixes(self):
+    def test_scoped_line_busy_counters_prefix(self):
         parent = MetricsRegistry()
-        observe = ScopedMetrics(parent, "d2.").timeline_observer()
-        observe("ch0", 0.0, 1e-5)
+        scoped(parent, 2).erase("ch0/bk0", 0.0, 1e-5, failed=False)
         snap = parent.snapshot()["counters"]
-        assert snap["timeline.d2.ch0.busy_seconds"] == pytest.approx(1e-5)
-        assert snap["timeline.d2.ch0.reservations"] == 1
+        assert snap["timeline.d2.ch0/bk0.busy_seconds"] == \
+            pytest.approx(1e-5)
+        assert snap["timeline.d2.ch0/bk0.reservations"] == 1
+        assert snap["d2.flash.blocks_erased"] == 1
+
+    def test_scoped_trace_leaves_op_context_to_the_host(self):
+        trace = TraceRecorder()
+        host = Probe(trace=trace)
+        member = host.scoped(0)
+        host.op_begin("serve", 7)
+        member.op_begin("inner", 99)
+        member.span("link", 0.0, 1e-6, "link_transfer")
+        member.op_end()
+        host.op_end()
+        (span,) = trace.spans
+        assert (span.resource, span.stream, span.op_id) == \
+            ("d0:link", "serve", 7)
+        assert member.monitor is None
 
 
 def run_with_kill():

@@ -16,6 +16,7 @@ import pytest
 from repro.core.errors import UncorrectableError
 from repro.faults import FaultConfig, FaultPlan
 from repro.nvm import TINY_TEST
+from repro.obs.probe import Probe
 from repro.runtime import (QosSpec, RequestScheduler, ShardSpec, TileOp,
                            TraceRecorder, percentile)
 from repro.systems import SoftwareNdsSystem
@@ -136,7 +137,8 @@ def test_weight_validation_and_update():
 # ----------------------------------------------------------------------
 def test_slo_counts_and_trace_marks():
     trace = TraceRecorder()
-    sched = RequestScheduler(_StubExecutor(), trace=trace)
+    sched = RequestScheduler(_StubExecutor())
+    sched.probe = Probe(trace=trace)
     sched.stream("t", queue_depth=1, latency_target=0.25)
     for _ in range(4):
         sched.submit(_op("d", stream="t"))
@@ -273,7 +275,8 @@ def test_reset_restarts_op_ids_alongside_trace_clear():
     collide — nor line up. Reset + TraceRecorder.clear() must yield
     the same ids (and spans) as a fresh scheduler."""
     trace = TraceRecorder()
-    sched = RequestScheduler(_StubExecutor(), trace=trace)
+    sched = RequestScheduler(_StubExecutor())
+    sched.probe = Probe(trace=trace)
     for i in range(3):
         sched.submit(_op(f"d{i}", stream="t"))
     first = sched.drain()

@@ -92,27 +92,6 @@ class TestMultiTimeline:
         assert pool.max_free_at() == 0.0
 
 
-class TestObserver:
-    def test_callback_order_and_args(self):
-        line = Timeline("ch0")
-        seen = []
-        line.observer = lambda name, start, end: seen.append(
-            (name, start, end))
-        line.reserve(0.0, 2.0)
-        line.reserve(0.0, 1.0)
-        assert seen == [("ch0", 0.0, 2.0), ("ch0", 2.0, 3.0)]
-
-    def test_reset_keeps_observer(self):
-        line = Timeline("t")
-        seen = []
-        line.observer = lambda name, start, end: seen.append(start)
-        line.reserve(0.0, 1.0)
-        line.reset()
-        assert line.free_at == 0.0 and line.ops == 0
-        line.reserve(3.0, 1.0)
-        assert seen == [0.0, 3.0]
-
-
 class TestWidePoolDispatch:
     def test_wide_pool_matches_plain_scan(self):
         """Randomized regression: dispatch over wide pools (16-256
