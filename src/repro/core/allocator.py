@@ -59,8 +59,8 @@ class NdsAllocator:
     # free-space queries
     # ------------------------------------------------------------------
     def free_fraction(self, channel: int, bank: int) -> float:
-        plane = self.planes[(channel, bank)]
-        return plane.free_page_count() / self.geometry.pages_per_bank
+        return (self.planes[(channel, bank)].free_pages
+                / self.geometry.pages_per_bank)
 
     def total_free_pages(self) -> int:
         return sum(p.free_page_count() for p in self.planes.values())

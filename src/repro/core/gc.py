@@ -8,13 +8,22 @@ coordinate, position inside the block)`` — modelled as the 8 bytes of
 out-of-band metadata per unit the paper describes — so relocations can
 patch the B-tree leaf in place. Relocation stays within the same
 (channel, bank) to preserve block parallelism.
+
+Background collection does not scan the array. The collector owns
+``low_planes``, the set of planes whose free fraction is below its
+background watermark, and hands each plane a reference to it plus an
+integer ``low_mark``; the plane's own mutators
+(:class:`~repro.ftl.mapping.PlaneAllocator` ``allocate_page``,
+``release_block``, ``withdraw_block``) keep both ``free_pages`` and the
+set current. Nothing here writes ``free_pages`` or the set directly.
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Set, Tuple
 
 from repro.core.allocator import NdsAllocator
 from repro.core.btree import BlockEntry
@@ -47,6 +56,18 @@ class NdsGcResult:
     stats: StatSet = field(default_factory=StatSet)
 
 
+def _low_mark(watermark: float, pages_per_bank: int) -> int:
+    """Smallest free-page count ``n`` with ``n / pages_per_bank >=
+    watermark``: ``free_pages < n`` is then bit-equal to the float test
+    ``free_fraction < watermark``."""
+    mark = math.ceil(watermark * pages_per_bank)
+    while mark > 0 and (mark - 1) / pages_per_bank >= watermark:
+        mark -= 1
+    while mark / pages_per_bank < watermark:
+        mark += 1
+    return mark
+
+
 class NdsGarbageCollector:
     """Greedy GC over the NDS allocator's planes."""
 
@@ -61,6 +82,18 @@ class NdsGarbageCollector:
         self.allocator = allocator
         self.flash = flash
         self.threshold = threshold
+        #: background GC cleans planes up to this free fraction
+        self.watermark = min(0.9, 2.0 * threshold)
+        #: (channel, bank) keys of the planes below ``watermark``,
+        #: maintained by the planes themselves (see module docstring)
+        self.low_planes: Set[Tuple[int, int]] = set()
+        pages_per_bank = allocator.geometry.pages_per_bank
+        low_mark = _low_mark(self.watermark, pages_per_bank)
+        for key, plane in allocator.planes.items():
+            plane.low_mark = low_mark
+            plane.low_set = self.low_planes
+            if plane.free_pages < low_mark:
+                self.low_planes.add(key)
         #: resolves (space_id, block_coord) -> live BlockEntry
         self._entry_resolver = entry_resolver
         self.reverse: Dict[int, ReverseEntry] = {}
@@ -132,7 +165,10 @@ class NdsGarbageCollector:
             if max_victims is not None and result.blocks_erased >= max_victims:
                 break
             victims = plane.victim_candidates(self.policy)
-            if not victims:
+            if not any(plane.blocks[b].live_pages() < geometry.pages_per_block
+                       for b in victims):
+                # no candidate, or all fully valid: erasing one gains no
+                # space, so the loop could never reach its target
                 break
             victim = victims[0]
             state = plane.blocks[victim]
@@ -191,32 +227,35 @@ class NdsGarbageCollector:
         result.stats.count("nds_gc_blocks_erased", result.blocks_erased)
         return result
 
-    def collect_background(self, now: float, budget_seconds: float,
-                           watermark: float = None) -> NdsGcResult:
+    def collect_background(self, now: float,
+                           budget_seconds: float) -> NdsGcResult:
         """Idle-time collection (§6.1: over-provisioning is reserved
         for *background* garbage collection).
 
-        Cleans the fullest planes up to ``watermark`` (default 2× the
-        foreground trigger) until the time budget runs out, so later
-        foreground writes don't stall on inline GC.
+        Cleans the fullest planes below :attr:`watermark` (2× the
+        foreground trigger, at most 0.9) one victim each until the time
+        budget runs out, so later foreground writes don't stall on
+        inline GC. Only :attr:`low_planes` is visited, fullest first
+        with ties in (channel, bank) order; with no plane below the
+        watermark the call returns at once.
         """
-        if watermark is None:
-            watermark = min(0.9, 2.0 * self.threshold)
-        deadline = now + budget_seconds
         total = NdsGcResult(ran=False, end_time=now)
-        planes = sorted(self.allocator.planes,
-                        key=lambda key: self.allocator.free_fraction(*key))
-        for channel, bank in planes:
-            if total.end_time >= deadline:
-                break
-            if self.allocator.free_fraction(channel, bank) >= watermark:
-                continue
-            part = self.collect(channel, bank, total.end_time,
-                                target_fraction=watermark, max_victims=1)
-            total.units_relocated += part.units_relocated
-            total.blocks_erased += part.blocks_erased
-            total.end_time = max(total.end_time, part.end_time)
-            total.ran = total.ran or part.ran
+        low = self.low_planes
+        if low:
+            deadline = now + budget_seconds
+            planes = self.allocator.planes
+            for key in sorted(low, key=lambda k: (planes[k].free_pages, k)):
+                if total.end_time >= deadline:
+                    break
+                if key not in low:
+                    continue
+                part = self.collect(key[0], key[1], total.end_time,
+                                    target_fraction=self.watermark,
+                                    max_victims=1)
+                total.units_relocated += part.units_relocated
+                total.blocks_erased += part.blocks_erased
+                total.end_time = max(total.end_time, part.end_time)
+                total.ran = total.ran or part.ran
         total.stats.count("nds_gc_units_relocated", total.units_relocated)
         total.stats.count("nds_gc_blocks_erased", total.blocks_erased)
         return total
@@ -255,10 +294,7 @@ class NdsGarbageCollector:
         plane = self.allocator.planes[(channel, bank)]
         geometry = self.allocator.geometry
         state = plane._state(block)
-        if plane.active_block == block:
-            plane.active_block = None
-        if block in plane.free_blocks:
-            plane.free_blocks.remove(block)
+        plane.withdraw_block(block)
         end = now
         with self._recovery():
             for page in range(geometry.pages_per_block):
@@ -276,8 +312,19 @@ class NdsGarbageCollector:
                 except OutOfSpaceError:
                     self._collect(channel, bank, read.end_time)
                     new_ppa = plane.allocate_page()
-                program = self.flash.program_pages([new_ppa], read.end_time,
-                                                   data=payload)
+                issue = read.end_time
+                while True:
+                    try:
+                        program = self.flash.program_pages([new_ppa], issue,
+                                                           data=payload)
+                        break
+                    except ProgramFailError as err:
+                        # the survivor's new home is grown bad as well
+                        plane.invalidate(new_ppa)
+                        issue = self.retire_block(channel, bank,
+                                                  new_ppa.block,
+                                                  err.fail_time)
+                        new_ppa = plane.allocate_page()
                 if back_ref is not None:
                     self._patch_entry(back_ref, old_ppa, new_ppa)
                 self.total_relocated += 1

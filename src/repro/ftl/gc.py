@@ -106,7 +106,10 @@ class GarbageCollector:
         geometry = self.ftl.geometry
         while self.needs_collection(channel, bank):
             victims = plane.victim_candidates(self.policy)
-            if not victims:
+            if not any(plane.blocks[b].live_pages() < geometry.pages_per_block
+                       for b in victims):
+                # no candidate, or all fully valid: erasing one gains no
+                # space, so the loop could never reach its target
                 break
             victim = victims[0]
             state = plane.blocks[victim]
@@ -196,10 +199,7 @@ class GarbageCollector:
         geometry = self.ftl.geometry
         state = plane._state(block)
         # survivors must not land back in the block being retired
-        if plane.active_block == block:
-            plane.active_block = None
-        if block in plane.free_blocks:
-            plane.free_blocks.remove(block)
+        plane.withdraw_block(block)
         end = now
         with self._recovery():
             for page in range(geometry.pages_per_block):
@@ -217,8 +217,19 @@ class GarbageCollector:
                 except OutOfSpaceError:
                     self._collect(channel, bank, read.end_time)
                     new_ppa = plane.allocate_page()
-                program = self.flash.program_pages([new_ppa], read.end_time,
-                                                   data=payload)
+                issue = read.end_time
+                while True:
+                    try:
+                        program = self.flash.program_pages([new_ppa], issue,
+                                                           data=payload)
+                        break
+                    except ProgramFailError as err:
+                        # the survivor's new home is grown bad as well
+                        plane.invalidate(new_ppa)
+                        issue = self.retire_block(channel, bank,
+                                                  new_ppa.block,
+                                                  err.fail_time)
+                        new_ppa = plane.allocate_page()
                 if lpn is not None:
                     self.ftl.map[lpn] = new_ppa
                     self.reverse.pop(ppa_to_index(old_ppa, geometry), None)

@@ -10,13 +10,19 @@ Allocation is log-structured per (channel, bank): each (channel, bank)
 pair keeps an active block that fills page by page; overwrites
 invalidate the old physical page and go to a fresh one in the same
 (channel, bank) so the striping invariant survives updates.
+
+Free space is kept as state: each :class:`PlaneAllocator` holds an int
+``free_pages`` that its own mutators (``allocate_page``,
+``release_block``, ``withdraw_block``/``retire_block``) update, so a
+free-fraction query is O(1). Code outside this module changes a plane's
+free pool or active block only through those methods.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.nvm.address import PhysicalPageAddress
 from repro.nvm.geometry import Geometry
@@ -120,23 +126,37 @@ class PlaneAllocator:
 
     Keeps a free-block pool and an active block; pages are handed out
     append-only. The GC layer returns blocks to the pool after erasing.
+
+    ``free_pages`` is state, not a recount: free-pool blocks ×
+    ``pages_per_block`` plus the active block's unwritten tail. Only
+    :meth:`allocate_page`, :meth:`release_block` and
+    :meth:`withdraw_block` change the pool or the active block, and each
+    updates ``free_pages``; GC and bad-block code must go through them
+    and never touch ``free_blocks`` or ``active_block`` directly.
+
+    A collector that keeps a below-watermark index sets ``low_mark``
+    (the smallest free-page count at or above its watermark) and
+    ``low_set``; the three mutators then add or discard ``key`` in
+    ``low_set`` whenever ``free_pages`` crosses ``low_mark``. With the
+    default ``low_mark`` of 0 no crossing is possible.
     """
 
     def __init__(self, channel: int, bank: int, geometry: Geometry) -> None:
         self.channel = channel
         self.bank = bank
+        self.key = (channel, bank)
         self.geometry = geometry
         #: block states are materialized lazily: a 2 TB-class device has
         #: hundreds of thousands of blocks, most never touched in a run
         self.blocks: Dict[int, BlockState] = {}
         self.free_blocks = _FreeBlockPool(geometry.blocks_per_bank)
         self.active_block: Optional[int] = None
-        #: cached BlockState of the active block. Only trusted when its
-        #: block_id still matches ``active_block`` — GC layers reset
-        #: ``active_block`` directly, and the guard makes that safe
-        #: without touching their call sites.
+        #: BlockState of ``active_block`` (None exactly when it is None)
         self._active_state: Optional[BlockState] = None
         self._fill_counter = 0
+        self.free_pages = geometry.pages_per_bank
+        self.low_mark = 0
+        self.low_set: Optional[Set[Tuple[int, int]]] = None
 
     def _state(self, block_id: int) -> BlockState:
         state = self.blocks.get(block_id)
@@ -148,29 +168,18 @@ class PlaneAllocator:
 
     # ------------------------------------------------------------------
     def free_page_count(self) -> int:
-        count = len(self.free_blocks) * self.geometry.pages_per_block
-        if self.active_block is not None:
-            state = self._active_state
-            if state is None or state.block_id != self.active_block:
-                state = self._state(self.active_block)
-                self._active_state = state
-            count += self.geometry.pages_per_block - state.next_page
-        return count
+        return self.free_pages
 
     def allocate_page(self) -> PhysicalPageAddress:
         """Next append point; raises :class:`OutOfSpaceError` when full."""
-        if self.active_block is None:
+        state = self._active_state
+        if state is None:
             if not self.free_blocks:
                 raise OutOfSpaceError(
                     f"(ch{self.channel}, bk{self.bank}) has no free blocks")
             self.active_block = self.free_blocks.pop(0)
             state = self._state(self.active_block)
             self._active_state = state
-        else:
-            state = self._active_state
-            if state is None or state.block_id != self.active_block:
-                state = self._state(self.active_block)
-                self._active_state = state
         ppa = PhysicalPageAddress(self.channel, self.bank,
                                   self.active_block, state.next_page)
         state.valid[state.next_page] = True
@@ -180,6 +189,9 @@ class PlaneAllocator:
             self._fill_counter += 1
             self.active_block = None
             self._active_state = None
+        self.free_pages -= 1
+        if self.free_pages == self.low_mark - 1:
+            self.low_set.add(self.key)
         return ppa
 
     def invalidate(self, ppa: PhysicalPageAddress) -> None:
@@ -219,22 +231,44 @@ class PlaneAllocator:
         state.valid = [False] * self.geometry.pages_per_block
         state.erase_count += 1
         self.free_blocks.append(block_id)
+        before = self.free_pages
+        self.free_pages = before + self.geometry.pages_per_block
+        if before < self.low_mark <= self.free_pages:
+            self.low_set.discard(self.key)
+
+    def withdraw_block(self, block_id: int) -> None:
+        """Take ``block_id`` out of service: it stops being the active
+        block (losing its unwritten tail) and leaves the free pool.
+
+        A no-op for a block that is neither. Its pages and state are
+        left alone, so a grown-bad block can still be relocated from.
+        """
+        lost = 0
+        if self.active_block == block_id:
+            lost = self.geometry.pages_per_block - self._active_state.next_page
+            self.active_block = None
+            self._active_state = None
+        if block_id in self.free_blocks:
+            self.free_blocks.remove(block_id)
+            lost += self.geometry.pages_per_block
+        if lost:
+            before = self.free_pages
+            self.free_pages = before - lost
+            if self.free_pages < self.low_mark <= before:
+                self.low_set.add(self.key)
 
     def retire_block(self, block_id: int) -> None:
         """Take a grown-bad block out of service permanently.
 
-        The block leaves the free pool (if present), stops being the
-        active block, and is never offered as a GC victim again. Callers
-        must have relocated any live pages first.
+        The block is withdrawn (:meth:`withdraw_block`) and is never
+        offered as a GC victim again. Callers must have relocated any
+        live pages first.
         """
+        self.withdraw_block(block_id)
         state = self._state(block_id)
         state.retired = True
         state.valid = [False] * self.geometry.pages_per_block
         state.next_page = self.geometry.pages_per_block
-        if block_id in self.free_blocks:
-            self.free_blocks.remove(block_id)
-        if self.active_block == block_id:
-            self.active_block = None
 
     def retired_count(self) -> int:
         return sum(1 for state in self.blocks.values() if state.retired)
@@ -294,8 +328,8 @@ class PageMapFTL:
 
     # ------------------------------------------------------------------
     def free_fraction(self, channel: int, bank: int) -> float:
-        plane = self.planes[(channel, bank)]
-        return plane.free_page_count() / self.geometry.pages_per_bank
+        return (self.planes[(channel, bank)].free_pages
+                / self.geometry.pages_per_bank)
 
     def mapped_pages(self) -> int:
         return len(self.map)

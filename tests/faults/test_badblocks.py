@@ -5,10 +5,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core import SpaceTranslationLayer
 from repro.faults import FaultConfig, FaultInjector, FaultPlan
 from repro.ftl import (BaselineSSD, PageMapFTL, WearReport, erases_by_plane,
                        wear_report)
-from repro.nvm import TINY_TEST
+from repro.nvm import TINY_TEST, FlashArray
 
 
 def _planeless_ftl() -> PageMapFTL:
@@ -61,6 +62,53 @@ class TestGrownBadBlocks:
                        data=[np.zeros(ssd.page_size, np.uint8) for _ in lpns])
         report = wear_report(ssd.ftl)
         assert report.retired_blocks == 1
+
+
+class TestOutOfServiceAccounting:
+    """Retiring a block keeps the plane's free-page counter and the
+    collector's below-watermark set exact (TINY_TEST: 8 blocks × 8
+    pages per plane; threshold 0.4 puts the watermark at 0.8, i.e.
+    below 52 of 64 free pages)."""
+
+    def _plane(self):
+        flash = FlashArray(TINY_TEST.geometry, TINY_TEST.timing)
+        stl = SpaceTranslationLayer(flash, gc_threshold=0.4)
+        assert stl.gc.watermark == 0.8
+        return stl.allocator.planes[(0, 0)], stl.gc.low_planes
+
+    def test_retire_active_block_partway(self):
+        plane, low = self._plane()
+        pages = [plane.allocate_page() for _ in range(10)]
+        assert plane.active_block == 1  # block 0 full, block 1 at page 2
+        assert plane.free_page_count() == 54
+        assert (0, 0) not in low
+        for ppa in pages[8:]:
+            plane.invalidate(ppa)
+        plane.retire_block(1)  # loses its 6-page unwritten tail
+        assert plane.active_block is None
+        assert plane.free_page_count() == 48
+        assert (0, 0) in low
+        for ppa in pages[:8]:
+            plane.invalidate(ppa)
+        plane.release_block(0)
+        assert plane.free_page_count() == 56
+        assert (0, 0) not in low
+        assert plane.allocate_page().block == 2
+
+    def test_retire_block_in_free_pool(self):
+        plane, low = self._plane()
+        plane.retire_block(5)
+        assert 5 not in plane.free_blocks
+        assert plane.free_page_count() == 56
+        assert (0, 0) not in low
+        plane.retire_block(6)
+        assert plane.free_page_count() == 48
+        assert (0, 0) in low
+        plane.retire_block(6)  # already out of service: no double count
+        assert plane.free_page_count() == 48
+        blocks = {plane.allocate_page().block for _ in range(48)}
+        assert blocks == {0, 1, 2, 3, 4, 7}
+        assert plane.free_page_count() == 0
 
 
 class TestWearReportRegressions:

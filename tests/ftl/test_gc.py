@@ -29,6 +29,19 @@ def _write(ftl, flash, gc, lpn, value, now=0.0):
 
 
 class TestCollect:
+    def test_collect_stops_when_nothing_is_reclaimable(self, small_world):
+        """Every full block fully valid and the plane under threshold:
+        moving a block gains no space, so collect must return instead
+        of relocating forever."""
+        geometry, flash, ftl, gc = small_world
+        for lpn in range(12):
+            _write(ftl, flash, gc, lpn, lpn, now=float(lpn))
+        assert gc.needs_collection(0, 0)
+        result = gc.collect(0, 0, 100.0)
+        assert not result.ran
+        assert result.pages_relocated == 0
+        assert ftl.planes[(0, 0)].free_page_count() == 4
+
     def test_collect_reclaims_invalid_pages(self, small_world):
         geometry, flash, ftl, gc = small_world
         # Fill the plane with overwrites of the same LPN: 15 writes out of

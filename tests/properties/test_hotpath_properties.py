@@ -9,7 +9,11 @@ Invariants:
   / retry) runs — produces **bit identical** timings with the
   translation memo on (the default) and off;
 * functional read-back after batched page fan-out returns exactly the
-  bytes a numpy mirror predicts.
+  bytes a numpy mirror predicts;
+* the incremental free-space index matches a brute-force recount under
+  overwrite / foreground GC / background GC / fault-retirement churn:
+  every plane's ``free_pages``, the collector's ``low_planes`` set, and
+  the order in which ``collect_background`` visits planes.
 """
 
 from __future__ import annotations
@@ -20,14 +24,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.translator as translator
-from repro.core import Space, pages_for_region
+from repro.core import Space, SpaceTranslationLayer, pages_for_region
+from repro.core.errors import CapacityError
 from repro.core.translator import (set_translation_cache_limit,
                                    translate_region,
                                    translation_cache_limit)
+from repro.faults import FaultInjector, FaultPlan
 from repro.faults.model import FaultConfig
-from repro.nvm import Geometry
+from repro.ftl.mapping import OutOfSpaceError
+from repro.nvm import FlashArray, Geometry, NvmTiming
 from repro.nvm.profiles import TINY_TEST
-from repro.systems import HardwareNdsSystem, SoftwareNdsSystem
+from repro.systems import BaselineSystem, HardwareNdsSystem, SoftwareNdsSystem
 
 GEOMETRY = Geometry(channels=4, banks_per_channel=2, blocks_per_bank=8,
                     pages_per_block=8, page_size=256)
@@ -187,3 +194,148 @@ def test_batched_fanout_readback_bytes_exact(data):
                               with_data=True, dtype=np.dtype(np.int32))
     slicer = tuple(slice(o, o + e) for o, e in zip(origin, extents))
     np.testing.assert_array_equal(result.data, mirror[slicer])
+
+
+# ----------------------------------------------------------------------
+# incremental free-space index
+# ----------------------------------------------------------------------
+def _recount(plane) -> int:
+    """Brute-force free pages: free pool plus the active block's tail."""
+    ppb = plane.geometry.pages_per_block
+    count = len(list(plane.free_blocks)) * ppb
+    if plane.active_block is not None:
+        count += ppb - plane.blocks[plane.active_block].next_page
+    return count
+
+
+def _assert_free_counts(planes) -> None:
+    for key, plane in planes.items():
+        assert plane.free_pages == _recount(plane), key
+        assert plane.free_page_count() == plane.free_pages
+
+
+def _scan_low_planes(stl):
+    """Planes below the background watermark by the old float test."""
+    per_bank = stl.geometry.pages_per_bank
+    return {key for key, plane in stl.allocator.planes.items()
+            if _recount(plane) / per_bank < stl.gc.watermark}
+
+
+def _fault_config(draw, geometry, horizon):
+    plan = FaultPlan()
+    for _ in range(draw(st.integers(0, 3))):
+        plan.mark_block_bad(draw(st.integers(0, geometry.channels - 1)),
+                            draw(st.integers(0, geometry.banks_per_channel - 1)),
+                            draw(st.integers(0, geometry.blocks_per_bank - 1)),
+                            at=draw(st.floats(0.0, horizon)))
+    return FaultConfig(seed=draw(st.integers(0, 2 ** 16)),
+                       program_fail_base=draw(st.sampled_from([0.0, 0.05])),
+                       plan=plan)
+
+
+def _mark_victim_bad(draw, flash, planes) -> None:
+    """Grow a bad block under a plane's next GC victim: the block is
+    fully written, so its erase fails and GC retires it."""
+    key = draw(st.sampled_from(sorted(planes)))
+    victims = planes[key].victim_candidates()
+    if victims:
+        flash.faults.bad_blocks.add((*key, victims[0]))
+
+
+def _checked_background(stl, now, budget):
+    """Run ``collect_background`` and check it visits exactly the planes
+    the old full scan would: ``sorted(planes, key=free_fraction)``
+    (stable, channel-major ties), those below the watermark, until the
+    budget runs out."""
+    per_bank = stl.geometry.pages_per_bank
+    planes = stl.allocator.planes
+    order = sorted(planes, key=lambda key: _recount(planes[key]) / per_bank)
+    expected = [key for key in order
+                if _recount(planes[key]) / per_bank < stl.gc.watermark]
+    visited = []
+    collect = stl.gc.collect
+
+    def recording(channel, bank, *args, **kwargs):
+        visited.append((channel, bank))
+        return collect(channel, bank, *args, **kwargs)
+
+    stl.gc.collect = recording
+    try:
+        result = stl.gc.collect_background(now, budget)
+    finally:
+        del stl.gc.collect
+    assert visited == expected[:len(visited)]
+    if len(visited) < len(expected):
+        assert result.end_time >= now + budget
+    if not expected:
+        assert result.stats.counters == {"nds_gc_units_relocated": 0,
+                                          "nds_gc_blocks_erased": 0}
+    return result
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_free_space_index_matches_recount_stl(data):
+    """Overwrite churn on a tiny STL with foreground GC, interleaved
+    background GC and program-fail / erase-fail block retirement: after
+    every step each plane's counter equals a recount and the
+    below-watermark set equals a scan."""
+    geometry = Geometry(channels=2, banks_per_channel=2, blocks_per_bank=6,
+                        pages_per_block=4, page_size=64)
+    timing = NvmTiming(t_read=1e-6, t_program=5e-6, t_erase=20e-6,
+                       channel_bandwidth=100e6)
+    flash = FlashArray(geometry, timing, store_data=False)
+    flash.attach_faults(FaultInjector(
+        _fault_config(data.draw, geometry, horizon=2e-3)))
+    stl = SpaceTranslationLayer(
+        flash, gc_threshold=data.draw(st.sampled_from([0.1, 0.25, 0.4])))
+    space = stl.create_space((32, 32), 2)
+    planes = stl.allocator.planes
+    now = 0.0
+    try:
+        for _ in range(data.draw(st.integers(4, 30))):
+            step = data.draw(st.integers(0, 5))
+            if step == 0:
+                _mark_victim_bad(data.draw, flash, planes)
+            elif step == 1:
+                budget = data.draw(st.sampled_from([1e-9, 3e-5, 1.0]))
+                now = _checked_background(stl, now, budget).end_time
+            else:
+                sub_dim = tuple(data.draw(st.sampled_from([8, 16, 32]))
+                                for _ in range(2))
+                coordinate = tuple(data.draw(st.integers(0, 32 // f - 1))
+                                   for f in sub_dim)
+                now = stl.write(space.space_id, coordinate, sub_dim,
+                                start_time=now).end_time
+            _assert_free_counts(planes)
+            assert stl.gc.low_planes == _scan_low_planes(stl)
+    except (CapacityError, OutOfSpaceError):
+        pass  # retirement ate the tiny device; the index must still hold
+    _assert_free_counts(planes)
+    assert stl.gc.low_planes == _scan_low_planes(stl)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_free_space_index_matches_recount_baseline(data):
+    """The baseline FTL's planes keep the same counter: overwrite churn
+    through FTL GC with program-fail and erase-fail retirement."""
+    faults = _fault_config(data.draw, TINY_TEST.geometry, horizon=5e-3)
+    system = BaselineSystem(TINY_TEST, store_data=False, faults=faults)
+    dims = (64, 64)
+    now = system.ingest("d", dims, 4).end_time
+    planes = system.ssd.ftl.planes
+    _assert_free_counts(planes)
+    try:
+        for _ in range(data.draw(st.integers(4, 16))):
+            if data.draw(st.booleans()):
+                _mark_victim_bad(data.draw, system.ssd.flash, planes)
+            origin = tuple(data.draw(st.integers(0, 32)) for _ in dims)
+            extents = tuple(data.draw(st.integers(16, d - o))
+                            for o, d in zip(origin, dims))
+            now = system.write_tile("d", origin, extents,
+                                    start_time=now).end_time
+            _assert_free_counts(planes)
+    except OutOfSpaceError:
+        pass
+    _assert_free_counts(planes)
