@@ -155,6 +155,17 @@ class BTreeIndex:
         entry = node.leaves.get(block_coord[-1])
         return LookupResult(entry=entry, nodes_visited=visited)
 
+    def find(self, block_coord: Tuple[int, ...]) -> Optional[BlockEntry]:
+        """The entry at a coordinate known to be in the grid, or None: a
+        :meth:`lookup` without the check and the visit count, for map
+        patching that models no tree walk."""
+        node = self.root
+        for axis in range(len(block_coord) - 1):
+            node = node.children.get(block_coord[axis])
+            if node is None:
+                return None
+        return node.leaves.get(block_coord[-1])
+
     def ensure(self, block_coord: Tuple[int, ...]) -> LookupResult:
         """Walk the tree, allocating nodes/entries along the path (§4.2:
         "the STL will allocate all necessary tree nodes along the

@@ -7,7 +7,10 @@ The reverse table maps each physical unit to ``(space, block
 coordinate, position inside the block)`` — modelled as the 8 bytes of
 out-of-band metadata per unit the paper describes — so relocations can
 patch the B-tree leaf in place. Relocation stays within the same
-(channel, bank) to preserve block parallelism.
+(channel, bank) to preserve block parallelism; the per-page move is the
+step shared with the FTL collector
+(:class:`~repro.ftl.gc.RelocatingCollector`), and this module supplies
+the leaf patch.
 
 Background collection does not scan the array. The collector owns
 ``low_planes``, the set of planes whose free fraction is below its
@@ -21,15 +24,14 @@ set current. Nothing here writes ``free_pages`` or the set directly.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Set, Tuple
+from typing import Callable, Optional, Set, Tuple
 
 from repro.core.allocator import NdsAllocator
 from repro.core.btree import BlockEntry
-from repro.faults.errors import EraseFailError, ProgramFailError
+from repro.faults.errors import EraseFailError
 from repro.faults.parity import PARITY_POSITION
-from repro.ftl.mapping import OutOfSpaceError
+from repro.ftl.gc import RelocatingCollector
 from repro.nvm.address import PhysicalPageAddress, ppa_to_index
 from repro.nvm.flash import FlashArray
 from repro.sim.stats import StatSet
@@ -68,20 +70,15 @@ def _low_mark(watermark: float, pages_per_bank: int) -> int:
     return mark
 
 
-class NdsGarbageCollector:
+class NdsGarbageCollector(RelocatingCollector):
     """Greedy GC over the NDS allocator's planes."""
 
     def __init__(self, allocator: NdsAllocator, flash: FlashArray,
                  entry_resolver: Callable[[int, Tuple[int, ...]], Optional[BlockEntry]],
                  threshold: float = 0.10, policy: str = "greedy") -> None:
-        if not (0.0 < threshold < 1.0):
-            raise ValueError("GC threshold must be in (0, 1)")
-        if policy not in ("greedy", "fifo", "cost-benefit"):
-            raise ValueError(f"unknown GC policy {policy!r}")
-        self.policy = policy
+        super().__init__(flash, allocator.geometry, allocator.planes,
+                         threshold, policy)
         self.allocator = allocator
-        self.flash = flash
-        self.threshold = threshold
         #: background GC cleans planes up to this free fraction
         self.watermark = min(0.9, 2.0 * threshold)
         #: (channel, bank) keys of the planes below ``watermark``,
@@ -96,26 +93,10 @@ class NdsGarbageCollector:
                 self.low_planes.add(key)
         #: resolves (space_id, block_coord) -> live BlockEntry
         self._entry_resolver = entry_resolver
-        self.reverse: Dict[int, ReverseEntry] = {}
-        self.total_relocated = 0
-        self.total_erased = 0
-        self.total_retired = 0
-        #: the owning system's :class:`~repro.obs.probe.Probe` while a
-        #: trace or metrics subscriber is attached, else None;
-        #: collections are traced as instants, never duration spans — a
-        #: GC child span would steal critical-path attribution from the
-        #: flash work it triggered
-        self.probe = None
         #: relocation callback for parity units (position
         #: :data:`~repro.faults.parity.PARITY_POSITION` in the reverse
         #: table): called as ``parity_patcher(space_id, coord, new_ppa)``
         self.parity_patcher: Optional[Callable] = None
-
-    def _recovery(self):
-        """Suppress probabilistic fault draws inside relocation traffic
-        (the controller verifies its own moves)."""
-        faults = self.flash.faults
-        return faults.suppress() if faults is not None else nullcontext()
 
     # ------------------------------------------------------------------
     def note_alloc(self, ppa: PhysicalPageAddress, space_id: int,
@@ -171,44 +152,13 @@ class NdsGarbageCollector:
                 # space, so the loop could never reach its target
                 break
             victim = victims[0]
-            state = plane.blocks[victim]
-            for page in range(geometry.pages_per_block):
-                if not state.valid[page]:
-                    continue
-                old_ppa = PhysicalPageAddress(channel, bank, victim, page)
-                back_ref = self.reverse.get(ppa_to_index(old_ppa, geometry))
-                read = self.flash.read_pages([old_ppa], now)
-                payload = None
-                if self.flash.store_data:
-                    payload = [self.flash.page_data(old_ppa)]
-                plane.invalidate(old_ppa)
-                try:
-                    new_ppa = plane.allocate_page()
-                except OutOfSpaceError:
-                    state.valid[page] = True
-                    result.end_time = max(result.end_time, read.end_time)
-                    return result
-                issue = read.end_time
-                while True:
-                    try:
-                        program = self.flash.program_pages([new_ppa], issue,
-                                                           data=payload)
-                        break
-                    except ProgramFailError as err:
-                        plane.invalidate(new_ppa)
-                        issue = self.retire_block(channel, bank,
-                                                  new_ppa.block,
-                                                  err.fail_time)
-                        try:
-                            new_ppa = plane.allocate_page()
-                        except OutOfSpaceError:
-                            state.valid[page] = True
-                            result.end_time = max(result.end_time, issue)
-                            return result
-                result.end_time = max(result.end_time, program.end_time)
-                result.units_relocated += 1
-                if back_ref is not None:
-                    self._patch_entry(back_ref, old_ppa, new_ppa)
+            # every read issues at ``now`` (docs/MODEL.md)
+            result.end_time, moved, complete = self._relocate(
+                plane, victim, now, result.end_time, chained=False,
+                retiring=False)
+            result.units_relocated += moved
+            if not complete:
+                return result
             try:
                 erase = self.flash.erase_block(channel, bank, victim,
                                                result.end_time)
@@ -260,74 +210,26 @@ class NdsGarbageCollector:
         total.stats.count("nds_gc_blocks_erased", total.blocks_erased)
         return total
 
-    def _patch_entry(self, back_ref: ReverseEntry,
-                     old_ppa: PhysicalPageAddress,
-                     new_ppa: PhysicalPageAddress) -> None:
-        geometry = self.allocator.geometry
-        self.reverse.pop(ppa_to_index(old_ppa, geometry), None)
-        self.reverse[ppa_to_index(new_ppa, geometry)] = back_ref
-        if back_ref.position == PARITY_POSITION:
+    def _moved(self, ref: ReverseEntry,
+               new_ppa: PhysicalPageAddress) -> None:
+        """Patch the B-tree leaf (or the parity store) that owns a
+        relocated unit.
+
+        A relocation never leaves its (channel, bank), so the entry's
+        usage counters (``channel_use``, ``bank_use``, ``bank_channels``,
+        ``place_cols``) do not change: only the page slot and
+        ``last_alloc`` do, as a release + alloc pair would set them. The
+        slot is never empty: every path that empties a slot drops its
+        reverse-table entry in the same step."""
+        if ref.position == PARITY_POSITION:
             # parity units live in the STL's parity store, not a B-tree
             if self.parity_patcher is not None:
-                self.parity_patcher(back_ref.space_id, back_ref.block_coord,
-                                    new_ppa)
+                self.parity_patcher(ref.space_id, ref.block_coord, new_ppa)
             return
-        entry = self._entry_resolver(back_ref.space_id, back_ref.block_coord)
+        entry = self._entry_resolver(ref.space_id, ref.block_coord)
         if entry is None:
             return
-        entry.record_release(back_ref.position)
-        entry.record_alloc(new_ppa, back_ref.position)
-
-    # ------------------------------------------------------------------
-    # grown-bad-block management
-    # ------------------------------------------------------------------
-    def _retire(self, plane, block: int) -> None:
-        plane.retire_block(block)
-        self.total_retired += 1
-        if self.flash.faults is not None:
-            self.flash.faults.stats.count("grown_bad_blocks")
-
-    def retire_block(self, channel: int, bank: int, block: int,
-                     now: float) -> float:
-        """Relocate a grown-bad block's live units within the plane and
-        take the block out of service. Returns the finish time."""
-        plane = self.allocator.planes[(channel, bank)]
-        geometry = self.allocator.geometry
-        state = plane._state(block)
-        plane.withdraw_block(block)
-        end = now
-        with self._recovery():
-            for page in range(geometry.pages_per_block):
-                if not state.valid[page]:
-                    continue
-                old_ppa = PhysicalPageAddress(channel, bank, block, page)
-                back_ref = self.reverse.get(ppa_to_index(old_ppa, geometry))
-                read = self.flash.read_pages([old_ppa], end)
-                payload = None
-                if self.flash.store_data:
-                    payload = [self.flash.page_data(old_ppa)]
-                state.valid[page] = False
-                try:
-                    new_ppa = plane.allocate_page()
-                except OutOfSpaceError:
-                    self._collect(channel, bank, read.end_time)
-                    new_ppa = plane.allocate_page()
-                issue = read.end_time
-                while True:
-                    try:
-                        program = self.flash.program_pages([new_ppa], issue,
-                                                           data=payload)
-                        break
-                    except ProgramFailError as err:
-                        # the survivor's new home is grown bad as well
-                        plane.invalidate(new_ppa)
-                        issue = self.retire_block(channel, bank,
-                                                  new_ppa.block,
-                                                  err.fail_time)
-                        new_ppa = plane.allocate_page()
-                if back_ref is not None:
-                    self._patch_entry(back_ref, old_ppa, new_ppa)
-                self.total_relocated += 1
-                end = max(end, program.end_time)
-            self._retire(plane, block)
-        return end
+        assert entry.pages[ref.position] is not None, \
+            f"reverse entry {ref} names an empty slot"
+        entry.pages[ref.position] = new_ppa
+        entry.last_alloc = new_ppa

@@ -640,7 +640,7 @@ class SpaceTranslationLayer:
         index = self.indexes.get(space_id)
         if index is None:
             return None
-        return index.lookup(block_coord).entry
+        return index.find(block_coord)
 
     # ------------------------------------------------------------------
     # reliability internals

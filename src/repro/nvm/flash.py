@@ -183,6 +183,18 @@ class FlashArray:
         self.stats.count("pages_programmed", len(ppas))
         return result
 
+    def read_page(self, ppa: PhysicalPageAddress, start_time: float) -> float:
+        """The bare single-page :meth:`read_pages`: the same reservation,
+        hooks and faults, no batch result and no stats (the caller
+        counts ``pages_read``). Returns the completion time."""
+        return self._read_chain((ppa,), start_time)
+
+    def program_page(self, ppa: PhysicalPageAddress, start_time: float,
+                     payload: Optional[np.ndarray] = None) -> float:
+        """The bare single-page :meth:`program_pages` (see
+        :meth:`read_page`; the caller counts ``pages_programmed``)."""
+        return self._program_chain((ppa,), start_time, (payload,))
+
     def erase_block(self, channel: int, bank: int, block: int,
                     start_time: float = 0.0) -> FlashOpResult:
         """Erase one block: the bank is busy for ``t_erase`` and all
@@ -234,8 +246,8 @@ class FlashArray:
         channel and afterwards walks the ECC retry ladder; probe events
         are emitted per page at the same point. ``completions``, when
         given, receives the per-page completion times; callers that only
-        need the batch end time (the host I/O engine) pass None. The
-        caller accounts ``pages_read`` stats."""
+        need the batch end time (the host I/O engine, :meth:`read_page`)
+        pass None. The caller accounts ``pages_read`` stats."""
         timing = self.timing
         t_read = timing.t_read
         issue = start_time + timing.t_cmd
@@ -334,7 +346,7 @@ class FlashArray:
     def _program_chain(self, ppas: Sequence[PhysicalPageAddress],
                        start_time: float,
                        data: Optional[Sequence[Optional[np.ndarray]]],
-                       completions: List[float]) -> float:
+                       completions: Optional[List[float]] = None) -> float:
         """The program reserve chain of a batch (see :meth:`_read_chain`):
         per page the data moves in over the channel, then the bank
         programs for ``t_program``. With an injector attached each page
@@ -351,7 +363,7 @@ class FlashArray:
         store = self.store_data
         faults = self.faults
         hooked = faults is not None or self.probe is not None
-        append = completions.append
+        append = completions.append if completions is not None else None
         end_time = start_time
         verdict = None
         for position, ppa in enumerate(ppas):
@@ -398,7 +410,8 @@ class FlashArray:
                 self._page_programmed(ppa, bank, channel, xfer_start,
                                       xfer_end, prog_start, prog_end,
                                       verdict)
-            append(prog_end)
+            if append is not None:
+                append(prog_end)
             if prog_end > end_time:
                 end_time = prog_end
         return end_time

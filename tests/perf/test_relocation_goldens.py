@@ -1,0 +1,329 @@
+"""Exact-equality gates for GC relocation, with and without faults.
+
+``relocation_goldens.json`` was captured before the collectors' per-page
+relocation loops were folded into one shared step. Each cell drives a
+GC-dense churn (overwrites that keep both collectors busy) on a small
+device and pins, bit for bit:
+
+* every op's end time (``float.hex()``, or ``!ErrorName`` when the op
+  raised);
+* each flash timeline's ``free_at``/``busy_time``/``ops``;
+* the flash stats counters, the fault counters and the GC totals;
+* a SHA-256 over the translation maps, the reverse tables, the plane
+  states (valid bitmaps, append points, free pools) and the stored
+  page bytes.
+
+The fault cells mark a relocation destination bad (the
+``ProgramFailError`` re-drive and the nested ``retire_block``), script a
+corrupt page on a victim's live page (relocation reads it clean under
+recovery suppression), and flip the bits of a victim's live page so the
+verified relocation read raises ``EccError`` out of the collector.
+
+Re-record (only after a change meant to move the model) with::
+
+    PYTHONPATH=src python tests/perf/test_relocation_goldens.py --record
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.core import SpaceTranslationLayer
+from repro.faults import FaultConfig, FaultInjector, FaultPlan
+from repro.ftl import BaselineSSD
+from repro.nvm import TINY_TEST, FlashArray
+from repro.nvm.address import PhysicalPageAddress
+
+GOLDEN_PATH = Path(__file__).parent / "relocation_goldens.json"
+
+#: STL churn: 64 KiB space on the 128 KiB tiny device, 48 overwrites
+STL_DIMS, STL_ELEMENT, STL_OPS = (128, 128), 4, 48
+#: FTL churn on the tiny device with 16 blocks per bank (1024 pages):
+#: 560 of 921 logical pages live, 40 rewrites of 48 pages
+FTL_PROFILE = replace(TINY_TEST, geometry=replace(TINY_TEST.geometry,
+                                                  blocks_per_bank=16))
+FTL_LIVE, FTL_OPS, FTL_BATCH = 560, 40, 48
+#: ops are issued this far apart in model time
+OP_GAP = 2e-3
+
+
+def _payload(rng: random.Random, size: int) -> np.ndarray:
+    return np.frombuffer(rng.randbytes(size), dtype=np.uint8).copy()
+
+
+def _plan(cell: str) -> FaultPlan | None:
+    """The fault plan of a cell (None = no injector attached).
+
+    The coordinates come from a fault-free dry run of the same churn:
+    the bad blocks are a GC relocation destination (then the block the
+    survivors move to, or a later victim), the corrupt pages are live
+    pages of a victim, the dead channel holds planes under GC."""
+    layer, kind = cell.split("/")
+    plan = FaultPlan()
+    if kind.startswith("bad-"):
+        for channel, bank, block, at in BAD[cell]:
+            plan.mark_block_bad(channel, bank, block, at=at)
+    elif kind == "corrupt":
+        plan.corrupt_page(*CORRUPT[layer])
+    elif kind == "dead-channel":
+        plan.kill_channel(*DEAD_CHANNEL[layer])
+    else:
+        return None
+    return plan
+
+
+#: (channel, bank, block, time) marked bad: the first GC destination of
+#: the dry run, then the block its survivors move to (a nested
+#: ``retire_block``) or a later victim (an erase failure)
+BAD = {
+    "stl/bad-dest": ((0, 1, 4, 0.0145), (0, 1, 5, 0.0145),
+                     (0, 1, 1, 0.0145)),
+    "ftl/bad-dest": ((1, 1, 14, 0.0145), (1, 1, 0, 0.0145)),
+    "ftl/bad-nested": ((1, 1, 14, 0.0145), (1, 1, 15, 0.0145)),
+}
+#: (channel, bank, block, page, time) scripted corrupt: reads outside
+#: recovery walk the full ladder and fail; relocation reads are clean
+CORRUPT = {
+    "stl": (0, 1, 2, 0, 0.0145),
+    "ftl": (1, 1, 5, 3, 0.0),
+}
+#: (channel, bank, block, page, op index): the page's stored bytes are
+#: flipped (FlashArray.corrupt_page) before that op
+ECC = {
+    "stl": (0, 1, 2, 0, 7),
+    "ftl": (1, 1, 5, 3, 7),
+}
+#: (channel, time) killed
+DEAD_CHANNEL = {
+    "stl": (1, 0.03),
+    "ftl": (1, 0.03),
+}
+
+CELLS = ("stl/timing", "stl/data", "stl/parity", "stl/bad-dest",
+         "stl/corrupt", "stl/ecc", "stl/dead-channel",
+         "ftl/timing", "ftl/data", "ftl/bad-dest", "ftl/bad-nested",
+         "ftl/corrupt", "ftl/ecc", "ftl/dead-channel")
+
+
+def _attach(flash: FlashArray, cell: str) -> None:
+    plan = _plan(cell)
+    if plan is not None:
+        flash.attach_faults(FaultInjector(FaultConfig(plan=plan)))
+
+
+def _run_stl(cell: str, spy):
+    kind = cell.split("/")[1]
+    store = kind != "timing"
+    flash = FlashArray(TINY_TEST.geometry, TINY_TEST.timing,
+                       store_data=store)
+    _attach(flash, cell)
+    stl = SpaceTranslationLayer(flash, gc_threshold=0.25,
+                                parity=kind == "parity")
+    spy(stl.gc)
+    space = stl.create_space(STL_DIMS, STL_ELEMENT)
+    rng = random.Random(7)
+    outcomes = []
+
+    def op(index: int, origin, extents) -> None:
+        if kind == "ecc" and index == ECC["stl"][4]:
+            flash.corrupt_page(PhysicalPageAddress(*ECC["stl"][:4]))
+        data = None
+        if store:
+            data = _payload(rng, extents[0] * extents[1] * STL_ELEMENT)
+            data = data.reshape(tuple(extents) + (STL_ELEMENT,))
+        try:
+            end = stl.write_region(space.space_id, origin, extents,
+                                   data=data,
+                                   start_time=index * OP_GAP).end_time
+            outcomes.append(end.hex())
+            if index % 8 == 7:
+                part = stl.gc.collect_background(
+                    index * OP_GAP + OP_GAP / 2, OP_GAP / 4)
+                outcomes.append(part.end_time.hex())
+        except Exception as err:  # pinned: which op raised what
+            outcomes.append("!" + type(err).__name__)
+
+    op(0, (0, 0), STL_DIMS)
+    for index in range(1, STL_OPS):
+        rows = rng.choice((8, 16, 32))
+        cols = rng.choice((8, 16, 32))
+        origin = (rng.randrange(0, STL_DIMS[0] - rows + 1, 8),
+                  rng.randrange(0, STL_DIMS[1] - cols + 1, 8))
+        op(index, origin, (rows, cols))
+    return flash, stl.gc, outcomes, _stl_state(stl)
+
+
+def _run_ftl(cell: str, spy):
+    kind = cell.split("/")[1]
+    store = kind != "timing"
+    ssd = BaselineSSD(FTL_PROFILE, store_data=store)
+    _attach(ssd.flash, cell)
+    spy(ssd.gc)
+    rng = random.Random(11)
+    page = ssd.page_size
+    outcomes = []
+
+    def op(index: int, lpns) -> None:
+        if kind == "ecc" and index == ECC["ftl"][4]:
+            ssd.flash.corrupt_page(PhysicalPageAddress(*ECC["ftl"][:4]))
+        data = [_payload(rng, page) for _ in lpns] if store else None
+        try:
+            end = ssd.write_lpns(lpns, index * OP_GAP, data=data).end_time
+            outcomes.append(end.hex())
+        except Exception as err:  # pinned: which op raised what
+            outcomes.append("!" + type(err).__name__)
+
+    op(0, list(range(FTL_LIVE)))
+    for index in range(1, FTL_OPS):
+        op(index, sorted(rng.sample(range(FTL_LIVE), FTL_BATCH)))
+    return ssd.flash, ssd.gc, outcomes, _ftl_state(ssd)
+
+
+def _planes_state(planes) -> list:
+    out = []
+    for key in sorted(planes):
+        plane = planes[key]
+        blocks = [[b, s.valid, s.next_page, s.erase_count, s.retired,
+                   s.filled_seq] for b, s in sorted(plane.blocks.items())]
+        out.append([list(key), plane.free_pages, plane.active_block,
+                    list(plane.free_blocks), blocks])
+    return out
+
+
+def _ppa(ppa) -> list | None:
+    if ppa is None:
+        return None
+    return [ppa.channel, ppa.bank, ppa.block, ppa.page]
+
+
+def _stl_state(stl) -> list:
+    entries = []
+    for space_id in sorted(stl.indexes):
+        for entry in stl.indexes[space_id].iter_entries():
+            entries.append([space_id, list(entry.coord),
+                            [_ppa(p) for p in entry.pages],
+                            sorted(entry.channel_use.items()),
+                            sorted(map(list, entry.bank_use.items())),
+                            _ppa(entry.last_alloc)])
+    entries.sort(key=repr)
+    reverse = sorted([idx, ref.space_id, list(ref.block_coord), ref.position]
+                     for idx, ref in stl.gc.reverse.items())
+    return [entries, reverse, _planes_state(stl.allocator.planes)]
+
+
+def _ftl_state(ssd) -> list:
+    forward = sorted([lpn, _ppa(ppa)] for lpn, ppa in ssd.ftl.map.items())
+    reverse = sorted(ssd.gc.reverse.items())
+    return [forward, reverse, _planes_state(ssd.ftl.planes)]
+
+
+def _spy_retirements(gc, log: list) -> None:
+    """Log every ``retire_block`` with the number of ``collect`` and
+    ``retire_block`` calls it runs inside (instance-level wrappers, so
+    the collectors' own self-calls are seen too)."""
+    depth = {"collect": 0, "retire": 0}
+
+    def nest(name: str, fn):
+        def call(*args, **kwargs):
+            if name == "retire":
+                log.append([depth["collect"], depth["retire"]]
+                           + list(args[:3]))
+            depth[name] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[name] -= 1
+        return call
+
+    gc.collect = nest("collect", gc.collect)
+    gc.retire_block = nest("retire", gc.retire_block)
+
+
+def run_cell(cell: str) -> dict:
+    runner = _run_stl if cell.startswith("stl/") else _run_ftl
+    retirements = []
+    flash, gc, outcomes, state = runner(
+        cell, lambda gc: _spy_retirements(gc, retirements))
+    digest = hashlib.sha256(json.dumps(state).encode())
+    for idx in sorted(flash._pages):
+        digest.update(idx.to_bytes(4, "little"))
+        digest.update(flash._pages[idx].tobytes())
+    lines = list(flash.channel_lines)
+    for row in flash.bank_lines:
+        lines.extend(row)
+    faults = flash.faults
+    return {
+        "outcomes": outcomes,
+        "lines": [[line.name, line.free_at.hex(), line.busy_time.hex(),
+                   line.ops] for line in lines],
+        "flash_stats": dict(sorted(flash.stats.counters.items())),
+        "fault_stats": (dict(sorted(faults.stats.counters.items()))
+                        if faults is not None else None),
+        "gc": {"relocated": gc.total_relocated, "erased": gc.total_erased,
+               "retired": gc.total_retired},
+        "retirements": retirements,
+        "state_sha256": digest.hexdigest(),
+    }
+
+
+def _golden() -> dict:
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+@pytest.mark.parametrize("cell", CELLS)
+def test_relocation_bit_identical(cell):
+    want = _golden()[cell]
+    got = run_cell(cell)
+    assert got["gc"] == want["gc"]
+    assert got["flash_stats"] == want["flash_stats"]
+    assert got["fault_stats"] == want["fault_stats"]
+    assert got["outcomes"] == want["outcomes"]
+    assert got["lines"] == want["lines"]
+    assert got["state_sha256"] == want["state_sha256"]
+
+
+@pytest.mark.parametrize("cell", CELLS)
+def test_cell_exercises_its_path(cell):
+    """Each cell really drives the path it is named for."""
+    want = _golden()[cell]
+    assert want["gc"]["relocated"] > 0 and want["gc"]["erased"] > 0
+    kind = cell.split("/")[1]
+    faults = want["fault_stats"] or {}
+    errors = {o for o in want["outcomes"] if o.startswith("!")}
+    # [collect depth, retire depth, channel, bank, block] per retirement
+    retirements = want["retirements"]
+    if kind.startswith("bad-"):
+        # a relocation destination failed: re-drive via retire_block
+        assert any(r[0] >= 1 for r in retirements)
+    if kind == "bad-dest":
+        assert faults["erase_fails"] >= 1 and errors == set()
+    if kind == "bad-nested" or cell == "stl/bad-dest":
+        # the survivors' new home was bad too
+        assert any(r[0] >= 1 and r[1] >= 1 for r in retirements)
+    if kind == "bad-nested":
+        assert errors == {"!OutOfSpaceError"}
+    if kind == "corrupt":
+        assert faults["plan_pages_corrupted"] == 1 and errors == set()
+    if kind == "ecc":
+        assert errors == {"!EccError"}
+    if kind == "dead-channel":
+        assert errors == {"!UncorrectableError"}
+        assert faults["dead_channel_reads"] > 0
+    if kind in ("timing", "data", "parity"):
+        assert errors == set() and want["fault_stats"] is None
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit(__doc__)
+    GOLDEN_PATH.write_text(json.dumps({cell: run_cell(cell)
+                                       for cell in CELLS}, indent=1) + "\n")
+    print(f"wrote {GOLDEN_PATH}")
