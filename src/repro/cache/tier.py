@@ -4,8 +4,9 @@
 regions for the NDS systems, LPN runs for the linear systems) in host
 DRAM, keyed opaquely by the owning system. It owns byte accounting,
 the eviction policy, the write-back dirty set, and the deterministic
-hit/miss/eviction counters that the request scheduler diffs around
-every op for per-stream attribution.
+hit/miss/eviction counters; each increment is also pushed into the
+owning scheduler's :class:`~repro.runtime.ledger.OpLedger`, which
+attributes it to the executing op and its stream.
 
 Timing stays with the owner: the tier never touches a timeline itself.
 Dirty data reaches flash through ``flush_fn(entry, now) -> float``, a
@@ -60,8 +61,10 @@ class HostTierCache:
         self.entries: "OrderedDict[Hashable, CacheEntry]" = OrderedDict()
         self.total_bytes = 0
         self.counters: Dict[str, int] = {key: 0 for key in COUNTER_KEYS}
-        #: dirty keys in first-written order (flush oldest first)
-        self._dirty: "OrderedDict[Hashable, None]" = OrderedDict()
+        #: dirty key -> its bytes, in first-written order (flush oldest
+        #: first); ``_dirty_bytes`` is the running sum of the values
+        self._dirty: "OrderedDict[Hashable, int]" = OrderedDict()
+        self._dirty_bytes = 0
         #: group -> resident keys in insertion order (only keys with a
         #: group); a dict, not a set, so iteration never depends on
         #: string-hash order
@@ -72,6 +75,17 @@ class HostTierCache:
         #: trace or metrics subscriber is attached, else None;
         #: observation only, never feeds back
         self.probe = None
+        #: the owning scheduler's op ledger (None for a standalone tier)
+        self.ledger = None
+
+    def _count(self, key: str, event: Optional[str]) -> None:
+        """One counter increment: the tier's total, the executing op's
+        ledger, and the probe's ``event`` metric."""
+        self.counters[key] += 1
+        if self.ledger is not None:
+            self.ledger.count_cache(key)
+        if event is not None and self.probe is not None:
+            self.probe.count(event)
 
     # ------------------------------------------------------------------
     # lookups
@@ -80,18 +94,12 @@ class HostTierCache:
         """Demand lookup: counts a hit or miss and refreshes recency."""
         entry = self.entries.get(key)
         if entry is None:
-            self.counters["misses"] += 1
-            if self.probe is not None:
-                self.probe.count("cache.miss")
+            self._count("misses", "cache.miss")
             return None
-        self.counters["hits"] += 1
         if entry.prefetched:
-            self.counters["prefetch_hits"] += 1
+            self._count("prefetch_hits", "cache.prefetch_hit")
             entry.prefetched = False
-            if self.probe is not None:
-                self.probe.count("cache.prefetch_hit")
-        if self.probe is not None:
-            self.probe.count("cache.hit")
+        self._count("hits", "cache.hit")
         self.policy.on_hit(key)
         return entry
 
@@ -125,9 +133,11 @@ class HostTierCache:
                 entry.payload = payload
             if data is not None:
                 entry.data = data
-            if dirty and not entry.dirty:
+            if dirty:
                 entry.dirty = True
-                self._dirty[key] = None
+            if entry.dirty:
+                self._dirty_bytes += nbytes - self._dirty.get(key, 0)
+                self._dirty[key] = nbytes
             entry.prefetched = prefetched and entry.prefetched
             self.policy.on_hit(key)
             return self._enforce(now)
@@ -135,24 +145,21 @@ class HostTierCache:
         # rejecting one would silently drop the write, so they bypass
         # the admission filter unconditionally
         if not dirty and not self.policy.admit(key):
-            self.counters["rejected"] += 1
-            if self.probe is not None:
-                self.probe.count("cache.reject")
+            self._count("rejected", "cache.reject")
             return now
         entry = CacheEntry(key=key, nbytes=int(nbytes), payload=payload,
                            data=data, dirty=dirty, prefetched=prefetched,
                            group=group)
         self.entries[key] = entry
         self.total_bytes += entry.nbytes
-        self.counters["insertions"] += 1
+        self._count("insertions", None)
         if dirty:
-            self._dirty[key] = None
+            self._dirty[key] = entry.nbytes
+            self._dirty_bytes += entry.nbytes
         if group is not None:
             self._groups.setdefault(group, {})[key] = None
         if prefetched:
-            self.counters["prefetch_issued"] += 1
-            if self.probe is not None:
-                self.probe.count("cache.prefetch_issued")
+            self._count("prefetch_issued", "cache.prefetch_issued")
         self.policy.on_insert(key)
         return self._enforce(now)
 
@@ -171,15 +178,13 @@ class HostTierCache:
         if entry.dirty:
             now = self.flush_entry(key, now)
         self._remove(key)
-        self.counters["evictions"] += 1
-        if self.probe is not None:
-            self.probe.count("cache.evict")
+        self._count("evictions", "cache.evict")
         return now
 
     def _remove(self, key: Hashable) -> None:
         entry = self.entries.pop(key)
         self.total_bytes -= entry.nbytes
-        self._dirty.pop(key, None)
+        self._dirty_bytes -= self._dirty.pop(key, 0)
         if entry.group is not None:
             keys = self._groups.get(entry.group)
             if keys is not None:
@@ -193,9 +198,7 @@ class HostTierCache:
         data through, or tearing the cache down)."""
         if key in self.entries:
             self._remove(key)
-            self.counters["invalidations"] += 1
-            if self.probe is not None:
-                self.probe.count("cache.invalidate")
+            self._count("invalidations", "cache.invalidate")
 
     # ------------------------------------------------------------------
     # durability
@@ -209,10 +212,8 @@ class HostTierCache:
             raise RuntimeError("write-back cache has no flush_fn installed")
         now = self.flush_fn(entry, now)
         entry.dirty = False
-        self._dirty.pop(key, None)
-        self.counters["writebacks"] += 1
-        if self.probe is not None:
-            self.probe.count("cache.writeback")
+        self._dirty_bytes -= self._dirty.pop(key, 0)
+        self._count("writebacks", "cache.writeback")
         return now
 
     def flush_all(self, now: float) -> float:
@@ -229,7 +230,7 @@ class HostTierCache:
     def dirty_bytes(self) -> int:
         """Bytes buffered in the write-back dirty set (the exposure a
         durability fence would have to flush)."""
-        return sum(self.entries[key].nbytes for key in self._dirty)
+        return self._dirty_bytes
 
     # ------------------------------------------------------------------
     # accounting

@@ -159,6 +159,9 @@ class ClusterTranslationLayer:
         #: trace or metrics subscriber is attached, else None (pool
         #: members get device-scoped probes from the owning system)
         self.probe = None
+        #: the owning scheduler's op ledger; ``cluster_*`` counts are
+        #: pushed into it as fault deltas
+        self.ledger = None
 
     # ------------------------------------------------------------------
     # plumbing
@@ -197,6 +200,8 @@ class ClusterTranslationLayer:
 
     def _count(self, name: str, amount: int = 1) -> None:
         self.stats.count(name, amount)
+        if self.ledger is not None:
+            self.ledger.count_fault("cluster_" + name, amount)
         if self.probe is not None:
             self.probe.count(f"cluster.{name}", amount)
 

@@ -708,7 +708,7 @@ class SpaceTranslationLayer:
         when parity is off.
         """
         faults = self.flash.faults
-        faults.stats.count("stl_uncorrectable_reads")
+        faults.count("stl_uncorrectable_reads")
         if self.parity is None:
             raise err
         parity_ppa = self.parity.get(space_id, coord)
@@ -742,8 +742,8 @@ class SpaceTranslationLayer:
             self.gc.note_alloc(new_ppa, space_id, coord, position)
             op = self.flash.program_pages([new_ppa], end, data=[page])
             end = max(end, op.end_time)
-        faults.stats.count("stl_degraded_reads")
-        faults.stats.count("stl_pages_reconstructed")
+        faults.count("stl_degraded_reads")
+        faults.count("stl_pages_reconstructed")
         self.stats.count("stl_degraded_reads")
         return end
 

@@ -45,6 +45,9 @@ class FaultInjector:
         self.config = config if config is not None else FaultConfig()
         self.model = ErrorModel(self.config)
         self.stats = StatSet()
+        #: the owning scheduler's op ledger (None for a standalone
+        #: injector); every :meth:`count` is pushed into it
+        self.ledger = None
         # plan bookkeeping
         self._events = (self.config.plan.sorted_events()
                         if self.config.plan is not None else ())
@@ -78,17 +81,23 @@ class FaultInjector:
             self._next_event += 1
             if event.kind == "kill_channel":
                 self.dead_channels.add(event.channel)
-                self.stats.count("plan_channels_killed")
+                self.count("plan_channels_killed")
             elif event.kind == "kill_device":
                 self.device_dead = True
-                self.stats.count("plan_devices_killed")
+                self.count("plan_devices_killed")
             elif event.kind == "bad_block":
                 self.bad_blocks.add((event.channel, event.bank, event.block))
-                self.stats.count("plan_blocks_marked_bad")
+                self.count("plan_blocks_marked_bad")
             else:  # corrupt_page
                 self.corrupt_pages.add((event.channel, event.bank,
                                         event.block, event.page))
-                self.stats.count("plan_pages_corrupted")
+                self.count("plan_pages_corrupted")
+
+    def count(self, name: str, amount: int = 1) -> None:
+        """Bump one fault counter (and the executing op's ledger)."""
+        self.stats.count(name, amount)
+        if self.ledger is not None:
+            self.ledger.count_fault(name, amount)
 
     def channel_dead(self, channel: int) -> bool:
         return self.device_dead or channel in self.dead_channels
@@ -193,5 +202,5 @@ class FaultInjector:
         return self._erases.get(block_key, 0)
 
     def counters(self) -> Dict[str, int]:
-        """Snapshot of all fault counters (for per-stream deltas)."""
+        """Snapshot of all fault counters."""
         return dict(self.stats.counters)

@@ -190,7 +190,7 @@ class RelocatingCollector:
         plane.retire_block(block)
         self.total_retired += 1
         if self.flash.faults is not None:
-            self.flash.faults.stats.count("grown_bad_blocks")
+            self.flash.faults.count("grown_bad_blocks")
 
     def retire_block(self, channel: int, bank: int, block: int,
                      now: float) -> float:

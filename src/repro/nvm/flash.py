@@ -210,7 +210,7 @@ class FlashArray:
             self.probe.erase(line.name, start, end, verdict is not None)
         if verdict is not None:
             self.stats.count("erase_fails")
-            faults.stats.count("erase_fails")
+            faults.count("erase_fails")
             raise EraseFailError(channel, bank, block, fail_time=end,
                                  reason=verdict)
         if self.store_data:
@@ -263,7 +263,7 @@ class FlashArray:
             if faults is not None:
                 faults.advance(start_time)
                 if faults.channel_dead(c):
-                    faults.stats.count("dead_channel_reads")
+                    faults.count("dead_channel_reads")
                     raise UncorrectableError(ppa, fail_time=start_time,
                                              reason="channel_dead")
             channel = channel_lines[c]
@@ -332,12 +332,12 @@ class FlashArray:
             end = xfer_end
         if plan.retries:
             self.stats.count("read_retries", plan.retries)
-            self.faults.stats.count("read_retries", plan.retries)
+            self.faults.count("read_retries", plan.retries)
             if self.probe is not None:
                 self.probe.count("flash.read_retries", plan.retries)
         if plan.uncorrectable:
             self.stats.count("uncorrectable_reads")
-            self.faults.stats.count("uncorrectable_reads")
+            self.faults.count("uncorrectable_reads")
             raise UncorrectableError(ppa, fail_time=end,
                                      retries=plan.retries,
                                      reason=plan.reason)
@@ -431,7 +431,7 @@ class FlashArray:
             # the attempt cost real bus and array time before the status
             # register reported the failure
             self.stats.count("program_fails")
-            faults.stats.count("program_fails")
+            faults.count("program_fails")
             raise ProgramFailError(ppa, fail_time=prog_end, reason=verdict)
         if faults is not None:
             faults.note_program(ppa_to_index(ppa, self.geometry), prog_end)

@@ -16,7 +16,9 @@ runs and systems are directly comparable.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from functools import reduce
+from operator import add
 from typing import Dict, List, Sequence, Tuple
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
@@ -74,12 +76,14 @@ class Histogram:
 
     def __init__(self, name: str,
                  bounds: Sequence[float] = DEFAULT_LATENCY_BUCKETS) -> None:
-        if not bounds:
-            raise ValueError("histogram needs at least one bucket bound")
-        if list(bounds) != sorted(bounds):
-            raise ValueError("bucket bounds must be sorted ascending")
+        if bounds is not DEFAULT_LATENCY_BUCKETS:
+            if not bounds:
+                raise ValueError("histogram needs at least one bucket bound")
+            if list(bounds) != sorted(bounds):
+                raise ValueError("bucket bounds must be sorted ascending")
+            bounds = tuple(float(b) for b in bounds)
         self.name = name
-        self.bounds: Tuple[float, ...] = tuple(float(b) for b in bounds)
+        self.bounds: Tuple[float, ...] = bounds
         self.counts: List[int] = [0] * len(self.bounds)
         self.overflow = 0
         self.total = 0.0
@@ -93,6 +97,23 @@ class Histogram:
             self.counts[index] += 1
         self.total += value
         self.count += 1
+
+    def observe_all(self, values: Sequence[float]) -> None:
+        """:meth:`observe` each value in order, bucketed in bulk (the
+        same counts and the same float ``total``)."""
+        ordered = sorted(values)
+        count = len(ordered)
+        bounds = self.bounds
+        index = bisect_left(bounds, ordered[0]) if ordered else len(bounds)
+        below = 0
+        while below < count and index < len(bounds):
+            upto = bisect_right(ordered, bounds[index], below)
+            self.counts[index] += upto - below
+            below = upto
+            index += 1
+        self.overflow += count - below
+        self.total = reduce(add, values, self.total)
+        self.count += count
 
     @property
     def mean(self) -> float:

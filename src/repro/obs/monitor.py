@@ -65,9 +65,11 @@ class _WindowStats:
         self.shed = 0
         self.shed_throttled = 0
         self.shed_queue_full = 0
-        self.latency = Histogram("latency")
-        self.queue_wait = Histogram("queue_wait")
-        self.service = Histogram("service")
+        #: raw samples, bucketed into histograms only when a series is
+        #: rendered (appending is all the per-event hooks pay)
+        self.latency: List[float] = []
+        self.queue_wait: List[float] = []
+        self.service: List[float] = []
         self.backlog_sum = 0
         self.backlog_count = 0
         self.backlog_max = 0
@@ -176,18 +178,24 @@ class Monitor:
             raise ValueError("monitor not attached (no horizon)")
         return self._stats
 
+    def _window(self, time: float) -> _WindowStats:
+        """Accumulator of the window holding model time ``time`` (the
+        :meth:`window_of` rule)."""
+        stats = self._require()
+        if time <= 0:
+            return stats[0]
+        index = int(time / self._width)
+        return stats[index] if index < self.windows else stats[-1]
+
     # ------------------------------------------------------------------
     # streaming hooks (observation only — never feed back into timing)
     # ------------------------------------------------------------------
     def _count_request(self, stream: str, arrival: float,
                        finish: float, violated: bool = False) -> None:
-        stats_list = self._require()
-        index = (0 if finish <= 0
-                 else min(int(finish / self._width), self.windows - 1))
-        stats = stats_list[index]
+        stats = self._window(finish)
         latency = finish - arrival
         stats.completed += 1
-        stats.latency.observe(latency)
+        stats.latency.append(latency)
         bad = (latency > self.slo.latency_target
                if self.slo is not None else bool(violated))
         if bad:
@@ -204,26 +212,22 @@ class Monitor:
         self._count_request(stream, arrival, finish)
 
     def note_op(self, op, violated: bool = False,
-                cache_before: Optional[dict] = None,
-                cache_after: Optional[dict] = None) -> None:
+                cache: Optional[dict] = None) -> None:
         """One completed :class:`~repro.runtime.tileop.TileOp` (called
         by the scheduler after accounting). Feeds the op-granular
         queue-wait / service histograms and cache sampling; in a
         scheduler-only run (no injector) it also counts the op as a
         completed request."""
-        stats_list = self._require()
         finish = op.complete_time
-        index = (0 if finish <= 0
-                 else min(int(finish / self._width), self.windows - 1))
-        stats = stats_list[index]
-        stats.queue_wait.observe(op.issue_time - op.submit_time)
-        stats.service.observe(finish - op.issue_time)
+        stats = self._window(finish)
+        stats.queue_wait.append(op.issue_time - op.submit_time)
+        stats.service.append(finish - op.issue_time)
         if not self.request_driven:
             self._count_request(op.stream, op.submit_time, finish,
                                 violated=violated)
-        if cache_before is not None and cache_after is not None:
+        if cache:
             for key in _CACHE_KEYS:
-                delta = cache_after.get(key, 0) - cache_before.get(key, 0)
+                delta = cache.get(key)
                 if delta:
                     stats.cache[key] = stats.cache.get(key, 0) + delta
         if self._dirty_probe is not None:
@@ -232,15 +236,12 @@ class Monitor:
                 stats.dirty_bytes = dirty
 
     def note_offered(self, stream: str, time: float) -> None:
-        stats_list = self._require()
-        index = (0 if time <= 0
-                 else min(int(time / self._width), self.windows - 1))
-        stats = stats_list[index]
+        stats = self._window(time)
         stats.offered += 1
         stats.stream_row(stream)[3] += 1
 
     def note_shed(self, stream: str, time: float, reason: str) -> None:
-        stats = self._require()[self.window_of(time)]
+        stats = self._window(time)
         stats.shed += 1
         if reason == "throttled":
             stats.shed_throttled += 1
@@ -249,13 +250,11 @@ class Monitor:
         stats.stream_row(stream)[4] += 1
 
     def note_backlog(self, stream: str, time: float, depth: int) -> None:
-        stats_list = self._require()
-        index = (0 if time <= 0
-                 else min(int(time / self._width), self.windows - 1))
-        stats = stats_list[index]
+        stats = self._window(time)
         stats.backlog_sum += depth
         stats.backlog_count += 1
-        stats.backlog_max = max(stats.backlog_max, depth)
+        if depth > stats.backlog_max:
+            stats.backlog_max = depth
 
     # ------------------------------------------------------------------
     # trace replay
@@ -288,9 +287,9 @@ class Monitor:
                 continue
             args = dict(span.args)
             queue_wait = float(args.get("queue_wait", 0.0))
-            stats = monitor._require()[monitor.window_of(span.end)]
-            stats.queue_wait.observe(queue_wait)
-            stats.service.observe(span.end - span.start)
+            stats = monitor._window(span.end)
+            stats.queue_wait.append(queue_wait)
+            stats.service.append(span.end - span.start)
             submit = args.get("submit")
             if submit is None:
                 key = (span.stream, fallback)
@@ -414,11 +413,16 @@ class Monitor:
         stats = self._require()
         width = self.window_seconds
 
-        def hist_series(pick):
+        def hist_series(kind: str):
+            hists = []
+            for window in stats:
+                hist = Histogram(kind)
+                hist.observe_all(getattr(window, kind))
+                hists.append(hist)
             return {
-                "p50": [pick(s).quantile(0.50) for s in stats],
-                "p99": [pick(s).quantile(0.99) for s in stats],
-                "mean": [pick(s).mean for s in stats],
+                "p50": [h.quantile(0.50) for h in hists],
+                "p99": [h.quantile(0.99) for h in hists],
+                "mean": [h.mean for h in hists],
             }
 
         streams = sorted({name for s in stats for name in s.streams})
@@ -446,9 +450,9 @@ class Monitor:
             "offered_rps": [s.offered / width for s in stats],
             "shed_rate": [s.shed / s.offered if s.offered else 0.0
                           for s in stats],
-            "latency": hist_series(lambda s: s.latency),
-            "queue_wait": hist_series(lambda s: s.queue_wait),
-            "service": hist_series(lambda s: s.service),
+            "latency": hist_series("latency"),
+            "queue_wait": hist_series("queue_wait"),
+            "service": hist_series("service"),
             "backlog_mean": [s.backlog_sum / s.backlog_count
                              if s.backlog_count else 0.0 for s in stats],
             "backlog_max": [s.backlog_max for s in stats],

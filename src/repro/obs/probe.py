@@ -180,9 +180,9 @@ class Probe:
             self.trace.pop_op()
 
     def op_done(self, op, result, latency_target: Optional[float],
-                violated: bool, cache_before: Optional[dict],
-                cache_after: Optional[dict]) -> None:
-        """One executed op, after the scheduler's accounting."""
+                violated: bool, cache: Optional[dict]) -> None:
+        """One executed op, after the scheduler's accounting; ``cache``
+        holds the op's DRAM-tier counter deltas."""
         if self.metrics is not None:
             met = self._met
             self.metrics.observe(met + "sched.queue_wait",
@@ -206,9 +206,7 @@ class Probe:
                     latency=result.end_time - op.submit_time,
                     target=latency_target)
         if self.monitor is not None:
-            self.monitor.note_op(op, violated=violated,
-                                 cache_before=cache_before,
-                                 cache_after=cache_after)
+            self.monitor.note_op(op, violated, cache)
 
     # open-loop traffic
     def offered(self, stream: str, time: float) -> None:

@@ -27,6 +27,7 @@ from __future__ import annotations
 from heapq import heappush, heapreplace
 from typing import Dict, List, Optional
 
+from repro.runtime.ledger import OpLedger
 from repro.runtime.tileop import DEFAULT_STREAM, TileOp
 
 __all__ = ["QueueDepthWindow", "StreamHandle", "RequestScheduler",
@@ -218,12 +219,15 @@ class RequestScheduler:
         self.executed: List[TileOp] = []
         self._pending: List[TileOp] = []
         self._next_op_id = 0
-        #: per-stream deltas of the executor's fault counters (empty
-        #: unless the executor exposes ``fault_counters`` and an
-        #: injector is attached)
+        #: the executing op's counter increments, pushed by the
+        #: executor's tier, fault injector and cluster layer (wired by
+        #: the owning system)
+        self.ledger = OpLedger()
+        #: per-stream sums of the ledger's fault deltas, plus
+        #: ``ops_failed``
         self._fault_totals: Dict[str, Dict[str, int]] = {}
-        #: per-stream deltas of the executor's DRAM cache counters
-        #: (empty unless a cache tier is attached)
+        #: per-stream sums of the ledger's DRAM-tier deltas (empty
+        #: unless a cache tier is attached)
         self._cache_totals: Dict[str, Dict[str, int]] = {}
 
     # ------------------------------------------------------------------
@@ -281,9 +285,10 @@ class RequestScheduler:
         executed ops (results attached) in execution order.
 
         Error policy: an op that raises a typed storage error is
-        *consumed* (its fault counters land on its stream), the error
-        propagates, and every not-yet-executed op **stays pending** — a
-        later ``drain()`` resumes exactly where this one stopped.
+        *consumed* (its fault and cache counters land on its stream),
+        the error propagates, and every not-yet-executed op **stays
+        pending** — a later ``drain()`` resumes exactly where this one
+        stopped.
         """
         executed: List[TileOp] = []
         rotation: List[str] = []
@@ -432,9 +437,10 @@ class RequestScheduler:
 
     def stream_fault_report(self) -> Dict[str, Dict[str, int]]:
         """Per-stream fault/retry/error counters accumulated across all
-        executed ops (empty when no injector is attached or nothing
-        fired). Keys mirror the injector's counters, plus
-        ``ops_failed`` for ops that raised a typed storage error."""
+        executed ops (empty when no fault source is attached or nothing
+        fired). Keys mirror the injector's counters (and a pool's
+        ``cluster_*`` counts), plus ``ops_failed`` for ops that raised
+        while the executor had a fault source."""
         return {name: dict(counters)
                 for name, counters in self._fault_totals.items() if counters}
 
@@ -457,63 +463,43 @@ class RequestScheduler:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _account_faults(self, op: TileOp, before: Dict[str, int],
-                        after: Optional[Dict[str, int]],
-                        failed: bool = False, result=None) -> None:
-        if after is None:
-            return
-        totals = self._fault_totals.setdefault(op.stream, {})
-        for name, value in after.items():
-            delta = value - before.get(name, 0)
-            if delta:
-                totals[name] = totals.get(name, 0) + delta
-                if result is not None:
-                    result.stats.count(name, delta)
-        if failed:
-            totals["ops_failed"] = totals.get("ops_failed", 0) + 1
-
-    def _account_cache(self, op: TileOp, before: Dict[str, int],
-                       after: Optional[Dict[str, int]]) -> None:
-        if after is None:
-            return
-        totals = self._cache_totals.setdefault(op.stream, {})
-        for name, value in after.items():
-            delta = value - before.get(name, 0)
-            if delta:
-                totals[name] = totals.get(name, 0) + delta
-
     def _run(self, op: TileOp) -> None:
         handle = self.streams[op.stream]
         earliest = handle.window.earliest(op.submit_time)
-        faults = getattr(self.executor, "fault_counters", None)
-        before = faults() if faults is not None else None
-        cache = getattr(self.executor, "cache_counters", None)
-        cache_before = cache() if cache is not None else None
+        ledger = self.ledger
+        ledger.open()
         probe = self.probe
         if probe is not None:
             probe.op_begin(op.stream, op.op_id)
+        result = None
         try:
             result = self.executor._execute_op(op, earliest)
-        except Exception:
-            if before is not None:
-                self._account_faults(op, before, faults(), failed=True)
-            raise
         finally:
             if probe is not None:
                 probe.op_end()
+            cache, faults = ledger.close()
+            # a stream's entry opens at its first op with a counter
+            # source attached, not at its first nonzero delta: that
+            # fixes the stream order of the reports
+            if cache or (result is not None and ledger.cache_sources):
+                totals = self._cache_totals.setdefault(op.stream, {})
+                for name, delta in cache.items():
+                    totals[name] = totals.get(name, 0) + delta
+            if faults or ledger.fault_source():
+                totals = self._fault_totals.setdefault(op.stream, {})
+                for name, delta in faults.items():
+                    totals[name] = totals.get(name, 0) + delta
+                    if result is not None:
+                        result.stats.count(name, delta)
+                if result is None:
+                    totals["ops_failed"] = totals.get("ops_failed", 0) + 1
         op.result = result
         op.issue_time = result.start_time
         op.complete_time = result.end_time
-        if before is not None:
-            self._account_faults(op, before, faults(), result=result)
-        cache_after = cache() if cache_before is not None else None
-        if cache_before is not None:
-            self._account_cache(op, cache_before, cache_after)
         handle.window.complete(result.end_time)
         handle.ops.append(op)
         self.executed.append(op)
         violated = handle.note_result(result.end_time - result.start_time,
                                       result.end_time - op.submit_time)
         if probe is not None:
-            probe.op_done(op, result, handle.latency_target, violated,
-                          cache_before, cache_after)
+            probe.op_done(op, result, handle.latency_target, violated, cache)

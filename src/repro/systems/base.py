@@ -97,7 +97,37 @@ class StorageSystem(abc.ABC):
         if sched is None:
             sched = RequestScheduler(self)
             self._scheduler = sched
+            self._connect_ledger(sched.ledger)
         return sched
+
+    def _connect_ledger(self, ledger) -> None:
+        """Point the system's counter sources at its scheduler's
+        :class:`~repro.runtime.ledger.OpLedger`: the DRAM tier and the
+        fault injector, or on a pool the cluster layer, with each
+        member's ledger chained under this one."""
+        cluster = self.cluster
+        if cluster is not None:
+            cluster.ledger = ledger
+            for member in self._member_systems():
+                inner = member.scheduler.ledger
+                inner.parent = ledger
+                ledger.cache_sources += inner.cache_sources
+                ledger.fault_sources += inner.fault_sources
+            injected = bool(ledger.fault_sources)
+            counts, pool = cluster.stats.counters, cluster.pool
+            ledger.fault_sources += (("cluster_", counts),)
+            # the condition under which fault_counters() is not None
+            ledger.fault_source = (
+                lambda: injected or bool(counts) or pool.has_kill_plan)
+            return
+        if self.tier is not None:
+            self.tier.ledger = ledger
+            ledger.cache_sources = (("", self.tier.counters),)
+        injector = self._injector()
+        if injector is not None:
+            injector.ledger = ledger
+            ledger.fault_sources = (("", injector.stats.counters),)
+            ledger.fault_source = lambda: True
 
     def set_trace(self, recorder: Optional[TraceRecorder]) -> None:
         """Subscribe (or unsubscribe with None) a trace recorder to the
@@ -159,17 +189,23 @@ class StorageSystem(abc.ABC):
         as an absent DRAM tier, are skipped)."""
         return ()
 
-    def fault_counters(self) -> Optional[dict]:
-        """Snapshot of the flash fault injector's counters (None when no
-        injector is attached) — the scheduler diffs this around each op
-        for per-stream error/retry metrics."""
-        if self.cluster is not None:
-            return self.cluster.fault_counters()
+    def _injector(self):
+        """The flash fault injector (None when none is attached)."""
         for holder in (self, getattr(self, "ssd", None)):
             flash = getattr(holder, "flash", None)
             if flash is not None and getattr(flash, "faults", None) is not None:
-                return flash.faults.counters()
+                return flash.faults
         return None
+
+    def fault_counters(self) -> Optional[dict]:
+        """Snapshot of the flash fault injector's counters (summed over
+        pool members plus the ``cluster_*`` counts when clustered; None
+        when there is no fault source). Per-op deltas do not come from
+        here: the injector pushes them into the scheduler's ledger."""
+        if self.cluster is not None:
+            return self.cluster.fault_counters()
+        injector = self._injector()
+        return injector.counters() if injector is not None else None
 
     # ------------------------------------------------------------------
     # host DRAM cache tier (optional; absent = bit-identical)
@@ -200,8 +236,9 @@ class StorageSystem(abc.ABC):
 
     def cache_counters(self) -> Optional[dict]:
         """Snapshot of the DRAM tier's counters (summed over pool
-        members when clustered; None with no tier attached) — the
-        scheduler diffs this around each op for per-stream hit rates."""
+        members when clustered; None with no tier attached). Per-op
+        deltas do not come from here: the tier pushes them into the
+        scheduler's ledger."""
         if self.tier is not None:
             return self.tier.counters_snapshot()
         totals: Optional[dict] = None

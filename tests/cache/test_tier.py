@@ -121,6 +121,31 @@ class TestWriteBack:
         assert tier.counters["writebacks"] == 4
         assert tier.flush_all(end) == end  # idempotent
 
+    def test_dirty_bytes_matches_recount_under_churn(self):
+        """The running dirty-byte count equals a recount of the dirty
+        set through inserts, dirty refreshes that resize, flushes,
+        evictions and invalidations."""
+        import random
+
+        rng = random.Random(7)
+        tier = make_tier(capacity_bytes=600, write_back=True, dirty_max=4)
+        tier.flush_fn = lambda entry, now: now
+        for _ in range(400):
+            key = rng.randrange(12)
+            action = rng.random()
+            if action < 0.6:
+                tier.insert(key, rng.choice((40, 90, 150)), 0.0,
+                            dirty=rng.random() < 0.6)
+            elif action < 0.75:
+                tier.flush_entry(key, 0.0)
+            elif action < 0.9:
+                tier.invalidate(key)
+            else:
+                tier.lookup(key)
+            assert tier.dirty_bytes == sum(
+                tier.entries[k].nbytes for k in tier.entries
+                if tier.entries[k].dirty)
+
     def test_flush_without_callback_raises(self):
         tier = make_tier(write_back=True)
         tier.insert("k", 10, 0.0, dirty=True)
