@@ -2,14 +2,14 @@
 """Macro wall-clock benchmark for the simulator hot path.
 
 Runs the GEMM and conv2d tile-sweep scenarios on all four systems,
-prints the wall-clock table and writes ``BENCH_sim.json`` — wall
+prints the wall-clock table and writes ``bench_hotpath.json`` — wall
 numbers plus a deterministic ``simulated`` section that must be
 byte-identical across runs (CI's ``bench-smoke`` job diffs it).
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_hotpath.py \
-        [--json BENCH_sim.json] [--tiles 48] [--repeats 1]
+        [--json bench_hotpath.json] [--tiles 48] [--repeats 1]
 
 Equivalent to ``python -m repro bench``.
 """
@@ -23,8 +23,9 @@ from pathlib import Path
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--json", default="BENCH_sim.json", metavar="PATH",
-                        help="output JSON path (default BENCH_sim.json)")
+    parser.add_argument("--json", default="bench_hotpath.json",
+                        metavar="PATH",
+                        help="output JSON path (default bench_hotpath.json)")
     parser.add_argument("--tiles", type=int, default=48,
                         help="max tile fetches per workload (default 48)")
     parser.add_argument("--repeats", type=int, default=1,

@@ -548,10 +548,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="print the text timeline even with --json")
     monitor.set_defaults(fn=_cmd_monitor)
     bench = sub.add_parser(
-        "bench", help="wall-clock hot-path benchmark (BENCH_sim.json)")
-    bench.add_argument("--json", default="BENCH_sim.json", metavar="PATH",
+        "bench", help="wall-clock hot-path benchmark (bench_hotpath.json)")
+    bench.add_argument("--json", default="bench_hotpath.json",
+                       metavar="PATH",
                        help="write wall + simulated numbers to PATH "
-                            "(default BENCH_sim.json; empty string "
+                            "(default bench_hotpath.json; empty string "
                             "disables)")
     bench.add_argument("--tiles", type=int, default=48,
                        help="max tile fetches per workload (default 48)")

@@ -294,6 +294,12 @@ class PageMapFTL:
             for c in range(geometry.channels)
             for b in range(geometry.banks_per_channel)
         }
+        channels = geometry.channels
+        #: the stripe target plane of every ``lpn % (channels * banks)``
+        #: (:meth:`stripe_target` as a table)
+        self.stripe_planes: List[PlaneAllocator] = [
+            self.planes[(slot % channels, slot // channels)]
+            for slot in range(channels * geometry.banks_per_channel)]
 
     # ------------------------------------------------------------------
     def stripe_target(self, lpn: int) -> Tuple[int, int]:

@@ -16,6 +16,7 @@ import numpy as np
 from repro.faults.errors import ProgramFailError
 from repro.ftl.gc import GarbageCollector
 from repro.ftl.mapping import PageMapFTL
+from repro.nvm.address import PhysicalPageAddress
 from repro.nvm.flash import FlashArray
 from repro.nvm.profiles import DeviceProfile
 from repro.sim.stats import StatSet
@@ -72,75 +73,115 @@ class BaselineSSD:
         ``start_time``; runs GC inline when a plane crosses the
         free-space threshold."""
         self._check_lpns(lpns)
-        end = start_time
         stats = StatSet()
-        if self.flash.faults is None:
-            # Batched fan-out: no injector means no ProgramFailError, so
-            # consecutive programs between GC events can go to the flash
-            # array as one batch. Every page still issues at
-            # ``start_time`` in LPN order, so the reserve chains — and
-            # the timings — are bit-identical to the per-page calls.
-            batch_ppas: List = []
-            batch_data: Optional[List] = [] if data is not None else None
-            for position, lpn in enumerate(lpns):
-                channel, bank = self.ftl.stripe_target(lpn)
-                if self.gc.needs_collection(channel, bank):
-                    if batch_ppas:
-                        op = self.flash.program_pages(batch_ppas, start_time,
-                                                      data=batch_data)
-                        for done in op.completions:
-                            if done > end:
-                                end = done
-                        batch_ppas = []
-                        batch_data = [] if data is not None else None
-                    gc_result = self.gc.collect(channel, bank, end)
-                    end = max(end, gc_result.end_time)
-                    stats.merge(gc_result.stats)
-                ppa, old = self.ftl.allocate(lpn)
-                self.gc.note_alloc(lpn, ppa, old)
-                batch_ppas.append(ppa)
-                if batch_data is not None:
-                    batch_data.append(data[position])
-            if batch_ppas:
-                op = self.flash.program_pages(batch_ppas, start_time,
-                                              data=batch_data)
-                for done in op.completions:
+        end = self._program_lpns(lpns, start_time, data, stats)
+        return DeviceOpResult(start_time=start_time, end_time=end, stats=stats)
+
+    def _program_lpns(self, lpns: Sequence[int], start_time: float,
+                      data: Optional[Sequence[np.ndarray]],
+                      stats: StatSet) -> float:
+        """The FTL write step behind :meth:`write_lpns` and the host I/O
+        engine's write flow; the caller has checked ``lpns``. Counts go
+        straight into ``stats``. Returns the end time.
+
+        Per LPN, in order: when its stripe target plane is below the GC
+        threshold, the pending programs go to the flash array and the
+        plane is collected starting at the running end; then the LPN
+        is bound to the plane's append point. Every program issues at
+        ``start_time``. With no injector attached nothing can fail, so
+        the programs between collections go out as one batch — the
+        reserve chains, and the timings, equal per-page calls. With an
+        injector each page is programmed at once (:meth:`_program_one`).
+        """
+        flash = self.flash
+        faults = flash.faults
+        gc = self.gc
+        collect = gc.collect
+        reverse = gc.reverse
+        ftl = self.ftl
+        fmap = ftl.map
+        map_get = fmap.get
+        planes = ftl.planes
+        stripe_planes = ftl.stripe_planes
+        stripes = len(stripe_planes)
+        geometry = self.geometry
+        banks = geometry.banks_per_channel
+        blocks = geometry.blocks_per_bank
+        per_block = geometry.pages_per_block
+        per_bank = geometry.pages_per_bank
+        threshold = gc.threshold
+        program_chain = flash._program_chain
+        count_flash = flash.stats.count
+        end = start_time
+        batch: List = []
+        payloads: Optional[List] = [] if data is not None else None
+        for position, lpn in enumerate(lpns):
+            plane = stripe_planes[lpn % stripes]
+            if plane.free_pages / per_bank < threshold:
+                if batch:
+                    done = program_chain(batch, start_time, payloads)
+                    count_flash("pages_programmed", len(batch))
                     if done > end:
                         end = done
-            stats.count("device_pages_written", len(lpns))
-            return DeviceOpResult(start_time=start_time, end_time=end,
-                                  stats=stats)
-        for position, lpn in enumerate(lpns):
-            channel, bank = self.ftl.stripe_target(lpn)
-            if self.gc.needs_collection(channel, bank):
-                gc_result = self.gc.collect(channel, bank, end)
-                end = max(end, gc_result.end_time)
+                    batch = []
+                    payloads = [] if data is not None else None
+                gc_result = collect(plane.channel, plane.bank, end)
+                if gc_result.end_time > end:
+                    end = gc_result.end_time
                 stats.merge(gc_result.stats)
-            ppa, old = self.ftl.allocate(lpn)
-            self.gc.note_alloc(lpn, ppa, old)
-            payload = None
-            if data is not None:
-                payload = [data[position]]
-            issue = start_time
-            while True:
-                try:
-                    op = self.flash.program_pages([ppa], issue, data=payload)
-                    break
-                except ProgramFailError as err:
-                    # grown bad block: undo the failed binding, retire
-                    # the block (relocating its other live pages), and
-                    # re-drive the program at a fresh append point
-                    plane = self.ftl.planes[(ppa.channel, ppa.bank)]
-                    plane.invalidate(ppa)
-                    self.gc.note_trim(ppa)
-                    self.ftl.map.pop(lpn, None)
-                    issue = self.gc.retire_block(ppa.channel, ppa.bank,
-                                                 ppa.block, err.fail_time)
-                    ppa, old = self.ftl.allocate(lpn)
-                    self.gc.note_alloc(lpn, ppa, old)
-            end = max(end, op.end_time)
+            # PageMapFTL.allocate, then GarbageCollector.note_alloc
+            # (reverse keys are ppa_to_index)
+            old = map_get(lpn)
+            if old is not None:
+                planes[(old.channel, old.bank)].invalidate(old)
+            ppa = plane.allocate_page()
+            fmap[lpn] = ppa
+            if old is not None:
+                reverse.pop(((old.channel * banks + old.bank) * blocks
+                             + old.block) * per_block + old.page, None)
+            reverse[((plane.channel * banks + plane.bank) * blocks
+                     + ppa.block) * per_block + ppa.page] = lpn
+            if faults is None:
+                batch.append(ppa)
+                if payloads is not None:
+                    payloads.append(data[position])
+                continue
+            done = self._program_one(
+                lpn, ppa, start_time,
+                (data[position],) if data is not None else None)
+            if done > end:
+                end = done
+        if batch:
+            done = program_chain(batch, start_time, payloads)
+            count_flash("pages_programmed", len(batch))
+            if done > end:
+                end = done
         stats.count("device_pages_written", len(lpns))
-        return DeviceOpResult(start_time=start_time, end_time=end, stats=stats)
+        return end
+
+    def _program_one(self, lpn: int, ppa: PhysicalPageAddress,
+                     issue: float, payload: Optional[tuple]) -> float:
+        """Program one page of :meth:`_program_lpns` with an injector
+        attached. On a ``ProgramFailError`` (grown bad block) undo the
+        failed binding, retire the block (relocating its other live
+        pages) and re-drive the program at a fresh append point.
+        Returns the completion time."""
+        flash = self.flash
+        while True:
+            try:
+                done = flash._program_chain((ppa,), issue, payload)
+                break
+            except ProgramFailError as err:
+                plane = self.ftl.planes[(ppa.channel, ppa.bank)]
+                plane.invalidate(ppa)
+                self.gc.note_trim(ppa)
+                self.ftl.map.pop(lpn, None)
+                issue = self.gc.retire_block(ppa.channel, ppa.bank,
+                                             ppa.block, err.fail_time)
+                ppa, old = self.ftl.allocate(lpn)
+                self.gc.note_alloc(lpn, ppa, old)
+        flash.stats.count("pages_programmed", 1)
+        return done
 
     def read_lpns(self, lpns: Sequence[int], start_time: float = 0.0,
                   with_data: bool = False) -> DeviceOpResult:

@@ -84,10 +84,13 @@ class HostIoEngine:
     """Drives a :class:`BaselineSSD` through a link with host CPU costs.
 
     Both flows inline every layer's Timeline bookkeeping — the host
-    issue core, the device controller, the FTL map and flash fan-out,
-    the link and the host copy cores — in the FCFS order of the
-    per-layer calls (``cpu.issue_io``, ``link.transfer``, ``cpu.copy``),
-    so each float operation happens in the same sequence. With a probe
+    issue core, the device controller, the link and the host copy
+    cores — in the FCFS order of the per-layer calls (``cpu.issue_io``,
+    ``link.transfer``, ``cpu.copy``), so each float operation happens in
+    the same sequence. On the device side the read flow walks the FTL
+    map and the flash read chain itself and the write flow calls the
+    FTL write step (``BaselineSSD._program_lpns``) into the run's stats,
+    so no request builds a device or flash result. With a probe
     attached, the events those layers would emit are emitted at the
     same point. Per-layer stats are committed when the batch ends, also when
     a request raises, so they always match the timelines.
@@ -245,14 +248,16 @@ class HostIoEngine:
                    start_time: float = 0.0) -> IoRunResult:
         """Execute write requests in order under the queue-depth limit:
         host software stack → optional host gather copy → link data
-        transfer → device controller → :meth:`BaselineSSD.write_lpns`,
-        which owns allocation, programs and GC."""
+        transfer → device controller → the FTL write step (allocation,
+        programs and GC; :meth:`BaselineSSD.write_lpns` without the
+        per-request result)."""
         result = IoRunResult(start_time=start_time, end_time=start_time)
         window = QueueDepthWindow(self.queue_depth)
         cpu = self.cpu
         link = self.link
         ssd = self.ssd
-        write_lpns = ssd.write_lpns
+        check_lpns = ssd._check_lpns
+        program_lpns = ssd._program_lpns
         issue_line = cpu.issue_line
         ctrl_line = self.controller_line
         link_line = link.line
@@ -266,7 +271,7 @@ class HostIoEngine:
         window_earliest = window.earliest
         window_complete = window.complete
         completions_append = result.completions.append
-        merge = result.stats.merge
+        stats = result.stats
         probe = self.probe
         ops_before = self._op_counts()
         issue_time_acc = cpu.stats.times.get("host_issue", 0.0)
@@ -336,14 +341,13 @@ class HostIoEngine:
                 if probe is not None:
                     probe.stage("device_ctrl", "ftl_map", "ftl.map",
                                 ctrl_start, ctrl_done)
-                # device: allocation, programs, GC
-                device = write_lpns(request.lpns, ctrl_done,
-                                    data=request.payload)
-                done = device.end_time
+                # device: allocation, programs, GC (ssd.write_lpns)
+                lpns = request.lpns
+                check_lpns(lpns)
+                done = program_lpns(lpns, ctrl_done, request.payload, stats)
                 window_complete(done)
                 completions_append(done)
                 useful_total += useful
-                merge(device.stats)
                 if done > end_time:
                     end_time = done
         finally:

@@ -386,7 +386,10 @@ class BaselineSystem(LpnTierOps, StorageSystem):
                       placement_chunk: Optional[int]) -> IoRequest:
         first = record.start_page + byte_start // self.page_size
         last = record.start_page + (byte_start + byte_len - 1) // self.page_size
-        return IoRequest(lpns=list(range(first, last + 1)),
+        # a range, not a list: a read op issues hundreds of one-page
+        # requests, and a range is neither built page by page nor
+        # tracked by the interpreter's cyclic GC
+        return IoRequest(lpns=range(first, last + 1),
                          useful_bytes=byte_len,
                          placement_chunk=placement_chunk)
 

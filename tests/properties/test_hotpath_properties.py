@@ -31,8 +31,13 @@ from repro.core.translator import (set_translation_cache_limit,
                                    translation_cache_limit)
 from repro.faults import FaultInjector, FaultPlan
 from repro.faults.model import FaultConfig
+from repro.ftl import BaselineSSD
 from repro.ftl.mapping import OutOfSpaceError
+from repro.host.cpu import HostCpu
+from repro.host.io_engine import HostIoEngine, IoRequest
+from repro.interconnect.link import Link
 from repro.nvm import FlashArray, Geometry, NvmTiming
+from repro.nvm.address import ppa_to_index
 from repro.nvm.profiles import TINY_TEST
 from repro.systems import BaselineSystem, HardwareNdsSystem, SoftwareNdsSystem
 
@@ -339,3 +344,64 @@ def test_free_space_index_matches_recount_baseline(data):
     except OutOfSpaceError:
         pass
     _assert_free_counts(planes)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_free_space_index_matches_recount_baseline_no_faults(data):
+    """The fault-free batched write loop (no injector attached) under
+    overwrite churn through FTL GC, with duplicate LPNs inside one
+    request, through both the host I/O engine and ``write_lpns``: after
+    every request the free counts equal a recount, the map and the GC
+    reverse table form one bijection, and the stored pages read back
+    as the numpy mirror predicts."""
+    ssd = BaselineSSD(TINY_TEST, store_data=True)
+    assert ssd.flash.faults is None
+    engine = HostIoEngine(ssd, Link(TINY_TEST.link_bandwidth,
+                                    TINY_TEST.link_command_overhead),
+                          HostCpu())
+    planes = ssd.ftl.planes
+    geometry = ssd.geometry
+    page = ssd.page_size
+    # half to two thirds of the logical space live: GC-dense, yet each
+    # plane keeps room for a victim's survivors (near full logical
+    # capacity the tiny geometry's FTL GC can run out of free pages)
+    live = data.draw(st.integers(ssd.logical_pages // 2,
+                                 ssd.logical_pages * 2 // 3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    mirror = {}
+
+    def write(lpns, now):
+        payload = [rng.integers(0, 256, page, dtype=np.uint8)
+                   for _ in lpns]
+        if data.draw(st.booleans()):
+            end = engine.run_writes(
+                [IoRequest(lpns=lpns, useful_bytes=len(lpns) * page,
+                           payload=payload)], now).end_time
+        else:
+            end = ssd.write_lpns(lpns, now, data=payload).end_time
+        for lpn, chunk in zip(lpns, payload):
+            mirror[lpn] = chunk  # a later duplicate wins
+        return end
+
+    def check():
+        _assert_free_counts(planes)
+        forward = {ppa_to_index(ppa, geometry): lpn
+                   for lpn, ppa in ssd.ftl.map.items()}
+        assert len(forward) == len(ssd.ftl.map)
+        assert forward == ssd.gc.reverse
+        lpns = sorted(mirror)
+        back = ssd.read_lpns(lpns, with_data=True).data
+        assert all(np.array_equal(got, mirror[lpn])
+                   for lpn, got in zip(lpns, back))
+
+    now = write(list(range(live)), 0.0)
+    check()
+    for _ in range(data.draw(st.integers(4, 24))):
+        size = data.draw(st.integers(1, 32))
+        lpns = data.draw(st.lists(st.integers(0, live - 1),
+                                  min_size=size, max_size=size))
+        if data.draw(st.booleans()):
+            lpns.append(lpns[0])  # the same LPN twice in one request
+        now = write(lpns, now)
+        check()
