@@ -16,6 +16,7 @@ import pytest
 
 from benchmarks.conftest import (MICRO_ELEM, MICRO_N, fresh_baseline, once)
 from repro.analysis import format_table
+from repro.cache import CacheConfig
 from repro.host.cpu import HostCpu
 from repro.nvm import PAPER_PROTOTYPE
 from repro.systems import BaselineSystem, HardwareNdsSystem, SoftwareNdsSystem
@@ -222,18 +223,20 @@ def test_ablation_software_copy_cores(benchmark):
 
 
 def test_ablation_page_cache(benchmark):
-    """§7.1's cache note: with a host page cache, repeated adjacent
-    column fetches against the row-store baseline are served from
-    memory. The first pass is as slow as ever — caching does not fix the
-    cold-fetch problem NDS solves."""
+    """§7.1's cache note: with a host system cache (the DRAM tier over
+    LPN runs), repeated adjacent column fetches against the row-store
+    baseline are served from memory. The first pass is as slow as ever
+    — caching does not fix the cold-fetch problem NDS solves."""
     def run():
-        system = BaselineSystem(PAPER_PROTOTYPE, cache_pages=2**20)
+        system = BaselineSystem(PAPER_PROTOTYPE,
+                                cache=CacheConfig(capacity_bytes=8 << 30))
         system.ingest("m", (MICRO_N, MICRO_N), MICRO_ELEM)
         system.reset_time()
         cold = system.read_tile("m", (0, 0), (MICRO_N, 256))
         system.reset_time()
         warm = system.read_tile("m", (0, 256), (MICRO_N, 256))
-        return cold.elapsed, warm.elapsed, system.cache.hit_ratio
+        return (cold.elapsed, warm.elapsed,
+                system.cache_report()["hit_rate"])
 
     cold, warm, hit_ratio = once(benchmark, run)
     print(f"\ncold column fetch {cold * 1e3:.2f} ms, adjacent warm fetch "

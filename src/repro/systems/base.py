@@ -214,19 +214,15 @@ class StorageSystem(abc.ABC):
         """Attach a :class:`~repro.cache.HostTierCache` when the
         constructor was given ``cache=CacheConfig(...)``. With the knob
         absent nothing is attached and every timed float is
-        bit-identical to the uncached model."""
+        bit-identical to the uncached model. Write-back flushes replay
+        the system's own ``_flush_cache_entry`` (each family base,
+        :class:`~repro.systems.nds.NdsSystem` and
+        :class:`~repro.systems.baseline.LinearSystem`, defines one)."""
         if cache is None:
             return
         from repro.cache import HostTierCache
         self.tier = HostTierCache(cache)
         self.tier.flush_fn = self._flush_cache_entry
-
-    def _flush_cache_entry(self, entry, now: float) -> float:
-        """Replay the architecture's device write path for one dirty
-        cached region (write-back durability). Systems that support
-        ``write_back=True`` override this."""
-        raise NotImplementedError(
-            f"{self.name} does not support write-back caching")
 
     def _member_systems(self) -> tuple:
         """Pool member systems (empty for single-device systems)."""

@@ -28,7 +28,7 @@ from repro.interconnect.link import Link
 from repro.nvm.profiles import DeviceProfile
 from repro.systems.base import StorageSystem, SystemOpResult, row_runs
 
-__all__ = ["BaselineSystem", "LpnTierOps"]
+__all__ = ["BaselineSystem", "LinearSystem"]
 
 #: request size at which the interconnect saturates (§2.1 [P2])
 DEFAULT_MAX_REQUEST_BYTES = 2 * 2**20
@@ -54,12 +54,154 @@ class _Dataset:
         return tuple(origin), tuple(extents)
 
 
-class LpnTierOps:
-    """DRAM-tier glue shared by the linear (LPN-addressed) systems.
+class LinearSystem(StorageSystem):
+    """Shared shell of the linear (LPN-addressed) systems: a
+    conventional SSD reached through the host I/O engine, and the
+    DRAM-tier glue over its LPN runs.
 
-    Entries are whole request runs keyed ``("lpn", first, last)`` with
-    the originating :class:`IoRequest` as payload, so a write-back
+    Tier entries are whole request runs keyed ``("lpn", first, last)``
+    with the originating :class:`IoRequest` as payload, so a write-back
     flush replays the exact request through the host I/O engine."""
+
+    def _init_device(self, profile: DeviceProfile, store_data: bool,
+                     queue_depth: int, max_request_bytes: int,
+                     cpu: Optional[HostCpu], faults, cache, devices: int,
+                     pool, extents_per_device: int, rebalance,
+                     factory) -> bool:
+        """Build the SSD, link, host CPU and I/O engine, or a device
+        pool of ``factory``-built members when more than one device is
+        asked for. Returns True when pooled (the caller then builds no
+        device parts of its own)."""
+        self.profile = profile
+        self.store_data = store_data
+        self.max_request_bytes = max_request_bytes
+        self.page_size = profile.geometry.page_size
+        if self._init_cluster(devices, pool, faults, rebalance,
+                              extents_per_device, factory):
+            return True
+        self.ssd = BaselineSSD(profile, store_data=store_data)
+        if faults is not None:
+            self.ssd.flash.attach_faults(FaultInjector(faults))
+        self.link = Link(profile.link_bandwidth, profile.link_command_overhead)
+        self.cpu = cpu if cpu is not None else HostCpu()
+        self.engine = HostIoEngine(self.ssd, self.link, self.cpu,
+                                   queue_depth=queue_depth)
+        self._next_page = 0
+        self._init_tier(cache)
+        return False
+
+    def _probed_layers(self) -> tuple:
+        return (self.cpu, self.link, self.engine, self.ssd.flash, self.ssd.gc,
+                self.tier)
+
+    def reset_time(self) -> None:
+        if self.cluster is not None:
+            self.cluster.reset_time()
+        else:
+            self.engine.reset_time()
+        self._reset_runtime()
+
+    def _split(self, first_page: int, pages: int,
+               payload: Optional[List[np.ndarray]]) -> List[IoRequest]:
+        """Cut ``pages`` consecutive pages from ``first_page`` into
+        saturating DMA-direct requests (``payload``: one array per page,
+        None timing-only)."""
+        per = max(1, self.max_request_bytes // self.page_size)
+        requests = []
+        for offset in range(0, pages, per):
+            count = min(per, pages - offset)
+            chunk_payload = None
+            if payload is not None:
+                chunk_payload = payload[offset:offset + count]
+            requests.append(IoRequest(
+                lpns=list(range(first_page + offset,
+                                first_page + offset + count)),
+                useful_bytes=count * self.page_size,
+                placement_chunk=None, payload=chunk_payload))
+        return requests
+
+    # ------------------------------------------------------------------
+    def _run_reads(self, requests: List[IoRequest], start_time: float,
+                   with_data: bool):
+        """Serve read requests, through the DRAM tier when one is
+        attached. Returns the engine's run result and the requests that
+        reached the device."""
+        tier = self.tier
+        functional = with_data and self.store_data
+        if tier is None:
+            return (self.engine.run_reads(requests, start_time,
+                                          with_data=functional), requests)
+        if functional:
+            raise NotImplementedError(
+                "functional reads with the DRAM tier enabled are not "
+                "supported on the linear systems; use cache=None for "
+                "data verification")
+        # whole-request hits never reach the engine — one contiguous
+        # host copy out of the tier per resident run
+        tier_end = start_time
+        remaining = []
+        for request in requests:
+            key = ("lpn", request.lpns[0], request.lpns[-1])
+            if tier.lookup(key) is not None:
+                tier_end = max(tier_end, self.cpu.copy(
+                    request.useful_bytes, start_time, 0,
+                    label="cache_copy"))
+                continue
+            remaining.append(request)
+        # coherence: buffered dirty runs overlapping the misses must
+        # reach flash before the device serves them
+        read_start = start_time
+        for request in remaining:
+            read_start = self._flush_overlapping_lpns(
+                request.lpns[0], request.lpns[-1], read_start)
+        run = self.engine.run_reads(remaining, read_start, with_data=False)
+        end = run.end_time
+        for request in remaining:
+            end = tier.insert(("lpn", request.lpns[0], request.lpns[-1]),
+                              len(request.lpns) * self.page_size, end,
+                              payload=request)
+        run.end_time = max(run.end_time, end, tier_end)
+        return run, remaining
+
+    def _run_writes(self, requests: List[IoRequest], start_time: float,
+                    useful_bytes: int) -> SystemOpResult:
+        """Serve write requests: absorbed into the DRAM tier under
+        write-back, else through the engine (dropping now-stale cached
+        copies of the overwritten runs under write-through)."""
+        tier = self.tier
+        if tier is not None and tier.config.write_back:
+            return SystemOpResult(
+                start_time=start_time,
+                end_time=self._absorb_writes(requests, start_time),
+                useful_bytes=useful_bytes, fetched_bytes=0,
+                requests=len(requests))
+        if tier is not None:
+            for request in requests:
+                self._invalidate_overlapping_lpns(request.lpns[0],
+                                                  request.lpns[-1])
+        run = self.engine.run_writes(requests, start_time)
+        return SystemOpResult(start_time=start_time, end_time=run.end_time,
+                              useful_bytes=useful_bytes,
+                              fetched_bytes=run.fetched_bytes,
+                              requests=len(requests), stats=run.stats)
+
+    def _absorb_writes(self, requests: List[IoRequest],
+                       start_time: float) -> float:
+        """Write-back: the runs never reach the engine now — one host
+        copy into the DRAM tier each; the device write is paid at
+        eviction, dirty-bound or fence. Returns the completion time."""
+        tier = self.tier
+        end = start_time
+        for request in requests:
+            done = self.cpu.copy(request.useful_bytes, start_time, 0,
+                                 label="cache_copy")
+            done = self._flush_overlapping_lpns(
+                request.lpns[0], request.lpns[-1], done, invalidate=True)
+            end = max(end, tier.insert(
+                ("lpn", request.lpns[0], request.lpns[-1]),
+                len(request.lpns) * self.page_size, done,
+                payload=request, dirty=True))
+        return end
 
     def _flush_cache_entry(self, entry, now: float) -> float:
         """Write one buffered dirty run back through the I/O engine, so
@@ -93,7 +235,7 @@ class LpnTierOps:
                 tier.invalidate(key)
 
 
-class BaselineSystem(LpnTierOps, StorageSystem):
+class BaselineSystem(LinearSystem):
     """Conventional SSD system with host-side data restructuring."""
 
     name = "baseline"
@@ -102,40 +244,19 @@ class BaselineSystem(LpnTierOps, StorageSystem):
                  queue_depth: int = 32,
                  max_request_bytes: int = DEFAULT_MAX_REQUEST_BYTES,
                  cpu: Optional[HostCpu] = None,
-                 cache_pages: int = 0,
                  faults: Optional["FaultConfig"] = None,
                  devices: int = 1, pool=None,
                  extents_per_device: int = 1, rebalance=None,
                  cache: Optional[CacheConfig] = None) -> None:
-        self.profile = profile
-        self.store_data = store_data
-        self.max_request_bytes = max_request_bytes
-        self.page_size = profile.geometry.page_size
-        if self._init_cluster(
-                devices, pool, faults, rebalance, extents_per_device,
+        if self._init_device(
+                profile, store_data, queue_depth, max_request_bytes, cpu,
+                faults, cache, devices, pool, extents_per_device, rebalance,
                 lambda i, f: BaselineSystem(
                     profile, store_data=store_data, queue_depth=queue_depth,
-                    max_request_bytes=max_request_bytes,
-                    cache_pages=cache_pages, faults=f, cache=cache)):
+                    max_request_bytes=max_request_bytes, faults=f,
+                    cache=cache)):
             return
-        self.ssd = BaselineSSD(profile, store_data=store_data)
-        if faults is not None:
-            self.ssd.flash.attach_faults(FaultInjector(faults))
-        self.link = Link(profile.link_bandwidth, profile.link_command_overhead)
-        self.cpu = cpu if cpu is not None else HostCpu()
-        self.engine = HostIoEngine(self.ssd, self.link, self.cpu,
-                                   queue_depth=queue_depth)
-        #: optional host page cache (§7.1's "system cache" effect);
-        #: 0 = disabled — the calibrated Fig. 9 runs measure cold reads
-        from repro.host.cache import PageCache
-        self.cache = PageCache(cache_pages)
         self._datasets: Dict[str, _Dataset] = {}
-        self._next_page = 0
-        self._init_tier(cache)
-
-    def _probed_layers(self) -> tuple:
-        return (self.cpu, self.link, self.engine, self.ssd.flash, self.ssd.gc,
-                self.tier)
 
     # ------------------------------------------------------------------
     def _execute_ingest(self, dataset: str, dims: Sequence[int],
@@ -165,7 +286,11 @@ class BaselineSystem(LpnTierOps, StorageSystem):
             if layout == "col" and len(dims) == 2:
                 array = array.T
             raw = np.ascontiguousarray(array).view(np.uint8).ravel()
-        requests = self._chunked_requests(record.start_page, pages, raw)
+        payload = None
+        if raw is not None:
+            payload = [raw[page * self.page_size:(page + 1) * self.page_size]
+                       for page in range(pages)]
+        requests = self._split(record.start_page, pages, payload)
         result = self.engine.run_writes(requests, start_time)
         return SystemOpResult(start_time=start_time, end_time=result.end_time,
                               useful_bytes=total_bytes,
@@ -203,65 +328,8 @@ class BaselineSystem(LpnTierOps, StorageSystem):
                 requests.append(self._read_request(
                     record, byte_start, byte_len, placement_chunk=0))
                 spans.append((byte_start, byte_len))
-        # DRAM tier: whole-request hits never reach the engine — one
-        # contiguous host copy out of the tier per resident run
-        tier = self.tier
-        tier_end = start_time
-        if tier is not None:
-            if with_data and self.store_data:
-                raise NotImplementedError(
-                    "functional reads with the DRAM tier enabled are not "
-                    "supported on the linear systems; use cache=None for "
-                    "data verification")
-            remaining = []
-            for request in requests:
-                key = ("lpn", request.lpns[0], request.lpns[-1])
-                if tier.lookup(key) is not None:
-                    tier_end = max(tier_end, self.cpu.copy(
-                        request.useful_bytes, start_time, 0,
-                        label="cache_copy"))
-                    continue
-                remaining.append(request)
-            requests = remaining
-        # host page cache: hits skip the device, costing one host copy
-        cached_bytes = 0
-        if self.cache.capacity:
-            if with_data and self.store_data:
-                raise NotImplementedError(
-                    "functional reads with the page cache enabled are not "
-                    "supported; use cache_pages=0 for data verification")
-            remaining: List[IoRequest] = []
-            for request in requests:
-                outcome = self.cache.access(request.lpns)
-                if not outcome.misses:
-                    cached_bytes += request.useful_bytes
-                    continue
-                remaining.append(IoRequest(
-                    lpns=list(outcome.misses),
-                    useful_bytes=request.useful_bytes,
-                    placement_chunk=request.placement_chunk))
-            requests = remaining
-        read_start = start_time
-        if tier is not None:
-            # coherence: buffered dirty runs overlapping the misses must
-            # reach flash before the device serves them
-            for request in requests:
-                read_start = self._flush_overlapping_lpns(
-                    request.lpns[0], request.lpns[-1], read_start)
-        run_result = self.engine.run_reads(requests, start_time
-                                           if tier is None else read_start,
-                                           with_data=with_data and self.store_data)
-        if cached_bytes:
-            copy_end = self.cpu.copy(cached_bytes, start_time, 0)
-            run_result.end_time = max(run_result.end_time, copy_end)
-        if tier is not None:
-            end = run_result.end_time
-            for request in requests:
-                end = tier.insert(
-                    ("lpn", request.lpns[0], request.lpns[-1]),
-                    len(request.lpns) * self.page_size, end,
-                    payload=request)
-            run_result.end_time = max(run_result.end_time, end, tier_end)
+        run_result, requests = self._run_reads(requests, start_time,
+                                               with_data)
         data = None
         if with_data and self.store_data:
             data = self._assemble(record, l_extents, spans, run_result.data)
@@ -322,55 +390,10 @@ class BaselineSystem(LpnTierOps, StorageSystem):
                 lpns=list(range(first, first + count)),
                 useful_bytes=byte_len, placement_chunk=gather_chunk,
                 payload=payload))
-        if self.cache.capacity:
-            for request in requests:
-                self.cache.invalidate(request.lpns)
-        tier = self.tier
-        if tier is not None and tier.config.write_back:
-            # write-back: the runs never reach the engine now — one host
-            # copy into the DRAM tier each; the device write is paid at
-            # eviction, dirty-bound or fence
-            end = start_time
-            for request in requests:
-                done = self.cpu.copy(request.useful_bytes, start_time, 0,
-                                     label="cache_copy")
-                done = self._flush_overlapping_lpns(
-                    request.lpns[0], request.lpns[-1], done,
-                    invalidate=True)
-                end = max(end, tier.insert(
-                    ("lpn", request.lpns[0], request.lpns[-1]),
-                    len(request.lpns) * self.page_size, done,
-                    payload=request, dirty=True))
-            useful = elem
-            for extent in extents:
-                useful *= extent
-            return SystemOpResult(start_time=start_time, end_time=end,
-                                  useful_bytes=useful, fetched_bytes=0,
-                                  requests=len(requests))
-        if tier is not None:
-            # write-through: cached copies of the overwritten runs are
-            # now stale
-            for request in requests:
-                self._invalidate_overlapping_lpns(request.lpns[0],
-                                                  request.lpns[-1])
-        run_result = self.engine.run_writes(requests, start_time)
         useful = elem
         for extent in extents:
             useful *= extent
-        return SystemOpResult(start_time=start_time,
-                              end_time=run_result.end_time,
-                              useful_bytes=useful,
-                              fetched_bytes=run_result.fetched_bytes,
-                              requests=len(requests), stats=run_result.stats)
-
-    # ------------------------------------------------------------------
-    def reset_time(self) -> None:
-        if self.cluster is not None:
-            self.cluster.reset_time()
-            self._reset_runtime()
-            return
-        self.engine.reset_time()
-        self._reset_runtime()
+        return self._run_writes(requests, start_time, useful)
 
     # ------------------------------------------------------------------
     # internals
@@ -392,24 +415,6 @@ class BaselineSystem(LpnTierOps, StorageSystem):
         return IoRequest(lpns=range(first, last + 1),
                          useful_bytes=byte_len,
                          placement_chunk=placement_chunk)
-
-    def _chunked_requests(self, start_page: int, pages: int,
-                          raw: Optional[np.ndarray]) -> List[IoRequest]:
-        pages_per_request = max(1, self.max_request_bytes // self.page_size)
-        requests = []
-        for first in range(0, pages, pages_per_request):
-            count = min(pages_per_request, pages - first)
-            payload = None
-            if raw is not None:
-                payload = []
-                for page in range(first, first + count):
-                    lo = page * self.page_size
-                    payload.append(raw[lo:lo + self.page_size])
-            requests.append(IoRequest(
-                lpns=list(range(start_page + first, start_page + first + count)),
-                useful_bytes=count * self.page_size,
-                placement_chunk=None, payload=payload))
-        return requests
 
     def _assemble(self, record: _Dataset, l_extents: Sequence[int],
                   spans: List[Tuple[int, int]],

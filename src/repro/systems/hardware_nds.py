@@ -16,25 +16,20 @@ the source of the 17 % write-bandwidth penalty of Fig. 9(d).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cache.config import CacheConfig
-from repro.cache.nd import (neighbor_regions, region_group, region_key,
-                            slices_overlap)
+from repro.cache.nd import region_key
 from repro.core.api import bytes_to_array
 from repro.core.controller import ControllerTiming, NdsController
-from repro.core.errors import FaultError, NdsError
-from repro.core.stl import SpaceTranslationLayer
-from repro.core.translator import pages_for_region
-from repro.faults.injector import FaultInjector
 from repro.faults.model import FaultConfig
 from repro.host.cpu import HostCpu
-from repro.interconnect.link import Link
-from repro.nvm.flash import FlashArray
 from repro.nvm.profiles import DeviceProfile
-from repro.systems.base import StorageSystem, SystemOpResult
+from repro.sim.resources import Timeline
+from repro.systems.base import SystemOpResult
+from repro.systems.nds import NdsSystem
 
 __all__ = ["HardwareNdsSystem"]
 
@@ -43,7 +38,7 @@ __all__ = ["HardwareNdsSystem"]
 DEFAULT_SEGMENT_BYTES = 2 * 2**20
 
 
-class HardwareNdsSystem(StorageSystem):
+class HardwareNdsSystem(NdsSystem):
     """NDS-compliant SSD: STL + assembly inside the device controller."""
 
     name = "hardware-nds"
@@ -58,39 +53,22 @@ class HardwareNdsSystem(StorageSystem):
                  devices: int = 1, pool=None,
                  extents_per_device: int = 1, rebalance=None,
                  cache: Optional[CacheConfig] = None) -> None:
-        self.profile = profile
-        self.store_data = store_data
         self.segment_bytes = segment_bytes
-        self.bb_override = bb_override
-        self.page_size = profile.geometry.page_size
         self.cipher = cipher
-        if self._init_cluster(
-                devices, pool, faults, rebalance, extents_per_device,
+        if self._init_device(
+                profile, store_data, bb_override, cpu, faults, cache, devices,
+                pool, extents_per_device, rebalance,
                 lambda i, f: HardwareNdsSystem(
                     profile, store_data=store_data,
                     controller_timing=controller_timing,
                     segment_bytes=segment_bytes, bb_override=bb_override,
                     cipher=cipher, faults=f, cache=cache)):
             return
-        self.flash = FlashArray(profile.geometry, profile.timing,
-                                store_data=store_data)
-        if faults is not None:
-            self.flash.attach_faults(FaultInjector(faults))
-        self.stl = SpaceTranslationLayer(self.flash,
-                                         gc_threshold=profile.overprovisioning,
-                                         parity=faults.parity
-                                         if faults is not None else False)
         self.controller = NdsController(controller_timing)
-        self.link = Link(profile.link_bandwidth, profile.link_command_overhead)
-        self.cpu = cpu if cpu is not None else HostCpu()
         # optional controller AES engine (§5.3.3): decryption rides the
         # assembly path, encryption the disassembly path; the engine is
         # one shared pipeline resource
-        from repro.sim.resources import Timeline
         self.cipher_line = Timeline("aes_engine")
-        self._spaces: Dict[str, int] = {}
-        self._bulk_ingest = False
-        self._init_tier(cache)
 
     def _crypt(self, earliest_start: float, num_bytes: int) -> float:
         """Push bytes through the shared AES engine; returns finish."""
@@ -104,32 +82,7 @@ class HardwareNdsSystem(StorageSystem):
         return end
 
     def _probed_layers(self) -> tuple:
-        return (self.cpu, self.link, self.controller, self.flash,
-                self.stl.gc, self.tier)
-
-    # ------------------------------------------------------------------
-    def _execute_ingest(self, dataset: str, dims: Sequence[int],
-                        element_size: int,
-                        data: Optional[np.ndarray] = None,
-                        start_time: float = 0.0,
-                        shard=None) -> SystemOpResult:
-        if dataset in self._spaces:
-            raise ValueError(f"dataset {dataset!r} already ingested")
-        space = self.stl.create_space(
-            dims, element_size, bb_override=self.bb_override,
-            shard=shard,
-            # rank >= 3: 3-D cube blocks over bank-level parallelism
-            # (§4.1 Eq. 3/4)
-            use_3d_blocks=len(tuple(dims)) >= 3 and self.bb_override is None)
-        self._spaces[dataset] = space.space_id
-        # bulk load bypasses the DRAM tier: a whole dataset would blow
-        # through the byte budget and churn the dirty set for nothing
-        self._bulk_ingest = True
-        try:
-            return self._execute_write(dataset, tuple(0 for _ in dims), dims,
-                                       data=data, start_time=start_time)
-        finally:
-            self._bulk_ingest = False
+        return super()._probed_layers() + (self.controller,)
 
     # ------------------------------------------------------------------
     def _execute_read(self, dataset: str, origin: Sequence[int],
@@ -209,13 +162,9 @@ class HardwareNdsSystem(StorageSystem):
                 # assembled regions land in the host tier once the final
                 # segment arrives
                 for access in accesses:
-                    region_bytes = access.element_count() * elem
-                    data = (self.stl.block_region_data(space_id, access)
-                            if self.store_data else None)
-                    end = tier.insert(
-                        region_key(dataset, access), region_bytes, end,
-                        payload=(dataset, space_id, access), data=data,
-                        group=region_group(dataset, access))
+                    end = self._cache_region(
+                        dataset, space_id, access, end,
+                        data=self._region_data(space_id, access))
         if tier is not None and missed and tier.config.prefetch:
             # async readahead: speculative commands ride the shared
             # timelines after the demand work but do not hold up this op
@@ -242,14 +191,7 @@ class HardwareNdsSystem(StorageSystem):
         accesses = self.stl.plan_region(space_id, origin, extents)
         elem = space.element_size
 
-        raw = None
-        if data is not None and self.store_data:
-            array = np.ascontiguousarray(np.asarray(data))
-            if tuple(array.shape) != tuple(extents):
-                raise ValueError(
-                    f"data shape {array.shape} != extents {tuple(extents)}")
-            raw = array.view(np.uint8).reshape(
-                tuple(extents) + (array.dtype.itemsize,))
+        raw = self._write_source(data, extents)
 
         useful = elem
         for extent in extents:
@@ -262,13 +204,10 @@ class HardwareNdsSystem(StorageSystem):
             # command is paid at eviction, dirty-bound or fence
             end = start_time
             for access in accesses:
-                region = None
-                if raw is not None:
-                    slicer = tuple(slice(lo, hi)
-                                   for lo, hi in access.out_slice)
-                    region = raw[slicer]
-                done = self._absorb_write(dataset, space_id, access, region,
-                                          start_time)
+                # no marshalling in this architecture: a contiguous copy
+                done = self._absorb_write(dataset, space_id, access,
+                                          self._source_region(raw, access),
+                                          start_time, 0)
                 end = max(end, done)
             return SystemOpResult(start_time=start_time, end_time=end,
                                   useful_bytes=useful, fetched_bytes=0,
@@ -292,19 +231,16 @@ class HardwareNdsSystem(StorageSystem):
             arrival = self._arrival_for(arrival_times, consumed, useful)
             translate_done = self.controller.translate(
                 max(translate_done, cmd_done), space.rank, 1)
-            pages = len(pages_for_region(space, access.block_slice))
+            pages = self._pages_of(space_id, access)
             alloc_done = self.controller.allocate(
                 max(translate_done, arrival), pages)
             disassembled = self.controller.assemble(alloc_done, region_bytes,
                                                     pages)
             disassembled = self._crypt(disassembled,
                                        pages * self.page_size)
-            region = None
-            if raw is not None:
-                slicer = tuple(slice(lo, hi) for lo, hi in access.out_slice)
-                region = raw[slicer]
             block = self.stl.write_block(space_id, access, disassembled,
-                                         region=region)
+                                         region=self._source_region(raw,
+                                                                    access))
             sent += pages * self.page_size
             end = max(end, block.completion_time)
             if tier is not None:
@@ -328,7 +264,7 @@ class HardwareNdsSystem(StorageSystem):
         cmd_done = self.controller.handle_command(issued)
         transfer = self.link.transfer(region_bytes, cmd_done)
         translated = self.controller.translate(cmd_done, space.rank, 1)
-        pages = len(pages_for_region(space, access.block_slice))
+        pages = self._pages_of(space_id, access)
         alloc_done = self.controller.allocate(
             max(translated, transfer.end_time), pages)
         disassembled = self.controller.assemble(alloc_done, region_bytes,
@@ -338,133 +274,26 @@ class HardwareNdsSystem(StorageSystem):
                                      region=entry.data)
         return block.completion_time
 
-    def _flush_overlapping(self, dataset: str, access,
-                           now: float) -> float:
-        """Flush buffered dirty regions overlapping ``access``."""
-        tier = self.tier
-        for key in tier.group_keys(region_group(dataset, access)):
-            entry = tier.get(key)
-            if entry is None or not entry.dirty:
-                continue
-            if slices_overlap(entry.payload[2].block_slice,
-                              access.block_slice):
-                now = tier.flush_entry(key, now)
-        return now
-
-    def _absorb_write(self, dataset: str, space_id: int, access, region,
-                      earliest: float) -> float:
-        """Write-back: absorb one region into DRAM. The host does no
-        marshalling in this architecture, so the copy is contiguous."""
-        tier = self.tier
-        space = self.stl.get_space(space_id)
+    def _prefetch_region(self, space_id: int, space, access,
+                         start: float) -> float:
+        """One speculative single-region command: translation, block
+        read, controller assembly and the transfer into the tier."""
+        issued = self.cpu.issue_io(start)
+        cmd_done = self.controller.handle_command(issued)
+        translated = self.controller.translate(cmd_done, space.rank, 1)
+        block = self.stl.read_block(space_id, access, translated)
         region_bytes = access.element_count() * space.element_size
-        done = self.cpu.copy(region_bytes, earliest, 0, label="cache_copy")
-        key = region_key(dataset, access)
-        # overlapping buffered regions: older dirty data must hit flash
-        # first (write order), overlapping clean copies are now stale
-        for other in tier.group_keys(region_group(dataset, access)):
-            if other == key:
-                continue
-            entry = tier.get(other)
-            if entry is None:
-                continue
-            if slices_overlap(entry.payload[2].block_slice,
-                              access.block_slice):
-                if entry.dirty:
-                    done = tier.flush_entry(other, done)
-                tier.invalidate(other)
-        data = None
-        if region is not None:
-            data = np.ascontiguousarray(region).copy()
-        return tier.insert(key, region_bytes, done,
-                           payload=(dataset, space_id, access), data=data,
-                           dirty=True, group=region_group(dataset, access))
-
-    def _note_write_through(self, dataset: str, space_id: int,
-                            access) -> None:
-        """Write-through coherence: refresh the exact cached region,
-        drop overlapping neighbors (their bytes are now stale)."""
-        tier = self.tier
-        key = region_key(dataset, access)
-        for other in tier.group_keys(region_group(dataset, access)):
-            if other == key:
-                continue
-            entry = tier.get(other)
-            if entry is not None and slices_overlap(
-                    entry.payload[2].block_slice, access.block_slice):
-                tier.invalidate(other)
-        entry = tier.get(key)
-        if entry is not None and self.store_data:
-            entry.data = self.stl.block_region_data(space_id, access)
-
-    def _prefetch_neighbors(self, dataset: str, space_id: int, space,
-                            origin: Sequence[int], extents: Sequence[int],
-                            start: float) -> None:
-        """Fetch forward neighbor regions along the accessed axes into
-        the tier via speculative single-region commands (charged on the
-        shared timelines, asynchronously)."""
-        tier = self.tier
-        elem = space.element_size
-        for p_origin, p_extents in neighbor_regions(
-                space.dims, origin, extents, tier.config.prefetch):
-            for access in self.stl.plan_region(space_id, p_origin,
-                                               p_extents):
-                key = region_key(dataset, access)
-                if tier.contains(key):
-                    continue
-                issued = self.cpu.issue_io(start)
-                cmd_done = self.controller.handle_command(issued)
-                translated = self.controller.translate(cmd_done,
-                                                       space.rank, 1)
-                try:
-                    block = self.stl.read_block(space_id, access, translated)
-                except (NdsError, FaultError):
-                    continue  # speculative read; demand path will retry
-                region_bytes = access.element_count() * elem
-                decrypted = self._crypt(block.completion_time,
-                                        block.pages * self.page_size)
-                ready = self.controller.assemble(decrypted, region_bytes,
-                                                 block.pages)
-                transfer = self.link.transfer(region_bytes, ready)
-                data = (self.stl.block_region_data(space_id, access)
-                        if self.store_data else None)
-                tier.insert(key, region_bytes, transfer.end_time,
-                            payload=(dataset, space_id, access), data=data,
-                            prefetched=True,
-                            group=region_group(dataset, access))
+        decrypted = self._crypt(block.completion_time,
+                                block.pages * self.page_size)
+        ready = self.controller.assemble(decrypted, region_bytes,
+                                         block.pages)
+        return self.link.transfer(region_bytes, ready).end_time
 
     # ------------------------------------------------------------------
-    def reset_time(self) -> None:
-        if self.cluster is not None:
-            self.cluster.reset_time()
-            self._reset_runtime()
-            return
-        self.flash.reset_time()
-        self.link.reset_time()
-        self.cpu.reset_time()
+    def _reset_timelines(self) -> None:
+        super()._reset_timelines()
         self.controller.reset_time()
         self.cipher_line.reset()
-        self._reset_runtime()
-
-    # ------------------------------------------------------------------
-    def _cluster_align(self, dims: Sequence[int], element_size: int,
-                       params: dict) -> int:
-        """Extent boundaries land on building-block rows (same quantum
-        the controller-resident STL would pick for the whole space)."""
-        from repro.core.space import Space
-        dims = tuple(int(d) for d in dims)
-        space = Space.create(
-            -1, dims, int(element_size), self.stl.geometry,
-            bb_override=self.bb_override,
-            use_3d_blocks=len(dims) >= 3 and self.bb_override is None)
-        return int(space.bb[0])
-
-    # ------------------------------------------------------------------
-    def _space_id(self, dataset: str) -> int:
-        space_id = self._spaces.get(dataset)
-        if space_id is None:
-            raise KeyError(f"unknown dataset {dataset!r}")
-        return space_id
 
     def _segment_arrivals(self, total_bytes: int,
                           first_start: float) -> List[Tuple[int, float]]:

@@ -20,15 +20,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cache.config import CacheConfig
-from repro.faults.injector import FaultInjector
 from repro.faults.model import FaultConfig
-from repro.ftl.ssd import BaselineSSD
-from repro.host.cpu import HostCpu
-from repro.host.io_engine import HostIoEngine, IoRequest
-from repro.interconnect.link import Link
+from repro.host.io_engine import IoRequest
 from repro.nvm.profiles import DeviceProfile
-from repro.systems.base import StorageSystem, SystemOpResult
-from repro.systems.baseline import DEFAULT_MAX_REQUEST_BYTES, LpnTierOps
+from repro.systems.base import SystemOpResult
+from repro.systems.baseline import DEFAULT_MAX_REQUEST_BYTES, LinearSystem
 
 __all__ = ["OracleSystem"]
 
@@ -43,7 +39,7 @@ class _TiledCopy:
     tile_pages: int
 
 
-class OracleSystem(LpnTierOps, StorageSystem):
+class OracleSystem(LinearSystem):
     """Best-possible software layout: tile-major storage per consumer."""
 
     name = "software-oracle"
@@ -55,32 +51,16 @@ class OracleSystem(LpnTierOps, StorageSystem):
                  devices: int = 1, pool=None,
                  extents_per_device: int = 1, rebalance=None,
                  cache: Optional[CacheConfig] = None) -> None:
-        self.profile = profile
-        self.store_data = store_data
-        self.max_request_bytes = max_request_bytes
-        self.page_size = profile.geometry.page_size
-        if self._init_cluster(
-                devices, pool, faults, rebalance, extents_per_device,
+        if self._init_device(
+                profile, store_data, queue_depth, max_request_bytes, None,
+                faults, cache, devices, pool, extents_per_device, rebalance,
                 lambda i, f: OracleSystem(
                     profile, store_data=store_data, queue_depth=queue_depth,
                     max_request_bytes=max_request_bytes, faults=f,
                     cache=cache)):
             return
-        self.ssd = BaselineSSD(profile, store_data=store_data)
-        if faults is not None:
-            self.ssd.flash.attach_faults(FaultInjector(faults))
-        self.link = Link(profile.link_bandwidth, profile.link_command_overhead)
-        self.cpu = HostCpu()
-        self.engine = HostIoEngine(self.ssd, self.link, self.cpu,
-                                   queue_depth=queue_depth)
         #: dataset -> tile shape -> stored copy
         self._copies: Dict[str, Dict[Tuple[int, ...], _TiledCopy]] = {}
-        self._next_page = 0
-        self._init_tier(cache)
-
-    def _probed_layers(self) -> tuple:
-        return (self.cpu, self.link, self.engine, self.ssd.flash, self.ssd.gc,
-                self.tier)
 
     # ------------------------------------------------------------------
     def _execute_ingest(self, dataset: str, dims: Sequence[int],
@@ -146,41 +126,7 @@ class OracleSystem(LpnTierOps, StorageSystem):
         # software NDS" (§7.2) despite its perfect layout.
         for request in requests:
             request.placement_chunk = 0
-        # DRAM tier: resident tile runs never reach the engine
-        tier = self.tier
-        tier_end = start_time
-        if tier is not None:
-            if with_data and self.store_data:
-                raise NotImplementedError(
-                    "functional reads with the DRAM tier enabled are not "
-                    "supported on the linear systems; use cache=None for "
-                    "data verification")
-            remaining = []
-            for request in requests:
-                key = ("lpn", request.lpns[0], request.lpns[-1])
-                if tier.lookup(key) is not None:
-                    tier_end = max(tier_end, self.cpu.copy(
-                        request.useful_bytes, start_time, 0,
-                        label="cache_copy"))
-                    continue
-                remaining.append(request)
-            requests = remaining
-        read_start = start_time
-        if tier is not None:
-            for request in requests:
-                read_start = self._flush_overlapping_lpns(
-                    request.lpns[0], request.lpns[-1], read_start)
-        run = self.engine.run_reads(requests, start_time
-                                    if tier is None else read_start,
-                                    with_data=with_data and self.store_data)
-        if tier is not None:
-            end = run.end_time
-            for request in requests:
-                end = tier.insert(
-                    ("lpn", request.lpns[0], request.lpns[-1]),
-                    len(request.lpns) * self.page_size, end,
-                    payload=request)
-            run.end_time = max(run.end_time, end, tier_end)
+        run, requests = self._run_reads(requests, start_time, with_data)
         data = None
         if with_data and self.store_data:
             pages = [p for group in run.data if group for p in group]
@@ -215,45 +161,10 @@ class OracleSystem(LpnTierOps, StorageSystem):
             payload = [raw[i * self.page_size:(i + 1) * self.page_size]
                        for i in range(copy.tile_pages)]
         requests = self._split(first, copy.tile_pages, payload)
-        tier = self.tier
-        if tier is not None and tier.config.write_back:
-            end = start_time
-            for request in requests:
-                done = self.cpu.copy(request.useful_bytes, start_time, 0,
-                                     label="cache_copy")
-                done = self._flush_overlapping_lpns(
-                    request.lpns[0], request.lpns[-1], done,
-                    invalidate=True)
-                end = max(end, tier.insert(
-                    ("lpn", request.lpns[0], request.lpns[-1]),
-                    len(request.lpns) * self.page_size, done,
-                    payload=request, dirty=True))
-            useful = copy.element_size
-            for t in copy.tile:
-                useful *= t
-            return SystemOpResult(start_time=start_time, end_time=end,
-                                  useful_bytes=useful, fetched_bytes=0,
-                                  requests=len(requests))
-        if tier is not None:
-            for request in requests:
-                self._invalidate_overlapping_lpns(request.lpns[0],
-                                                  request.lpns[-1])
-        run = self.engine.run_writes(requests, start_time)
         useful = copy.element_size
         for t in copy.tile:
             useful *= t
-        return SystemOpResult(start_time=start_time, end_time=run.end_time,
-                              useful_bytes=useful,
-                              fetched_bytes=run.fetched_bytes,
-                              requests=len(requests), stats=run.stats)
-
-    def reset_time(self) -> None:
-        if self.cluster is not None:
-            self.cluster.reset_time()
-            self._reset_runtime()
-            return
-        self.engine.reset_time()
-        self._reset_runtime()
+        return self._run_writes(requests, start_time, useful)
 
     # ------------------------------------------------------------------
     def _cluster_align(self, dims: Sequence[int], element_size: int,
@@ -299,22 +210,6 @@ class OracleSystem(LpnTierOps, StorageSystem):
                     f"oracle reads must be tile aligned: origin {origin}")
             index = index * g + o // t
         return index
-
-    def _split(self, first_page: int, pages: int,
-               payload: Optional[List[np.ndarray]]) -> List[IoRequest]:
-        per = max(1, self.max_request_bytes // self.page_size)
-        requests = []
-        for offset in range(0, pages, per):
-            count = min(per, pages - offset)
-            chunk_payload = None
-            if payload is not None:
-                chunk_payload = payload[offset:offset + count]
-            requests.append(IoRequest(
-                lpns=list(range(first_page + offset,
-                                first_page + offset + count)),
-                useful_bytes=count * self.page_size,
-                placement_chunk=None, payload=chunk_payload))
-        return requests
 
     def _extract_tile(self, data: np.ndarray, copy: _TiledCopy,
                       index: int) -> np.ndarray:

@@ -16,25 +16,19 @@ host-side B-tree walk and translation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.cache.config import CacheConfig
-from repro.cache.nd import (neighbor_regions, region_group, region_key,
-                            slices_overlap)
+from repro.cache.nd import region_key
 from repro.core.api import bytes_to_array
-from repro.core.errors import FaultError, NdsError
-from repro.core.stl import SpaceTranslationLayer
-from repro.core.translator import pages_for_region
-from repro.faults.injector import FaultInjector
 from repro.faults.model import FaultConfig
 from repro.host.cpu import HostCpu
-from repro.interconnect.link import Link
-from repro.nvm.flash import FlashArray
 from repro.nvm.profiles import DeviceProfile
 from repro.runtime.scheduler import QueueDepthWindow
-from repro.systems.base import StorageSystem, SystemOpResult
+from repro.systems.base import SystemOpResult
+from repro.systems.nds import NdsSystem
 
 __all__ = ["SoftwareNdsSystem", "SoftwareStlCosts"]
 
@@ -58,7 +52,7 @@ class SoftwareStlCosts:
     per_unit_write: float = 19e-6
 
 
-class SoftwareNdsSystem(StorageSystem):
+class SoftwareNdsSystem(NdsSystem):
     """Host-resident STL over LightNVM physical addressing."""
 
     name = "software-nds"
@@ -72,60 +66,15 @@ class SoftwareNdsSystem(StorageSystem):
                  devices: int = 1, pool=None,
                  extents_per_device: int = 1, rebalance=None,
                  cache: Optional[CacheConfig] = None) -> None:
-        self.profile = profile
-        self.store_data = store_data
         self.queue_depth = queue_depth
         self.costs = costs
-        self.bb_override = bb_override
-        self.page_size = profile.geometry.page_size
-        if self._init_cluster(
-                devices, pool, faults, rebalance, extents_per_device,
-                lambda i, f: SoftwareNdsSystem(
-                    profile, store_data=store_data, queue_depth=queue_depth,
-                    costs=costs, bb_override=bb_override, faults=f,
-                    cache=cache)):
-            return
-        self.flash = FlashArray(profile.geometry, profile.timing,
-                                store_data=store_data)
-        if faults is not None:
-            self.flash.attach_faults(FaultInjector(faults))
-        self.stl = SpaceTranslationLayer(self.flash,
-                                         gc_threshold=profile.overprovisioning,
-                                         parity=faults.parity
-                                         if faults is not None else False)
-        self.link = Link(profile.link_bandwidth, profile.link_command_overhead)
-        self.cpu = cpu if cpu is not None else HostCpu()
-        self._spaces: Dict[str, int] = {}
-        self._bulk_ingest = False
-        self._init_tier(cache)
-
-    def _probed_layers(self) -> tuple:
-        return (self.cpu, self.link, self.flash, self.stl.gc, self.tier)
-
-    # ------------------------------------------------------------------
-    def _execute_ingest(self, dataset: str, dims: Sequence[int],
-                        element_size: int,
-                        data: Optional[np.ndarray] = None,
-                        start_time: float = 0.0,
-                        shard=None) -> SystemOpResult:
-        if dataset in self._spaces:
-            raise ValueError(f"dataset {dataset!r} already ingested")
-        space = self.stl.create_space(
-            dims, element_size, bb_override=self.bb_override,
-            shard=shard,
-            # rank >= 3: use bank-level parallelism for 3-D cube blocks
-            # (§4.1 Eq. 3/4) — 2-D blocks orthogonal to the innermost
-            # axis would shatter depth-crossing accesses
-            use_3d_blocks=len(tuple(dims)) >= 3 and self.bb_override is None)
-        self._spaces[dataset] = space.space_id
-        # bulk load bypasses the DRAM tier: a whole dataset would blow
-        # through the byte budget and churn the dirty set for nothing
-        self._bulk_ingest = True
-        try:
-            return self._execute_write(dataset, tuple(0 for _ in dims), dims,
-                                       data=data, start_time=start_time)
-        finally:
-            self._bulk_ingest = False
+        self._init_device(
+            profile, store_data, bb_override, cpu, faults, cache, devices,
+            pool, extents_per_device, rebalance,
+            lambda i, f: SoftwareNdsSystem(
+                profile, store_data=store_data, queue_depth=queue_depth,
+                costs=costs, bb_override=bb_override, faults=f,
+                cache=cache))
 
     # ------------------------------------------------------------------
     def _execute_read(self, dataset: str, origin: Sequence[int],
@@ -187,12 +136,9 @@ class SoftwareNdsSystem(StorageSystem):
             # buffer — one memcpy per block-row segment ([P1] residue).
             done = self.cpu.copy(region_bytes, transfer.end_time, row_bytes)
             if tier is not None:
-                data = (self.stl.block_region_data(space_id, access)
-                        if self.store_data else None)
-                done = tier.insert(region_key(dataset, access), region_bytes,
-                                   done, payload=(dataset, space_id, access),
-                                   data=data,
-                                   group=region_group(dataset, access))
+                done = self._cache_region(
+                    dataset, space_id, access, done,
+                    data=self._region_data(space_id, access))
             window.complete(done)
             completions.append(done)
         end = max(completions, default=setup_done)
@@ -224,14 +170,7 @@ class SoftwareNdsSystem(StorageSystem):
             start_time,
             self.costs.request_base + self.costs.per_block * len(accesses),
             label="stl_translate")
-        raw = None
-        if data is not None and self.store_data:
-            array = np.ascontiguousarray(np.asarray(data))
-            if tuple(array.shape) != tuple(extents):
-                raise ValueError(
-                    f"data shape {array.shape} != extents {tuple(extents)}")
-            raw = array.view(np.uint8).reshape(
-                tuple(extents) + (array.dtype.itemsize,))
+        raw = self._write_source(data, extents)
         elem = space.element_size
         window = QueueDepthWindow(self.queue_depth)
         completions: List[float] = []
@@ -240,13 +179,12 @@ class SoftwareNdsSystem(StorageSystem):
         write_back = tier is not None and tier.config.write_back
         for access in accesses:
             earliest = window.earliest(setup_done)
-            region = None
-            if raw is not None:
-                slicer = tuple(slice(lo, hi) for lo, hi in access.out_slice)
-                region = raw[slicer]
+            region = self._source_region(raw, access)
             if write_back:
+                # one memcpy per block-row segment into the DRAM tier
                 done = self._absorb_write(dataset, space_id, access, region,
-                                          earliest)
+                                          earliest,
+                                          access.extent()[-1] * elem)
                 window.complete(done)
                 completions.append(done)
                 continue
@@ -293,139 +231,22 @@ class SoftwareNdsSystem(StorageSystem):
     # DRAM tier glue (only reached with cache=CacheConfig(...) set)
     # ------------------------------------------------------------------
     def _flush_cache_entry(self, entry, now: float) -> float:
-        """Write one buffered dirty region back through the device."""
         _dataset, space_id, access = entry.payload
         done, _pages = self._write_access(space_id, access, entry.data, now)
         return done
 
-    def _flush_overlapping(self, dataset: str, access,
-                           now: float) -> float:
-        """Flush buffered dirty regions overlapping ``access``."""
-        tier = self.tier
-        for key in tier.group_keys(region_group(dataset, access)):
-            entry = tier.get(key)
-            if entry is None or not entry.dirty:
-                continue
-            if slices_overlap(entry.payload[2].block_slice,
-                              access.block_slice):
-                now = tier.flush_entry(key, now)
-        return now
-
-    def _absorb_write(self, dataset: str, space_id: int, access, region,
-                      earliest: float) -> float:
-        """Write-back: absorb one region into DRAM (gather copy only);
-        the device write happens at eviction, dirty-bound or fence."""
-        tier = self.tier
-        space = self.stl.get_space(space_id)
+    def _prefetch_region(self, space_id: int, space, access,
+                         start: float) -> float:
+        """One speculative block read: LightNVM command, link transfer
+        and the host copy into the tier."""
+        issued = self.cpu.run_issue_work(
+            start,
+            self.costs.per_command + self.costs.per_node * space.rank,
+            label="stl_translate")
+        block = self.stl.read_block(space_id, access, issued)
         elem = space.element_size
-        region_bytes = access.element_count() * elem
-        row_bytes = access.extent()[-1] * elem
-        done = self.cpu.copy(region_bytes, earliest, row_bytes,
+        transfer = self.link.transfer(block.pages * self.page_size,
+                                      block.completion_time)
+        return self.cpu.copy(access.element_count() * elem,
+                             transfer.end_time, access.extent()[-1] * elem,
                              label="cache_copy")
-        key = region_key(dataset, access)
-        # overlapping buffered regions: older dirty data must hit flash
-        # first (write order), overlapping clean copies are now stale
-        for other in tier.group_keys(region_group(dataset, access)):
-            if other == key:
-                continue
-            entry = tier.get(other)
-            if entry is None:
-                continue
-            if slices_overlap(entry.payload[2].block_slice,
-                              access.block_slice):
-                if entry.dirty:
-                    done = tier.flush_entry(other, done)
-                tier.invalidate(other)
-        data = None
-        if region is not None:
-            data = np.ascontiguousarray(region).copy()
-        return tier.insert(key, region_bytes, done,
-                           payload=(dataset, space_id, access), data=data,
-                           dirty=True, group=region_group(dataset, access))
-
-    def _note_write_through(self, dataset: str, space_id: int,
-                            access) -> None:
-        """Write-through coherence: refresh the exact cached region,
-        drop overlapping neighbors (their bytes are now stale)."""
-        tier = self.tier
-        key = region_key(dataset, access)
-        for other in tier.group_keys(region_group(dataset, access)):
-            if other == key:
-                continue
-            entry = tier.get(other)
-            if entry is not None and slices_overlap(
-                    entry.payload[2].block_slice, access.block_slice):
-                tier.invalidate(other)
-        entry = tier.get(key)
-        if entry is not None and self.store_data:
-            entry.data = self.stl.block_region_data(space_id, access)
-
-    def _prefetch_neighbors(self, dataset: str, space_id: int, space,
-                            origin: Sequence[int], extents: Sequence[int],
-                            start: float) -> None:
-        """Fetch forward neighbor regions along the accessed axes into
-        the tier (charged on the shared timelines, asynchronously)."""
-        tier = self.tier
-        elem = space.element_size
-        for p_origin, p_extents in neighbor_regions(
-                space.dims, origin, extents, tier.config.prefetch):
-            for access in self.stl.plan_region(space_id, p_origin,
-                                               p_extents):
-                key = region_key(dataset, access)
-                if tier.contains(key):
-                    continue
-                issued = self.cpu.run_issue_work(
-                    start,
-                    self.costs.per_command + self.costs.per_node * space.rank,
-                    label="stl_translate")
-                try:
-                    block = self.stl.read_block(space_id, access, issued)
-                except (NdsError, FaultError):
-                    continue  # speculative read; demand path will retry
-                region_bytes = access.element_count() * elem
-                transfer = self.link.transfer(
-                    block.pages * self.page_size, block.completion_time)
-                done = self.cpu.copy(region_bytes, transfer.end_time,
-                                     access.extent()[-1] * elem,
-                                     label="cache_copy")
-                data = (self.stl.block_region_data(space_id, access)
-                        if self.store_data else None)
-                tier.insert(key, region_bytes, done,
-                            payload=(dataset, space_id, access), data=data,
-                            prefetched=True,
-                            group=region_group(dataset, access))
-
-    # ------------------------------------------------------------------
-    def reset_time(self) -> None:
-        if self.cluster is not None:
-            self.cluster.reset_time()
-            self._reset_runtime()
-            return
-        self.flash.reset_time()
-        self.link.reset_time()
-        self.cpu.reset_time()
-        self._reset_runtime()
-
-    # ------------------------------------------------------------------
-    def _cluster_align(self, dims: Sequence[int], element_size: int,
-                       params: dict) -> int:
-        """Extent boundaries land on building-block rows so declustered
-        sub-spaces keep the same block shape the whole space would get."""
-        from repro.core.space import Space
-        dims = tuple(int(d) for d in dims)
-        space = Space.create(
-            -1, dims, int(element_size), self.stl.geometry,
-            bb_override=self.bb_override,
-            use_3d_blocks=len(dims) >= 3 and self.bb_override is None)
-        return int(space.bb[0])
-
-    # ------------------------------------------------------------------
-    def _space_id(self, dataset: str) -> int:
-        space_id = self._spaces.get(dataset)
-        if space_id is None:
-            raise KeyError(f"unknown dataset {dataset!r}")
-        return space_id
-
-    def _pages_of(self, space_id: int, access) -> int:
-        space = self.stl.get_space(space_id)
-        return len(pages_for_region(space, access.block_slice))

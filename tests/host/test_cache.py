@@ -1,61 +1,10 @@
-"""Tests for the host page cache and its baseline-system integration."""
+"""Tests for the §7.1 system cache on the baseline: the DRAM tier."""
 
 import pytest
 
-from repro.host.cache import PageCache
+from repro.cache import CacheConfig
 from repro.nvm import TINY_TEST
 from repro.systems import BaselineSystem
-
-
-class TestPageCache:
-    def test_cold_then_warm(self):
-        cache = PageCache(capacity_pages=8)
-        first = cache.access([1, 2, 3])
-        assert first.misses == (1, 2, 3)
-        second = cache.access([2, 3, 4])
-        assert second.hits == (2, 3)
-        assert second.misses == (4,)
-        assert second.hit_ratio == pytest.approx(2 / 3)
-
-    def test_lru_eviction(self):
-        cache = PageCache(capacity_pages=2)
-        cache.access([1, 2])
-        cache.access([3])          # evicts 1
-        outcome = cache.access([1, 2, 3])
-        assert 1 in outcome.misses
-        assert set(outcome.hits) <= {2, 3}
-
-    def test_access_refreshes_recency(self):
-        cache = PageCache(capacity_pages=2)
-        cache.access([1, 2])
-        cache.access([1])           # 1 becomes most recent
-        cache.access([3])           # evicts 2, not 1
-        outcome = cache.access([1, 2])
-        assert outcome.hits == (1,)
-        assert outcome.misses == (2,)
-
-    def test_invalidate(self):
-        cache = PageCache(capacity_pages=4)
-        cache.access([1, 2])
-        cache.invalidate([1])
-        outcome = cache.access([1, 2])
-        assert outcome.misses == (1,)
-
-    def test_disabled_cache_never_hits(self):
-        cache = PageCache(capacity_pages=0)
-        cache.access([1])
-        assert cache.access([1]).hits == ()
-        assert cache.resident_pages == 0
-
-    def test_negative_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            PageCache(-1)
-
-    def test_global_hit_ratio(self):
-        cache = PageCache(capacity_pages=8)
-        cache.access([1, 2])
-        cache.access([1, 2])
-        assert cache.hit_ratio == pytest.approx(0.5)
 
 
 class TestBaselineWithCache:
@@ -63,18 +12,18 @@ class TestBaselineWithCache:
         """§7.1: the cache serves later column requests without the SSD
         — adjacent column stripes reuse the fetched pages."""
         system = BaselineSystem(TINY_TEST, store_data=False,
-                                cache_pages=10**6)
+                                cache=CacheConfig(capacity_bytes=1 << 20))
         system.ingest("m", (128, 128), 4)
         system.reset_time()
         cold = system.read_tile("m", (0, 0), (128, 16))
         system.reset_time()
         warm = system.read_tile("m", (0, 16), (128, 16))  # same pages
         assert warm.elapsed < cold.elapsed / 2
-        assert system.cache.hit_count > 0
+        assert system.cache_report()["hits"] > 0
 
     def test_write_invalidates(self):
         system = BaselineSystem(TINY_TEST, store_data=False,
-                                cache_pages=10**6)
+                                cache=CacheConfig(capacity_bytes=1 << 20))
         system.ingest("m", (64, 64), 4)
         system.reset_time()
         system.read_tile("m", (0, 0), (16, 64))
@@ -86,12 +35,8 @@ class TestBaselineWithCache:
     def test_functional_mode_with_cache_rejected(self, rng):
         import numpy as np
         system = BaselineSystem(TINY_TEST, store_data=True,
-                                cache_pages=100)
+                                cache=CacheConfig())
         data = rng.integers(0, 99, (32, 32)).astype(np.int32)
         system.ingest("m", (32, 32), 4, data=data)
         with pytest.raises(NotImplementedError):
             system.read_tile("m", (0, 0), (8, 8), with_data=True)
-
-    def test_default_cache_disabled(self):
-        system = BaselineSystem(TINY_TEST)
-        assert system.cache.capacity == 0
