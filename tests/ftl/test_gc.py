@@ -1,9 +1,12 @@
 """Tests for the FTL garbage collector."""
 
+import random
+
 import numpy as np
 import pytest
 
 from repro.ftl import BaselineSSD, GarbageCollector, PageMapFTL, wear_report
+from repro.ftl.mapping import OutOfSpaceError
 from repro.ftl.wear import erases_by_plane
 from repro.nvm import FlashArray, Geometry, NvmTiming, TINY_TEST
 
@@ -80,6 +83,25 @@ class TestCollect:
         _write(ftl, flash, gc, 0, 1)
         result = gc.collect(0, 0, 10.0)
         assert not result.ran
+
+    def test_incomplete_collection_counts_what_it_moved(self):
+        """Fill 441 of 460 logical pages, then overwrite single LPNs
+        until the device runs out of space: a collection that stops for
+        want of a free page still counts the pages it relocated, so
+        every flash program is a host page or a GC move."""
+        ssd = BaselineSSD(TINY_TEST, store_data=False)
+        ssd.write_lpns(list(range(441)), 0.0)
+        host_pages = 441
+        rng = random.Random(1)
+        now = 1.0
+        with pytest.raises(OutOfSpaceError):
+            while True:
+                ssd.write_lpns([rng.randrange(441)], now)
+                host_pages += 1
+                now += 1e-3
+        assert ssd.gc.total_relocated > 0
+        assert (ssd.flash.stats.counters["pages_programmed"]
+                == host_pages + ssd.gc.total_relocated)
 
 
 class TestWear:
