@@ -108,7 +108,6 @@ class GcCoordinator:
         self.pool = pool
         self.budget_seconds = budget_seconds
         self._next = 0
-        self.stats = StatSet()
 
     def offer(self, now: float) -> None:
         """Give one device its idle-time GC slice at model time ``now``."""
@@ -124,15 +123,9 @@ class GcCoordinator:
             self._next = (device + 1) % count
             result = gc.collect_background(now, self.budget_seconds)
             if result.ran:
-                self.stats.count("cluster_gc_runs")
-                self.stats.count("cluster_gc_blocks_erased",
-                                 result.blocks_erased)
                 self.pool.note(device, "gc_background_blocks",
                                result.blocks_erased)
             return
-
-    def gc_report(self) -> Dict[str, int]:
-        return dict(self.stats.counters)
 
 
 class ClusterTranslationLayer:
@@ -205,6 +198,20 @@ class ClusterTranslationLayer:
         if self.probe is not None:
             self.probe.count(f"cluster.{name}", amount)
 
+    def _subop(self, device: int, ready: float, call: str, *args,
+               **kwargs):
+        """One member I/O, the only place a pool member is called: wait
+        for ``device``'s queue-depth window from ``ready``, run the
+        member's ``call`` (``ingest``, ``read_tile`` or ``write_tile``)
+        at that start, complete the window and account the sub-op."""
+        handle = self.pool.devices[device]
+        window = handle.window
+        res = getattr(handle.system, call)(
+            *args, start_time=window.earliest(ready), **kwargs)
+        window.complete(res.end_time)
+        self.pool.note_io(device, res)
+        return res
+
     # ------------------------------------------------------------------
     # ingest: build the layout and place every extent
     # ------------------------------------------------------------------
@@ -243,32 +250,17 @@ class ClusterTranslationLayer:
         completions: List[float] = []
         fetched = 0
         requests = 0
-        for extent in layout.extents:
-            handle = self.pool.handle(extent.device)
-            start = handle.window.earliest(earliest)
-            payload = (array[extent.row_start:extent.row_end]
-                       if array is not None else None)
-            res = handle.system.ingest(
-                extent.store_key, (extent.rows,) + dims[1:], elem,
-                data=payload, start_time=start, **layout.inner_params)
-            handle.window.complete(res.end_time)
-            self.pool.note_io(extent.device, res)
-            self.pool.note(extent.device, "extents")
-            completions.append(res.end_time)
-            fetched += res.fetched_bytes
-            requests += res.requests
-        for parity in layout.parity:
-            handle = self.pool.handle(parity.device)
-            start = handle.window.earliest(earliest)
+        for member in layout.extents + layout.parity:
             payload = None
             if array is not None:
-                payload = self._parity_payload(layout, parity, array)
-            res = handle.system.ingest(
-                parity.store_key, (parity.rows,) + dims[1:], elem,
-                data=payload, start_time=start, **layout.inner_params)
-            handle.window.complete(res.end_time)
-            self.pool.note_io(parity.device, res)
-            self.pool.note(parity.device, "extents")
+                payload = (self._parity_payload(layout, member, array)
+                           if isinstance(member, ParityExtent)
+                           else array[member.row_start:member.row_end])
+            res = self._subop(
+                member.device, earliest, "ingest", member.store_key,
+                (member.rows,) + dims[1:], elem, data=payload,
+                **layout.inner_params)
+            self.pool.note(member.device, "extents")
             completions.append(res.end_time)
             fetched += res.fetched_bytes
             requests += res.requests
@@ -324,13 +316,9 @@ class ClusterTranslationLayer:
         for extent, lorigin, lextents, out_row in \
                 layout.subregions(op.origin, extents):
             ready = self._ensure_alive(layout, extent, earliest)
-            handle = self.pool.handle(extent.device)
-            start = handle.window.earliest(ready)
-            res = handle.system.read_tile(
-                extent.store_key, lorigin, lextents, start_time=start,
-                with_data=functional)
-            handle.window.complete(res.end_time)
-            self.pool.note_io(extent.device, res)
+            res = self._subop(extent.device, ready, "read_tile",
+                              extent.store_key, lorigin, lextents,
+                              with_data=functional)
             if out is not None and res.data is not None:
                 out[out_row:out_row + lextents[0]] = res.data
             self.heat[(layout.ordinal, extent.index)] = \
@@ -372,24 +360,19 @@ class ClusterTranslationLayer:
                        if array is not None else None)
             parity = layout.parity_of(extent)
             ready = self._ensure_alive(layout, extent, earliest)
-            handle = self.pool.handle(extent.device)
             if parity is None:
-                start = handle.window.earliest(ready)
-                res = handle.system.write_tile(
-                    extent.store_key, lorigin, lextents, data=payload,
-                    start_time=start)
-                handle.window.complete(res.end_time)
-                self.pool.note_io(extent.device, res)
-                completions.append(res.end_time)
-                fetched += res.fetched_bytes
-                requests += res.requests
+                res = self._subop(extent.device, ready, "write_tile",
+                                  extent.store_key, lorigin, lextents,
+                                  data=payload)
+                end, sub_fetched, sub_requests = \
+                    res.end_time, res.fetched_bytes, res.requests
             else:
                 end, sub_fetched, sub_requests = self._parity_rmw(
                     layout, extent, parity, lorigin, lextents, payload,
                     ready, earliest)
-                completions.append(end)
-                fetched += sub_fetched
-                requests += sub_requests
+            completions.append(end)
+            fetched += sub_fetched
+            requests += sub_requests
             self.heat[(layout.ordinal, extent.index)] = \
                 self.heat.get((layout.ordinal, extent.index), 0.0) + 1.0
         useful = elem
@@ -407,50 +390,29 @@ class ClusterTranslationLayer:
         + (old parity xor old data xor new data)."""
         functional = payload is not None
         parity_ready = self._ensure_alive(layout, parity, earliest)
-        data_handle = self.pool.handle(extent.device)
-        parity_handle = self.pool.handle(parity.device)
-
-        start = data_handle.window.earliest(data_ready)
-        old_data = data_handle.system.read_tile(
-            extent.store_key, lorigin, lextents, start_time=start,
-            with_data=functional)
-        data_handle.window.complete(old_data.end_time)
-        self.pool.note_io(extent.device, old_data)
-
-        start = parity_handle.window.earliest(parity_ready)
-        old_parity = parity_handle.system.read_tile(
-            parity.store_key, lorigin, lextents, start_time=start,
-            with_data=functional)
-        parity_handle.window.complete(old_parity.end_time)
-        self.pool.note_io(parity.device, old_parity)
-
-        start = data_handle.window.earliest(old_data.end_time)
-        data_write = data_handle.system.write_tile(
-            extent.store_key, lorigin, lextents, data=payload,
-            start_time=start)
-        data_handle.window.complete(data_write.end_time)
-        self.pool.note_io(extent.device, data_write)
-
+        old_data = self._subop(extent.device, data_ready, "read_tile",
+                               extent.store_key, lorigin, lextents,
+                               with_data=functional)
+        old_parity = self._subop(parity.device, parity_ready, "read_tile",
+                                 parity.store_key, lorigin, lextents,
+                                 with_data=functional)
+        data_write = self._subop(extent.device, old_data.end_time,
+                                 "write_tile", extent.store_key, lorigin,
+                                 lextents, data=payload)
         new_parity = None
         if functional:
             raw = np.ascontiguousarray(payload)
             raw = raw.view(np.uint8).reshape(raw.shape + (raw.dtype.itemsize,))
             delta = old_parity.data ^ old_data.data ^ raw
             new_parity = self._bytes_to_elements(delta, layout.element_size)
-        start = parity_handle.window.earliest(
-            max(old_parity.end_time, old_data.end_time))
-        parity_write = parity_handle.system.write_tile(
-            parity.store_key, lorigin, lextents, data=new_parity,
-            start_time=start)
-        parity_handle.window.complete(parity_write.end_time)
-        self.pool.note_io(parity.device, parity_write)
-
-        fetched = sum(r.fetched_bytes for r in
-                      (old_data, old_parity, data_write, parity_write))
-        requests = sum(r.requests for r in
-                       (old_data, old_parity, data_write, parity_write))
-        return max(data_write.end_time, parity_write.end_time), fetched, \
-            requests
+        parity_write = self._subop(
+            parity.device, max(old_parity.end_time, old_data.end_time),
+            "write_tile", parity.store_key, lorigin, lextents,
+            data=new_parity)
+        subops = (old_data, old_parity, data_write, parity_write)
+        return (max(data_write.end_time, parity_write.end_time),
+                sum(r.fetched_bytes for r in subops),
+                sum(r.requests for r in subops))
 
     # ------------------------------------------------------------------
     # degraded reads, rebuild, migration
@@ -476,18 +438,11 @@ class ClusterTranslationLayer:
                     functional: bool):
         """Timed per-unit reads of one region on one device; returns
         ``(unit_origin, unit_extents, result)`` triples."""
-        handle = self.pool.handle(device)
-        out = []
-        for uorigin, uextents in self._region_units(layout, origin,
-                                                    extents):
-            start = handle.window.earliest(ready)
-            res = handle.system.read_tile(
-                store_key, uorigin, uextents, start_time=start,
-                with_data=functional)
-            handle.window.complete(res.end_time)
-            self.pool.note_io(device, res)
-            out.append((uorigin, uextents, res))
-        return out
+        return [(uorigin, uextents,
+                 self._subop(device, ready, "read_tile", store_key, uorigin,
+                             uextents, with_data=functional))
+                for uorigin, uextents in self._region_units(layout, origin,
+                                                            extents)]
 
     def _group_members(self, layout: ClusterLayout, group: int):
         """Data extents + parity extent of one group (duck-typed)."""
@@ -587,27 +542,32 @@ class ClusterTranslationLayer:
         read_end, payload = self._degraded_read(
             layout, target, origin, rank_dims, now, self.store_data)
         new_device = self._rebuild_target_device(layout, target)
-        tag = (f"p{target.group}" if isinstance(target, ParityExtent)
-               else f"e{target.index}")
-        generation = target.generation + 1
-        new_key = (f"{layout.dataset}#l{layout.ordinal}{tag}"
-                   f".g{generation}")
-        handle = self.pool.handle(new_device)
-        start = handle.window.earliest(read_end)
-        res = handle.system.ingest(
-            new_key, rank_dims, layout.element_size, data=payload,
-            start_time=start, **layout.inner_params)
-        handle.window.complete(res.end_time)
-        self.pool.note_io(new_device, res)
+        end = self._rehome(layout, target, new_device, payload, read_end,
+                           "rebuilds", "rebuild_extent")
         self.pool.note(new_device, "rebuilds")
-        self.pool.note(new_device, "extents")
-        self._count("rebuilds")
-        self._instant(res.end_time, "rebuild_extent",
-                      dataset=layout.dataset, extent=target.index,
-                      source=target.device, device=new_device)
-        target.device = new_device
-        target.store_key = new_key
-        target.generation = generation
+        return end
+
+    def _rehome(self, layout: ClusterLayout, member, device: int, payload,
+                ready: float, count: str, event: str) -> float:
+        """Ingest ``member``'s whole extent (``payload``) on ``device``
+        from ``ready`` under the next generation's key, count ``count``,
+        trace ``event``, then flip the map. Returns the ingest's end."""
+        tag = (f"p{member.group}" if isinstance(member, ParityExtent)
+               else f"e{member.index}")
+        generation = member.generation + 1
+        new_key = f"{layout.dataset}#l{layout.ordinal}{tag}.g{generation}"
+        res = self._subop(device, ready, "ingest", new_key,
+                          (member.rows,) + layout.dims[1:],
+                          layout.element_size, data=payload,
+                          **layout.inner_params)
+        self.pool.note(device, "extents")
+        self._count(count)
+        self._instant(res.end_time, event, dataset=layout.dataset,
+                      extent=member.index, source=member.device,
+                      device=device)
+        member.device = device
+        member.store_key = new_key
+        member.generation = generation
         return res.end_time
 
     def migrate_extent(self, layout: ClusterLayout, extent,
@@ -650,28 +610,11 @@ class ClusterTranslationLayer:
                 buf[slicer] = res.data
         payload = (self._bytes_to_elements(buf, elem)
                    if buf is not None else None)
-        tag = (f"p{extent.group}" if isinstance(extent, ParityExtent)
-               else f"e{extent.index}")
-        generation = extent.generation + 1
-        new_key = f"{layout.dataset}#l{layout.ordinal}{tag}.g{generation}"
-        dst_handle = self.pool.handle(target_device)
-        start = dst_handle.window.earliest(read_end)
-        res = dst_handle.system.ingest(
-            new_key, rank_dims, layout.element_size, data=payload,
-            start_time=start, **layout.inner_params)
-        dst_handle.window.complete(res.end_time)
-        self.pool.note_io(target_device, res)
+        end = self._rehome(layout, extent, target_device, payload, read_end,
+                           "migrations", "migrate_extent")
         self.pool.note(source, "migrations_out")
         self.pool.note(target_device, "migrations_in")
-        self.pool.note(target_device, "extents")
-        self._count("migrations")
-        self._instant(res.end_time, "migrate_extent",
-                      dataset=layout.dataset, extent=extent.index,
-                      source=source, device=target_device)
-        extent.device = target_device
-        extent.store_key = new_key
-        extent.generation = generation
-        return res.end_time
+        return end
 
     def _maybe_rebalance(self, now: float) -> None:
         policy = self.rebalance

@@ -24,7 +24,6 @@ hardware NDS — is the systems layer's decision (paper Fig. 7).
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -651,10 +650,6 @@ class SpaceTranslationLayer:
         if self.allocator.faults is not self.flash.faults:
             self.allocator.faults = self.flash.faults
 
-    def _recovery(self):
-        faults = self.flash.faults
-        return faults.suppress() if faults is not None else nullcontext()
-
     def _patch_parity(self, space_id: int, coord: Tuple[int, ...],
                       new_ppa) -> None:
         """GC relocation callback for parity units."""
@@ -678,7 +673,7 @@ class SpaceTranslationLayer:
             content = self._block_buffer(space, entry)
         payload = xor_fold(content, self._page_size)
         issue = issue_time
-        with self._recovery():
+        with self.gc._recovery():
             while True:
                 ppa = self.allocator.allocate_raw(
                     allowed=self._shard_planes.get(space_id))

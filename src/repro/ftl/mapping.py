@@ -332,10 +332,5 @@ class PageMapFTL:
             self.planes[(old.channel, old.bank)].invalidate(old)
         return old
 
-    # ------------------------------------------------------------------
-    def free_fraction(self, channel: int, bank: int) -> float:
-        return (self.planes[(channel, bank)].free_pages
-                / self.geometry.pages_per_bank)
-
     def mapped_pages(self) -> int:
         return len(self.map)

@@ -174,7 +174,7 @@ class BaselineSSD:
             except ProgramFailError as err:
                 plane = self.ftl.planes[(ppa.channel, ppa.bank)]
                 plane.invalidate(ppa)
-                self.gc.note_trim(ppa)
+                self.gc.note_release(ppa)
                 self.ftl.map.pop(lpn, None)
                 issue = self.gc.retire_block(ppa.channel, ppa.bank,
                                              ppa.block, err.fail_time)
@@ -206,7 +206,7 @@ class BaselineSSD:
         """Discard logical pages (deallocate)."""
         for lpn in lpns:
             old = self.ftl.trim(lpn)
-            self.gc.note_trim(old)
+            self.gc.note_release(old)
 
     # ------------------------------------------------------------------
     # byte-granular convenience (page-aligned under the hood)

@@ -13,7 +13,9 @@ policy and write-back, a fault plan with parity and ``kill_device``,
 rebalancing, several streams, synchronous or batched submission, a
 monitor attached or not — the ledger must produce what the reference
 produces: per-stream totals, each op's ``result.stats``, the monitor's
-windowed cache counts, and key order everywhere.
+windowed cache counts, and key order everywhere. Each pool member's
+``subops`` in ``device_report()`` must also equal the ops its own
+scheduler executed.
 
 Two attributions the snapshot diffs miss are the exceptions: the cache
 deltas of an op that raised, and a pool's first ``cluster_*`` event
@@ -268,6 +270,12 @@ def test_ledger_matches_snapshot_reference(config, streams, batched,
                 == _nested_items(ref.cache_report()))
     if monitor is not None:
         assert monitor.series()["cache"] == owner.monitor_cache(monitor)
+    # every member op goes through the cluster's one sub-op step, which
+    # counts it; the member scheduler records the same ops
+    devices = system.device_report() or {}
+    for index, member in enumerate(system._member_systems()):
+        assert (devices[f"d{index}"]["subops"]
+                == len(member.scheduler.executed))
 
     # what the ledger guarantees everywhere: every increment the sources
     # made happened inside some op of the owner, and landed on a stream
