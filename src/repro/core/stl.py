@@ -449,24 +449,8 @@ class SpaceTranslationLayer:
                     pending_data.append(payload[0])
                 units += 1
                 continue
-            issue = rmw_done
-            while True:
-                try:
-                    op = self.flash.program_pages([ppa], issue, data=payload)
-                    break
-                except ProgramFailError as err:
-                    # grown bad block: undo the binding, retire the
-                    # block, re-place the unit at a fresh append point
-                    entry.record_release(position)
-                    self.allocator.invalidate(ppa)
-                    self.gc.note_release(ppa)
-                    issue = self.gc.retire_block(ppa.channel, ppa.bank,
-                                                 ppa.block, err.fail_time)
-                    ppa = self.allocator.allocate(
-                        entry, position, prefer=None,
-                        allowed=self._shard_planes.get(space_id))
-                    self.gc.note_alloc(ppa, space_id, access.block_coord,
-                                       position)
+            op = self._program(space_id, entry, access.block_coord, position,
+                               ppa, rmw_done, payload)
             completion = max(completion, op.end_time)
             units += 1
         if pending_ppas:
@@ -622,7 +606,8 @@ class SpaceTranslationLayer:
                 allowed=self._shard_planes.get(space_id))
             self.gc.note_alloc(ppa, space_id, access.block_coord, position)
             chunk = stored[position * page_bytes:(position + 1) * page_bytes]
-            op = self.flash.program_pages([ppa], rmw_done, data=[chunk])
+            op = self._program(space_id, entry, access.block_coord, position,
+                               ppa, rmw_done, [chunk])
             completion = max(completion, op.end_time)
             units += 1
         entry.stored_bytes = stored.size
@@ -633,6 +618,27 @@ class SpaceTranslationLayer:
                              nodes_visited=lookup.nodes_visited,
                              units_allocated=units, rmw_reads=rmw_reads,
                              gc_time=gc_time)
+
+    def _program(self, space_id: int, entry: BlockEntry,
+                 coord: Tuple[int, ...], position: int, ppa, issue: float,
+                 data: Optional[List[np.ndarray]]):
+        """Program the unit bound at ``entry.pages[position]``. A
+        status-fail marks a grown bad block: undo the binding, retire the
+        block, re-place the unit at a fresh append point and program
+        again, until a program succeeds. Returns the successful op."""
+        while True:
+            try:
+                return self.flash.program_pages([ppa], issue, data=data)
+            except ProgramFailError as err:
+                entry.record_release(position)
+                self.allocator.invalidate(ppa)
+                self.gc.note_release(ppa)
+                issue = self.gc.retire_block(ppa.channel, ppa.bank,
+                                             ppa.block, err.fail_time)
+                ppa = self.allocator.allocate(
+                    entry, position, prefer=None,
+                    allowed=self._shard_planes.get(space_id))
+                self.gc.note_alloc(ppa, space_id, coord, position)
 
     def _resolve_entry(self, space_id: int,
                        block_coord: Tuple[int, ...]) -> Optional[BlockEntry]:

@@ -6,6 +6,7 @@ import pytest
 from repro.core import SpaceTranslationLayer, ZlibCompressor
 from repro.core.api import array_to_bytes, bytes_to_array
 from repro.core.compression import HEADER_BYTES
+from repro.faults import FaultConfig, FaultInjector
 from repro.nvm import FlashArray, TINY_TEST
 
 
@@ -124,3 +125,27 @@ class TestStlIntegration:
         assert units <= raw_pages + space.total_blocks  # +1 header page max
         back = stl.read(space.space_id, (0, 0), (16, 16))
         assert np.array_equal(bytes_to_array(back.data, np.int32), data)
+
+    def test_grown_bad_block_re_places_the_unit(self):
+        """A program status-fail on a compressed write retires the block
+        and re-places the unit, as an uncompressed write does: the old
+        units are already released, so losing the program loses data."""
+        flash = FlashArray(TINY_TEST.geometry, TINY_TEST.timing,
+                           store_data=True)
+        flash.attach_faults(FaultInjector(FaultConfig(program_fail_base=0.05)))
+        stl = SpaceTranslationLayer(flash, compressor=ZlibCompressor())
+        space = stl.create_space((64, 64), 4)
+        rng = np.random.default_rng(0)
+        expected = np.zeros((64, 64, 4), dtype=np.uint8)
+        now = 0.0
+        for _ in range(24):
+            origin = tuple(int(x) for x in rng.integers(0, 4, 2) * 16)
+            data = rng.integers(0, 4, (16, 16, 4), dtype=np.uint8)
+            now = stl.write_region(space.space_id, origin, (16, 16),
+                                   data=data, start_time=now).end_time
+            expected[origin[0]:origin[0] + 16,
+                     origin[1]:origin[1] + 16] = data
+        back = stl.read_region(space.space_id, (0, 0), (64, 64),
+                               start_time=now)
+        assert np.array_equal(back.data, expected)
+        assert flash.faults.counters()["grown_bad_blocks"] >= 1
