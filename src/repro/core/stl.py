@@ -741,7 +741,8 @@ class SpaceTranslationLayer:
                 entry, position, prefer=None,
                 allowed=self._shard_planes.get(space_id))
             self.gc.note_alloc(new_ppa, space_id, coord, position)
-            op = self.flash.program_pages([new_ppa], end, data=[page])
+            op = self._program(space_id, entry, coord, position, new_ppa,
+                               end, [page])
             end = max(end, op.end_time)
         faults.count("stl_degraded_reads")
         faults.count("stl_pages_reconstructed")

@@ -9,7 +9,7 @@ import pytest
 from repro.core import SpaceTranslationLayer
 from repro.core.api import array_to_bytes
 from repro.core.errors import DegradedReadError, UncorrectableError
-from repro.faults import FaultConfig, FaultPlan
+from repro.faults import FaultConfig, FaultInjector, FaultPlan
 from repro.faults.parity import xor_fold
 from repro.nvm import FlashArray, TINY_TEST
 from repro.systems import (BaselineSystem, HardwareNdsSystem, OracleSystem,
@@ -132,6 +132,36 @@ class TestParityLifecycle:
         assert len(stl.parity) > 0
         stl.delete_space(space.space_id)
         assert len(stl.parity) == 0
+
+    def test_relocation_re_places_on_a_grown_bad_block(self):
+        """The reconstructed unit lands in a block that has gone bad:
+        the relocation retires it and re-places the unit, so the read
+        returns the written bytes and the next read is clean."""
+        stl = self._stl()
+        space = stl.create_space((32, 32), 4)
+        data = np.random.default_rng(5).integers(
+            0, 256, size=(32, 32, 4), dtype=np.uint8)
+        stl.write_region(space.space_id, (0, 0), (32, 32), data=data)
+        entry = next(stl.indexes[space.space_id].iter_entries())
+        lost = entry.pages[0]
+        # a dry run shows the reconstructed unit lands in ch0/bk1/blk0,
+        # the lost unit's own block
+        assert (lost.channel, lost.bank, lost.block) == (0, 1, 0)
+        plan = (FaultPlan()
+                .corrupt_page(lost.channel, lost.bank, lost.block,
+                              lost.page, at=0.01)
+                .mark_block_bad(0, 1, 0, at=0.01))
+        stl.flash.attach_faults(FaultInjector(FaultConfig(parity=True,
+                                                          plan=plan)))
+        for attempt in range(2):
+            back = stl.read_region(space.space_id, (0, 0), (32, 32),
+                                   start_time=0.1 + attempt)
+            assert np.array_equal(back.data, data), attempt
+        counters = stl.flash.faults.counters()
+        assert counters["stl_degraded_reads"] == 1
+        assert counters["grown_bad_blocks"] == 1
+        now = entry.pages[0]
+        assert (now.channel, now.bank, now.block) != (0, 1, 0)
 
     def test_parity_rejects_incompatible_modes(self):
         flash = FlashArray(TINY_TEST.geometry, TINY_TEST.timing,
