@@ -579,6 +579,9 @@ class SpaceTranslationLayer:
             # the codec header can push an incompressible block one page
             # past its raw footprint
             entry.pages.extend([None] * (needed - len(entry.pages)))
+            # the placement grid's key packing depends on len(pages):
+            # rebuild it from the usage dicts on next use
+            entry.place_cols = None
 
         # Release every old unit, then place the compressed payload.
         old_planes = []

@@ -149,3 +149,24 @@ class TestStlIntegration:
                                start_time=now)
         assert np.array_equal(back.data, expected)
         assert flash.faults.counters()["grown_bad_blocks"] >= 1
+
+    def test_growing_a_page_slot_keeps_the_placement_grid_exact(self, rng):
+        """An incompressible rewrite of a block first stored compressed
+        grows the leaf by a header page. The placement grid packs its
+        keys with ``len(pages) + 1``, so it must still equal a rebuild
+        from the usage dicts afterwards."""
+        flash = FlashArray(TINY_TEST.geometry, TINY_TEST.timing,
+                           store_data=True)
+        stl = SpaceTranslationLayer(flash, compressor=ZlibCompressor())
+        space = stl.create_space((32, 32), 4)
+        stl.write_region(space.space_id, (0, 0), (32, 32),
+                         data=rng.integers(0, 2, (32, 32, 4), dtype=np.uint8))
+        entry = next(stl.indexes[space.space_id].iter_entries())
+        pages = len(entry.pages)
+        stl.write_region(space.space_id, (0, 0), (32, 32),
+                         data=rng.integers(0, 256, (32, 32, 4),
+                                           dtype=np.uint8))
+        assert len(entry.pages) == pages + 1
+        cols = stl.allocator._place_cols(entry)
+        entry.place_cols = None
+        assert stl.allocator._place_cols(entry) == cols
