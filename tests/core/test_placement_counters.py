@@ -23,6 +23,7 @@ from repro.core import SpaceTranslationLayer
 from repro.core.allocator import NdsAllocator
 from repro.core.btree import BlockEntry
 from repro.core.errors import CapacityError
+from repro.core.sharding import ShardSpec
 from repro.faults import FaultConfig, FaultInjector, FaultPlan
 from repro.faults.parity import PARITY_POSITION
 from repro.ftl.mapping import OutOfSpaceError
@@ -99,6 +100,95 @@ def _run_trial(seed):
 def test_placement_counters_match_old_scans():
     for seed in range(40):
         _run_trial(seed)
+
+
+# ----------------------------------------------------------------------
+# sharded spaces run the same rules over the shard's channels and banks
+# ----------------------------------------------------------------------
+def _old_choose_target_sharded(rng, entry, allowed):
+    """Rules 1-3 for a sharded space as dict scans over the entry's
+    usage maps, drawing from ``rng`` exactly as the allocator does."""
+    planes = sorted(allowed)
+    if entry.last_alloc is None:
+        return planes[rng.randrange(len(planes))]
+    bank = entry.last_alloc.bank
+    shard_channels_in_bank = {c for (c, b) in allowed if b == bank}
+    used_in_bank = {c for (c, b) in entry.bank_use if b == bank}
+    if not shard_channels_in_bank or \
+            used_in_bank >= shard_channels_in_bank:
+        banks = sorted({b for (_c, b) in allowed})
+        usage = {b: 0 for b in banks}
+        for (_c, b), count in entry.bank_use.items():
+            if b in usage:
+                usage[b] += count
+        least = min(usage.values())
+        bank = rng.choice([b for b in banks if usage[b] == least])
+    channels = sorted({c for (c, b) in allowed if b == bank})
+    if not channels:
+        channels = sorted({c for (c, _b) in allowed})
+    bank_use = entry.bank_channels.get(bank) or {}
+    channel_use = entry.channel_use
+    best = None
+    best_bank_use = 0
+    best_channel_use = 0
+    for c in channels:
+        used = bank_use.get(c, 0)
+        if best is None or used < best_bank_use:
+            best = c
+            best_bank_use = used
+            best_channel_use = channel_use.get(c, 0)
+        elif used == best_bank_use:
+            overall = channel_use.get(c, 0)
+            if overall < best_channel_use:
+                best = c
+                best_channel_use = overall
+    return best, bank
+
+
+def _run_sharded_trial(seed):
+    """Alloc/release churn inside one random shard; every choice equals
+    the dict-scan rules', and the RNG streams stay in step."""
+    rng = random.Random(seed)
+    geo = Geometry(channels=rng.choice([2, 4, 8, 32]),
+                   banks_per_channel=rng.choice([1, 2, 4, 8]),
+                   blocks_per_bank=64, pages_per_block=64, page_size=4096)
+    channels = rng.sample(range(geo.channels),
+                          rng.randint(1, geo.channels))
+    banks = (None if rng.random() < 0.3 else
+             rng.sample(range(geo.banks_per_channel),
+                        rng.randint(1, geo.banks_per_channel)))
+    allowed = ShardSpec(channels, banks).planes(geo)
+    alloc = NdsAllocator(geo, seed=seed)
+    reference = random.Random(seed)
+    npages = rng.choice([1, 4, 16, 64, 200])
+    entry = None
+    choices = 0
+    for step in range(500):
+        if entry is None or rng.random() < 0.01:
+            entry = BlockEntry(coord=(0,), pages=[None] * npages)
+        got = alloc.choose_target(entry, allowed=allowed)
+        want = _old_choose_target_sharded(reference, entry, allowed)
+        assert got == want, (seed, step, got, want)
+        assert got in allowed
+        choices += 1
+        free = [i for i in range(npages) if entry.pages[i] is None]
+        live = [i for i in range(npages) if entry.pages[i] is not None]
+        if free and (not live or rng.random() < 0.6):
+            # bind the chosen plane, or (rule 4 / overwrite) another
+            # plane of the shard
+            channel, bank = (got if rng.random() < 0.8 else
+                             rng.choice(sorted(allowed)))
+            entry.record_alloc(PhysicalPageAddress(
+                channel, bank, rng.randrange(64), rng.randrange(64)),
+                rng.choice(free))
+        elif live:
+            entry.record_release(rng.choice(live))
+    assert alloc.rng.random() == reference.random(), seed
+    return choices
+
+
+def test_sharded_placement_matches_dict_scans():
+    assert sum(_run_sharded_trial(seed) for seed in range(60)) == 30000
 
 
 # ----------------------------------------------------------------------

@@ -46,3 +46,14 @@ class TestExamples:
         assert "shared channels: none" in out
         assert (tmp_path / "qos_isolation.metrics.json").exists()
         assert (tmp_path / "qos_isolation.sharded.trace.json").exists()
+
+    def test_compression_and_sparse(self, capsys):
+        out = _run("compression_and_sparse.py", capsys)
+        assert "stored 4 MiB in 208 pages" in out
+        assert "3360 all-zero pages elided" in out
+        assert "done." in out
+
+    def test_raw_device(self, capsys):
+        out = _run("raw_device.py", capsys)
+        assert "delete_space released 256 access units" in out
+        assert "done." in out
