@@ -23,7 +23,7 @@ FTL underneath, it just *places* differently.
 from __future__ import annotations
 
 import random
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.btree import BlockEntry
 from repro.core.errors import CapacityError
@@ -73,42 +73,34 @@ class NdsAllocator:
         """Pick the (channel, bank) the next unit of ``entry`` should
         come from, before consulting free space.
 
-        ``allowed`` restricts every rule to a shard's plane subset; with
-        None (the default) the rules see the whole array and the RNG
-        draw sequence is identical to the pre-sharding allocator.
+        ``allowed`` restricts every rule to a shard's planes (a channels
+        x banks product, see :meth:`ShardSpec.planes`); with None (the
+        default) the rules see the whole array and the RNG draw sequence
+        is identical to the pre-sharding allocator.
         """
         g = self.geometry
-        if allowed is not None:
-            return self._choose_target_sharded(entry, allowed)
         if entry.last_alloc is None:
             # Rule 1: brand-new block — random channel and bank.
-            return (self.rng.randrange(g.channels),
-                    self.rng.randrange(g.banks_per_channel))
+            if allowed is None:
+                return (self.rng.randrange(g.channels),
+                        self.rng.randrange(g.banks_per_channel))
+            planes = sorted(allowed)
+            return planes[self.rng.randrange(len(planes))]
+        channels = banks = None
+        width = g.channels
+        if allowed is not None:
+            channels = sorted({c for (c, _b) in allowed})
+            banks = sorted({b for (_c, b) in allowed})
+            width = len(channels)
         bank = entry.last_alloc.bank
-        channels_in_bank = entry.bank_channels.get(bank, ())
-        if len(channels_in_bank) >= g.channels:
+        # An entry's units never leave its shard, so a count of the
+        # channels it uses in this bank says whether it covers them all.
+        if len(entry.bank_channels.get(bank, ())) >= width:
             # Rule 3: block covers every channel of this bank already —
             # move to an unused or least-used bank.
-            bank = self._least_used_bank(entry)
+            bank = self._least_used_bank(entry, banks)
         # Rule 2: least-used channel (within the chosen bank).
-        channel = self._least_used_channel(entry, bank)
-        return channel, bank
-
-    def _choose_target_sharded(self, entry: BlockEntry,
-                               allowed: Planes) -> Tuple[int, int]:
-        """The same rules 1–3, with "every channel/bank" meaning the
-        shard's channels/banks."""
-        planes = sorted(allowed)
-        if entry.last_alloc is None:
-            return planes[self.rng.randrange(len(planes))]
-        bank = entry.last_alloc.bank
-        shard_channels_in_bank = {c for (c, b) in allowed if b == bank}
-        used_in_bank = {c for (c, b) in entry.bank_use if b == bank}
-        if not shard_channels_in_bank or \
-                used_in_bank >= shard_channels_in_bank:
-            bank = self._least_used_bank(entry, allowed)
-        channel = self._least_used_channel(entry, bank, allowed)
-        return channel, bank
+        return self._least_used_channel(entry, bank, channels), bank
 
     def _place_cols(self, entry: BlockEntry):
         """The entry's columnar placement counters, built on first use.
@@ -140,57 +132,28 @@ class NdsAllocator:
         return cols
 
     def _least_used_bank(self, entry: BlockEntry,
-                         allowed: Optional[Planes] = None) -> int:
-        if allowed is None:
-            usage = self._place_cols(entry)[1]
-            least = min(usage)
-            candidates = [b for b, u in enumerate(usage) if u == least]
-            return self.rng.choice(candidates)
-        banks = sorted({b for (_c, b) in allowed})
-        usage = {b: 0 for b in banks}
-        for (_c, b), count in entry.bank_use.items():
-            if b in usage:
-                usage[b] += count
-        least = min(usage.values())
-        candidates = [b for b in banks if usage[b] == least]
-        return self.rng.choice(candidates)
+                         banks: Optional[List[int]] = None) -> int:
+        """A random one of the least-used ``banks`` (default: all)."""
+        usage = self._place_cols(entry)[1]
+        if banks is None:
+            banks = range(len(usage))
+        least = min(usage[b] for b in banks)
+        return self.rng.choice([b for b in banks if usage[b] == least])
 
     def _least_used_channel(self, entry: BlockEntry, bank: int,
-                            allowed: Optional[Planes] = None) -> int:
-        if allowed is None:
-            # Columnar fast path: one C-level min + index over the
-            # bank's combined-key row replaces the 2-dict-gets-per-
-            # channel Python scan below. The key packs (bank use,
-            # overall channel use) into one int, and index() returns
-            # the first minimum — the same lexicographic order and
-            # lowest-channel-id tie-break as the scan.
-            row = self._place_cols(entry)[0][bank]
+                            channels: Optional[List[int]] = None) -> int:
+        """The least-used of ``channels`` (default: all) in ``bank``.
+
+        One C-level ``min`` over the bank's combined-key row: the key
+        packs (bank use, overall channel use) into one int, and both
+        ``index`` and ``min`` return the first minimum — the
+        lexicographic order with the lowest channel id as tie-break, so
+        blocks larger than one stripe still spread evenly.
+        """
+        row = self._place_cols(entry)[0][bank]
+        if channels is None:
             return row.index(min(row))
-        channels = sorted({c for (c, b) in allowed if b == bank})
-        if not channels:
-            channels = sorted({c for (c, _b) in allowed})
-        # Single pass, no list/sort churn (this runs once per allocated
-        # unit): pick the least-used channel in the bank, tie-break on
-        # overall per-channel use so blocks larger than one stripe still
-        # spread evenly, further ties to the lowest channel id — exactly
-        # the order the old build-sort-index pipeline produced.
-        bank_use = entry.bank_channels.get(bank) or {}
-        channel_use = entry.channel_use
-        best = None
-        best_bank_use = 0
-        best_channel_use = 0
-        for c in channels:
-            used = bank_use.get(c, 0)
-            if best is None or used < best_bank_use:
-                best = c
-                best_bank_use = used
-                best_channel_use = channel_use.get(c, 0)
-            elif used == best_bank_use:
-                overall = channel_use.get(c, 0)
-                if overall < best_channel_use:
-                    best = c
-                    best_channel_use = overall
-        return best
+        return min(channels, key=row.__getitem__)
 
     # ------------------------------------------------------------------
     def allocate(self, entry: BlockEntry, position: int,

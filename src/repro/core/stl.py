@@ -180,20 +180,8 @@ class SpaceTranslationLayer:
         units released."""
         space = self.get_space(space_id)
         index = self.indexes[space_id]
-        released = 0
-        for entry in list(index.iter_entries()):
-            for position in range(len(entry.pages)):
-                ppa = entry.record_release(position)
-                if ppa is not None:
-                    self.allocator.invalidate(ppa)
-                    self.gc.note_release(ppa)
-                    released += 1
-        if self.parity is not None:
-            for coord, ppa in self.parity.iter_space(space_id):
-                self.parity.pop(space_id, coord)
-                self.allocator.invalidate(ppa)
-                self.gc.note_release(ppa)
-                released += 1
+        released = sum(self._release_block(space_id, entry)
+                       for entry in list(index.iter_entries()))
         space.deleted = True
         del self.indexes[space_id]
         self.shards.pop(space_id, None)
@@ -239,18 +227,7 @@ class SpaceTranslationLayer:
                 replacement.last_alloc = entry.last_alloc
                 replacement.stored_bytes = entry.stored_bytes
                 continue
-            for position in range(len(entry.pages)):
-                ppa = entry.record_release(position)
-                if ppa is not None:
-                    self.allocator.invalidate(ppa)
-                    self.gc.note_release(ppa)
-                    released += 1
-            if self.parity is not None:
-                parity_ppa = self.parity.pop(space_id, entry.coord)
-                if parity_ppa is not None:
-                    self.allocator.invalidate(parity_ppa)
-                    self.gc.note_release(parity_ppa)
-                    released += 1
+            released += self._release_block(space_id, entry)
         self.spaces[space_id] = resized
         self.indexes[space_id] = new_index
         self.stats.count("spaces_resized")
@@ -280,17 +257,12 @@ class SpaceTranslationLayer:
         uses it to materialize functional payloads for regions that
         were fetched timing-only into a user buffer."""
         space = self.get_space(space_id)
-        out = np.zeros(access.extent() + (space.element_size,),
-                       dtype=np.uint8)
         entry = self.indexes[space_id].lookup(access.block_coord).entry
         if entry is None:
-            return out
-        buffer = self._block_buffer(space, entry)
-        view = buffer[:space.block_bytes].reshape(
-            space.bb + (space.element_size,))
-        slicer = tuple(slice(lo, hi) for lo, hi in access.block_slice)
-        out[...] = view[slicer]
-        return out
+            return np.zeros(access.extent() + (space.element_size,),
+                            dtype=np.uint8)
+        return self._block_region(space, self._block_buffer(space, entry),
+                                  access).copy()
 
     # ------------------------------------------------------------------
     # block-granular execution (systems drive pacing through these)
@@ -307,41 +279,35 @@ class SpaceTranslationLayer:
         positions = pages_for_region(space, access.block_slice)
         completion = issue_time
         pages_read = 0
-        if lookup.entry is not None:
-            if lookup.entry.stored_bytes is not None:
-                # compressed blocks are stored whole: any read touches
-                # every (fewer) stored unit (§5.3.4)
-                ppas = lookup.entry.allocated_pages()
-                if ppas:
-                    op = self.flash.read_pages(ppas, issue_time)
-                    completion = op.end_time
-                    pages_read = len(ppas)
-            elif self.flash.faults is not None:
-                # pages read one by one so a single uncorrectable unit
-                # can be reconstructed without losing the batch (timing
-                # is identical: all pages are issued at ``issue_time``)
-                for position in positions:
-                    ppa = lookup.entry.pages[position]
-                    if ppa is None:
-                        continue
-                    try:
-                        op = self.flash.read_pages([ppa], issue_time)
-                        end = op.end_time
-                    except UncorrectableError as err:
-                        end = self._degraded_read(space_id, space,
-                                                  access.block_coord,
-                                                  lookup.entry, position, err)
-                    completion = max(completion, end)
-                    pages_read += 1
-            else:
-                ppas = [lookup.entry.pages[p] for p in positions
-                        if lookup.entry.pages[p] is not None]
-                if ppas:
-                    op = self.flash.read_pages(ppas, issue_time)
-                    completion = op.end_time
-                    pages_read = len(ppas)
+        entry = lookup.entry
+        if entry is not None and entry.stored_bytes is None \
+                and self.flash.faults is not None:
+            # pages read one by one so a single uncorrectable unit can be
+            # reconstructed without losing the batch (timing is
+            # identical: all pages are issued at ``issue_time``)
+            for position in positions:
+                ppa = entry.pages[position]
+                if ppa is None:
+                    continue
+                try:
+                    end = self.flash.read_pages([ppa], issue_time).end_time
+                except UncorrectableError as err:
+                    end = self._degraded_read(space_id, space,
+                                              access.block_coord, entry,
+                                              position, err)
+                completion = max(completion, end)
+                pages_read += 1
+        elif entry is not None:
+            # compressed blocks are stored whole: any read touches every
+            # (fewer) stored unit (§5.3.4)
+            ppas = (entry.allocated_pages() if entry.stored_bytes is not None
+                    else [entry.pages[p] for p in positions
+                          if entry.pages[p] is not None])
+            if ppas:
+                completion = self.flash.read_pages(ppas, issue_time).end_time
+                pages_read = len(ppas)
         if out is not None:
-            self._scatter_block(space, access, lookup.entry, out)
+            self._scatter_block(space, access, entry, out)
         self.stats.count("stl_pages_read", pages_read)
         return BlockOpResult(access=access, issue_time=issue_time,
                              completion_time=completion, pages=pages_read,
@@ -374,22 +340,11 @@ class SpaceTranslationLayer:
             for (lo, hi), extent in zip(access.block_slice, space.bb))
         if self.flash.store_data and region is not None:
             new_content = self._block_buffer(space, entry)
+            self._block_region(space, new_content, access)[...] = region
+        if new_content is not None or not self.flash.store_data:
             existing = [entry.pages[p] for p in positions
                         if entry.pages[p] is not None]
-            partial = not covers_block
-            if existing and partial:
-                op = self.flash.read_pages(existing, issue_time)
-                rmw_done = op.end_time
-                rmw_reads = len(existing)
-            view = new_content[:space.block_bytes].reshape(
-                space.bb + (space.element_size,))
-            slicer = tuple(slice(lo, hi) for lo, hi in access.block_slice)
-            view[slicer] = region
-        elif not self.flash.store_data:
-            existing = [entry.pages[p] for p in positions
-                        if entry.pages[p] is not None]
-            partial = not covers_block
-            if existing and partial:
+            if existing and not covers_block:
                 op = self.flash.read_pages(existing, issue_time)
                 rmw_done = op.end_time
                 rmw_reads = len(existing)
@@ -407,16 +362,15 @@ class SpaceTranslationLayer:
         pending_ppas: List = []
         pending_data: Optional[List[np.ndarray]] = \
             [] if new_content is not None else None
+        coord = access.block_coord
+        shard = self._shard_planes.get(space_id)
         for position in positions:
             old = entry.pages[position]
             if old is not None:
                 prefer = (old.channel, old.bank)
-                entry.record_release(position)
-                self.allocator.invalidate(old)
-                self.gc.note_release(old)
+                self._release(entry, position)
             else:
-                prefer = self.allocator.choose_target(
-                    entry, allowed=self._shard_planes.get(space_id))
+                prefer = self.allocator.choose_target(entry, allowed=shard)
             if self.gc.needs_collection(*prefer):
                 if pending_ppas:
                     op = self.flash.program_pages(pending_ppas, rmw_done,
@@ -439,18 +393,15 @@ class SpaceTranslationLayer:
                 # all-zero page; the empty leaf slot reads back as zeros
                 self.stats.count("stl_pages_elided")
                 continue
-            ppa = self.allocator.allocate(
-                entry, position, prefer=prefer,
-                allowed=self._shard_planes.get(space_id))
-            self.gc.note_alloc(ppa, space_id, access.block_coord, position)
+            ppa = self._place(space_id, entry, coord, position, prefer)
             if batching:
                 pending_ppas.append(ppa)
                 if pending_data is not None:
                     pending_data.append(payload[0])
                 units += 1
                 continue
-            op = self._program(space_id, entry, access.block_coord, position,
-                               ppa, rmw_done, payload)
+            op = self._program(space_id, entry, coord, position, ppa,
+                               rmw_done, payload)
             completion = max(completion, op.end_time)
             units += 1
         if pending_ppas:
@@ -568,10 +519,7 @@ class SpaceTranslationLayer:
             rmw_done = op.end_time
             rmw_reads = len(old_ppas)
         content = self._block_buffer(space, entry)
-        view = content[:space.block_bytes].reshape(
-            space.bb + (space.element_size,))
-        slicer = tuple(slice(lo, hi) for lo, hi in access.block_slice)
-        view[slicer] = region
+        self._block_region(space, content, access)[...] = region
 
         stored = self.compressor.compress_block(content[:space.block_bytes])
         needed = max(1, -(-stored.size // page_bytes))
@@ -586,11 +534,11 @@ class SpaceTranslationLayer:
         # Release every old unit, then place the compressed payload.
         old_planes = []
         for position in range(len(entry.pages)):
-            ppa = entry.record_release(position)
+            ppa = self._release(entry, position)
             if ppa is not None:
                 old_planes.append((ppa.channel, ppa.bank))
-                self.allocator.invalidate(ppa)
-                self.gc.note_release(ppa)
+        coord = access.block_coord
+        shard = self._shard_planes.get(space_id)
         completion = rmw_done
         gc_time = 0.0
         units = 0
@@ -598,19 +546,15 @@ class SpaceTranslationLayer:
             if position < len(old_planes):
                 prefer = old_planes[position]
             else:
-                prefer = self.allocator.choose_target(
-                    entry, allowed=self._shard_planes.get(space_id))
+                prefer = self.allocator.choose_target(entry, allowed=shard)
             if self.gc.needs_collection(*prefer):
                 gc_result = self.gc.collect(prefer[0], prefer[1], completion)
                 gc_time += max(0.0, gc_result.end_time - completion)
                 completion = max(completion, gc_result.end_time)
-            ppa = self.allocator.allocate(
-                entry, position, prefer=prefer,
-                allowed=self._shard_planes.get(space_id))
-            self.gc.note_alloc(ppa, space_id, access.block_coord, position)
+            ppa = self._place(space_id, entry, coord, position, prefer)
             chunk = stored[position * page_bytes:(position + 1) * page_bytes]
-            op = self._program(space_id, entry, access.block_coord, position,
-                               ppa, rmw_done, [chunk])
+            op = self._program(space_id, entry, coord, position, ppa,
+                               rmw_done, [chunk])
             completion = max(completion, op.end_time)
             units += 1
         entry.stored_bytes = stored.size
@@ -621,6 +565,20 @@ class SpaceTranslationLayer:
                              nodes_visited=lookup.nodes_visited,
                              units_allocated=units, rmw_reads=rmw_reads,
                              gc_time=gc_time)
+
+    # ------------------------------------------------------------------
+    # the §4.2 unit lifecycle: place, program, release
+    # ------------------------------------------------------------------
+    def _place(self, space_id: int, entry: BlockEntry,
+               coord: Tuple[int, ...], position: int, prefer=None):
+        """Bind a fresh unit to ``entry.pages[position]`` under the
+        §4.2 rules (``prefer`` pins its plane) and record its reverse
+        entry."""
+        ppa = self.allocator.allocate(
+            entry, position, prefer=prefer,
+            allowed=self._shard_planes.get(space_id))
+        self.gc.note_alloc(ppa, space_id, coord, position)
+        return ppa
 
     def _program(self, space_id: int, entry: BlockEntry,
                  coord: Tuple[int, ...], position: int, ppa, issue: float,
@@ -633,15 +591,39 @@ class SpaceTranslationLayer:
             try:
                 return self.flash.program_pages([ppa], issue, data=data)
             except ProgramFailError as err:
-                entry.record_release(position)
-                self.allocator.invalidate(ppa)
-                self.gc.note_release(ppa)
+                self._release(entry, position)
                 issue = self.gc.retire_block(ppa.channel, ppa.bank,
                                              ppa.block, err.fail_time)
-                ppa = self.allocator.allocate(
-                    entry, position, prefer=None,
-                    allowed=self._shard_planes.get(space_id))
-                self.gc.note_alloc(ppa, space_id, coord, position)
+                ppa = self._place(space_id, entry, coord, position)
+
+    def _release(self, entry: BlockEntry, position: int):
+        """Unbind ``entry.pages[position]``: the leaf slot, the plane's
+        valid bit and the reverse entry go together, so a GC move never
+        finds its slot empty. Returns the unit (None if the slot was
+        empty)."""
+        ppa = entry.record_release(position)
+        if ppa is not None:
+            self.allocator.invalidate(ppa)
+            self.gc.note_release(ppa)
+        return ppa
+
+    def _release_parity(self, space_id: int, coord: Tuple[int, ...]):
+        """Unbind a block's parity unit; returns it (None if none)."""
+        ppa = self.parity.pop(space_id, coord)
+        if ppa is not None:
+            self.allocator.invalidate(ppa)
+            self.gc.note_release(ppa)
+        return ppa
+
+    def _release_block(self, space_id: int, entry: BlockEntry) -> int:
+        """Unbind every unit of a block, parity included; returns how
+        many there were."""
+        released = sum(self._release(entry, position) is not None
+                       for position in range(len(entry.pages)))
+        if self.parity is not None and \
+                self._release_parity(space_id, entry.coord) is not None:
+            released += 1
+        return released
 
     def _resolve_entry(self, space_id: int,
                        block_coord: Tuple[int, ...]) -> Optional[BlockEntry]:
@@ -674,10 +656,7 @@ class SpaceTranslationLayer:
         slots count as zeros, matching reconstruction); the old unit is
         released first so the allocator can reuse its plane.
         """
-        old = self.parity.pop(space_id, coord)
-        if old is not None:
-            self.allocator.invalidate(old)
-            self.gc.note_release(old)
+        self._release_parity(space_id, coord)
         if content is None:
             content = self._block_buffer(space, entry)
         payload = xor_fold(content, self._page_size)
@@ -736,14 +715,8 @@ class SpaceTranslationLayer:
                     detail=f"parity group member unreadable: {sibling_err}"
                 ) from err
             # relocate the reconstructed unit off the failing page
-            failed = entry.pages[position]
-            entry.record_release(position)
-            self.allocator.invalidate(failed)
-            self.gc.note_release(failed)
-            new_ppa = self.allocator.allocate(
-                entry, position, prefer=None,
-                allowed=self._shard_planes.get(space_id))
-            self.gc.note_alloc(new_ppa, space_id, coord, position)
+            self._release(entry, position)
+            new_ppa = self._place(space_id, entry, coord, position)
             op = self._program(space_id, entry, coord, position, new_ppa,
                                end, [page])
             end = max(end, op.end_time)
@@ -781,8 +754,14 @@ class SpaceTranslationLayer:
         if entry is None:
             out[out_slicer] = 0
             return
-        buffer = self._block_buffer(space, entry)
+        out[out_slicer] = self._block_region(
+            space, self._block_buffer(space, entry), access)
+
+    @staticmethod
+    def _block_region(space: Space, buffer: np.ndarray,
+                      access: BlockAccess) -> np.ndarray:
+        """The view of ``access``'s region inside a block buffer, shaped
+        ``(*extent, element_size)``."""
         view = buffer[:space.block_bytes].reshape(
             space.bb + (space.element_size,))
-        block_slicer = tuple(slice(lo, hi) for lo, hi in access.block_slice)
-        out[out_slicer] = view[block_slicer]
+        return view[tuple(slice(lo, hi) for lo, hi in access.block_slice)]
