@@ -108,8 +108,7 @@ class BaselineSSD:
         banks = geometry.banks_per_channel
         blocks = geometry.blocks_per_bank
         per_block = geometry.pages_per_block
-        per_bank = geometry.pages_per_bank
-        threshold = gc.threshold
+        trigger_mark = gc.trigger_mark
         program_chain = flash._program_chain
         count_flash = flash.stats.count
         end = start_time
@@ -117,7 +116,7 @@ class BaselineSSD:
         payloads: Optional[List] = [] if data is not None else None
         for position, lpn in enumerate(lpns):
             plane = stripe_planes[lpn % stripes]
-            if plane.free_pages / per_bank < threshold:
+            if plane.free_pages < trigger_mark:
                 if batch:
                     done = program_chain(batch, start_time, payloads)
                     count_flash("pages_programmed", len(batch))
