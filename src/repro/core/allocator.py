@@ -13,7 +13,10 @@ possible:
    rules 1–3 again.
 
 Overwrites pick a fresh unit from the *same channel and bank* as the
-overwritten unit, preserving the block's parallelism.
+overwritten unit, preserving the block's parallelism. The STL's
+``write_block`` binds an overwrite at that plane's append point itself
+and comes here (``prefer``) only when the plane is full or its channel
+is dead, for the rule-4 fallback.
 
 Free-space bookkeeping reuses the per-(channel, bank) log-structured
 :class:`~repro.ftl.mapping.PlaneAllocator`; NDS manages flash like an

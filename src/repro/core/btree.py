@@ -78,6 +78,12 @@ class BlockEntry:
         if ppa is None:
             return None
         self.pages[position] = None
+        self.release_counts(ppa)
+        return ppa
+
+    def release_counts(self, ppa: PhysicalPageAddress) -> None:
+        """Take ``ppa`` out of the usage counters: the counter half of
+        :meth:`record_release`, for a unit whose slot is already empty."""
         self.channel_use[ppa.channel] -= 1
         if self.channel_use[ppa.channel] == 0:
             del self.channel_use[ppa.channel]
@@ -99,7 +105,17 @@ class BlockEntry:
                 row[c] -= 1
             key_grid[ppa.bank][c] -= len(self.pages) + 1
             bank_tot[ppa.bank] -= 1
-        return ppa
+
+    def rebind(self, position: int, ppa: PhysicalPageAddress) -> None:
+        """Point ``pages[position]`` at ``ppa``, a unit on the same
+        (channel, bank) as the one the usage counters hold for it.
+
+        A release + alloc pair on one plane subtracts and adds the same
+        one in ``channel_use``, ``bank_use``, ``bank_channels`` and
+        ``place_cols``, so only the slot and ``last_alloc`` change. A GC
+        move and the STL's same-plane overwrite both rebind this way."""
+        self.pages[position] = ppa
+        self.last_alloc = ppa
 
     def allocated_pages(self) -> List[PhysicalPageAddress]:
         return [p for p in self.pages if p is not None]
