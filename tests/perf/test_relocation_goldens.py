@@ -19,6 +19,12 @@ corrupt page on a victim's live page (relocation reads it clean under
 recovery suppression), and flip the bits of a victim's live page so the
 verified relocation read raises ``EccError`` out of the collector.
 
+The traced cells rerun the bad-destination churn with a trace and a
+metrics registry subscribed to the flash array and the collector, and
+also pin a SHA-256 of the Chrome trace and one of the metrics snapshot:
+every per-page probe event of a relocation (sense, transfers, program,
+the failed program before its re-drive) at the point it is emitted.
+
 Re-record (only after a change meant to move the model) with::
 
     PYTHONPATH=src python tests/perf/test_relocation_goldens.py --record
@@ -41,6 +47,9 @@ from repro.faults import FaultConfig, FaultInjector, FaultPlan
 from repro.ftl import BaselineSSD
 from repro.nvm import TINY_TEST, FlashArray
 from repro.nvm.address import PhysicalPageAddress
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.probe import Probe
+from repro.runtime.trace import TraceRecorder
 
 GOLDEN_PATH = Path(__file__).parent / "relocation_goldens.json"
 
@@ -68,7 +77,10 @@ def _plan(cell: str) -> FaultPlan | None:
     pages of a victim, the dead channel holds planes under GC."""
     layer, kind = cell.split("/")
     plan = FaultPlan()
-    if kind.startswith("bad-"):
+    if kind == "traced":
+        for channel, bank, block, at in BAD[layer + "/bad-dest"]:
+            plan.mark_block_bad(channel, bank, block, at=at)
+    elif kind.startswith("bad-"):
         for channel, bank, block, at in BAD[cell]:
             plan.mark_block_bad(channel, bank, block, at=at)
     elif kind == "corrupt":
@@ -110,13 +122,22 @@ DEAD_CHANNEL = {
 CELLS = ("stl/timing", "stl/data", "stl/parity", "stl/bad-dest",
          "stl/corrupt", "stl/ecc", "stl/dead-channel",
          "ftl/timing", "ftl/data", "ftl/bad-dest", "ftl/bad-nested",
-         "ftl/corrupt", "ftl/ecc", "ftl/dead-channel")
+         "ftl/corrupt", "ftl/ecc", "ftl/dead-channel",
+         "stl/traced", "ftl/traced")
 
 
 def _attach(flash: FlashArray, cell: str) -> None:
     plan = _plan(cell)
     if plan is not None:
         flash.attach_faults(FaultInjector(FaultConfig(plan=plan)))
+
+
+def _observe(flash: FlashArray, gc, cell: str) -> None:
+    """A traced cell's one probe (trace + metrics) on the flash array and
+    the collector, as a system attaches it."""
+    if cell.endswith("/traced"):
+        probe = Probe(trace=TraceRecorder(), metrics=MetricsRegistry())
+        flash.probe = gc.probe = probe
 
 
 def _run_stl(cell: str, spy):
@@ -127,6 +148,7 @@ def _run_stl(cell: str, spy):
     _attach(flash, cell)
     stl = SpaceTranslationLayer(flash, gc_threshold=0.25,
                                 parity=kind == "parity")
+    _observe(flash, stl.gc, cell)
     spy(stl.gc)
     space = stl.create_space(STL_DIMS, STL_ELEMENT)
     rng = random.Random(7)
@@ -166,6 +188,7 @@ def _run_ftl(cell: str, spy):
     store = kind != "timing"
     ssd = BaselineSSD(FTL_PROFILE, store_data=store)
     _attach(ssd.flash, cell)
+    _observe(ssd.flash, ssd.gc, cell)
     spy(ssd.gc)
     rng = random.Random(11)
     page = ssd.page_size
@@ -260,7 +283,7 @@ def run_cell(cell: str) -> dict:
     for row in flash.bank_lines:
         lines.extend(row)
     faults = flash.faults
-    return {
+    result = {
         "outcomes": outcomes,
         "lines": [[line.name, line.free_at.hex(), line.busy_time.hex(),
                    line.ops] for line in lines],
@@ -272,6 +295,16 @@ def run_cell(cell: str) -> dict:
         "retirements": retirements,
         "state_sha256": digest.hexdigest(),
     }
+    probe = flash.probe
+    if probe is not None:
+        result["trace_sha256"] = _sha256(probe.trace.to_chrome())
+        result["metrics_sha256"] = _sha256(probe.metrics.snapshot())
+    return result
+
+
+def _sha256(payload) -> str:
+    return hashlib.sha256(
+        json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
 def _golden() -> dict:
@@ -288,6 +321,8 @@ def test_relocation_bit_identical(cell):
     assert got["outcomes"] == want["outcomes"]
     assert got["lines"] == want["lines"]
     assert got["state_sha256"] == want["state_sha256"]
+    for key in ("trace_sha256", "metrics_sha256"):
+        assert got.get(key) == want.get(key), key
 
 
 @pytest.mark.parametrize("cell", CELLS)
@@ -319,6 +354,31 @@ def test_cell_exercises_its_path(cell):
         assert faults["dead_channel_reads"] > 0
     if kind in ("timing", "data", "parity"):
         assert errors == set() and want["fault_stats"] is None
+    if kind == "traced":
+        # the probe changes nothing it observes: the same run as the
+        # untraced bad-destination cell, bit for bit
+        untraced = _golden()[cell.split("/")[0] + "/bad-dest"]
+        assert {k: want[k] for k in untraced} == untraced
+        assert want["trace_sha256"] and want["metrics_sha256"]
+
+
+def test_traced_cells_record_relocation_events():
+    """The traced cells' trace really holds the relocation traffic, and
+    the probe saw every program: the ones counted and the failed ones
+    before each re-drive."""
+    for cell in ("stl/traced", "ftl/traced"):
+        flash, gc, _outcomes, _state = (
+            _run_stl if cell.startswith("stl/") else _run_ftl)(
+                cell, lambda gc: None)
+        names = {span.name for span in flash.probe.trace.spans}
+        assert {"nand_read", "page_out", "page_in",
+                "nand_program"} <= names, cell
+        counters = flash.probe.metrics.snapshot()["counters"]
+        stats = flash.stats.counters
+        assert stats["program_fails"] > 0, cell
+        assert counters["flash.pages_programmed"] \
+            == stats["pages_programmed"] + stats["program_fails"], cell
+        assert gc.total_relocated > 0 and gc.total_retired > 0, cell
 
 
 if __name__ == "__main__":
