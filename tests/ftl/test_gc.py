@@ -111,7 +111,12 @@ class TestCollect:
         outer victim (or the block being retired): erasing the victim
         under the outer loop, which then refills it and erases it again,
         freed four live pages and retired the bad block twice. With
-        both blocks off limits, a plane with no spare left raises."""
+        both blocks off limits, a plane with no spare left raises.
+
+        The raise must leave every mapped page live: the valid bits of
+        the page the retirement was moving (LPN 0) and of the outer
+        collection's page in flight (LPN 3) were cleared, so a later
+        collection of those blocks would have erased live data."""
         geometry, flash, ftl, gc = small_world
         for lpn in range(12):
             _write(ftl, flash, gc, lpn, lpn, now=float(lpn))
@@ -124,9 +129,12 @@ class TestCollect:
         with pytest.raises(OutOfSpaceError):
             gc.collect(0, 0, 40.0)
         assert gc.total_erased == gc.total_retired == 0
+        plane = ftl.planes[(0, 0)]
         for lpn in range(12):
             want = 100 + lpn if lpn < 3 else lpn
-            assert flash.page_data(ftl.lookup(lpn), verify=False)[0] == want
+            ppa = ftl.lookup(lpn)
+            assert flash.page_data(ppa, verify=False)[0] == want
+            assert plane.blocks[ppa.block].valid[ppa.page], lpn
 
 
 class TestWear:
