@@ -4,19 +4,22 @@ A physical page address (PPA) names one basic access unit:
 ``(channel, bank, block, page)``. A compact integer linearization is
 used as dictionary key by the functional page store and by the FTL/STL
 mapping tables.
+
+A PPA is a named tuple: its hash and ordering are the plain tuple's
+(field-wise, in declaration order), and it compares equal to the plain
+4-tuple of its fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.nvm.geometry import Geometry
 
 __all__ = ["PhysicalPageAddress", "ppa_to_index", "index_to_ppa"]
 
 
-@dataclass(frozen=True, order=True)
-class PhysicalPageAddress:
+class PhysicalPageAddress(NamedTuple):
     """One basic access unit in the NVM array."""
 
     channel: int
