@@ -25,13 +25,10 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.nvm.address import PhysicalPageAddress
+from repro.nvm.flash import OutOfSpaceError
 from repro.nvm.geometry import Geometry
 
 __all__ = ["BlockState", "PlaneAllocator", "PageMapFTL", "OutOfSpaceError"]
-
-
-class OutOfSpaceError(RuntimeError):
-    """No free page satisfies the allocation request (GC must run)."""
 
 
 @dataclass
