@@ -171,24 +171,38 @@ class BTreeIndex:
         entry = node.leaves.get(block_coord[-1])
         return LookupResult(entry=entry, nodes_visited=visited)
 
-    def find(self, block_coord: Tuple[int, ...]) -> Optional[BlockEntry]:
-        """The entry at a coordinate known to be in the grid, or None: a
-        :meth:`lookup` without the check and the visit count, for map
-        patching that models no tree walk."""
-        node = self.root
-        for axis in range(len(block_coord) - 1):
-            node = node.children.get(block_coord[axis])
-            if node is None:
-                return None
-        return node.leaves.get(block_coord[-1])
-
     def ensure(self, block_coord: Tuple[int, ...]) -> LookupResult:
         """Walk the tree, allocating nodes/entries along the path (§4.2:
         "the STL will allocate all necessary tree nodes along the
         traversal path")."""
         self._check_coord(block_coord)
+        node, created = self._leaf_node(block_coord)
+        entry = node.leaves.get(block_coord[-1])
+        if entry is None:
+            entry = BlockEntry(
+                coord=block_coord,
+                pages=[None] * self.space.pages_per_block,
+            )
+            node.leaves[block_coord[-1]] = entry
+            self.entry_count += 1
+        return LookupResult(entry=entry, nodes_visited=self.space.rank,
+                            nodes_created=created)
+
+    def adopt(self, entry: BlockEntry) -> None:
+        """Link an existing entry at its (empty) coordinate, allocating
+        nodes as :meth:`ensure` does. A resize moves the live entries
+        into the new index this way, so whatever holds one (the GC
+        reverse table) still holds the index's own."""
+        self._check_coord(entry.coord)
+        node = self._leaf_node(entry.coord)[0]
+        node.leaves[entry.coord[-1]] = entry
+        self.entry_count += 1
+
+    def _leaf_node(self, block_coord: Tuple[int, ...]
+                   ) -> Tuple[BTreeNode, int]:
+        """The last-level node on ``block_coord``'s path, allocating the
+        missing ones; returns it and how many nodes were created."""
         node = self.root
-        visited = 1
         created = 0
         for axis in range(self.space.rank - 1):
             child = node.children.get(block_coord[axis])
@@ -198,17 +212,7 @@ class BTreeIndex:
                 self.node_count += 1
                 created += 1
             node = child
-            visited += 1
-        entry = node.leaves.get(block_coord[-1])
-        if entry is None:
-            entry = BlockEntry(
-                coord=block_coord,
-                pages=[None] * self.space.pages_per_block,
-            )
-            node.leaves[block_coord[-1]] = entry
-            self.entry_count += 1
-        return LookupResult(entry=entry, nodes_visited=visited,
-                            nodes_created=created)
+        return node, created
 
     def remove(self, block_coord: Tuple[int, ...]) -> Optional[BlockEntry]:
         """Detach a leaf entry (used by delete_space)."""

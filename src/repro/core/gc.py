@@ -6,7 +6,11 @@ that records the building blocks associated with the erasing unit."
 The reverse table maps each physical unit to ``(space, block
 coordinate, position inside the block)`` — modelled as the 8 bytes of
 out-of-band metadata per unit the paper describes — so relocations can
-patch the B-tree leaf in place. Relocation stays within the same
+patch the B-tree leaf in place. Each entry also holds the live leaf
+(:class:`~repro.core.btree.BlockEntry`) it names, so a relocation
+patches it without a tree walk; the STL keeps every entry object alive
+for as long as its units are bound (``resize_space`` moves the entries
+themselves into the new index). Relocation stays within the same
 (channel, bank) to preserve block parallelism. The victim loop and the
 per-page move are shared with the FTL collector
 (:class:`~repro.ftl.gc.RelocatingCollector`); this module supplies the
@@ -45,6 +49,10 @@ class ReverseEntry:
     space_id: int
     block_coord: Tuple[int, ...]
     position: int
+    #: the leaf that owns the unit (None for a parity unit); not part of
+    #: the modelled OOB record, so left out of equality and repr
+    entry: Optional[BlockEntry] = field(default=None, compare=False,
+                                        repr=False)
 
 
 @dataclass
@@ -64,7 +72,6 @@ class NdsGarbageCollector(RelocatingCollector):
     RESULT = NdsGcResult
 
     def __init__(self, allocator: NdsAllocator, flash: FlashArray,
-                 entry_resolver: Callable[[int, Tuple[int, ...]], Optional[BlockEntry]],
                  threshold: float = 0.10, policy: str = "greedy") -> None:
         super().__init__(flash, allocator.geometry, allocator.planes,
                          threshold, policy)
@@ -81,8 +88,6 @@ class NdsGarbageCollector(RelocatingCollector):
             plane.low_set = self.low_planes
             if plane.free_pages < low_mark:
                 self.low_planes.add(key)
-        #: resolves (space_id, block_coord) -> live BlockEntry
-        self._entry_resolver = entry_resolver
         #: relocation callback for parity units (position
         #: :data:`~repro.faults.parity.PARITY_POSITION` in the reverse
         #: table): called as ``parity_patcher(space_id, coord, new_ppa)``
@@ -90,9 +95,12 @@ class NdsGarbageCollector(RelocatingCollector):
 
     # ------------------------------------------------------------------
     def note_alloc(self, ppa: PhysicalPageAddress, space_id: int,
-                   block_coord: Tuple[int, ...], position: int) -> None:
+                   block_coord: Tuple[int, ...], position: int,
+                   entry: Optional[BlockEntry] = None) -> None:
+        """Record the owner of a freshly bound unit: ``entry``'s slot
+        ``position``, or with ``entry`` None a parity unit."""
         self.reverse[ppa_to_index(ppa, self.allocator.geometry)] = ReverseEntry(
-            space_id, block_coord, position)
+            space_id, block_coord, position, entry)
 
     def reverse_table_bytes(self) -> int:
         """Modelled OOB footprint of the reverse table."""
@@ -149,18 +157,17 @@ class NdsGarbageCollector(RelocatingCollector):
         """Patch the B-tree leaf (or the parity store) that owns a
         relocated unit.
 
-        A relocation never leaves its (channel, bank), so the leaf is
-        rebound (:meth:`BlockEntry.rebind`) without touching its usage
-        counters. The slot is never empty: every path that empties a
-        slot drops its reverse-table entry in the same step."""
+        A relocation never leaves its (channel, bank), so the leaf the
+        reverse entry holds is rebound (:meth:`BlockEntry.rebind`)
+        without touching its usage counters. The slot is never empty:
+        every path that empties a slot drops its reverse-table entry in
+        the same step."""
         if ref.position == PARITY_POSITION:
             # parity units live in the STL's parity store, not a B-tree
             if self.parity_patcher is not None:
                 self.parity_patcher(ref.space_id, ref.block_coord, new_ppa)
             return
-        entry = self._entry_resolver(ref.space_id, ref.block_coord)
-        if entry is None:
-            return
+        entry = ref.entry
         assert entry.pages[ref.position] is not None, \
             f"reverse entry {ref} names an empty slot"
         entry.rebind(ref.position, new_ppa)

@@ -117,7 +117,6 @@ class SpaceTranslationLayer:
                 "parity groups need functional mode (store_data=True)")
         self.allocator = NdsAllocator(flash.geometry, seed=seed)
         self.gc = NdsGarbageCollector(self.allocator, flash,
-                                      self._resolve_entry,
                                       threshold=gc_threshold,
                                       policy=gc_policy)
         #: cross-channel XOR parity: one extra unit per building block,
@@ -221,13 +220,8 @@ class SpaceTranslationLayer:
             inside = all(coord < grid for coord, grid
                          in zip(entry.coord, resized.grid))
             if inside:
-                replacement = new_index.ensure(entry.coord).entry
-                replacement.pages = entry.pages
-                replacement.channel_use = entry.channel_use
-                replacement.bank_use = entry.bank_use
-                replacement.bank_channels = entry.bank_channels
-                replacement.last_alloc = entry.last_alloc
-                replacement.stored_bytes = entry.stored_bytes
+                # the entry itself moves: the GC reverse table holds it
+                new_index.adopt(entry)
                 continue
             released += self._release_block(space_id, entry)
         self.spaces[space_id] = resized
@@ -613,7 +607,7 @@ class SpaceTranslationLayer:
         ppa = self.allocator.allocate(
             entry, position, prefer=prefer,
             allowed=self._shard_planes.get(space_id))
-        self.gc.note_alloc(ppa, space_id, coord, position)
+        self.gc.note_alloc(ppa, space_id, coord, position, entry)
         return ppa
 
     def _program(self, space_id: int, entry: BlockEntry,
@@ -670,13 +664,6 @@ class SpaceTranslationLayer:
                 self._release_parity(space_id, entry.coord) is not None:
             released += 1
         return released
-
-    def _resolve_entry(self, space_id: int,
-                       block_coord: Tuple[int, ...]) -> Optional[BlockEntry]:
-        index = self.indexes.get(space_id)
-        if index is None:
-            return None
-        return index.find(block_coord)
 
     # ------------------------------------------------------------------
     # reliability internals

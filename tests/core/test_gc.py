@@ -69,5 +69,4 @@ class TestCollection:
         with pytest.raises(ValueError):
             NdsGarbageCollector(pressured_stl.allocator,
                                 pressured_stl.flash,
-                                pressured_stl._resolve_entry,
                                 threshold=1.5)
