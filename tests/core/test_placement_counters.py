@@ -30,7 +30,6 @@ from repro.core.btree import BlockEntry
 from repro.core.errors import CapacityError
 from repro.core.sharding import ShardSpec
 from repro.faults import FaultConfig, FaultInjector, FaultPlan
-from repro.faults.errors import UncorrectableError
 from repro.faults.parity import PARITY_POSITION
 from repro.ftl.mapping import OutOfSpaceError
 from repro.nvm import TINY_TEST, FlashArray, NvmTiming
@@ -623,11 +622,6 @@ def _overwrite_churn(seed: int, case: str) -> dict:
         except EccError:
             seen["ecc_ops"] += 1
             break
-        except UncorrectableError:
-            # relocation reads behind the dead channel (a collection or
-            # the retirement of a block whose program failed there)
-            seen["uncorrectable"] += 1
-            break
         except (CapacityError, OutOfSpaceError):
             seen["out_of_space"] += 1
             break
@@ -636,6 +630,45 @@ def _overwrite_churn(seed: int, case: str) -> dict:
             "program_fails", 0)
     seen["relocated"] = stl.gc.total_relocated
     return seen
+
+
+def test_write_at_the_kill_time_steers_off_the_dead_channel():
+    """A write issued at exactly a channel's kill time sees the channel
+    dead before it places a unit: its whole-block overwrites take the
+    fallback off the channel, no program is tried there, and the region
+    reads back. (Placing first would rebind units on the dead channel;
+    their programs fail and the retirement reads the dead channel.)"""
+    flash = FlashArray(TINY_TEST.geometry, TINY_TEST.timing,
+                       store_data=True)
+    dead = 1
+    flash.attach_faults(FaultInjector(FaultConfig(
+        plan=FaultPlan().kill_channel(dead, at=CHURN_GAP))))
+    stl = SpaceTranslationLayer(flash, gc_threshold=0.25)
+    space = stl.create_space(CHURN_DIMS, CHURN_ELEMENT)
+    rng = np.random.default_rng(5)
+    stl.write_region(space.space_id, (0, 0), CHURN_DIMS,
+                     data=rng.integers(0, 256, CHURN_DIMS + (CHURN_ELEMENT,),
+                                       dtype=np.uint8))
+    extents = (32, 32)
+    index = stl.indexes[space.space_id]
+    entries = [index.lookup(access.block_coord).entry for access in
+               stl.plan_region(space.space_id, (0, 0), extents)]
+
+    def on_dead() -> int:
+        return sum(ppa.channel == dead for entry in entries
+                   for ppa in entry.allocated_pages())
+
+    assert on_dead() > 0
+    region = rng.integers(0, 256, extents + (CHURN_ELEMENT,), dtype=np.uint8)
+    stl.write_region(space.space_id, (0, 0), extents, data=region,
+                     start_time=CHURN_GAP)
+    assert on_dead() == 0
+    assert flash.faults.counters().get("program_fails", 0) == 0
+    got = stl.read_region(space.space_id, (0, 0), extents,
+                          start_time=2 * CHURN_GAP)
+    assert np.array_equal(got.data, region)
+    _assert_usage_recount(stl)
+    _assert_reverse_matches_leaves(stl)
 
 
 @pytest.mark.parametrize("case, hazard", [
