@@ -9,9 +9,11 @@ building-block placement (STL) invariants survive collection.
 
 :class:`RelocatingCollector` holds what this collector and the NDS one
 (:mod:`repro.core.gc`) share: the trigger, the victim loop, the traced
-collect step, the per-page relocation step, grown-bad-block retirement
-and the recovery context. A subclass supplies the reverse-map payload
-(:meth:`RelocatingCollector._moved`), its read-issue rule and its names.
+collect step, the relocation step, grown-bad-block retirement, the
+recovery context, and the program re-drive that every write path and
+relocation take after a program failure. A subclass supplies the
+reverse-map payload (:meth:`RelocatingCollector._moved`), its
+read-issue rule and its names.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from __future__ import annotations
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set, Tuple
+from typing import Callable, Dict, Optional, Sequence, Set, Tuple
 
-from repro.faults.errors import EraseFailError
+from repro.faults.errors import EraseFailError, ProgramFailError
 from repro.ftl.mapping import OutOfSpaceError, PageMapFTL, PlaneAllocator
 from repro.nvm.address import PhysicalPageAddress, ppa_to_index
 from repro.nvm.flash import FlashArray
@@ -56,7 +58,7 @@ class GcResult:
 
 class RelocatingCollector:
     """Collection, relocation and bad-block machinery shared by both
-    collectors.
+    collectors, and the one program re-drive (:meth:`program_page`).
 
     ``reverse`` maps a physical page index to the payload that names
     its owner (an LPN here, a building-block reference in the STL);
@@ -207,12 +209,12 @@ class RelocatingCollector:
         the first moved page issues at the running end instead. ``end``
         is the running end on entry.
 
-        A ``ProgramFailError`` stops the chain: the destination block is
-        retired and the chain resumes at the same page with the next
-        free page. With no free page, a collection (``retiring`` False)
-        gives the page back and stops; a retirement collects the plane
-        once and raises :class:`OutOfSpaceError` if that is not enough,
-        with the page in flight still valid.
+        Where the chain stops, the page in flight goes through
+        :meth:`program_page`, which re-drives a failed program, and the
+        chain runs on from the next page. With no free page a collection
+        (``retiring`` False) gives the page back and stops, and a
+        retirement collects the plane once and goes on. An
+        :class:`OutOfSpaceError` leaves with the page in flight valid.
 
         Returns ``(end, moved, complete)``.
         """
@@ -235,50 +237,46 @@ class RelocatingCollector:
                         + new_ppa.page] = owner
                 moved_hook(owner, new_ppa)
 
+        def place() -> Optional[PhysicalPageAddress]:
+            try:
+                return allocate()
+            except OutOfSpaceError:
+                if retiring:
+                    raise
+                return None
+
         #: pages read and destinations programmed (``dests[i]`` holds
         #: ``sources[i]``)
         sources: list = []
         dests: list = []
         page = 0
-        resume = None
         busy = (channel, bank, block)
         self._relocating.add(busy)
         try:
             while True:
                 end, stop = flash.move_chain(
                     channel, bank, block, valid, page, allocate, patch, now,
-                    end, chained, sources, dests, resume)
+                    end, chained, sources, dests)
                 if stop is None:
                     break
                 page, payload, issue, err = stop
                 try:
-                    if err is None:
-                        if not retiring:
-                            valid[page] = True
-                            return max(end, issue), len(dests), False
+                    if err is None and retiring:
                         self._collect(channel, bank, issue)
-                        new_ppa = allocate()
-                    else:
-                        # the destination block is grown bad: retire it
-                        # (its other live pages move too) and re-drive
-                        # at the next free page
-                        plane.invalidate(err.ppa)
-                        issue = self.retire_block(channel, bank,
-                                                  err.ppa.block,
-                                                  err.fail_time)
-                        try:
-                            new_ppa = allocate()
-                        except OutOfSpaceError:
-                            if retiring:
-                                raise
-                            valid[page] = True
-                            return max(end, issue), len(dests), False
+                    dest, done = self.program_page(
+                        err.ppa if err else None, issue, (payload,),
+                        plane.invalidate, place, err)
                 except OutOfSpaceError:
-                    # a retirement ran out of space (here or nested in
-                    # the re-drive): the owner still maps the old page
                     valid[page] = True
                     raise
-                resume = (page, payload, issue, new_ppa)
+                if dest is None:
+                    # a collection found no free page: give it back
+                    valid[page] = True
+                    return max(end, done), len(dests), False
+                dests.append(dest)
+                patch(page, dest)
+                end = max(end, done)
+                page += 1
         finally:
             self._relocating.discard(busy)
             counters = flash.stats.counters
@@ -300,6 +298,40 @@ class RelocatingCollector:
         self.total_retired += 1
         if self.flash.faults is not None:
             self.flash.faults.count("grown_bad_blocks")
+
+    def program_page(self, ppa: Optional[PhysicalPageAddress],
+                     issue: float, data: Optional[Sequence],
+                     unbind: Callable[[PhysicalPageAddress], None],
+                     place: Callable[[], Optional[PhysicalPageAddress]],
+                     failed: Optional[ProgramFailError] = None
+                     ) -> Tuple[Optional[PhysicalPageAddress], float]:
+        """Program one unit at ``issue`` (``data`` as for
+        :meth:`FlashArray.program_pages`), re-driven through grown bad
+        blocks (§4.2). ``ppa`` is the page the unit is bound to (None:
+        ``place()`` it first), and ``failed`` a ``ProgramFailError`` the
+        caller's own program of ``ppa`` already raised.
+
+        On each failure: ``unbind(ppa)``, retire the block, ``place()``
+        the unit again and program it at the retirement's end. The
+        caller counts ``pages_programmed``. Returns the page holding the
+        unit and the program's end, or ``(None, issue)`` once ``place``
+        returns None.
+        """
+        while True:
+            if ppa is None:
+                ppa = place()
+                if ppa is None:
+                    return None, issue
+            if failed is None:
+                try:
+                    return ppa, self.flash._program_chain((ppa,), issue,
+                                                          data)
+                except ProgramFailError as err:
+                    failed = err
+            unbind(ppa)
+            issue = self.retire_block(ppa.channel, ppa.bank, ppa.block,
+                                      failed.fail_time)
+            ppa = failed = None
 
     def retire_block(self, channel: int, bank: int, block: int,
                      now: float) -> float:

@@ -13,7 +13,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.faults.errors import ProgramFailError
 from repro.ftl.gc import GarbageCollector
 from repro.ftl.mapping import PageMapFTL
 from repro.nvm.address import PhysicalPageAddress
@@ -91,7 +90,8 @@ class BaselineSSD:
         ``start_time``. With no injector attached nothing can fail, so
         the programs between collections go out as one batch — the
         reserve chains, and the timings, equal per-page calls. With an
-        injector each page is programmed at once (:meth:`_program_one`).
+        injector each page is programmed at once, re-driven past a
+        failed program (:meth:`~repro.ftl.gc.RelocatingCollector.program_page`).
         """
         flash = self.flash
         faults = flash.faults
@@ -145,9 +145,12 @@ class BaselineSSD:
                 if payloads is not None:
                     payloads.append(data[position])
                 continue
-            done = self._program_one(
-                lpn, ppa, start_time,
-                (data[position],) if data is not None else None)
+            done = gc.program_page(
+                ppa, start_time,
+                (data[position],) if data is not None else None,
+                lambda _ppa: self.trim_lpns((lpn,)),
+                lambda: self._bind(lpn))[1]
+            count_flash("pages_programmed")
             if done > end:
                 end = done
         if batch:
@@ -158,29 +161,11 @@ class BaselineSSD:
         stats.count("device_pages_written", len(lpns))
         return end
 
-    def _program_one(self, lpn: int, ppa: PhysicalPageAddress,
-                     issue: float, payload: Optional[tuple]) -> float:
-        """Program one page of :meth:`_program_lpns` with an injector
-        attached. On a ``ProgramFailError`` (grown bad block) undo the
-        failed binding, retire the block (relocating its other live
-        pages) and re-drive the program at a fresh append point.
-        Returns the completion time."""
-        flash = self.flash
-        while True:
-            try:
-                done = flash._program_chain((ppa,), issue, payload)
-                break
-            except ProgramFailError as err:
-                plane = self.ftl.planes[(ppa.channel, ppa.bank)]
-                plane.invalidate(ppa)
-                self.gc.note_release(ppa)
-                self.ftl.map.pop(lpn, None)
-                issue = self.gc.retire_block(ppa.channel, ppa.bank,
-                                             ppa.block, err.fail_time)
-                ppa, old = self.ftl.allocate(lpn)
-                self.gc.note_alloc(lpn, ppa, old)
-        flash.stats.count("pages_programmed", 1)
-        return done
+    def _bind(self, lpn: int) -> PhysicalPageAddress:
+        """Bind ``lpn`` to a fresh page, reverse entry included."""
+        ppa, old = self.ftl.allocate(lpn)
+        self.gc.note_alloc(lpn, ppa, old)
+        return ppa
 
     def read_lpns(self, lpns: Sequence[int], start_time: float = 0.0,
                   with_data: bool = False) -> DeviceOpResult:

@@ -211,8 +211,7 @@ class FlashArray:
                    allocate: Callable[[], PhysicalPageAddress],
                    moved: Callable[[int, PhysicalPageAddress], None],
                    now: float, end: float, chained: bool,
-                   sources: List[int], dests: List[PhysicalPageAddress],
-                   resume: Optional[Tuple] = None
+                   sources: List[int], dests: List[PhysicalPageAddress]
                    ) -> Tuple[float, Optional[MoveStop]]:
         """Move the live pages of one block, from ``page`` on, to the
         destinations ``allocate`` hands out (a plane's
@@ -242,9 +241,8 @@ class FlashArray:
         Returns ``(end, stop)``: the latest program completion (``end``
         on entry at least), and None once no live page is left, or a
         :class:`MoveStop` when no destination was free or a program
-        failed. ``resume = (page, payload, issue, dest)`` restarts a
-        stopped chain: it programs that page to ``dest`` at ``issue``
-        and goes on with the next.
+        failed; the caller finishes the page in flight and calls again
+        from the next page.
         """
         timing = self.timing
         t_cmd = timing.t_cmd
@@ -261,51 +259,47 @@ class FlashArray:
         source = None
         verdict = None
         while True:
-            if resume is None:
-                while page < per_block and not valid[page]:
-                    page += 1
-                if page == per_block:
-                    return end, None
-                start = end if chained and dests else now
-                if hooked or store:
-                    source = PhysicalPageAddress(channel, bank, block, page)
-                if faults is not None:
-                    faults.advance(start)
-                    if faults.channel_dead(channel):
-                        faults.count("dead_channel_reads")
-                        raise UncorrectableError(source, fail_time=start,
-                                                 reason="channel_dead")
-                read_at = start + t_cmd
-                read_start = bank_line.free_at
-                if read_start < read_at:
-                    read_start = read_at
-                read_end = read_start + t_read
-                bank_line.busy_time += t_read
-                bank_line.ops += 1
-                xfer_start = channel_line.free_at
-                if xfer_start < read_end:
-                    xfer_start = read_end
-                xfer_end = xfer_start + xfer
-                channel_line.free_at = xfer_end
-                channel_line.busy_time += xfer
-                channel_line.ops += 1
-                bank_line.free_at = xfer_end
-                if hooked:
-                    xfer_end = self._page_read(source, bank_line,
-                                               channel_line, xfer,
-                                               read_start, read_end,
-                                               xfer_start, xfer_end)
-                sources.append(page)
-                payload = self.page_data(source) if store else None
-                valid[page] = False
-                try:
-                    dest = allocate()
-                except OutOfSpaceError:
-                    return end, MoveStop(page, payload, xfer_end, None)
-                issue = xfer_end
-            else:
-                page, payload, issue, dest = resume
-                resume = None
+            while page < per_block and not valid[page]:
+                page += 1
+            if page == per_block:
+                return end, None
+            start = end if chained and dests else now
+            if hooked or store:
+                source = PhysicalPageAddress(channel, bank, block, page)
+            if faults is not None:
+                faults.advance(start)
+                if faults.channel_dead(channel):
+                    faults.count("dead_channel_reads")
+                    raise UncorrectableError(source, fail_time=start,
+                                             reason="channel_dead")
+            read_at = start + t_cmd
+            read_start = bank_line.free_at
+            if read_start < read_at:
+                read_start = read_at
+            read_end = read_start + t_read
+            bank_line.busy_time += t_read
+            bank_line.ops += 1
+            xfer_start = channel_line.free_at
+            if xfer_start < read_end:
+                xfer_start = read_end
+            xfer_end = xfer_start + xfer
+            channel_line.free_at = xfer_end
+            channel_line.busy_time += xfer
+            channel_line.ops += 1
+            bank_line.free_at = xfer_end
+            if hooked:
+                xfer_end = self._page_read(source, bank_line,
+                                           channel_line, xfer,
+                                           read_start, read_end,
+                                           xfer_start, xfer_end)
+            sources.append(page)
+            payload = self.page_data(source) if store else None
+            valid[page] = False
+            try:
+                dest = allocate()
+            except OutOfSpaceError:
+                return end, MoveStop(page, payload, xfer_end, None)
+            issue = xfer_end
             if faults is not None:
                 faults.advance(issue)
                 verdict = faults.program_check(
