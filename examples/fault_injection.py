@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
 """Deterministic fault injection across all four systems.
 
-One scripted fault plan — a corrupted page and an aged device — is
-driven through every architecture:
+One scripted fault plan — a block that goes bad during ingest, a
+corrupted page and an aged device — is driven through every
+architecture. The ingest's program into the bad block fails, the block
+is retired and the unit is re-driven to a fresh page, so no system
+loses a byte to it. Then:
 
 * **NDS systems** (software / hardware): the corrupted unit walks the
   full ECC read-retry ladder, fails, and is *reconstructed* from its
@@ -39,8 +42,12 @@ N = 64  # dataset edge (N*N bytes, element_size=1)
 
 
 def _plan() -> FaultPlan:
-    """Corrupt the very first programmed page shortly after ingest."""
-    return FaultPlan().corrupt_page(0, 0, 0, 0, at=0.01)
+    """A grown bad block the ingest programs into (its program fails,
+    the block is retired and the unit re-driven to a fresh page), and
+    the very first programmed page, on another block, corrupted shortly
+    after ingest."""
+    return (FaultPlan().mark_block_bad(1, 0, 0, at=0.0)
+            .corrupt_page(0, 0, 0, 0, at=0.01))
 
 
 def _config(seed: int, parity: bool) -> FaultConfig:
