@@ -89,6 +89,7 @@ class NdsAllocator:
                         self.rng.randrange(g.banks_per_channel))
             planes = sorted(allowed)
             return planes[self.rng.randrange(len(planes))]
+        key_grid, bank_tot, bank_width = entry.usage
         channels = banks = None
         width = g.channels
         if allowed is not None:
@@ -98,62 +99,34 @@ class NdsAllocator:
         bank = entry.last_alloc.bank
         # An entry's units never leave its shard, so a count of the
         # channels it uses in this bank says whether it covers them all.
-        if len(entry.bank_channels.get(bank, ())) >= width:
+        if bank_width[bank] >= width:
             # Rule 3: block covers every channel of this bank already —
             # move to an unused or least-used bank.
-            bank = self._least_used_bank(entry, banks)
+            bank = self._least_used_bank(bank_tot, banks)
         # Rule 2: least-used channel (within the chosen bank).
-        return self._least_used_channel(entry, bank, channels), bank
+        return self._least_used_channel(key_grid[bank], channels), bank
 
-    def _place_cols(self, entry: BlockEntry):
-        """The entry's columnar placement counters, built on first use.
-
-        ``key_grid[b]`` is one ``min``-able row per bank (combined
-        bank-use/channel-use sort key, see :class:`BlockEntry`);
-        ``bank_tot[b]`` is the bank's total unit count. BlockEntry keeps
-        both incrementally current across record_alloc/record_release,
-        so the dict walks below run once per block, not once per unit.
-        """
-        cols = entry.place_cols
-        if cols is None:
-            g = self.geometry
-            m = len(entry.pages) + 1
-            chan = [entry.channel_use.get(c, 0) for c in range(g.channels)]
-            key_grid = []
-            for b in range(g.banks_per_channel):
-                per = entry.bank_channels.get(b)
-                if per:
-                    key_grid.append([per.get(c, 0) * m + chan[c]
-                                     for c in range(g.channels)])
-                else:
-                    key_grid.append(list(chan))
-            bank_tot = [0] * g.banks_per_channel
-            for (_c, b), count in entry.bank_use.items():
-                bank_tot[b] += count
-            cols = (key_grid, bank_tot)
-            entry.place_cols = cols
-        return cols
-
-    def _least_used_bank(self, entry: BlockEntry,
+    def _least_used_bank(self, bank_tot: List[int],
                          banks: Optional[List[int]] = None) -> int:
-        """A random one of the least-used ``banks`` (default: all)."""
-        usage = self._place_cols(entry)[1]
+        """A random one of the least-used ``banks`` (default: all), by
+        the usage record's per-bank unit counts."""
         if banks is None:
-            banks = range(len(usage))
-        least = min(usage[b] for b in banks)
-        return self.rng.choice([b for b in banks if usage[b] == least])
+            banks = range(len(bank_tot))
+        least = min(bank_tot[b] for b in banks)
+        return self.rng.choice([b for b in banks if bank_tot[b] == least])
 
-    def _least_used_channel(self, entry: BlockEntry, bank: int,
+    @staticmethod
+    def _least_used_channel(row: List[int],
                             channels: Optional[List[int]] = None) -> int:
-        """The least-used of ``channels`` (default: all) in ``bank``.
+        """The least-used of ``channels`` (default: all) in the bank of
+        the usage record's key row ``row`` (see :class:`BlockEntry`).
 
-        One C-level ``min`` over the bank's combined-key row: the key
-        packs (bank use, overall channel use) into one int, and both
-        ``index`` and ``min`` return the first minimum — the
-        lexicographic order with the lowest channel id as tie-break, so
-        blocks larger than one stripe still spread evenly.
+        One C-level ``min`` over the row: the key packs (bank use,
+        overall channel use) into one int, and both ``index`` and
+        ``min`` return the first minimum — the lexicographic order with
+        the lowest channel id as tie-break, so blocks larger than one
+        stripe still spread evenly.
         """
-        row = self._place_cols(entry)[0][bank]
         if channels is None:
             return row.index(min(row))
         return min(channels, key=row.__getitem__)
@@ -181,6 +154,10 @@ class NdsAllocator:
             ppa = self._fallback_allocate(target, allowed=allowed)
         if ppa is None:
             raise CapacityError("no free access unit in any channel/bank")
+        if entry.usage is None:
+            # the block's first counted unit: count its record first
+            entry.count_usage(self.geometry.channels,
+                              self.geometry.banks_per_channel)
         entry.record_alloc(ppa, position)
         return ppa
 

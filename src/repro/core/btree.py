@@ -6,8 +6,8 @@ leaf entries point to the ordered list of physical access units (pages)
 of one building block. The node degree at level *i* is
 ``ceil(d_i / bb_i)`` — the block-grid extent of that dimension.
 
-The index also carries the per-block allocation usage counters the
-space allocator's least-used-channel/bank rules need, and it counts
+The index also carries the per-block usage record the space
+allocator's least-used-channel/bank rules need, and it counts
 node visits so the systems layer can charge translation latency
 (the §7.3 worst-case adders: 41 µs software / 17 µs hardware).
 """
@@ -30,48 +30,51 @@ class BlockEntry:
     ``pages[i]`` holds the unit storing the block's i-th page-sized
     slice (row-major order inside the block, §4.2: "sorted according to
     the sequential order of the units in the building block").
+
+    ``usage`` is the block's one usage record, the counts the §4.2
+    placement rules read: ``(key_grid, bank_tot, bank_width)``.
+    ``key_grid[b][c]`` packs the units on (c, b) and on channel c into
+    one int, ``units on (c, b) * M + units on c`` with ``M = len(pages)
+    + 1``. A channel never holds M units, so one ``min`` over a bank's
+    row gives the least-bank-use-then-least-channel-use order.
+    ``bank_tot[b]`` counts the units in bank b, and ``bank_width[b]``
+    the channels of bank b that hold one. :meth:`count_usage` counts the
+    record from ``pages`` (None until then); :meth:`record_alloc` and
+    :meth:`release_counts` keep it current and need it.
     """
 
     coord: Tuple[int, ...]
     pages: List[Optional[PhysicalPageAddress]]
-    channel_use: Dict[int, int] = field(default_factory=dict)
-    bank_use: Dict[Tuple[int, int], int] = field(default_factory=dict)
-    #: ``bank_use`` re-indexed per bank (bank → channel → count) so the
-    #: allocator's per-unit channel scan avoids tuple-key lookups
-    bank_channels: Dict[int, Dict[int, int]] = field(default_factory=dict)
     last_alloc: Optional[PhysicalPageAddress] = None
     #: when the space is compressed (§5.3.4): stored bytes including the
     #: codec header; None = uncompressed block
     stored_bytes: Optional[int] = None
-    #: columnar mirror of the usage dicts for the allocator's placement
-    #: scans: ``(key_grid, bank_tot)`` where ``key_grid[b][c]`` is the
-    #: combined sort key ``bank_use[(c, b)] * M + channel_use[c]`` with
-    #: ``M = len(pages) + 1`` (channel_use never reaches M, so one
-    #: ``min`` over the row reproduces the lexicographic
-    #: least-bank-use-then-least-channel-use tie-break), and
-    #: ``bank_tot[b]`` sums ``bank_use`` over the bank. Built lazily by
-    #: the allocator; None until the first placement scan needs it.
-    place_cols: Optional[Tuple[List[List[int]], List[int]]] = None
+    usage: Optional[Tuple[List[List[int]], List[int], List[int]]] = None
+
+    def count_usage(self, channels: int, banks: int) -> None:
+        """Count the usage record from ``pages`` on a ``channels`` x
+        ``banks`` array. A unit whose slot an overwrite emptied while the
+        record still counts it is not in ``pages``, so count only while
+        no count is held."""
+        self.usage = ([[0] * channels for _ in range(banks)], [0] * banks,
+                      [0] * banks)
+        for ppa in self.pages:
+            if ppa is not None:
+                self._count(ppa, 1)
+
+    def extend_pages(self, size: int) -> None:
+        """Grow ``pages`` to ``size`` slots. The key packing follows
+        ``len(pages)``, so the record is counted again: call this only
+        while no count is held."""
+        self.pages.extend([None] * (size - len(self.pages)))
+        if self.usage is not None:
+            key_grid = self.usage[0]
+            self.count_usage(len(key_grid[0]), len(key_grid))
 
     def record_alloc(self, ppa: PhysicalPageAddress, position: int) -> None:
         self.pages[position] = ppa
-        self.channel_use[ppa.channel] = self.channel_use.get(ppa.channel, 0) + 1
-        key = (ppa.channel, ppa.bank)
-        self.bank_use[key] = self.bank_use.get(key, 0) + 1
-        per_bank = self.bank_channels.get(ppa.bank)
-        if per_bank is None:
-            per_bank = {}
-            self.bank_channels[ppa.bank] = per_bank
-        per_bank[ppa.channel] = per_bank.get(ppa.channel, 0) + 1
         self.last_alloc = ppa
-        cols = self.place_cols
-        if cols is not None:
-            key_grid, bank_tot = cols
-            c = ppa.channel
-            for row in key_grid:
-                row[c] += 1
-            key_grid[ppa.bank][c] += len(self.pages) + 1
-            bank_tot[ppa.bank] += 1
+        self._count(ppa, 1)
 
     def record_release(self, position: int) -> Optional[PhysicalPageAddress]:
         ppa = self.pages[position]
@@ -82,38 +85,31 @@ class BlockEntry:
         return ppa
 
     def release_counts(self, ppa: PhysicalPageAddress) -> None:
-        """Take ``ppa`` out of the usage counters: the counter half of
+        """Take ``ppa`` out of the usage record: the counter half of
         :meth:`record_release`, for a unit whose slot is already empty."""
-        self.channel_use[ppa.channel] -= 1
-        if self.channel_use[ppa.channel] == 0:
-            del self.channel_use[ppa.channel]
-        key = (ppa.channel, ppa.bank)
-        self.bank_use[key] -= 1
-        if self.bank_use[key] == 0:
-            del self.bank_use[key]
-        per_bank = self.bank_channels[ppa.bank]
-        per_bank[ppa.channel] -= 1
-        if per_bank[ppa.channel] == 0:
-            del per_bank[ppa.channel]
-            if not per_bank:
-                del self.bank_channels[ppa.bank]
-        cols = self.place_cols
-        if cols is not None:
-            key_grid, bank_tot = cols
-            c = ppa.channel
-            for row in key_grid:
-                row[c] -= 1
-            key_grid[ppa.bank][c] -= len(self.pages) + 1
-            bank_tot[ppa.bank] -= 1
+        self._count(ppa, -1)
+
+    def _count(self, ppa: PhysicalPageAddress, step: int) -> None:
+        """Add ``step`` (1 or -1) units on ``ppa``'s plane to the record."""
+        key_grid, bank_tot, bank_width = self.usage
+        c, b = ppa.channel, ppa.bank
+        for row in key_grid:
+            row[c] += step
+        m = len(self.pages) + 1
+        row = key_grid[b]
+        used = row[c] >= m
+        row[c] += step * m
+        bank_width[b] += (row[c] >= m) - used
+        bank_tot[b] += step
 
     def rebind(self, position: int, ppa: PhysicalPageAddress) -> None:
         """Point ``pages[position]`` at ``ppa``, a unit on the same
-        (channel, bank) as the one the usage counters hold for it.
+        (channel, bank) as the one the usage record holds for it.
 
         A release + alloc pair on one plane subtracts and adds the same
-        one in ``channel_use``, ``bank_use``, ``bank_channels`` and
-        ``place_cols``, so only the slot and ``last_alloc`` change. A GC
-        move and the STL's same-plane overwrite both rebind this way."""
+        one in the record, so only the slot and ``last_alloc`` change. A
+        GC move and the STL's same-plane overwrite both rebind this
+        way."""
         self.pages[position] = ppa
         self.last_alloc = ppa
 

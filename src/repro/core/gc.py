@@ -159,7 +159,7 @@ class NdsGarbageCollector(RelocatingCollector):
 
         A relocation never leaves its (channel, bank), so the leaf the
         reverse entry holds is rebound (:meth:`BlockEntry.rebind`)
-        without touching its usage counters. The slot is never empty:
+        without touching its usage record. The slot is never empty:
         every path that empties a slot drops its reverse-table entry in
         the same step."""
         if ref.position == PARITY_POSITION:

@@ -315,9 +315,6 @@ class SpaceTranslationLayer:
         ``(*extent, element_size)`` uint8 payload (None = timing only)."""
         space = self.get_space(space_id)
         self._sync_faults()
-        if self.flash.faults is not None:
-            # channels that died by the issue time steer the placement
-            self.flash.faults.advance(issue_time)
         index = self.indexes[space_id]
         lookup = index.ensure(access.block_coord)
         entry = lookup.entry
@@ -331,21 +328,15 @@ class SpaceTranslationLayer:
         # pages if the write covers them only partially (read-modify-write
         # on overwrite, new-unit programming per NAND rules).
         new_content: Optional[np.ndarray] = None
-        rmw_reads = 0
-        rmw_done = issue_time
-        covers_block = all(
-            lo == 0 and hi == extent
-            for (lo, hi), extent in zip(access.block_slice, space.bb))
+        existing = []
         if self.flash.store_data and region is not None:
             new_content = self._block_buffer(space, entry)
             self._block_region(space, new_content, access)[...] = region
         if new_content is not None or not self.flash.store_data:
             existing = [entry.pages[p] for p in positions
                         if entry.pages[p] is not None]
-            if existing and not covers_block:
-                op = self.flash.read_pages(existing, issue_time)
-                rmw_done = op.end_time
-                rmw_reads = len(existing)
+        rmw_done, rmw_reads = self._merge_read(space, access, existing,
+                                               issue_time)
 
         # Allocate + program each touched page. With no injector
         # attached, consecutive programs between GC events batch into
@@ -371,15 +362,15 @@ class SpaceTranslationLayer:
         for position in positions:
             # The overwrite step (§4.2 pins an overwrite to the old
             # unit's plane). 1. Unbind: the slot, the valid bit and the
-            # reverse entry go now; the usage counters stay held.
+            # reverse entry go now; the usage record keeps its count.
             old, ref = self._unbind(entry, position)
             if old is not None:
                 prefer = (old.channel, old.bank)
             else:
                 prefer = self.allocator.choose_target(entry, allowed=shard)
             plane = planes[prefer]
-            # 2. Trigger test, run with the slot already empty. Held
-            # counters are released if the collection raises.
+            # 2. Trigger test, run with the slot already empty. The held
+            # count is released if the collection raises.
             if plane.free_pages < trigger_mark:
                 try:
                     if pending_ppas:
@@ -410,7 +401,7 @@ class SpaceTranslationLayer:
                 continue
             # 3. Rebind the overwrite at its plane's append point under
             # the same reverse entry. A full plane or a dead channel
-            # releases the held counters and takes _place's rule-4
+            # releases the held count and takes _place's rule-4
             # fallback, as a fresh unit does.
             ppa = None
             if old is not None:
@@ -539,16 +530,8 @@ class SpaceTranslationLayer:
 
         # Merge: materialize current content (decompressing if present),
         # reading the stored units when the write is partial.
-        old_ppas = entry.allocated_pages()
-        covers_block = all(
-            lo == 0 and hi == extent
-            for (lo, hi), extent in zip(access.block_slice, space.bb))
-        rmw_reads = 0
-        rmw_done = issue_time
-        if old_ppas and not covers_block:
-            op = self.flash.read_pages(old_ppas, issue_time)
-            rmw_done = op.end_time
-            rmw_reads = len(old_ppas)
+        rmw_done, rmw_reads = self._merge_read(
+            space, access, entry.allocated_pages(), issue_time)
         content = self._block_buffer(space, entry)
         self._block_region(space, content, access)[...] = region
 
@@ -556,11 +539,9 @@ class SpaceTranslationLayer:
         needed = max(1, -(-stored.size // page_bytes))
         if needed > len(entry.pages):
             # the codec header can push an incompressible block one page
-            # past its raw footprint
-            entry.pages.extend([None] * (needed - len(entry.pages)))
-            # the placement grid's key packing depends on len(pages):
-            # rebuild it from the usage dicts on next use
-            entry.place_cols = None
+            # past its raw footprint; every old unit is still bound, so
+            # its usage record is counted again here, before the release
+            entry.extend_pages(needed)
 
         # Release every old unit, then place the compressed payload.
         old_planes = []
@@ -596,6 +577,24 @@ class SpaceTranslationLayer:
                              units_allocated=units, rmw_reads=rmw_reads,
                              gc_time=gc_time)
 
+    def _merge_read(self, space: Space, access: BlockAccess, ppas: List,
+                    issue_time: float) -> Tuple[float, int]:
+        """The read half of a read-modify-write: read ``ppas`` at
+        ``issue_time`` unless the write covers the whole block. The
+        write's programs issue at the read's end, so the channels that
+        died by then steer its placement. Returns the read's end and the
+        pages read."""
+        covers_block = all(
+            lo == 0 and hi == extent
+            for (lo, hi), extent in zip(access.block_slice, space.bb))
+        done, reads = issue_time, 0
+        if ppas and not covers_block:
+            done = self.flash.read_pages(ppas, issue_time).end_time
+            reads = len(ppas)
+        if self.flash.faults is not None:
+            self.flash.faults.advance(done)
+        return done, reads
+
     # ------------------------------------------------------------------
     # the §4.2 unit lifecycle: place, program, release
     # ------------------------------------------------------------------
@@ -626,7 +625,7 @@ class SpaceTranslationLayer:
     def _unbind(self, entry: BlockEntry, position: int):
         """Empty ``entry.pages[position]``: the leaf slot, the plane's
         valid bit and the reverse entry go together, so a GC move never
-        finds its slot empty. The usage counters still count the unit.
+        finds its slot empty. The usage record still counts the unit.
         Returns ``(unit, reverse entry)``, or ``(None, None)`` if the
         slot was empty."""
         ppa = entry.pages[position]
@@ -638,7 +637,7 @@ class SpaceTranslationLayer:
 
     def _release(self, entry: BlockEntry, position: int):
         """Unbind ``entry.pages[position]`` and drop the unit from the
-        usage counters. Returns the unit (None if the slot was empty)."""
+        usage record. Returns the unit (None if the slot was empty)."""
         ppa = self._unbind(entry, position)[0]
         if ppa is not None:
             entry.release_counts(ppa)

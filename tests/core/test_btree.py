@@ -67,24 +67,50 @@ class TestStructure:
 
 
 class TestEntryBookkeeping:
+    """The usage record on the fixture's 4 channels x 2 banks, for a
+    block of 4 pages (so M = 5): ``key_grid[b][c]`` packs the units on
+    (c, b) times M plus the units on channel c."""
+
     def test_record_alloc_updates_usage(self, index):
         entry = index.ensure((0, 0, 0)).entry
+        assert len(entry.pages) == 4 and entry.usage is None
+        entry.count_usage(4, 2)
         ppa = PhysicalPageAddress(2, 1, 0, 0)
         entry.record_alloc(ppa, 0)
         assert entry.pages[0] == ppa
-        assert entry.channel_use == {2: 1}
-        assert entry.bank_use == {(2, 1): 1}
+        assert entry.usage == ([[0, 0, 1, 0], [0, 0, 5 + 1, 0]],
+                               [0, 1], [0, 1])
         assert entry.last_alloc == ppa
+        entry.record_alloc(PhysicalPageAddress(2, 0, 0, 0), 1)
+        assert entry.usage == ([[0, 0, 5 + 2, 0], [0, 0, 5 + 2, 0]],
+                               [1, 1], [1, 1])
 
     def test_record_release(self, index):
         entry = index.ensure((0, 0, 0)).entry
+        entry.count_usage(4, 2)
         ppa = PhysicalPageAddress(2, 1, 0, 0)
         entry.record_alloc(ppa, 0)
         released = entry.record_release(0)
         assert released == ppa
-        assert entry.channel_use == {}
-        assert entry.bank_use == {}
+        assert entry.usage == ([[0] * 4, [0] * 4], [0, 0], [0, 0])
         assert entry.is_empty
+
+    def test_count_usage_counts_the_bound_pages(self, index):
+        entry = index.ensure((0, 0, 0)).entry
+        entry.pages[0] = PhysicalPageAddress(1, 0, 0, 0)
+        entry.pages[3] = PhysicalPageAddress(1, 0, 0, 1)
+        entry.count_usage(4, 2)
+        assert entry.usage == ([[0, 2 * 5 + 2, 0, 0], [0, 2, 0, 0]],
+                               [2, 0], [1, 0])
+
+    def test_extend_pages_recounts_with_the_new_packing(self, index):
+        entry = index.ensure((0, 0, 0)).entry
+        entry.count_usage(4, 2)
+        entry.record_alloc(PhysicalPageAddress(3, 1, 0, 0), 0)
+        entry.extend_pages(5)
+        assert len(entry.pages) == 5
+        assert entry.usage == ([[0, 0, 0, 1], [0, 0, 0, 6 + 1]],
+                               [0, 1], [0, 1])
 
     def test_release_empty_slot(self, index):
         entry = index.ensure((0, 0, 0)).entry
@@ -117,9 +143,12 @@ class TestIterationAndMemory:
         from repro.nvm import PAPER_PROTOTYPE
         space = Space.create(1, (4096, 4096), 4, PAPER_PROTOTYPE.geometry)
         index = BTreeIndex(space)
+        geometry = PAPER_PROTOTYPE.geometry
         for i in range(space.grid[0]):
             for j in range(space.grid[1]):
                 entry = index.ensure((i, j)).entry
+                entry.count_usage(geometry.channels,
+                                  geometry.banks_per_channel)
                 for position in range(space.pages_per_block):
                     entry.record_alloc(PhysicalPageAddress(0, 0, 0, 0),
                                        position)

@@ -152,9 +152,9 @@ class TestStlIntegration:
 
     def test_growing_a_page_slot_keeps_the_placement_grid_exact(self, rng):
         """An incompressible rewrite of a block first stored compressed
-        grows the leaf by a header page. The placement grid packs its
-        keys with ``len(pages) + 1``, so it must still equal a rebuild
-        from the usage dicts afterwards."""
+        grows the leaf by a header page. The usage record packs its keys
+        with ``M = len(pages) + 1``, so it must still equal a count of
+        the new pages afterwards."""
         flash = FlashArray(TINY_TEST.geometry, TINY_TEST.timing,
                            store_data=True)
         stl = SpaceTranslationLayer(flash, compressor=ZlibCompressor())
@@ -167,6 +167,13 @@ class TestStlIntegration:
                          data=rng.integers(0, 256, (32, 32, 4),
                                            dtype=np.uint8))
         assert len(entry.pages) == pages + 1
-        cols = stl.allocator._place_cols(entry)
-        entry.place_cols = None
-        assert stl.allocator._place_cols(entry) == cols
+        m = len(entry.pages) + 1
+        live = entry.allocated_pages()
+        geometry = TINY_TEST.geometry
+        assert entry.usage[0] == [
+            [sum(p.channel == c and p.bank == b for p in live) * m
+             + sum(p.channel == c for p in live)
+             for c in range(geometry.channels)]
+            for b in range(geometry.banks_per_channel)]
+        assert entry.usage[1] == [sum(p.bank == b for p in live)
+                                  for b in range(geometry.banks_per_channel)]

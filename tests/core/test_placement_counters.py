@@ -1,14 +1,15 @@
-"""Columnar placement counters must reproduce the old dict scans.
+"""The usage record must reproduce the old dict scans.
 
 The allocator's least-used-bank / least-used-channel rules used to scan
-``BlockEntry``'s usage dicts per unit. The columnar mirror
-(``BlockEntry.place_cols``) packs both tie-break keys into one integer
-grid maintained incrementally by ``record_alloc``/``record_release``;
-one ``min`` per row must land on exactly the channel the old
-lexicographic scan picked, and the incrementally-maintained grid must
-equal a fresh rebuild at any point.
+per-channel and per-(channel, bank) count dicts per unit. The usage
+record (``BlockEntry.usage``) packs both tie-break keys into one
+integer grid maintained incrementally by ``record_alloc``/
+``record_release``; one ``min`` per row must land on exactly the
+channel the old lexicographic scan, run over a recount of the entry's
+pages, picked, and the incrementally-maintained record must equal a
+fresh count at any point.
 
-GC relocations set the page slot and ``last_alloc`` only: the counters
+GC relocations set the page slot and ``last_alloc`` only: the record
 must still equal a recount from the pages, and the result must equal
 the old ``record_release`` + ``record_alloc`` patch. Overwrites through
 ``write_block`` (rule-4 fallback, a dead channel, a program re-drive, an
@@ -27,6 +28,7 @@ import pytest
 from repro.core import SpaceTranslationLayer
 from repro.core.allocator import NdsAllocator
 from repro.core.btree import BlockEntry
+from repro.core.compression import ZlibCompressor
 from repro.core.errors import CapacityError
 from repro.core.sharding import ShardSpec
 from repro.faults import FaultConfig, FaultInjector, FaultPlan
@@ -38,20 +40,42 @@ from repro.nvm.address import PhysicalPageAddress, ppa_to_index
 from repro.nvm.geometry import Geometry
 
 
+def _recount(entry):
+    """The entry's units per channel and per (channel, bank), counted
+    from its pages."""
+    live = [p for p in entry.pages if p is not None]
+    return (Counter(p.channel for p in live),
+            Counter((p.channel, p.bank) for p in live))
+
+
+def _expected_usage(geometry, entry):
+    """The usage record a fresh count of the entry's pages gives:
+    ``(key_grid, bank_tot, bank_width)`` as ``BlockEntry`` documents."""
+    channel_use, bank_use = _recount(entry)
+    m = len(entry.pages) + 1
+    banks = range(geometry.banks_per_channel)
+    key_grid = [[bank_use[(c, b)] * m + channel_use[c]
+                 for c in range(geometry.channels)] for b in banks]
+    bank_tot = [sum(n for (_c, bank), n in bank_use.items() if bank == b)
+                for b in banks]
+    bank_width = [sum(1 for (_c, bank) in bank_use if bank == b)
+                  for b in banks]
+    return key_grid, bank_tot, bank_width
+
+
 def _old_least_used_channel(geometry, entry, bank):
-    bank_use = entry.bank_channels.get(bank) or {}
-    channel_use = entry.channel_use
+    channel_use, bank_use = _recount(entry)
     best = None
     best_bank_use = 0
     best_channel_use = 0
     for c in range(geometry.channels):
-        used = bank_use.get(c, 0)
+        used = bank_use[(c, bank)]
         if best is None or used < best_bank_use:
             best = c
             best_bank_use = used
-            best_channel_use = channel_use.get(c, 0)
+            best_channel_use = channel_use[c]
         elif used == best_bank_use:
-            overall = channel_use.get(c, 0)
+            overall = channel_use[c]
             if overall < best_channel_use:
                 best = c
                 best_channel_use = overall
@@ -60,7 +84,7 @@ def _old_least_used_channel(geometry, entry, bank):
 
 def _old_bank_usage(geometry, entry):
     usage = [0] * geometry.banks_per_channel
-    for (_c, b), count in entry.bank_use.items():
+    for (_c, b), count in _recount(entry)[1].items():
         usage[b] += count
     return usage
 
@@ -73,6 +97,7 @@ def _run_trial(seed):
     alloc = NdsAllocator(geo, seed=seed)
     npages = rng.choice([1, 4, 16, 64, 200])
     entry = BlockEntry(coord=(0,), pages=[None] * npages)
+    entry.count_usage(geo.channels, geo.banks_per_channel)
     live = []
     for step in range(300):
         op = rng.random()
@@ -90,17 +115,14 @@ def _run_trial(seed):
             pos = live.pop(rng.randrange(len(live)))
             entry.record_release(pos)
         else:
+            key_grid, bank_tot, _width = entry.usage
             for bank in range(geo.banks_per_channel):
-                got = alloc._least_used_channel(entry, bank)
+                got = alloc._least_used_channel(key_grid[bank])
                 want = _old_least_used_channel(geo, entry, bank)
                 assert got == want, (seed, step, bank, got, want)
-            key_grid, bank_tot = alloc._place_cols(entry)
             assert bank_tot == _old_bank_usage(geo, entry), (seed, step)
-            # incrementally-maintained grid == fresh rebuild
-            entry.place_cols = None
-            fresh = alloc._place_cols(entry)
-            assert fresh[0] == key_grid and fresh[1] == bank_tot, \
-                (seed, step)
+            # incrementally-maintained record == fresh count
+            assert entry.usage == _expected_usage(geo, entry), (seed, step)
 
 
 def test_placement_counters_match_old_scans():
@@ -118,13 +140,14 @@ def _old_choose_target_sharded(rng, entry, allowed):
     if entry.last_alloc is None:
         return planes[rng.randrange(len(planes))]
     bank = entry.last_alloc.bank
+    channel_use, bank_use = _recount(entry)
     shard_channels_in_bank = {c for (c, b) in allowed if b == bank}
-    used_in_bank = {c for (c, b) in entry.bank_use if b == bank}
+    used_in_bank = {c for (c, b) in bank_use if b == bank}
     if not shard_channels_in_bank or \
             used_in_bank >= shard_channels_in_bank:
         banks = sorted({b for (_c, b) in allowed})
         usage = {b: 0 for b in banks}
-        for (_c, b), count in entry.bank_use.items():
+        for (_c, b), count in bank_use.items():
             if b in usage:
                 usage[b] += count
         least = min(usage.values())
@@ -132,19 +155,17 @@ def _old_choose_target_sharded(rng, entry, allowed):
     channels = sorted({c for (c, b) in allowed if b == bank})
     if not channels:
         channels = sorted({c for (c, _b) in allowed})
-    bank_use = entry.bank_channels.get(bank) or {}
-    channel_use = entry.channel_use
     best = None
     best_bank_use = 0
     best_channel_use = 0
     for c in channels:
-        used = bank_use.get(c, 0)
+        used = bank_use[(c, bank)]
         if best is None or used < best_bank_use:
             best = c
             best_bank_use = used
-            best_channel_use = channel_use.get(c, 0)
+            best_channel_use = channel_use[c]
         elif used == best_bank_use:
-            overall = channel_use.get(c, 0)
+            overall = channel_use[c]
             if overall < best_channel_use:
                 best = c
                 best_channel_use = overall
@@ -172,6 +193,7 @@ def _run_sharded_trial(seed):
     for step in range(500):
         if entry is None or rng.random() < 0.01:
             entry = BlockEntry(coord=(0,), pages=[None] * npages)
+            entry.count_usage(geo.channels, geo.banks_per_channel)
         got = alloc.choose_target(entry, allowed=allowed)
         want = _old_choose_target_sharded(reference, entry, allowed)
         assert got == want, (seed, step, got, want)
@@ -213,24 +235,14 @@ def _release_alloc_patch(gc):
 
 
 def _assert_usage_recount(stl) -> None:
-    """Every entry's usage counters equal a recount from its pages, and
-    its placement grid equals a fresh rebuild."""
+    """Every entry with a bound unit holds its usage record, and every
+    record equals a fresh count of its entry's pages."""
     for index in stl.indexes.values():
         for entry in index.iter_entries():
-            live = [p for p in entry.pages if p is not None]
-            assert entry.channel_use == dict(Counter(p.channel
-                                                     for p in live))
-            assert entry.bank_use == dict(Counter((p.channel, p.bank)
-                                                  for p in live))
-            per_bank = {}
-            for p in live:
-                per_bank.setdefault(p.bank, Counter())[p.channel] += 1
-            assert entry.bank_channels == {b: dict(c)
-                                           for b, c in per_bank.items()}
-            cols = entry.place_cols
-            if cols is not None:
-                entry.place_cols = None
-                assert stl.allocator._place_cols(entry) == cols
+            if entry.usage is None:
+                assert entry.is_empty, entry.coord
+            else:
+                assert entry.usage == _expected_usage(stl.geometry, entry)
 
 
 def _assert_reverse_matches_leaves(stl) -> None:
@@ -261,9 +273,7 @@ def _entry_state(stl) -> list:
     for space_id in sorted(stl.indexes):
         for entry in stl.indexes[space_id].iter_entries():
             state.append((space_id, entry.coord, list(entry.pages),
-                          entry.channel_use, entry.bank_use,
-                          entry.bank_channels, entry.last_alloc,
-                          entry.place_cols))
+                          entry.usage, entry.last_alloc))
     return state
 
 
@@ -407,19 +417,24 @@ class TestEmptySlotIsUnreachable:
 # resize, then GC moves and fresh units in the surviving entries
 # ----------------------------------------------------------------------
 def _pinned_entries(stl) -> list:
-    """Every entry's slots, ``last_alloc`` and usage counters, as plain
-    sorted data."""
+    """Every entry's slots, ``last_alloc`` and unit counts per channel,
+    per (channel, bank) and per bank and channel, as plain sorted data
+    (the counts from the pages, which the record equals)."""
     def ppa(p):
         return None if p is None else (p.channel, p.bank, p.block, p.page)
     state = []
     for space_id in sorted(stl.indexes):
         for entry in stl.indexes[space_id].iter_entries():
+            channel_use, bank_use = _recount(entry)
+            per_bank = {}
+            for (c, b), count in bank_use.items():
+                per_bank.setdefault(b, {})[c] = count
             state.append((space_id, entry.coord,
                           [ppa(p) for p in entry.pages], ppa(entry.last_alloc),
-                          sorted(entry.channel_use.items()),
-                          sorted(entry.bank_use.items()),
+                          sorted(channel_use.items()),
+                          sorted(bank_use.items()),
                           sorted((b, sorted(c.items()))
-                                 for b, c in entry.bank_channels.items())))
+                                 for b, c in per_bank.items())))
     return sorted(state)
 
 
@@ -667,6 +682,46 @@ def test_write_at_the_kill_time_steers_off_the_dead_channel():
     got = stl.read_region(space.space_id, (0, 0), extents,
                           start_time=2 * CHURN_GAP)
     assert np.array_equal(got.data, region)
+    _assert_usage_recount(stl)
+    _assert_reverse_matches_leaves(stl)
+
+
+@pytest.mark.parametrize("compressed", [False, True],
+                         ids=["plain", "compressed"])
+def test_kill_during_the_rmw_read_steers_off_the_dead_channel(compressed):
+    """A channel killed after a partial write issues but before its
+    read-modify-write read completes is seen before placement: the
+    programs issue at the read's end, so the write steers them off the
+    channel, none fails, and the region reads back. (Placing at the
+    issue time's view would rebind units on the dead channel; their
+    programs fail and the re-drive's retirement reads the dead
+    channel.)"""
+    flash = FlashArray(TINY_TEST.geometry, TINY_TEST.timing,
+                       store_data=True)
+    dead, t0 = 1, 1e-3
+    flash.attach_faults(FaultInjector(FaultConfig(
+        plan=FaultPlan().kill_channel(dead, at=t0 + 1e-9))))
+    stl = SpaceTranslationLayer(
+        flash, compressor=ZlibCompressor() if compressed else None)
+    space = stl.create_space(CHURN_DIMS, CHURN_ELEMENT)
+    assert space.bb == (16, 16)
+    rng = np.random.default_rng(11)
+    model = rng.integers(0, 256, CHURN_DIMS + (CHURN_ELEMENT,),
+                         dtype=np.uint8)
+    stl.write_region(space.space_id, (0, 0), CHURN_DIMS, data=model)
+    extents = (8, 16)
+    entry = stl.indexes[space.space_id].lookup((0, 0)).entry
+    assert any(ppa.channel == dead for ppa in entry.allocated_pages())
+    region = rng.integers(0, 256, extents + (CHURN_ELEMENT,), dtype=np.uint8)
+    result = stl.write_region(space.space_id, (0, 0), extents, data=region,
+                              start_time=t0)
+    assert result.blocks[0].rmw_reads > 0
+    assert not any(ppa.channel == dead for ppa in entry.allocated_pages())
+    assert flash.faults.counters().get("program_fails", 0) == 0
+    model[:8, :16] = region
+    got = stl.read_region(space.space_id, (0, 0), (16, 16),
+                          start_time=2 * t0)
+    assert np.array_equal(got.data, model[:16, :16])
     _assert_usage_recount(stl)
     _assert_reverse_matches_leaves(stl)
 
