@@ -14,9 +14,11 @@ possible:
 
 Overwrites pick a fresh unit from the *same channel and bank* as the
 overwritten unit, preserving the block's parallelism. The STL's
-``write_block`` binds an overwrite at that plane's append point itself
-and comes here (``prefer``) only when the plane is full or its channel
-is dead, for the rule-4 fallback.
+``write_block`` binds every unit at its plane's append point itself (an
+overwrite on the old unit's plane, a fresh unit on the plane that
+:meth:`NdsAllocator.placement_rule`, bound once per block, picks) and
+comes to :meth:`NdsAllocator.allocate` (``prefer``) only when the plane
+is full or its channel is dead, for the rule-4 fallback.
 
 Free-space bookkeeping reuses the per-(channel, bank) log-structured
 :class:`~repro.ftl.mapping.PlaneAllocator`; NDS manages flash like an
@@ -26,7 +28,7 @@ FTL underneath, it just *places* differently.
 from __future__ import annotations
 
 import random
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
 from repro.core.btree import BlockEntry
 from repro.core.errors import CapacityError
@@ -74,62 +76,72 @@ class NdsAllocator:
     def choose_target(self, entry: BlockEntry,
                       allowed: Optional[Planes] = None) -> Tuple[int, int]:
         """Pick the (channel, bank) the next unit of ``entry`` should
-        come from, before consulting free space.
+        come from, before consulting free space: one call of the rule
+        :meth:`placement_rule` binds.
 
         ``allowed`` restricts every rule to a shard's planes (a channels
         x banks product, see :meth:`ShardSpec.planes`); with None (the
         default) the rules see the whole array and the RNG draw sequence
         is identical to the pre-sharding allocator.
         """
+        return self.placement_rule(entry, allowed)()
+
+    def placement_rule(self, entry: BlockEntry,
+                       allowed: Optional[Planes] = None
+                       ) -> Callable[[], Tuple[int, int]]:
+        """Rules 1–3 for ``entry``, bound once per block: a callable that
+        returns the (channel, bank) of the block's next unit from its
+        ``last_alloc`` and usage record at the time of the call.
+
+        The RNG, the geometry and, for a sharded space (``allowed``),
+        the shard's sorted planes, channels and banks are bound here, so
+        a block's units pay for them once. The STL's ``write_block``
+        binds one rule per block access; :meth:`choose_target` binds one
+        per call.
+        """
+        rng = self.rng
+        randrange = rng.randrange
         g = self.geometry
-        if entry.last_alloc is None:
-            # Rule 1: brand-new block — random channel and bank.
-            if allowed is None:
-                return (self.rng.randrange(g.channels),
-                        self.rng.randrange(g.banks_per_channel))
-            planes = sorted(allowed)
-            return planes[self.rng.randrange(len(planes))]
-        key_grid, bank_tot, bank_width = entry.usage
-        channels = banks = None
+        planes = channels = banks = None
         width = g.channels
         if allowed is not None:
+            planes = sorted(allowed)
             channels = sorted({c for (c, _b) in allowed})
             banks = sorted({b for (_c, b) in allowed})
             width = len(channels)
-        bank = entry.last_alloc.bank
-        # An entry's units never leave its shard, so a count of the
-        # channels it uses in this bank says whether it covers them all.
-        if bank_width[bank] >= width:
-            # Rule 3: block covers every channel of this bank already —
-            # move to an unused or least-used bank.
-            bank = self._least_used_bank(bank_tot, banks)
-        # Rule 2: least-used channel (within the chosen bank).
-        return self._least_used_channel(key_grid[bank], channels), bank
 
-    def _least_used_bank(self, bank_tot: List[int],
-                         banks: Optional[List[int]] = None) -> int:
-        """A random one of the least-used ``banks`` (default: all), by
-        the usage record's per-bank unit counts."""
-        if banks is None:
-            banks = range(len(bank_tot))
-        least = min(bank_tot[b] for b in banks)
-        return self.rng.choice([b for b in banks if bank_tot[b] == least])
+        def rule() -> Tuple[int, int]:
+            last = entry.last_alloc
+            if last is None:
+                # Rule 1: brand-new block — random channel and bank.
+                if planes is None:
+                    return (randrange(g.channels),
+                            randrange(g.banks_per_channel))
+                return planes[randrange(len(planes))]
+            key_grid, bank_tot, bank_width = entry.usage
+            bank = last.bank
+            # An entry's units never leave its shard, so a count of the
+            # channels it uses in this bank says whether it covers them
+            # all.
+            if bank_width[bank] >= width:
+                # Rule 3: block covers every channel of this bank
+                # already — move to a random one of the least-used banks.
+                scan = range(len(bank_tot)) if banks is None else banks
+                least = min(bank_tot[b] for b in scan)
+                bank = rng.choice([b for b in scan if bank_tot[b] == least])
+            # Rule 2: least-used channel (within the chosen bank). One
+            # C-level ``min`` over the bank's key row (see BlockEntry):
+            # the key packs (bank use, overall channel use) into one
+            # int, and both ``index`` and ``min`` return the first
+            # minimum — the lexicographic order with the lowest channel
+            # id as tie-break, so blocks larger than one stripe still
+            # spread evenly.
+            row = key_grid[bank]
+            if channels is None:
+                return row.index(min(row)), bank
+            return min(channels, key=row.__getitem__), bank
 
-    @staticmethod
-    def _least_used_channel(row: List[int],
-                            channels: Optional[List[int]] = None) -> int:
-        """The least-used of ``channels`` (default: all) in the bank of
-        the usage record's key row ``row`` (see :class:`BlockEntry`).
-
-        One C-level ``min`` over the row: the key packs (bank use,
-        overall channel use) into one int, and both ``index`` and
-        ``min`` return the first minimum — the lexicographic order with
-        the lowest channel id as tie-break, so blocks larger than one
-        stripe still spread evenly.
-        """
-        if channels is None:
-            return row.index(min(row))
-        return min(channels, key=row.__getitem__)
+        return rule
 
     # ------------------------------------------------------------------
     def allocate(self, entry: BlockEntry, position: int,

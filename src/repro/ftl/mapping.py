@@ -30,6 +30,8 @@ from repro.nvm.geometry import Geometry
 
 __all__ = ["BlockState", "PlaneAllocator", "PageMapFTL", "OutOfSpaceError"]
 
+_new_tuple = tuple.__new__
+
 
 @dataclass
 class BlockState:
@@ -177,8 +179,11 @@ class PlaneAllocator:
             self.active_block = self.free_blocks.pop(0)
             state = self._state(self.active_block)
             self._active_state = state
-        ppa = PhysicalPageAddress(self.channel, self.bank,
-                                  self.active_block, state.next_page)
+        # the named tuple's own __new__ is a Python frame; the plain
+        # tuple constructor builds the same type, value and hash
+        ppa = _new_tuple(PhysicalPageAddress, (self.channel, self.bank,
+                                               self.active_block,
+                                               state.next_page))
         state.valid[state.next_page] = True
         state.next_page += 1
         if state.next_page == self.geometry.pages_per_block:
