@@ -88,9 +88,6 @@ class GpuModel:
         data = 3 * tile_dim * tile_dim * element_size
         return data / self.kernel_time(data, tile_dim, use_tensor_cores)
 
-    def optimal_tile_dim(self, use_tensor_cores: bool) -> int:
-        return self.engine(use_tensor_cores).optimal_dim
-
     def fits_in_device_memory(self, num_bytes: int) -> bool:
         return num_bytes <= self.device_memory
 

@@ -8,7 +8,6 @@ The analogue of the paper artifact's ``run_evaluation.sh``::
     python -m repro fig10 -w GEMM BFS # a subset
     python -m repro overhead          # §7.3 latency/space overhead
     python -m repro table1            # workload inventory
-    python -m repro bench             # wall-clock hot-path benchmark
     python -m repro all               # everything
 
 Each command prints the same rows/series the paper's figure reports.
@@ -339,28 +338,16 @@ def _cmd_monitor(args: argparse.Namespace) -> None:
         print(format_monitor(payload))
 
 
-def _cmd_bench(args: argparse.Namespace) -> None:
-    from repro.analysis.bench import (bench_json, format_bench,
-                                      run_hotpath_bench)
-    if args.profile:
-        import cProfile
-        import pstats
-        profiler = cProfile.Profile()
-        profiler.enable()
-        bench = run_hotpath_bench(max_tiles=args.tiles,
-                                  repeats=args.repeats)
-        profiler.disable()
-        stats = pstats.Stats(profiler)
-        stats.sort_stats("cumulative").print_stats(20)
-    else:
-        bench = run_hotpath_bench(max_tiles=args.tiles,
-                                  repeats=args.repeats)
-    print(format_bench(bench))
-    if args.json:
-        out = Path(args.json)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(bench_json(bench))
-        print(f"wrote {args.json}")
+def _cmd_scorecard(_args: argparse.Namespace) -> None:
+    from repro.analysis.scorecard import run_scorecard
+    rows = []
+    for anchor in run_scorecard():
+        rows.append([anchor.section, anchor.name, f"{anchor.paper:g}",
+                     f"{anchor.measured:.3g}", f"{anchor.delta:+.0%}",
+                     "pass" if anchor.passed else "CHECK"])
+    print(format_table(["section", "anchor", "paper", "measured",
+                        "delta", "verdict"], rows,
+                       title="Reproduction scorecard"))
 
 
 def _cmd_all(args: argparse.Namespace) -> None:
@@ -547,22 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
     monitor.add_argument("--text", action="store_true",
                          help="print the text timeline even with --json")
     monitor.set_defaults(fn=_cmd_monitor)
-    bench = sub.add_parser(
-        "bench", help="wall-clock hot-path benchmark (bench_hotpath.json)")
-    bench.add_argument("--json", default="bench_hotpath.json",
-                       metavar="PATH",
-                       help="write wall + simulated numbers to PATH "
-                            "(default bench_hotpath.json; empty string "
-                            "disables)")
-    bench.add_argument("--tiles", type=int, default=48,
-                       help="max tile fetches per workload (default 48)")
-    bench.add_argument("--repeats", type=int, default=1,
-                       help="wall-time repeats, keep the fastest "
-                            "(default 1)")
-    bench.add_argument("--profile", action="store_true",
-                       help="run under cProfile and print the top 20 "
-                            "functions by cumulative time")
-    bench.set_defaults(fn=_cmd_bench)
     sub.add_parser("overhead", help="Sec 7.3 overheads").set_defaults(
         fn=_cmd_overhead)
     sub.add_parser("scorecard",
@@ -585,15 +556,3 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 if __name__ == "__main__":
     sys.exit(main())
-
-
-def _cmd_scorecard(_args: argparse.Namespace) -> None:
-    from repro.analysis.scorecard import run_scorecard
-    rows = []
-    for anchor in run_scorecard():
-        rows.append([anchor.section, anchor.name, f"{anchor.paper:g}",
-                     f"{anchor.measured:.3g}", f"{anchor.delta:+.0%}",
-                     "pass" if anchor.passed else "CHECK"])
-    print(format_table(["section", "anchor", "paper", "measured",
-                        "delta", "verdict"], rows,
-                       title="Reproduction scorecard"))

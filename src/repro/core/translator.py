@@ -24,7 +24,7 @@ import numpy as np
 from repro.core.space import Space
 
 __all__ = ["BlockAccess", "translate", "translate_region",
-           "pages_for_region", "region_volume",
+           "pages_for_region",
            "set_translation_cache_limit", "translation_cache_limit",
            "translation_cache_stats", "reset_translation_cache_stats"]
 
@@ -105,13 +105,6 @@ class BlockAccess:
         for start, stop in self.block_slice:
             count *= stop - start
         return count
-
-
-def region_volume(extents: Sequence[int]) -> int:
-    volume = 1
-    for extent in extents:
-        volume *= extent
-    return volume
 
 
 def translate(space: Space, coordinate: Sequence[int],

@@ -74,9 +74,6 @@ class HostCpu:
             self.probe.copy(start, end, duration, num_bytes, label)
         return end
 
-    def copy_duration(self, num_bytes: int, chunk_bytes: int = 0) -> float:
-        return self.memory.copy_time(num_bytes, chunk_bytes)
-
     def reset_time(self) -> None:
         self.issue_line.reset()
         self.copy_lines.reset()

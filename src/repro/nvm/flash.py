@@ -585,9 +585,6 @@ class FlashArray:
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------
-    def channel_utilization(self, horizon: float) -> List[float]:
-        return [line.utilization(horizon) for line in self.channel_lines]
-
     def reset_time(self) -> None:
         """Reset all timelines to t=0 (page contents are preserved)."""
         for line in self.channel_lines:

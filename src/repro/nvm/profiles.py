@@ -48,12 +48,6 @@ class DeviceProfile:
         return self.timing.internal_read_bandwidth(
             g.channels, g.banks_per_channel, g.page_size)
 
-    @property
-    def internal_write_bandwidth(self) -> float:
-        g = self.geometry
-        return self.timing.internal_write_bandwidth(
-            g.channels, g.banks_per_channel, g.page_size)
-
     def link_time(self, num_bytes: int) -> float:
         """Time for one transfer of ``num_bytes`` over the external link."""
         return self.link_command_overhead + num_bytes / self.link_bandwidth

@@ -161,9 +161,6 @@ class TraceRecorder:
                     entry["bytes"] += value
         return metrics
 
-    def stream_spans(self, stream: str) -> List[TraceSpan]:
-        return [s for s in self.spans if s.stream == stream]
-
     def op_children(self, op_id: int) -> List[TraceSpan]:
         """Component spans recorded while ``op_id`` was executing."""
         return [s for s in self.spans

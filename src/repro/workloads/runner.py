@@ -60,10 +60,6 @@ class WorkloadRunResult:
     io_time_by_shape: Dict[Tuple[str, Tuple[int, ...]], float] = field(
         default_factory=dict, repr=False)
 
-    @property
-    def io_bound(self) -> bool:
-        return self.io_busy >= max(self.h2d_busy, self.kernel_busy)
-
 
 def speedup(baseline: WorkloadRunResult, other: WorkloadRunResult) -> float:
     """End-to-end speedup of ``other`` over ``baseline`` (Fig. 10(a))."""

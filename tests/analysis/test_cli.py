@@ -1,5 +1,10 @@
 """Tests for the reproduction CLI."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -12,7 +17,7 @@ class TestParser:
                    if hasattr(a, "choices") and a.choices)
         assert set(sub.choices) == {"fig3", "fig9", "fig10", "overhead",
                                     "report", "scorecard", "table1",
-                                    "bench", "loadtest", "monitor", "all"}
+                                    "loadtest", "monitor", "all"}
 
     def test_missing_command_errors(self):
         with pytest.raises(SystemExit):
@@ -45,6 +50,20 @@ class TestCommands:
         assert main(["overhead"]) == 0
         out = capsys.readouterr().out
         assert "single-page latency" in out
+
+
+class TestScript:
+    def test_module_runs_as_script(self):
+        """``python -m repro.cli`` runs the module top to bottom, so
+        every command must be defined before its ``__main__`` block."""
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "repro.cli", "table1"],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "GEMM" in done.stdout
 
 
 class TestAsciiChart:
