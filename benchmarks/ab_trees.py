@@ -16,6 +16,9 @@ What runs (``--what``):
     fresh-unit placement path alone (construction is not timed).
 ``build``
     ``WORKLOADS[--workload].build()``: perfbench's timed set-up.
+``fig10``
+    ``repro.analysis.experiments.endtoend_sweep()``: the paper's Fig. 10
+    run (about nine tenths of it ingest).
 
 Prints min / q1 / median per tree, then the median of the per-pair
 change/parent ratios and how many pairs the change won.
@@ -23,7 +26,7 @@ change/parent ratios and how many pairs the change won.
 Usage::
 
     python benchmarks/ab_trees.py --parent PARENT_CHECKOUT --change . \
-        [--what ingest|build] [--workload nds-sweep] [--mib 64] \
+        [--what ingest|build|fig10] [--workload nds-sweep] [--mib 64] \
         [--pairs 10]
 """
 
@@ -101,6 +104,20 @@ def run_build(tree: Tree, workload: str) -> float:
     return elapsed
 
 
+def run_fig10(tree: Tree) -> float:
+    sweep = importlib.import_module(
+        "repro.analysis.experiments").endtoend_sweep
+    gc.collect()
+    start = perf_counter()
+    sweep()
+    return perf_counter() - start
+
+
+RUNS = {"ingest": lambda tree, args: run_ingest(tree, args.mib),
+        "build": lambda tree, args: run_build(tree, args.workload),
+        "fig10": lambda tree, args: run_fig10(tree)}
+
+
 def summary(times: List[float]) -> str:
     ordered = sorted(times)
     q1 = (statistics.quantiles(ordered, n=4, method="inclusive")[0]
@@ -115,8 +132,7 @@ def main(argv=None) -> int:
                         help="root of the parent checkout")
     parser.add_argument("--change", required=True, type=Path,
                         help="root of the changed checkout")
-    parser.add_argument("--what", choices=("ingest", "build"),
-                        default="ingest")
+    parser.add_argument("--what", choices=tuple(RUNS), default="ingest")
     parser.add_argument("--workload", default="nds-sweep",
                         help="perfbench workload for --what build")
     parser.add_argument("--mib", type=int, default=64,
@@ -132,14 +148,13 @@ def main(argv=None) -> int:
         order = trees if pair % 2 == 0 else trees[::-1]
         for tree in order:
             with tree.active():
-                elapsed = (run_ingest(tree, args.mib)
-                           if args.what == "ingest"
-                           else run_build(tree, args.workload))
+                elapsed = RUNS[args.what](tree, args)
             times[tree.label].append(elapsed)
         print(f"pair {pair}: parent {times['parent'][-1]:.4f} s  "
               f"change {times['change'][-1]:.4f} s", flush=True)
-    what = (f"ingest {args.mib} MiB" if args.what == "ingest"
-            else f"build {args.workload}")
+    what = {"ingest": f"ingest {args.mib} MiB",
+            "build": f"build {args.workload}",
+            "fig10": "fig10 endtoend_sweep()"}[args.what]
     print(f"{what}, {args.pairs} pairs")
     for label, series in times.items():
         print(f"  {label:<7}{summary(series)}")

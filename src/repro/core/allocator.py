@@ -15,10 +15,13 @@ possible:
 Overwrites pick a fresh unit from the *same channel and bank* as the
 overwritten unit, preserving the block's parallelism. The STL's
 ``write_block`` binds every unit at its plane's append point itself (an
-overwrite on the old unit's plane, a fresh unit on the plane that
-:meth:`NdsAllocator.placement_rule`, bound once per block, picks) and
-comes to :meth:`NdsAllocator.allocate` (``prefer``) only when the plane
-is full or its channel is dead, for the rule-4 fallback.
+overwrite on the old unit's plane, a fresh unit on the next plane of
+the block's :meth:`NdsAllocator.placement_plan`) and comes to
+:meth:`NdsAllocator.allocate` (``prefer``) only when the plane is full
+or its channel is dead, for the rule-4 fallback. The plan gives rules
+1–3 in closed form: a block's units fill one bank at a time, in one
+sorted order of the bank's channels, and the RNG draws only for the
+block's first unit and at each turn to a new bank.
 
 Free-space bookkeeping reuses the per-(channel, bank) log-structured
 :class:`~repro.ftl.mapping.PlaneAllocator`; NDS manages flash like an
@@ -28,7 +31,7 @@ FTL underneath, it just *places* differently.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, Optional, Tuple
 
 from repro.core.btree import BlockEntry
 from repro.core.errors import CapacityError
@@ -76,72 +79,73 @@ class NdsAllocator:
     def choose_target(self, entry: BlockEntry,
                       allowed: Optional[Planes] = None) -> Tuple[int, int]:
         """Pick the (channel, bank) the next unit of ``entry`` should
-        come from, before consulting free space: one call of the rule
-        :meth:`placement_rule` binds.
+        come from, before consulting free space: the first plane of a
+        fresh :meth:`placement_plan`.
 
         ``allowed`` restricts every rule to a shard's planes (a channels
         x banks product, see :meth:`ShardSpec.planes`); with None (the
         default) the rules see the whole array and the RNG draw sequence
         is identical to the pre-sharding allocator.
         """
-        return self.placement_rule(entry, allowed)()
+        return next(self.placement_plan(entry, allowed))
 
-    def placement_rule(self, entry: BlockEntry,
+    def placement_plan(self, entry: BlockEntry,
                        allowed: Optional[Planes] = None
-                       ) -> Callable[[], Tuple[int, int]]:
-        """Rules 1–3 for ``entry``, bound once per block: a callable that
-        returns the (channel, bank) of the block's next unit from its
-        ``last_alloc`` and usage record at the time of the call.
+                       ) -> Iterator[Tuple[int, int]]:
+        """Rules 1–3 for ``entry``, bound once per block access: yields
+        the (channel, bank) of each next fresh unit, in the order one
+        rule call per unit would give, as long as the caller binds each
+        yielded plane (counts it in the usage record and makes it
+        ``last_alloc``) before it asks for the next.
 
-        The RNG, the geometry and, for a sharded space (``allowed``),
-        the shard's sorted planes, channels and banks are bound here, so
-        a block's units pay for them once. The STL's ``write_block``
-        binds one rule per block access; :meth:`choose_target` binds one
-        per call.
+        While the bank of ``last_alloc`` is not covered, rule 2 picks a
+        channel with no unit on (c, bank), and binding a unit there
+        changes no other key of the bank's row; so one sort of the row
+        per bank stretch gives the stretch's order. The RNG is drawn
+        only where the rules draw: rule 1 for a block with no
+        ``last_alloc``, rule 3 each time the bank is covered. A caller
+        drops the plan and binds a new one after anything else that
+        moves the record or ``last_alloc``: an overwrite, a collection,
+        an unbound (elided) unit, a rule-4 fallback or a re-drive.
         """
         rng = self.rng
-        randrange = rng.randrange
         g = self.geometry
-        planes = channels = banks = None
-        width = g.channels
-        if allowed is not None:
-            planes = sorted(allowed)
+        if allowed is None:
+            channels = range(g.channels)
+            banks = range(g.banks_per_channel)
+        else:
             channels = sorted({c for (c, _b) in allowed})
             banks = sorted({b for (_c, b) in allowed})
-            width = len(channels)
-
-        def rule() -> Tuple[int, int]:
-            last = entry.last_alloc
-            if last is None:
-                # Rule 1: brand-new block — random channel and bank.
-                if planes is None:
-                    return (randrange(g.channels),
-                            randrange(g.banks_per_channel))
-                return planes[randrange(len(planes))]
-            key_grid, bank_tot, bank_width = entry.usage
-            bank = last.bank
+        width = len(channels)
+        if entry.last_alloc is None:
+            # Rule 1: brand-new block — random channel and bank.
+            if allowed is None:
+                yield (rng.randrange(g.channels),
+                       rng.randrange(g.banks_per_channel))
+            else:
+                yield sorted(allowed)[rng.randrange(len(allowed))]
+        key_grid, bank_tot, bank_width = entry.usage
+        bank = entry.last_alloc.bank
+        while True:
             # An entry's units never leave its shard, so a count of the
             # channels it uses in this bank says whether it covers them
             # all.
             if bank_width[bank] >= width:
                 # Rule 3: block covers every channel of this bank
                 # already — move to a random one of the least-used banks.
-                scan = range(len(bank_tot)) if banks is None else banks
-                least = min(bank_tot[b] for b in scan)
-                bank = rng.choice([b for b in scan if bank_tot[b] == least])
-            # Rule 2: least-used channel (within the chosen bank). One
-            # C-level ``min`` over the bank's key row (see BlockEntry):
-            # the key packs (bank use, overall channel use) into one
-            # int, and both ``index`` and ``min`` return the first
-            # minimum — the lexicographic order with the lowest channel
-            # id as tie-break, so blocks larger than one stripe still
-            # spread evenly.
+                least = min(bank_tot[b] for b in banks)
+                bank = rng.choice([b for b in banks if bank_tot[b] == least])
+            # Rule 2: least-used channel (within the chosen bank). The
+            # key packs (bank use, overall channel use) into one int
+            # (see BlockEntry) and the sort is stable: the lexicographic
+            # order with the lowest channel id as tie-break, so blocks
+            # larger than one stripe still spread evenly. The bank's
+            # unused channels (key < M) come first; a covered bank
+            # (rule 4's zone) gives one unit, then rule 3 draws again.
             row = key_grid[bank]
-            if channels is None:
-                return row.index(min(row)), bank
-            return min(channels, key=row.__getitem__), bank
-
-        return rule
+            for channel in sorted(channels, key=row.__getitem__)[
+                    :max(1, width - bank_width[bank])]:
+                yield channel, bank
 
     # ------------------------------------------------------------------
     def allocate(self, entry: BlockEntry, position: int,

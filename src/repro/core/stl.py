@@ -363,30 +363,35 @@ class SpaceTranslationLayer:
         blocks = geometry.blocks_per_bank
         block_pages = geometry.pages_per_block
         elide = self.elide_zero_pages
-        # The block's §4.2 rules 1-3 and its usage count, each bound
-        # once, at its first fresh unit.
-        rule = count = None
+        # The block's §4.2 placement plan (rules 1-3) and its usage
+        # count, each bound at its first fresh unit. The plan holds
+        # while each plane it yields is bound there; anything else that
+        # moves the usage record or ``last_alloc`` drops it, and the
+        # next fresh unit binds a new one.
+        plan = count = None
         for position in positions:
             old = pages[position]
             if old is None:
-                # A fresh unit: rules 1-3 pick its plane.
-                if rule is None:
-                    rule = self.allocator.placement_rule(
+                # A fresh unit: the plan's next plane.
+                if plan is None:
+                    plan = self.allocator.placement_plan(
                         entry, self._shard_planes.get(space_id))
-                prefer = rule()
+                prefer = next(plan)
             else:
                 # The overwrite step (§4.2 pins an overwrite to the old
                 # unit's plane). 1. Unbind: the slot, the valid bit and
                 # the reverse entry go now; the usage record keeps its
-                # count.
+                # count. Its bind moves ``last_alloc``: re-plan.
                 ref = self._unbind(entry, position)[1]
                 prefer = (old.channel, old.bank)
+                plan = None
             plane = planes[prefer]
             dead = faults is not None and faults.channel_dead(prefer[0])
             # 2. Trigger test, run with the slot already empty; a unit
             # bound for a dead channel skips it, since it takes the
             # rule-4 fallback. The held count is released if the
-            # collection raises.
+            # collection raises; a GC move rebinds ``last_alloc``, so
+            # the collection drops the plan.
             if plane.free_pages < trigger_mark and not dead:
                 try:
                     if pending_ppas:
@@ -405,6 +410,7 @@ class SpaceTranslationLayer:
                     raise
                 gc_time += max(0.0, gc_result.end_time - completion)
                 completion = max(completion, gc_result.end_time)
+                plan = None
                 # the collection's flash ops may have seen a later kill
                 dead = faults is not None and faults.channel_dead(prefer[0])
             payload = None
@@ -414,15 +420,18 @@ class SpaceTranslationLayer:
             if (elide and payload is not None and old is None
                     and not payload[0].any()):
                 # sparse optimization (§8): never materialize an
-                # all-zero page; the empty leaf slot reads back as zeros
+                # all-zero page; the empty leaf slot reads back as zeros.
+                # The plane goes unbound: re-plan (rules 1 and 3 draw
+                # again).
                 self.stats.count("stl_pages_elided")
+                plan = None
                 continue
             # 3. Bind at the plane's append point. An overwrite keeps
             # its count and its reverse entry (a unit on the same plane
             # leaves the usage record as it was, see BlockEntry.rebind);
             # a fresh unit is counted and gets a new reverse entry. A
             # full plane or a dead channel releases an overwrite's held
-            # count and takes _place's rule-4 fallback.
+            # count and takes _place's rule-4 fallback, off the plan.
             ppa = None
             if not dead:
                 try:
@@ -433,6 +442,7 @@ class SpaceTranslationLayer:
                 if old is not None:
                     entry.release_counts(old)
                 ppa = self._place(space_id, entry, coord, position, prefer)
+                plan = None
             else:
                 if old is None:
                     if count is None:
@@ -456,6 +466,9 @@ class SpaceTranslationLayer:
                 continue
             completion = max(completion, self._program(
                 space_id, entry, coord, position, ppa, rmw_done, payload))
+            if entry.last_alloc is not ppa:
+                # a re-drive placed the unit again
+                plan = None
             units += 1
         if pending_ppas:
             op = self.flash.program_pages(pending_ppas, rmw_done,
@@ -581,23 +594,34 @@ class SpaceTranslationLayer:
             if ppa is not None:
                 old_planes.append((ppa.channel, ppa.bank))
         coord = access.block_coord
-        rule = self.allocator.placement_rule(
-            entry, self._shard_planes.get(space_id))
+        # the old units' planes first, then the placement plan, dropped
+        # on the events write_block drops it on
+        plan = None
         completion = rmw_done
         gc_time = 0.0
         units = 0
         for position in range(needed):
-            prefer = (old_planes[position] if position < len(old_planes)
-                      else rule())
+            if position < len(old_planes):
+                prefer = old_planes[position]
+            else:
+                if plan is None:
+                    plan = self.allocator.placement_plan(
+                        entry, self._shard_planes.get(space_id))
+                prefer = next(plan)
             if self.gc.needs_collection(*prefer) and \
                     not self.allocator._channel_dead(prefer[0]):
                 gc_result = self.gc.collect(prefer[0], prefer[1], completion)
                 gc_time += max(0.0, gc_result.end_time - completion)
                 completion = max(completion, gc_result.end_time)
+                plan = None
             ppa = self._place(space_id, entry, coord, position, prefer)
             chunk = stored[position * page_bytes:(position + 1) * page_bytes]
             completion = max(completion, self._program(
                 space_id, entry, coord, position, ppa, rmw_done, [chunk]))
+            if entry.last_alloc is not ppa or \
+                    (ppa.channel, ppa.bank) != prefer:
+                # a rule-4 fallback or a re-drive
+                plan = None
             units += 1
         entry.stored_bytes = stored.size
         self.stats.count("stl_pages_programmed", units)
@@ -633,11 +657,11 @@ class SpaceTranslationLayer:
                coord: Tuple[int, ...], position: int, prefer=None):
         """Bind a fresh unit to ``entry.pages[position]`` under the
         §4.2 rules (``prefer`` pins its plane) and record its reverse
-        entry, through ``allocator.allocate`` (the rule
-        ``placement_rule`` binds, then rule 4's fallback) and the usage
-        step ``BlockEntry.counter`` binds.
+        entry, through ``allocator.allocate`` (``choose_target``, the
+        first plane of a placement plan, then rule 4's fallback) and the
+        usage step ``BlockEntry.counter`` binds.
 
-        ``write_block`` binds a unit at its rule's plane itself and
+        ``write_block`` binds a unit at its plan's plane itself and
         comes here only for the rule-4 fallback; the re-drive of
         :meth:`_program`, the degraded-read relocation and the
         compressed write place every unit here."""

@@ -4,10 +4,12 @@ The allocator's least-used-bank / least-used-channel rules used to scan
 per-channel and per-(channel, bank) count dicts per unit. The usage
 record (``BlockEntry.usage``) packs both tie-break keys into one
 integer grid maintained incrementally by ``record_alloc``/
-``record_release``; the placement rule's one ``min`` per row must land
-on exactly the channel the old lexicographic scan, run over a recount
-of the entry's pages, picked, and the incrementally-maintained record
-must equal a fresh count at any point.
+``record_release``; the placement rules must land on exactly the
+channel the old lexicographic scan, run over a recount of the entry's
+pages, picked, and the incrementally-maintained record must equal a
+fresh count at any point. The per-block placement plan must yield the
+planes, and make the RNG draws, of one per-unit rule call per fresh
+unit, through every event after which its caller re-plans.
 
 GC relocations set the page slot and ``last_alloc`` only: the record
 must still equal a recount from the pages, and the result must equal
@@ -232,20 +234,32 @@ def test_sharded_placement_matches_dict_scans():
 
 
 # ----------------------------------------------------------------------
-# a fault-free ingest binds each block's rule and count once
+# a fault-free ingest binds each block's plan and count once
 # ----------------------------------------------------------------------
 def test_fault_free_ingest_binds_units_in_one_pass():
-    """``write_block`` binds a block's placement rule and usage count
-    once and binds each fresh unit itself: per unit it runs the rule,
-    the plane's ``allocate_page`` and the count step, and none of the
-    per-unit helpers of the rule-4 fallback path."""
+    """``write_block`` binds one placement plan and one usage count per
+    block access and binds each fresh unit itself: per unit it runs the
+    plane's ``allocate_page`` and the count step, and none of the
+    per-unit helpers of the rule-4 fallback path. A fault-free ingest
+    has no re-plan event, so the RNG draws are the closed form's: one
+    rule-1 draw (a channel and a bank) per block, and one rule-3 draw
+    each time a block turns to a new bank. Its 16-page blocks pass the
+    device's 8 planes, so rule 3 also draws in rule 4's zone."""
     flash = FlashArray(TINY_TEST.geometry, TINY_TEST.timing,
                        store_data=False)
     stl = SpaceTranslationLayer(flash)
-    space = stl.create_space(CHURN_DIMS, CHURN_ELEMENT)
+    space = stl.create_space(CHURN_DIMS, CHURN_ELEMENT, bb_override=(32, 32))
     blocks = len(stl.plan_region(space.space_id, (0, 0), CHURN_DIMS))
     units = blocks * space.pages_per_block
     calls = Counter()
+    plans = Counter()
+    placement_plan = stl.allocator.placement_plan
+
+    def counted_plan(entry, allowed=None):
+        plans[entry.coord] += 1
+        return placement_plan(entry, allowed)
+
+    stl.allocator.placement_plan = counted_plan
 
     def profile(frame, event, _arg):
         if event == "call":
@@ -259,11 +273,263 @@ def test_fault_free_ingest_binds_units_in_one_pass():
     for name in ("allocate", "_try_allocate", "_place", "choose_target",
                  "record_alloc", "note_alloc", "ppa_to_index", "_unbind"):
         assert calls[name] == 0, (name, calls[name])
-    assert calls["placement_rule"] == blocks
-    assert calls["rule"] == calls["allocate_page"] == units
-    assert calls["_add_units"] == units
+    assert len(plans) == blocks and set(plans.values()) == {1}
+    assert calls["allocate_page"] == calls["_add_units"] == units
+    geometry = stl.geometry
+    width = geometry.channels
+    stripe = width * geometry.banks_per_channel
+    n = space.pages_per_block
+    turns = (min(n, stripe) - 1) // width + max(0, n - stripe)
+    assert n > stripe
+    assert calls["randrange"] == 2 * blocks
+    assert calls["choice"] == turns * blocks
     _assert_usage_recount(stl)
     _assert_reverse_matches_leaves(stl)
+
+
+# ----------------------------------------------------------------------
+# the per-block plan against the per-unit rule it replaces
+# ----------------------------------------------------------------------
+def _old_placement_rule(rng, geometry, entry, allowed=None):
+    """Rules 1-3 as one call per unit, as ``write_block`` ran them
+    before the per-block plan: the oracle of the plan tests."""
+    last = entry.last_alloc
+    if last is None:
+        if allowed is None:
+            return (rng.randrange(geometry.channels),
+                    rng.randrange(geometry.banks_per_channel))
+        planes = sorted(allowed)
+        return planes[rng.randrange(len(planes))]
+    channels = banks = None
+    width = geometry.channels
+    if allowed is not None:
+        channels = sorted({c for (c, _b) in allowed})
+        banks = sorted({b for (_c, b) in allowed})
+        width = len(channels)
+    key_grid, bank_tot, bank_width = entry.usage
+    bank = last.bank
+    if bank_width[bank] >= width:
+        scan = range(len(bank_tot)) if banks is None else banks
+        least = min(bank_tot[b] for b in scan)
+        bank = rng.choice([b for b in scan if bank_tot[b] == least])
+    row = key_grid[bank]
+    if channels is None:
+        return row.index(min(row)), bank
+    return min(channels, key=row.__getitem__), bank
+
+
+def _run_plan_trial(seed):
+    """Random records and events through one allocator's plans, against
+    the per-unit rule on a second RNG of the same seed. A fresh unit
+    binds where the plan says; the other events are the ones a caller
+    re-plans after: an elided unit (drawn, never bound), a rule-4
+    fallback (bound on another plane), a same-plane rebind (an
+    overwrite or a GC move), a release and ``extend_pages``. Returns the
+    event counts."""
+    rng = random.Random(seed)
+    geo = Geometry(channels=rng.choice([1, 2, 4, 8, 32]),
+                   banks_per_channel=rng.choice([1, 2, 4, 8]),
+                   blocks_per_bank=64, pages_per_block=64, page_size=4096)
+    allowed = None
+    if rng.random() < 0.4:
+        allowed = ShardSpec(
+            rng.sample(range(geo.channels), rng.randint(1, geo.channels)),
+            None if rng.random() < 0.3 else
+            rng.sample(range(geo.banks_per_channel),
+                       rng.randint(1, geo.banks_per_channel))).planes(geo)
+    shard = sorted(allowed if allowed is not None else
+                   ((c, b) for c in range(geo.channels)
+                    for b in range(geo.banks_per_channel)))
+    alloc = NdsAllocator(geo, seed=seed)
+    reference = random.Random(seed)
+    seen = Counter()
+    entry = plan = None
+
+    def unit(plane):
+        return PhysicalPageAddress(*plane, rng.randrange(64),
+                                   rng.randrange(64))
+
+    def draw():
+        nonlocal plan
+        if plan is None:
+            plan = alloc.placement_plan(entry, allowed)
+        got = next(plan)
+        want = _old_placement_rule(reference, geo, entry, allowed)
+        assert got == want, (seed, seen, got, want)
+        assert alloc.rng.getstate() == reference.getstate(), (seed, seen)
+        return got
+
+    for _step in range(400):
+        if entry is None or rng.random() < 0.02:
+            # a new block: empty, or partly filled off the rules
+            npages = rng.choice([1, 4, 16, 64, 200])
+            entry = BlockEntry(coord=(0,), pages=[None] * npages)
+            entry.count_usage(geo.channels, geo.banks_per_channel)
+            for position in rng.sample(range(npages),
+                                       rng.randrange(npages)):
+                entry.record_alloc(unit(rng.choice(shard)), position)
+            plan = None
+            seen["block"] += 1
+        free = [i for i, p in enumerate(entry.pages) if p is None]
+        live = [i for i, p in enumerate(entry.pages) if p is not None]
+        event = rng.random()
+        if free and event < 0.7:
+            entry.record_alloc(unit(draw()), rng.choice(free))
+            seen["fresh"] += 1
+            continue
+        if free and event < 0.76:
+            draw()
+            seen["elided"] += 1
+        elif free and event < 0.82:
+            draw()
+            entry.record_alloc(unit(rng.choice(shard)), rng.choice(free))
+            seen["fallback"] += 1
+        elif live and event < 0.9:
+            position = rng.choice(live)
+            old = entry.pages[position]
+            entry.rebind(position, unit((old.channel, old.bank)))
+            seen["rebind"] += 1
+        elif live and event < 0.97:
+            entry.record_release(rng.choice(live))
+            seen["release"] += 1
+        else:
+            entry.extend_pages(len(entry.pages) + rng.randint(1, 8))
+            seen["extend"] += 1
+        plan = None
+    assert alloc.rng.random() == reference.random(), seed
+    return seen
+
+
+def test_placement_plan_matches_the_per_unit_rule():
+    seen = sum((_run_plan_trial(seed) for seed in range(60)), Counter())
+    for event in ("block", "fresh", "elided", "fallback", "rebind",
+                  "release", "extend"):
+        assert seen[event] >= 50, seen
+
+
+#: ``_plan_vs_rule_run`` cases: the hazard each adds to random region
+#: writes (fresh units mixed with overwrites, on 4-page blocks and
+#: 16-page blocks, which pass the 8 planes of the device: rule 4's
+#: zone). ``full-plane`` retires one plane's free blocks, and
+#: ``dead-channel`` and ``compressed`` kill a channel first, so units
+#: bound for them take the rule-4 fallback.
+PLAN_CASES = ("timing", "elide", "near-full", "sharded", "full-plane",
+              "dead-channel", "compressed", "program-fail")
+
+
+def _plan_vs_rule_run(seed: int, case: str, oracle: bool):
+    """Random region writes on a small STL; with ``oracle`` its
+    allocator's plans call the per-unit rule once per unit, which any
+    re-plan leaves exact. Returns the op end times, the leaf state, the
+    RNG state and what happened."""
+    rng = random.Random(seed)
+    geometry = Geometry(channels=4, banks_per_channel=2, blocks_per_bank=16,
+                        pages_per_block=8, page_size=256)
+    store = case in ("elide", "compressed")
+    flash = FlashArray(geometry, TINY_TEST.timing, store_data=store)
+    if case == "program-fail":
+        flash.attach_faults(FaultInjector(FaultConfig(
+            seed=seed, program_fail_base=0.05)))
+    elif case in ("dead-channel", "compressed"):
+        flash.attach_faults(FaultInjector(FaultConfig(
+            plan=FaultPlan().kill_channel(seed % 4))))
+    stl = SpaceTranslationLayer(
+        flash, gc_threshold=0.25, seed=seed,
+        compressor=ZlibCompressor() if case == "compressed" else None,
+        elide_zero_pages=case == "elide")
+    alloc = stl.allocator
+    if oracle:
+        def per_unit_plan(entry, allowed=None):
+            while True:
+                yield _old_placement_rule(alloc.rng, geometry, entry,
+                                          allowed)
+        alloc.placement_plan = per_unit_plan
+    seen = Counter()
+    collect = stl.gc.collect
+
+    def counted_collect(*args, **kwargs):
+        seen["collections"] += 1
+        return collect(*args, **kwargs)
+
+    stl.gc.collect = counted_collect
+    fallback = alloc._fallback_allocate
+
+    def counted_fallback(*args, **kwargs):
+        seen["fallbacks"] += 1
+        return fallback(*args, **kwargs)
+
+    alloc._fallback_allocate = counted_fallback
+    outcomes = []
+    now = 0.0
+    if case == "full-plane":
+        key = (seed % 4, seed % 2)
+        for block in list(alloc.planes[key].free_blocks):
+            stl.gc.retire_block(*key, block, 0.0)
+    if case == "near-full":
+        filler = stl.create_space((192, 192), 4)
+        stl.write_region(filler.space_id, (0, 0), (192, 192))
+        stl.resize_space(filler.space_id, (192, 96))
+    shards = ((ShardSpec((1, 3)), ShardSpec((0, 1, 2), banks=(1,)))
+              if case == "sharded" else (None, None))
+    spaces = [stl.create_space((64, 64), 4, shard=shards[0]),
+              stl.create_space((64, 64), 4, bb_override=(32, 32),
+                               shard=shards[1])]
+    for _op in range(14):
+        space = rng.choice(spaces)
+        extents = (rng.choice((4, 8, 16, 32, 64)), rng.choice((8, 16, 64)))
+        origin = (rng.randrange(0, 65 - extents[0], 4),
+                  rng.randrange(0, 65 - extents[1], 4))
+        data = None
+        if store:
+            data = np.frombuffer(
+                rng.randbytes(extents[0] * extents[1] * 4),
+                dtype=np.uint8).reshape(extents + (4,)).copy()
+            if case == "elide":
+                data[[rng.random() < 0.4 for _ in range(extents[0])]] = 0
+            else:
+                data[: extents[0] // 2] &= 0x03
+        try:
+            now = stl.write_region(space.space_id, origin, extents,
+                                   data=data, start_time=now).end_time
+            outcomes.append(now.hex())
+        except (CapacityError, OutOfSpaceError) as err:
+            outcomes.append(type(err).__name__)
+            break
+    seen.update(stl.stats.counters)
+    if flash.faults is not None:
+        seen["program_fails"] = flash.faults.counters().get(
+            "program_fails", 0)
+    state = [(entry.coord, list(entry.pages), entry.last_alloc,
+              entry.usage, entry.stored_bytes)
+             for index in stl.indexes.values()
+             for entry in index.iter_entries()]
+    return outcomes, state, alloc.rng.getstate(), alloc.rng.random(), seen
+
+
+#: the counter each case must move, so that its hazard was hit
+PLAN_CASE_HAZARD = {"timing": "stl_pages_programmed",
+                    "elide": "stl_pages_elided",
+                    "near-full": "collections",
+                    "sharded": "spaces_sharded",
+                    "full-plane": "fallbacks",
+                    "dead-channel": "fallbacks",
+                    "compressed": "fallbacks",
+                    "program-fail": "program_fails"}
+
+
+@pytest.mark.parametrize("case", PLAN_CASES)
+def test_write_block_plan_matches_the_per_unit_rule(case):
+    """``write_block`` and the compressed write re-plan after every
+    event that moves what the next rule call reads (an overwrite, a
+    collection, an elided page, a rule-4 fallback, a re-drive): every
+    end time, leaf, usage record and RNG draw equals that of one rule
+    call per fresh unit."""
+    hits = 0
+    for seed in range(12):
+        got = _plan_vs_rule_run(seed, case, oracle=False)
+        assert got == _plan_vs_rule_run(seed, case, oracle=True), seed
+        hits += got[4][PLAN_CASE_HAZARD[case]] > 0
+    assert hits >= 6, case
 
 
 # ----------------------------------------------------------------------
