@@ -39,7 +39,8 @@ class CacheEntry:
     key: Hashable
     nbytes: int
     #: owner context needed to flush/refetch (e.g. (dataset, space_id,
-    #: access) for the NDS systems, an IoRequest for the linear ones)
+    #: access) for the NDS systems; for a linear system's dirty run, its
+    #: request as a one-request IoRun, which a flush replays)
     payload: object = None
     #: region bytes when the system runs functionally (store_data);
     #: None in timing-only mode

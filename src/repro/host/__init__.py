@@ -1,7 +1,7 @@
 """Host-side substrate: CPU/memory cost models, I/O engine, pipelines."""
 
 from repro.host.cpu import HostCpu
-from repro.host.io_engine import HostIoEngine, IoRequest, IoRunResult
+from repro.host.io_engine import HostIoEngine, IoRun, IoRunResult
 from repro.host.memory import MemoryModel
 from repro.host.pipeline import PipelineResult, run_pipeline
 
@@ -9,7 +9,7 @@ __all__ = [
     "HostCpu",
     "MemoryModel",
     "HostIoEngine",
-    "IoRequest",
+    "IoRun",
     "IoRunResult",
     "PipelineResult",
     "run_pipeline",

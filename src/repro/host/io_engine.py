@@ -17,6 +17,7 @@ same primitive that gates tenant streams in the request scheduler.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -28,32 +29,49 @@ from repro.runtime.scheduler import QueueDepthWindow
 from repro.sim.resources import Timeline
 from repro.sim.stats import StatSet
 
-__all__ = ["IoRequest", "IoRunResult", "HostIoEngine"]
+__all__ = ["IoRun", "IoRunResult", "HostIoEngine"]
 
 
 @dataclass
-class IoRequest:
-    """One host-visible I/O request.
+class IoRun:
+    """Host-visible I/O requests as parallel columns, one entry per
+    request; each request is a run of consecutive logical pages."""
 
-    Attributes
-    ----------
-    lpns:
-        Logical pages the device touches for this request.
-    useful_bytes:
-        Bytes the application actually wanted (may be less than the
-        pages fetched — that difference is wasted device bandwidth).
-    placement_chunk:
-        If not None, the host CPU copies the useful bytes from the DMA
-        buffer into their final location in chunks of this many bytes
-        (0 = one contiguous copy). None models direct DMA placement.
-    payload:
-        Optional functional data for writes (one array per LPN).
-    """
+    #: first logical page of each request
+    firsts: List[int] = field(default_factory=list)
+    #: pages the device touches per request
+    counts: List[int] = field(default_factory=list)
+    #: bytes the application wanted (pages fetched beyond them are
+    #: wasted device bandwidth)
+    useful: List[int] = field(default_factory=list)
+    #: host CPU copy between the DMA buffer and the application buffer
+    #: in chunks of this many bytes (0 = one contiguous copy); None
+    #: models direct DMA placement
+    chunks: List[Optional[int]] = field(default_factory=list)
+    #: a functional write's data (per request, one array per page);
+    #: None for a timing-only run
+    payloads: Optional[List[Sequence[np.ndarray]]] = None
 
-    lpns: Sequence[int]
-    useful_bytes: int
-    placement_chunk: Optional[int] = None
-    payload: Optional[Sequence[np.ndarray]] = None
+    def __len__(self) -> int:
+        return len(self.firsts)
+
+    def append(self, first: int, count: int, useful: int,
+               chunk: Optional[int],
+               payload: Optional[Sequence[np.ndarray]] = None) -> None:
+        """Add one request (its payload only to a payload column)."""
+        self.firsts.append(first)
+        self.counts.append(count)
+        self.useful.append(useful)
+        self.chunks.append(chunk)
+        if self.payloads is not None:
+            self.payloads.append(payload)
+
+    def request(self, index: int) -> "IoRun":
+        """Request ``index`` as a run of its own."""
+        payloads = self.payloads
+        return IoRun([self.firsts[index]], [self.counts[index]],
+                     [self.useful[index]], [self.chunks[index]],
+                     None if payloads is None else [payloads[index]])
 
 
 @dataclass
@@ -83,17 +101,21 @@ class IoRunResult:
 class HostIoEngine:
     """Drives a :class:`BaselineSSD` through a link with host CPU costs.
 
-    Both flows inline every layer's Timeline bookkeeping — the host
-    issue core, the device controller, the link and the host copy
-    cores — in the FCFS order of the per-layer calls (``cpu.issue_io``,
-    ``link.transfer``, ``cpu.copy``), so each float operation happens in
-    the same sequence. On the device side the read flow walks the FTL
-    map and the flash read chain itself and the write flow calls the
-    FTL write step (``BaselineSSD._program_lpns``) into the run's stats,
-    so no request builds a device or flash result. With a probe
-    attached, the events those layers would emit are emitted at the
-    same point. Per-layer stats are committed when the batch ends, also when
-    a request raises, so they always match the timelines.
+    Each call takes one :class:`IoRun`; every request still pays its
+    own window, issue, controller, device, link and copy steps (the
+    per-I/O cost of [P1]), and its bounds are tested in turn, so the
+    requests before a bad one still execute. Both flows inline every
+    layer's Timeline bookkeeping — the host issue core, the device
+    controller, the link and the host copy cores — in the FCFS order of
+    the per-layer calls (``cpu.issue_io``, ``link.transfer``,
+    ``cpu.copy``), so each float operation happens in the same sequence.
+    On the device side the read flow walks the FTL map and the flash
+    read chain itself and the write flow calls the FTL write step
+    (``BaselineSSD._program_lpns``) into the run's stats, so no request
+    builds a device or flash result. With a probe attached, the events
+    those layers would emit are emitted at the same point. Per-layer
+    stats are committed when the run ends, also when a request raises,
+    so they always match the timelines.
     """
 
     def __init__(self, ssd: BaselineSSD, link: Link, cpu: HostCpu,
@@ -111,11 +133,11 @@ class HostIoEngine:
         self.probe = None
 
     # ------------------------------------------------------------------
-    def run_reads(self, requests: Sequence[IoRequest], start_time: float = 0.0,
+    def run_reads(self, run: IoRun, start_time: float = 0.0,
                   with_data: bool = False) -> IoRunResult:
-        """Execute read requests in order under the queue-depth limit:
-        host software stack → device controller (FTL map) → flash →
-        link data transfer → optional host placement copy."""
+        """Execute a run's read requests in order under the queue-depth
+        limit: host software stack → device controller (FTL map) →
+        flash → link data transfer → optional host placement copy."""
         result = IoRunResult(start_time=start_time, end_time=start_time)
         window = QueueDepthWindow(self.queue_depth)
         cpu = self.cpu
@@ -123,6 +145,7 @@ class HostIoEngine:
         ssd = self.ssd
         flash = ssd.flash
         check_lpns = ssd._check_lpns
+        logical_pages = ssd.logical_pages
         map_get = ssd.ftl.map.get
         read_chain = flash._read_chain
         issue_line = cpu.issue_line
@@ -152,7 +175,8 @@ class HostIoEngine:
         pages_total = 0
         unmapped_total = 0
         try:
-            for request in requests:
+            for first, count, useful, chunk in zip(run.firsts, run.counts,
+                                                   run.useful, run.chunks):
                 earliest = window_earliest(start_time)
                 # host software stack (cpu.issue_io)
                 issue_start = issue_line.free_at
@@ -178,21 +202,21 @@ class HostIoEngine:
                     probe.stage("device_ctrl", "ftl_map", "ftl.map",
                                 ctrl_start, ctrl_done)
                 # device: FTL map + flash fan-out (ssd.read_lpns)
-                lpns = request.lpns
-                check_lpns(lpns)
-                if with_data:
-                    resolved = list(map(map_get, lpns))
-                    ppas = [ppa for ppa in resolved if ppa is not None]
+                if first < 0 or first + count > logical_pages:
+                    check_lpns(range(first, first + count))
+                if count == 1 and not with_data:
+                    ppa = map_get(first)
+                    ppas = () if ppa is None else (ppa,)
                 else:
-                    ppas = [ppa for ppa in map(map_get, lpns)
-                            if ppa is not None]
+                    resolved = list(map(map_get, range(first, first + count)))
+                    ppas = [ppa for ppa in resolved if ppa is not None]
                 device_end = read_chain(ppas, ctrl_done)
                 chains += 1
                 pages_total += len(ppas)
-                unmapped_total += len(lpns) - len(ppas)
+                unmapped_total += count - len(ppas)
                 data_append(ssd._gather(resolved) if with_data else None)
                 # link data transfer (link.transfer)
-                fetched = len(lpns) * page_size
+                fetched = count * page_size
                 duration = link_overhead + fetched / link_bandwidth
                 link_start = link_line.free_at
                 if link_start < device_end:
@@ -205,8 +229,6 @@ class HostIoEngine:
                 if probe is not None:
                     probe.transfer(link_start, done, fetched)
                 # optional host placement copy (cpu.copy)
-                useful = request.useful_bytes
-                chunk = request.placement_chunk
                 if chunk is not None:
                     duration = copy_time(useful, chunk)
                     core = copy_servers[0]
@@ -238,25 +260,25 @@ class HostIoEngine:
         result.end_time = end_time
         result.useful_bytes = useful_total
         result.fetched_bytes = fetched_total
-        if requests:
+        if run:
             result.stats.count("device_pages_read", pages_total)
             result.stats.count("device_pages_unmapped", unmapped_total)
-        result.stats.count("io_requests", len(requests))
+        result.stats.count("io_requests", len(run))
         return result
 
-    def run_writes(self, requests: Sequence[IoRequest],
-                   start_time: float = 0.0) -> IoRunResult:
-        """Execute write requests in order under the queue-depth limit:
-        host software stack → optional host gather copy → link data
-        transfer → device controller → the FTL write step (allocation,
-        programs and GC; :meth:`BaselineSSD.write_lpns` without the
-        per-request result)."""
+    def run_writes(self, run: IoRun, start_time: float = 0.0) -> IoRunResult:
+        """Execute a run's write requests in order under the queue-depth
+        limit: host software stack → optional host gather copy → link
+        data transfer → device controller → the FTL write step
+        (allocation, programs and GC; :meth:`BaselineSSD.write_lpns`
+        without the per-request result)."""
         result = IoRunResult(start_time=start_time, end_time=start_time)
         window = QueueDepthWindow(self.queue_depth)
         cpu = self.cpu
         link = self.link
         ssd = self.ssd
         check_lpns = ssd._check_lpns
+        logical_pages = ssd.logical_pages
         program_lpns = ssd._program_lpns
         issue_line = cpu.issue_line
         ctrl_line = self.controller_line
@@ -281,7 +303,9 @@ class HostIoEngine:
         useful_total = 0
         sent_total = 0
         try:
-            for request in requests:
+            for first, count, useful, chunk, payload in zip(
+                    run.firsts, run.counts, run.useful, run.chunks,
+                    run.payloads or repeat(None)):
                 earliest = window_earliest(start_time)
                 # host software stack (cpu.issue_io)
                 issue_start = issue_line.free_at
@@ -297,8 +321,6 @@ class HostIoEngine:
                                 issue_start, issued)
                 # host gathers scattered application data into the DMA
                 # buffer before the transfer (serialization cost, [P1])
-                useful = request.useful_bytes
-                chunk = request.placement_chunk
                 if chunk is not None:
                     duration = copy_time(useful, chunk)
                     core = copy_servers[0]
@@ -318,7 +340,7 @@ class HostIoEngine:
                         probe.copy(copy_start, issued, duration, useful,
                                    "host_copy")
                 # link data transfer (link.transfer)
-                sent = len(request.lpns) * page_size
+                sent = count * page_size
                 duration = link_overhead + sent / link_bandwidth
                 link_start = link_line.free_at
                 if link_start < issued:
@@ -342,9 +364,10 @@ class HostIoEngine:
                     probe.stage("device_ctrl", "ftl_map", "ftl.map",
                                 ctrl_start, ctrl_done)
                 # device: allocation, programs, GC (ssd.write_lpns)
-                lpns = request.lpns
-                check_lpns(lpns)
-                done = program_lpns(lpns, ctrl_done, request.payload, stats)
+                if first < 0 or first + count > logical_pages:
+                    check_lpns(range(first, first + count))
+                done = program_lpns(range(first, first + count), ctrl_done,
+                                    payload, stats)
                 window_complete(done)
                 completions_append(done)
                 useful_total += useful
@@ -356,7 +379,7 @@ class HostIoEngine:
         result.end_time = end_time
         result.useful_bytes = useful_total
         result.fetched_bytes = sent_total
-        result.stats.count("io_requests", len(requests))
+        result.stats.count("io_requests", len(run))
         return result
 
     # ------------------------------------------------------------------

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
@@ -468,6 +469,14 @@ def row_runs(dims: Sequence[int], origin: Sequence[int],
     run_length = 1
     for axis in range(contiguous_tail, rank):
         run_length *= extents[axis]
+    if contiguous_tail == 1 and extents[0] > 0:
+        # only axis 0 is outer: one run per row, a stride apart
+        start = 0
+        for axis in range(rank):
+            start += origin[axis] * strides[axis]
+        stride = strides[0]
+        return tuple(zip(range(start, start + extents[0] * stride, stride),
+                         repeat(run_length)))
 
     outer_axes = range(contiguous_tail)
     counters = [0] * contiguous_tail

@@ -13,6 +13,7 @@ coalesce into large, DMA-direct requests — the baseline's best case.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -23,7 +24,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.model import FaultConfig
 from repro.ftl.ssd import BaselineSSD
 from repro.host.cpu import HostCpu
-from repro.host.io_engine import HostIoEngine, IoRequest
+from repro.host.io_engine import HostIoEngine, IoRun
 from repro.interconnect.link import Link
 from repro.nvm.profiles import DeviceProfile
 from repro.systems.base import StorageSystem, SystemOpResult, row_runs
@@ -53,15 +54,23 @@ class _Dataset:
             return (origin[1], origin[0]), (extents[1], extents[0])
         return tuple(origin), tuple(extents)
 
+    def raw(self, data: np.ndarray) -> np.ndarray:
+        """``data`` as bytes in the stored (layout) order."""
+        array = np.asarray(data)
+        if self.layout == "col" and len(self.dims) == 2:
+            array = array.T
+        return np.ascontiguousarray(array).view(np.uint8).ravel()
+
 
 class LinearSystem(StorageSystem):
     """Shared shell of the linear (LPN-addressed) systems: a
     conventional SSD reached through the host I/O engine, and the
     DRAM-tier glue over its LPN runs.
 
-    Tier entries are whole request runs keyed ``("lpn", first, last)``
-    with the originating :class:`IoRequest` as payload, so a write-back
-    flush replays the exact request through the host I/O engine."""
+    Requests reach the host I/O engine as one :class:`IoRun` per op.
+    Tier entries are whole requests keyed ``("lpn", first, last)``; a
+    dirty entry's payload is its request as a one-request run, so a
+    write-back flush replays the exact request through the engine."""
 
     def _init_device(self, profile: DeviceProfile, store_data: bool,
                      queue_depth: int, max_request_bytes: int,
@@ -102,35 +111,32 @@ class LinearSystem(StorageSystem):
         self._reset_runtime()
 
     def _split(self, first_page: int, pages: int,
-               payload: Optional[List[np.ndarray]]) -> List[IoRequest]:
-        """Cut ``pages`` consecutive pages from ``first_page`` into
-        saturating DMA-direct requests (``payload``: one array per page,
-        None timing-only)."""
+               payload: Optional[List[np.ndarray]],
+               chunk: Optional[int] = None,
+               run: Optional[IoRun] = None) -> IoRun:
+        """Append ``pages`` consecutive pages from ``first_page`` to
+        ``run`` (a new one when None) as saturating requests with
+        placement ``chunk``; ``payload``: one array per page, or None."""
+        if run is None:
+            run = IoRun(payloads=None if payload is None else [])
         per = max(1, self.max_request_bytes // self.page_size)
-        requests = []
         for offset in range(0, pages, per):
             count = min(per, pages - offset)
-            chunk_payload = None
-            if payload is not None:
-                chunk_payload = payload[offset:offset + count]
-            requests.append(IoRequest(
-                lpns=list(range(first_page + offset,
-                                first_page + offset + count)),
-                useful_bytes=count * self.page_size,
-                placement_chunk=None, payload=chunk_payload))
-        return requests
+            run.append(first_page + offset, count, count * self.page_size,
+                       chunk, None if payload is None
+                       else payload[offset:offset + count])
+        return run
 
     # ------------------------------------------------------------------
-    def _run_reads(self, requests: List[IoRequest], start_time: float,
-                   with_data: bool):
-        """Serve read requests, through the DRAM tier when one is
-        attached. Returns the engine's run result and the requests that
-        reached the device."""
+    def _run_reads(self, run: IoRun, start_time: float, with_data: bool):
+        """Serve a read run, through the DRAM tier when one is attached.
+        Returns the engine's run result and the run that reached the
+        device."""
         tier = self.tier
         functional = with_data and self.store_data
         if tier is None:
-            return (self.engine.run_reads(requests, start_time,
-                                          with_data=functional), requests)
+            return self.engine.run_reads(run, start_time,
+                                         with_data=functional), run
         if functional:
             raise NotImplementedError(
                 "functional reads with the DRAM tier enabled are not "
@@ -139,74 +145,72 @@ class LinearSystem(StorageSystem):
         # whole-request hits never reach the engine — one contiguous
         # host copy out of the tier per resident run
         tier_end = start_time
-        remaining = []
-        for request in requests:
-            key = ("lpn", request.lpns[0], request.lpns[-1])
-            if tier.lookup(key) is not None:
+        remaining = IoRun()
+        for first, count, useful, chunk in zip(run.firsts, run.counts,
+                                               run.useful, run.chunks):
+            if tier.lookup(("lpn", first, first + count - 1)) is not None:
                 tier_end = max(tier_end, self.cpu.copy(
-                    request.useful_bytes, start_time, 0,
-                    label="cache_copy"))
+                    useful, start_time, 0, label="cache_copy"))
                 continue
-            remaining.append(request)
+            remaining.append(first, count, useful, chunk)
         # coherence: buffered dirty runs overlapping the misses must
         # reach flash before the device serves them
         read_start = start_time
-        for request in remaining:
+        for first, count in zip(remaining.firsts, remaining.counts):
             read_start = self._flush_overlapping_lpns(
-                request.lpns[0], request.lpns[-1], read_start)
-        run = self.engine.run_reads(remaining, read_start, with_data=False)
-        end = run.end_time
-        for request in remaining:
-            end = tier.insert(("lpn", request.lpns[0], request.lpns[-1]),
-                              len(request.lpns) * self.page_size, end,
-                              payload=request)
-        run.end_time = max(run.end_time, end, tier_end)
-        return run, remaining
+                first, first + count - 1, read_start)
+        result = self.engine.run_reads(remaining, read_start,
+                                       with_data=False)
+        end = result.end_time
+        # a clean run is never replayed, so it keeps no payload
+        for first, count in zip(remaining.firsts, remaining.counts):
+            end = tier.insert(("lpn", first, first + count - 1),
+                              count * self.page_size, end)
+        result.end_time = max(result.end_time, end, tier_end)
+        return result, remaining
 
-    def _run_writes(self, requests: List[IoRequest], start_time: float,
+    def _run_writes(self, run: IoRun, start_time: float,
                     useful_bytes: int) -> SystemOpResult:
-        """Serve write requests: absorbed into the DRAM tier under
+        """Serve a write run: absorbed into the DRAM tier under
         write-back, else through the engine (dropping now-stale cached
         copies of the overwritten runs under write-through)."""
         tier = self.tier
         if tier is not None and tier.config.write_back:
             return SystemOpResult(
                 start_time=start_time,
-                end_time=self._absorb_writes(requests, start_time),
+                end_time=self._absorb_writes(run, start_time),
                 useful_bytes=useful_bytes, fetched_bytes=0,
-                requests=len(requests))
+                requests=len(run))
         if tier is not None:
-            for request in requests:
-                self._invalidate_overlapping_lpns(request.lpns[0],
-                                                  request.lpns[-1])
-        run = self.engine.run_writes(requests, start_time)
-        return SystemOpResult(start_time=start_time, end_time=run.end_time,
+            for first, count in zip(run.firsts, run.counts):
+                self._invalidate_overlapping_lpns(first, first + count - 1)
+        result = self.engine.run_writes(run, start_time)
+        return SystemOpResult(start_time=start_time, end_time=result.end_time,
                               useful_bytes=useful_bytes,
-                              fetched_bytes=run.fetched_bytes,
-                              requests=len(requests), stats=run.stats)
+                              fetched_bytes=result.fetched_bytes,
+                              requests=len(run), stats=result.stats)
 
-    def _absorb_writes(self, requests: List[IoRequest],
-                       start_time: float) -> float:
-        """Write-back: the runs never reach the engine now — one host
-        copy into the DRAM tier each; the device write is paid at
+    def _absorb_writes(self, run: IoRun, start_time: float) -> float:
+        """Write-back: the requests never reach the engine now — one
+        host copy into the DRAM tier each; the device write is paid at
         eviction, dirty-bound or fence. Returns the completion time."""
         tier = self.tier
         end = start_time
-        for request in requests:
-            done = self.cpu.copy(request.useful_bytes, start_time, 0,
-                                 label="cache_copy")
-            done = self._flush_overlapping_lpns(
-                request.lpns[0], request.lpns[-1], done, invalidate=True)
+        for index, (first, count, useful) in enumerate(
+                zip(run.firsts, run.counts, run.useful)):
+            last = first + count - 1
+            done = self.cpu.copy(useful, start_time, 0, label="cache_copy")
+            done = self._flush_overlapping_lpns(first, last, done,
+                                                invalidate=True)
             end = max(end, tier.insert(
-                ("lpn", request.lpns[0], request.lpns[-1]),
-                len(request.lpns) * self.page_size, done,
-                payload=request, dirty=True))
+                ("lpn", first, last), count * self.page_size, done,
+                payload=run.request(index), dirty=True))
         return end
 
     def _flush_cache_entry(self, entry, now: float) -> float:
         """Write one buffered dirty run back through the I/O engine, so
         a deferred flush costs exactly what the write would have."""
-        return self.engine.run_writes([entry.payload], now).end_time
+        return self.engine.run_writes(entry.payload, now).end_time
 
     def _flush_overlapping_lpns(self, first: int, last: int, now: float,
                                 invalidate: bool = False) -> float:
@@ -269,9 +273,7 @@ class BaselineSystem(LinearSystem):
         if layout not in ("row", "col"):
             raise ValueError("layout must be 'row' or 'col'")
         dims = tuple(int(d) for d in dims)
-        total_bytes = element_size
-        for extent in dims:
-            total_bytes *= extent
+        total_bytes = element_size * math.prod(dims)
         pages = -(-total_bytes // self.page_size)
         record = _Dataset(start_page=self._next_page, dims=dims,
                           element_size=element_size, layout=layout)
@@ -280,59 +282,52 @@ class BaselineSystem(LinearSystem):
             raise ValueError("dataset exceeds device logical capacity")
         self._datasets[dataset] = record
 
-        raw = None
-        if data is not None and self.store_data:
-            array = np.asarray(data)
-            if layout == "col" and len(dims) == 2:
-                array = array.T
-            raw = np.ascontiguousarray(array).view(np.uint8).ravel()
         payload = None
-        if raw is not None:
+        if data is not None and self.store_data:
+            raw = record.raw(data)
             payload = [raw[page * self.page_size:(page + 1) * self.page_size]
                        for page in range(pages)]
-        requests = self._split(record.start_page, pages, payload)
-        result = self.engine.run_writes(requests, start_time)
+        run = self._split(record.start_page, pages, payload)
+        result = self.engine.run_writes(run, start_time)
         return SystemOpResult(start_time=start_time, end_time=result.end_time,
                               useful_bytes=total_bytes,
                               fetched_bytes=result.fetched_bytes,
-                              requests=len(requests), stats=result.stats)
+                              requests=len(run), stats=result.stats)
 
     # ------------------------------------------------------------------
     def _execute_read(self, dataset: str, origin: Sequence[int],
                       extents: Sequence[int], start_time: float = 0.0,
                       with_data: bool = False,
                       dtype: Optional[np.dtype] = None) -> SystemOpResult:
-        record = self._dataset(dataset)
-        l_origin, l_extents = record.to_layout(origin, extents)
-        runs = row_runs(record.layout_dims, l_origin, l_extents)
+        record, l_extents, starts, byte_len = self._tile(dataset, origin,
+                                                         extents)
         elem = record.element_size
-        requests: List[IoRequest] = []
-        spans: List[Tuple[int, int]] = []  # (byte_start, byte_len) per request
-        for linear, length in runs:
-            byte_start = linear * elem
-            byte_len = length * elem
-            if byte_len > self.max_request_bytes:
-                # Contiguous coalesced range: split into saturating
-                # requests, DMA-placed directly (no marshalling copy).
-                offset = 0
-                while offset < byte_len:
-                    chunk = min(self.max_request_bytes, byte_len - offset)
-                    requests.append(self._read_request(
-                        record, byte_start + offset, chunk,
-                        placement_chunk=None))
-                    spans.append((byte_start + offset, chunk))
-                    offset += chunk
-            else:
-                # One request per run; the host CPU must place the run
-                # into its position in the tile buffer (marshalling).
-                requests.append(self._read_request(
-                    record, byte_start, byte_len, placement_chunk=0))
-                spans.append((byte_start, byte_len))
-        run_result, requests = self._run_reads(requests, start_time,
-                                               with_data)
+        page = self.page_size
+        max_bytes = self.max_request_bytes
+        if byte_len <= max_bytes:
+            # One request per run; the host CPU must place the run
+            # into its position in the tile buffer (marshalling).
+            useful = [byte_len] * len(starts)
+            chunk = 0
+        else:
+            # Contiguous coalesced ranges: split into saturating
+            # requests, DMA-placed directly (no marshalling copy).
+            offsets = range(0, byte_len, max_bytes)
+            useful = [min(max_bytes, byte_len - offset)
+                      for offset in offsets] * len(starts)
+            starts = [start + offset for start in starts
+                      for offset in offsets]
+            chunk = None
+        base = record.start_page
+        run = IoRun([base + start // page for start in starts],
+                    [(start + size - 1) // page - start // page + 1
+                     for start, size in zip(starts, useful)],
+                    useful, [chunk] * len(starts))
+        result, run = self._run_reads(run, start_time, with_data)
         data = None
         if with_data and self.store_data:
-            data = self._assemble(record, l_extents, spans, run_result.data)
+            data = self._assemble(record, l_extents, starts, useful,
+                                  result.data)
             if record.layout == "col" and len(record.dims) == 2:
                 data = np.ascontiguousarray(
                     data.reshape(l_extents[0], l_extents[1], elem)
@@ -341,59 +336,38 @@ class BaselineSystem(LinearSystem):
                 data = data.reshape(tuple(l_extents) + (elem,))
             if dtype is not None:
                 data = data.reshape(-1).view(dtype).reshape(tuple(extents))
-        useful = elem
-        for extent in extents:
-            useful *= extent
         return SystemOpResult(start_time=start_time,
-                              end_time=run_result.end_time,
-                              useful_bytes=useful,
-                              fetched_bytes=run_result.fetched_bytes,
-                              requests=len(requests), data=data,
-                              stats=run_result.stats)
+                              end_time=result.end_time,
+                              useful_bytes=elem * math.prod(extents),
+                              fetched_bytes=result.fetched_bytes,
+                              requests=len(run), data=data,
+                              stats=result.stats)
 
     # ------------------------------------------------------------------
     def _execute_write(self, dataset: str, origin: Sequence[int],
                        extents: Sequence[int],
                        data: Optional[np.ndarray] = None,
                        start_time: float = 0.0) -> SystemOpResult:
-        record = self._dataset(dataset)
-        l_origin, l_extents = record.to_layout(origin, extents)
-        runs = row_runs(record.layout_dims, l_origin, l_extents)
-        elem = record.element_size
-        raw = None
+        record, _, starts, byte_len = self._tile(dataset, origin, extents)
+        page = self.page_size
+        count = max(1, -(-byte_len // page))
+        payloads = None
         if data is not None and self.store_data:
-            array = np.asarray(data)
-            if record.layout == "col" and len(record.dims) == 2:
-                array = array.T
-            raw = np.ascontiguousarray(array).view(np.uint8).ravel()
-        requests: List[IoRequest] = []
-        consumed = 0
-        for linear, length in runs:
-            byte_start = linear * elem
-            byte_len = length * elem
-            if byte_start % self.page_size or byte_len % self.page_size:
-                if raw is not None:
-                    raise NotImplementedError(
-                        "functional baseline writes must be page aligned; "
-                        "use the NDS systems for arbitrary functional tiles")
-            first = (record.start_page
-                     + byte_start // self.page_size)
-            count = max(1, -(-byte_len // self.page_size))
-            payload = None
-            if raw is not None:
-                chunk = raw[consumed:consumed + byte_len]
-                payload = [chunk[i * self.page_size:(i + 1) * self.page_size]
-                           for i in range(count)]
-            consumed += byte_len
-            gather_chunk = 0 if byte_len <= self.max_request_bytes else None
-            requests.append(IoRequest(
-                lpns=list(range(first, first + count)),
-                useful_bytes=byte_len, placement_chunk=gather_chunk,
-                payload=payload))
-        useful = elem
-        for extent in extents:
-            useful *= extent
-        return self._run_writes(requests, start_time, useful)
+            if byte_len % page or any(start % page for start in starts):
+                raise NotImplementedError(
+                    "functional baseline writes must be page aligned; "
+                    "use the NDS systems for arbitrary functional tiles")
+            raw = record.raw(data)
+            payloads = [[raw[offset + i * page:offset + (i + 1) * page]
+                         for i in range(count)]
+                        for offset in range(0, len(starts) * byte_len,
+                                            byte_len)]
+        gather_chunk = 0 if byte_len <= self.max_request_bytes else None
+        run = IoRun([record.start_page + start // page for start in starts],
+                    [count] * len(starts), [byte_len] * len(starts),
+                    [gather_chunk] * len(starts), payloads)
+        return self._run_writes(run, start_time,
+                                record.element_size * math.prod(extents))
 
     # ------------------------------------------------------------------
     # internals
@@ -404,29 +378,31 @@ class BaselineSystem(LinearSystem):
             raise KeyError(f"unknown dataset {dataset!r}")
         return record
 
-    def _read_request(self, record: _Dataset, byte_start: int,
-                      byte_len: int,
-                      placement_chunk: Optional[int]) -> IoRequest:
-        first = record.start_page + byte_start // self.page_size
-        last = record.start_page + (byte_start + byte_len - 1) // self.page_size
-        # a range, not a list: a read op issues hundreds of one-page
-        # requests, and a range is neither built page by page nor
-        # tracked by the interpreter's cyclic GC
-        return IoRequest(lpns=range(first, last + 1),
-                         useful_bytes=byte_len,
-                         placement_chunk=placement_chunk)
+    def _tile(self, dataset: str, origin: Sequence[int],
+              extents: Sequence[int]):
+        """A tile's dataset record, its extents in layout order, the
+        first byte of each of its row runs and their one byte length."""
+        record = self._dataset(dataset)
+        l_origin, l_extents = record.to_layout(origin, extents)
+        runs = row_runs(record.layout_dims, l_origin, l_extents)
+        elem = record.element_size
+        starts = [linear * elem for linear, _ in runs]
+        return record, l_extents, starts, runs[0][1] * elem if runs else 0
 
     def _assemble(self, record: _Dataset, l_extents: Sequence[int],
-                  spans: List[Tuple[int, int]],
+                  starts: List[int], lengths: List[int],
                   pages_per_request: List[Optional[List[np.ndarray]]],
                   ) -> np.ndarray:
+        """The tile's bytes in layout order: request ``i`` read
+        ``lengths[i]`` bytes from dataset byte ``starts[i]``."""
         elem = record.element_size
         total = elem
         for extent in l_extents:
             total *= extent
         out = np.zeros(total, dtype=np.uint8)
         cursor = 0
-        for (byte_start, byte_len), pages in zip(spans, pages_per_request):
+        for byte_start, byte_len, pages in zip(starts, lengths,
+                                               pages_per_request):
             if pages is None:
                 cursor += byte_len
                 continue

@@ -14,14 +14,15 @@ and TTV/TC); the oracle tracks that capacity cost.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cache.config import CacheConfig
 from repro.faults.model import FaultConfig
-from repro.host.io_engine import IoRequest
+from repro.host.io_engine import IoRun
 from repro.nvm.profiles import DeviceProfile
 from repro.systems.base import SystemOpResult
 from repro.systems.baseline import DEFAULT_MAX_REQUEST_BYTES, LinearSystem
@@ -37,6 +38,10 @@ class _TiledCopy:
     tile: Tuple[int, ...]
     grid: Tuple[int, ...]
     tile_pages: int
+
+    @property
+    def tile_bytes(self) -> int:
+        return self.element_size * math.prod(self.tile)
 
 
 class OracleSystem(LinearSystem):
@@ -81,13 +86,9 @@ class OracleSystem(LinearSystem):
                     f"oracle tiles must evenly divide the dataset: {tile_shape}"
                     f" vs {dims}")
         grid = tuple(d // t for d, t in zip(dims, tile_shape))
-        tile_bytes = element_size
-        for t in tile_shape:
-            tile_bytes *= t
+        tile_bytes = element_size * math.prod(tile_shape)
         tile_pages = -(-tile_bytes // self.page_size)
-        tiles = 1
-        for g in grid:
-            tiles *= g
+        tiles = math.prod(grid)
         copy = _TiledCopy(start_page=self._next_page, dims=dims,
                           element_size=element_size, tile=tile_shape,
                           grid=grid, tile_pages=tile_pages)
@@ -96,20 +97,21 @@ class OracleSystem(LinearSystem):
             raise ValueError("oracle copies exceed device logical capacity")
         self._copies.setdefault(dataset, {})[tile_shape] = copy
 
-        requests: List[IoRequest] = []
+        functional = data is not None and self.store_data
+        run = IoRun(payloads=[] if functional else None)
         for index in range(tiles):
             payload = None
-            if data is not None and self.store_data:
+            if functional:
                 chunk = self._extract_tile(np.asarray(data), copy, index)
                 payload = [chunk[i * self.page_size:(i + 1) * self.page_size]
                            for i in range(tile_pages)]
             first = copy.start_page + index * tile_pages
-            requests.extend(self._split(first, tile_pages, payload))
-        result = self.engine.run_writes(requests, start_time)
+            self._split(first, tile_pages, payload, run=run)
+        result = self.engine.run_writes(run, start_time)
         return SystemOpResult(start_time=start_time, end_time=result.end_time,
                               useful_bytes=tiles * tile_bytes,
                               fetched_bytes=result.fetched_bytes,
-                              requests=len(requests), stats=result.stats)
+                              requests=len(run), stats=result.stats)
 
     # ------------------------------------------------------------------
     def _execute_read(self, dataset: str, origin: Sequence[int],
@@ -119,34 +121,26 @@ class OracleSystem(LinearSystem):
         copy = self._match(dataset, extents)
         index = self._tile_index(copy, origin)
         first = copy.start_page + index * copy.tile_pages
-        requests = self._split(first, copy.tile_pages, None)
         # A software-library oracle still reads through the page cache:
         # one contiguous copy into the user buffer per request. This is
         # why the paper finds the oracle "just about the same as the
         # software NDS" (§7.2) despite its perfect layout.
-        for request in requests:
-            request.placement_chunk = 0
-        run, requests = self._run_reads(requests, start_time, with_data)
+        run = self._split(first, copy.tile_pages, None, chunk=0)
+        result, run = self._run_reads(run, start_time, with_data)
         data = None
         if with_data and self.store_data:
-            pages = [p for group in run.data if group for p in group]
+            pages = [p for group in result.data if group for p in group]
             blob = np.concatenate(pages)
-            tile_bytes = copy.element_size
-            for t in copy.tile:
-                tile_bytes *= t
-            data = blob[:tile_bytes].reshape(
+            data = blob[:copy.tile_bytes].reshape(
                 tuple(copy.tile) + (copy.element_size,))
             if dtype is not None:
                 data = np.ascontiguousarray(data).reshape(-1).view(
                     dtype).reshape(tuple(copy.tile))
-        useful = copy.element_size
-        for t in copy.tile:
-            useful *= t
-        return SystemOpResult(start_time=start_time, end_time=run.end_time,
-                              useful_bytes=useful,
-                              fetched_bytes=run.fetched_bytes,
-                              requests=len(requests), data=data,
-                              stats=run.stats)
+        return SystemOpResult(start_time=start_time, end_time=result.end_time,
+                              useful_bytes=copy.tile_bytes,
+                              fetched_bytes=result.fetched_bytes,
+                              requests=len(run), data=data,
+                              stats=result.stats)
 
     def _execute_write(self, dataset: str, origin: Sequence[int],
                        extents: Sequence[int],
@@ -160,11 +154,8 @@ class OracleSystem(LinearSystem):
             raw = np.ascontiguousarray(np.asarray(data)).view(np.uint8).ravel()
             payload = [raw[i * self.page_size:(i + 1) * self.page_size]
                        for i in range(copy.tile_pages)]
-        requests = self._split(first, copy.tile_pages, payload)
-        useful = copy.element_size
-        for t in copy.tile:
-            useful *= t
-        return self._run_writes(requests, start_time, useful)
+        run = self._split(first, copy.tile_pages, payload)
+        return self._run_writes(run, start_time, copy.tile_bytes)
 
     # ------------------------------------------------------------------
     def _cluster_align(self, dims: Sequence[int], element_size: int,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ftl import BaselineSSD
-from repro.host import HostCpu, HostIoEngine, IoRequest
+from repro.host import HostCpu, HostIoEngine, IoRun
 from repro.interconnect import Link
 from repro.nvm import TINY_TEST
 
@@ -17,10 +17,16 @@ def engine():
 
 
 def _requests(count, pages_each=1, start_lpn=0):
-    return [IoRequest(lpns=list(range(start_lpn + i * pages_each,
-                                      start_lpn + (i + 1) * pages_each)),
-                      useful_bytes=pages_each * TINY_TEST.geometry.page_size)
-            for i in range(count)]
+    return IoRun([start_lpn + i * pages_each for i in range(count)],
+                 [pages_each] * count,
+                 [pages_each * TINY_TEST.geometry.page_size] * count,
+                 [None] * count)
+
+
+def _request(first, count, useful, chunk=None, payload=None):
+    """A run of one request."""
+    return IoRun([first], [count], [useful], [chunk],
+                 None if payload is None else [payload])
 
 
 class TestReads:
@@ -46,28 +52,23 @@ class TestReads:
     def test_placement_copy_extends_completion(self, engine):
         engine.run_writes(_requests(1))
         engine.reset_time()
-        no_copy = engine.run_reads(
-            [IoRequest(lpns=[0], useful_bytes=256, placement_chunk=None)])
+        no_copy = engine.run_reads(_request(0, 1, 256, chunk=None))
         engine.reset_time()
-        with_copy = engine.run_reads(
-            [IoRequest(lpns=[0], useful_bytes=256, placement_chunk=0)])
+        with_copy = engine.run_reads(_request(0, 1, 256, chunk=0))
         assert with_copy.end_time > no_copy.end_time
 
     def test_with_data_returns_page_contents(self, engine, rng):
         payload = rng.integers(0, 256, TINY_TEST.geometry.page_size
                                ).astype(np.uint8)
-        engine.run_writes([IoRequest(lpns=[3], useful_bytes=payload.size,
-                                     payload=[payload])])
-        result = engine.run_reads([IoRequest(lpns=[3],
-                                             useful_bytes=payload.size)],
+        engine.run_writes(_request(3, 1, payload.size, payload=[payload]))
+        result = engine.run_reads(_request(3, 1, payload.size),
                                   with_data=True)
         assert np.array_equal(result.data[0][0], payload)
 
     def test_effective_bandwidth_counts_useful_bytes(self, engine):
         engine.run_writes(_requests(4))
         engine.reset_time()
-        result = engine.run_reads(
-            [IoRequest(lpns=[0, 1], useful_bytes=100)])
+        result = engine.run_reads(_request(0, 2, 100))
         assert result.useful_bytes == 100
         assert result.fetched_bytes == 2 * TINY_TEST.geometry.page_size
         assert result.effective_bandwidth < 100 / 1e-6
@@ -75,11 +76,9 @@ class TestReads:
 
 class TestWrites:
     def test_gather_copy_costs_time(self, engine):
-        plain = engine.run_writes(
-            [IoRequest(lpns=[0], useful_bytes=256, placement_chunk=None)])
+        plain = engine.run_writes(_request(0, 1, 256, chunk=None))
         engine.reset_time()
-        engine2_start = engine.run_writes(
-            [IoRequest(lpns=[1], useful_bytes=256, placement_chunk=64)])
+        engine2_start = engine.run_writes(_request(1, 1, 256, chunk=64))
         assert engine2_start.end_time > plain.end_time * 0.5  # sane scale
 
     def test_queue_depth_validation(self):
@@ -105,9 +104,7 @@ class TestStatsWhenABatchRaises:
         engine, cpu, link = system.engine, system.cpu, system.link
         bad = system.ssd.logical_pages
         with pytest.raises(ValueError):
-            engine.run_reads([
-                IoRequest(lpns=[0], useful_bytes=256, placement_chunk=0),
-                IoRequest(lpns=[bad], useful_bytes=256, placement_chunk=0)])
+            engine.run_reads(IoRun([0, bad], [1, 1], [256, 256], [0, 0]))
         assert cpu.issue_line.ops == 2
         assert cpu.stats.get_count("host_ios") == 2
         assert cpu.stats.times["host_issue"] == 2 * cpu.per_io_cost
@@ -124,9 +121,7 @@ class TestStatsWhenABatchRaises:
         engine, cpu, link = system.engine, system.cpu, system.link
         bad = system.ssd.logical_pages
         with pytest.raises(ValueError):
-            engine.run_writes([
-                IoRequest(lpns=[0], useful_bytes=256, placement_chunk=0),
-                IoRequest(lpns=[bad], useful_bytes=256, placement_chunk=0)])
+            engine.run_writes(IoRun([0, bad], [1, 1], [256, 256], [0, 0]))
         # the second request was issued, gathered, sent and decoded
         # before the device refused it
         assert cpu.stats.get_count("host_ios") == cpu.issue_line.ops == 2

@@ -34,7 +34,7 @@ from repro.faults.model import FaultConfig
 from repro.ftl import BaselineSSD
 from repro.ftl.mapping import OutOfSpaceError
 from repro.host.cpu import HostCpu
-from repro.host.io_engine import HostIoEngine, IoRequest
+from repro.host.io_engine import HostIoEngine, IoRun
 from repro.interconnect.link import Link
 from repro.nvm import FlashArray, Geometry, NvmTiming
 from repro.nvm.address import ppa_to_index
@@ -350,11 +350,12 @@ def test_free_space_index_matches_recount_baseline(data):
 @given(st.data())
 def test_free_space_index_matches_recount_baseline_no_faults(data):
     """The fault-free batched write loop (no injector attached) under
-    overwrite churn through FTL GC, with duplicate LPNs inside one
-    request, through both the host I/O engine and ``write_lpns``: after
-    every request the free counts equal a recount, the map and the GC
-    reverse table form one bijection, and the stored pages read back
-    as the numpy mirror predicts."""
+    overwrite churn through FTL GC, through both the host I/O engine
+    (a drawn LPN list as one run of consecutive-LPN requests) and
+    ``write_lpns`` (duplicate LPNs inside one request): after every
+    write the free counts equal a recount, the map and the GC reverse
+    table form one bijection, and the stored pages read back as the
+    numpy mirror predicts."""
     ssd = BaselineSSD(TINY_TEST, store_data=True)
     assert ssd.flash.faults is None
     engine = HostIoEngine(ssd, Link(TINY_TEST.link_bandwidth,
@@ -375,9 +376,17 @@ def test_free_space_index_matches_recount_baseline_no_faults(data):
         payload = [rng.integers(0, 256, page, dtype=np.uint8)
                    for _ in lpns]
         if data.draw(st.booleans()):
-            end = engine.run_writes(
-                [IoRequest(lpns=lpns, useful_bytes=len(lpns) * page,
-                           payload=payload)], now).end_time
+            # one engine call: a request per maximal run of consecutive
+            # LPNs (a duplicate starts a new request)
+            run = IoRun(payloads=[])
+            start = 0
+            for index in range(1, len(lpns) + 1):
+                if index == len(lpns) or lpns[index] != lpns[index - 1] + 1:
+                    count = index - start
+                    run.append(lpns[start], count, count * page, None,
+                               payload[start:index])
+                    start = index
+            end = engine.run_writes(run, now).end_time
         else:
             end = ssd.write_lpns(lpns, now, data=payload).end_time
         for lpn, chunk in zip(lpns, payload):
