@@ -19,6 +19,11 @@ What runs (``--what``):
 ``fig10``
     ``repro.analysis.experiments.endtoend_sweep()``: the paper's Fig. 10
     run (about nine tenths of it ingest).
+``phase``
+    ``WORKLOADS[--workload].run(system, seed, --units)`` on a system
+    built outside the timer: perfbench's timed phase, at the workload's
+    golden seed. Both trees must give the same digest of every
+    executed op's end time; the script exits non-zero when they differ.
 
 Prints min / q1 / median per tree, then the median of the per-pair
 change/parent ratios and how many pairs the change won.
@@ -26,14 +31,15 @@ change/parent ratios and how many pairs the change won.
 Usage::
 
     python benchmarks/ab_trees.py --parent PARENT_CHECKOUT --change . \
-        [--what ingest|build|fig10] [--workload nds-sweep] [--mib 64] \
-        [--pairs 10]
+        [--what ingest|build|fig10|phase] [--workload nds-sweep] \
+        [--mib 64] [--units 200] [--pairs 10]
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import hashlib
 import importlib
 import math
 import statistics
@@ -57,6 +63,8 @@ class Tree:
         for name in [n for n in sys.modules if _owned(n)]:
             del sys.modules[name]
         self.modules: Dict[str, object] = {}
+        #: op end-time digests of the ``phase`` runs, one per run
+        self.digests: List[str] = []
         with self.active():
             importlib.import_module("workloads")
             importlib.import_module("repro.core")
@@ -113,9 +121,30 @@ def run_fig10(tree: Tree) -> float:
     return perf_counter() - start
 
 
+def run_phase(tree: Tree, workload: str, units: int) -> float:
+    """Time the workload's op stream on a freshly built system; the
+    digest of every executed op's end time goes to ``tree.digests``."""
+    target = tree.module("workloads").WORKLOADS[workload]
+    system = target.build()
+    system.reset_time()
+    gc.collect()
+    start = perf_counter()
+    outcome = target.run(system, target.golden_seed, units)
+    elapsed = perf_counter() - start
+    digest = hashlib.sha256()
+    for op in system.scheduler.executed:
+        digest.update(f"{op.kind} {op.complete_time.hex()}\n".encode())
+    digest.update(f"failed {outcome['failed']}\n".encode())
+    tree.digests.append(digest.hexdigest())
+    del system
+    return elapsed
+
+
 RUNS = {"ingest": lambda tree, args: run_ingest(tree, args.mib),
         "build": lambda tree, args: run_build(tree, args.workload),
-        "fig10": lambda tree, args: run_fig10(tree)}
+        "fig10": lambda tree, args: run_fig10(tree),
+        "phase": lambda tree, args: run_phase(tree, args.workload,
+                                              args.units)}
 
 
 def summary(times: List[float]) -> str:
@@ -134,13 +163,15 @@ def main(argv=None) -> int:
                         help="root of the changed checkout")
     parser.add_argument("--what", choices=tuple(RUNS), default="ingest")
     parser.add_argument("--workload", default="nds-sweep",
-                        help="perfbench workload for --what build")
+                        help="perfbench workload for --what build|phase")
     parser.add_argument("--mib", type=int, default=64,
                         help="space size for --what ingest (default 64)")
+    parser.add_argument("--units", type=int, default=200,
+                        help="work units for --what phase (default 200)")
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
-    if args.pairs < 1 or args.mib < 1:
-        parser.error("--pairs and --mib must be at least 1")
+    if args.pairs < 1 or args.mib < 1 or args.units < 1:
+        parser.error("--pairs, --mib and --units must be at least 1")
     trees = [Tree("parent", args.parent.resolve()),
              Tree("change", args.change.resolve())]
     times: Dict[str, List[float]] = {tree.label: [] for tree in trees}
@@ -154,7 +185,9 @@ def main(argv=None) -> int:
               f"change {times['change'][-1]:.4f} s", flush=True)
     what = {"ingest": f"ingest {args.mib} MiB",
             "build": f"build {args.workload}",
-            "fig10": "fig10 endtoend_sweep()"}[args.what]
+            "fig10": "fig10 endtoend_sweep()",
+            "phase": f"phase {args.workload}, {args.units} units",
+            }[args.what]
     print(f"{what}, {args.pairs} pairs")
     for label, series in times.items():
         print(f"  {label:<7}{summary(series)}")
@@ -162,6 +195,14 @@ def main(argv=None) -> int:
     wins = sum(r < 1.0 for r in ratios)
     print(f"  change/parent per pair: median {statistics.median(ratios):.3f}"
           f"  wins {wins}/{len(ratios)}")
+    digests = {digest for tree in trees for digest in tree.digests}
+    if len(digests) > 1:
+        print("  op end-time digests differ between the trees: "
+              + ", ".join(f"{tree.label} {sorted(set(tree.digests))}"
+                          for tree in trees))
+        return 1
+    if digests:
+        print(f"  op end-time digest {digests.pop()[:16]} in both trees")
     return 0
 
 
