@@ -25,6 +25,16 @@ planes below the GC trigger, so the next ingest collects mid-block);
 rule-4 fallback); ``program-fail`` (status-fail re-drives); ``parity``
 and ``compressed``.
 
+The ``compressed-*`` churn cells go past the ingest: after a whole
+ingest of the two 2-D spaces (4- and 16-page blocks) they overwrite
+random whole blocks and random partial tiles with compressible and
+incompressible bytes, so a compressed block's new units meet the planes
+of its old ones and the GC trigger. ``compressed-churn`` has no
+injector, ``compressed-fail`` adds status-fail re-drives and
+``compressed-kill`` kills a channel mid-run. They also pin a digest of
+every flash timeline and how each space reads back against a numpy
+copy of what was written.
+
 Re-record (only after a change meant to move the model) with::
 
     PYTHONPATH=src python tests/perf/test_placement_goldens.py --record
@@ -65,10 +75,15 @@ SHARDS = (ShardSpec((1, 3)), ShardSpec((0, 1, 2), banks=(1,)), None)
 FILLER, FILLER_HALF = (192, 192), (192, 96)
 OP_GAP = 1e-3
 
+CHURN = ("compressed-churn", "compressed-fail", "compressed-kill")
 CELLS = ("timing", "elide", "sharded", "dead-channel", "near-full",
-         "full-plane", "program-fail", "parity", "compressed")
+         "full-plane", "program-fail", "parity", "compressed") + CHURN
 #: the cells that store page bytes (``store_data=True``)
-FUNCTIONAL = ("elide", "sharded", "program-fail", "parity", "compressed")
+FUNCTIONAL = ("elide", "sharded", "program-fail", "parity",
+              "compressed") + CHURN
+#: the churn cells' overwrites after the ingest, and the op at whose
+#: start ``compressed-kill`` loses its channel
+CHURN_OPS, KILL_OP = 160, 80
 
 
 def _faults(cell: str):
@@ -76,6 +91,13 @@ def _faults(cell: str):
         return FaultInjector(FaultConfig(plan=FaultPlan().kill_channel(2)))
     if cell == "program-fail":
         return FaultInjector(FaultConfig(seed=3, program_fail_base=0.05))
+    if cell == "compressed-fail":
+        return FaultInjector(FaultConfig(seed=5, program_fail_base=0.01))
+    if cell == "compressed-kill":
+        # the ingest is op 0 and 1, so churn op k starts at (k + 2) gaps
+        at = (KILL_OP + 2) * OP_GAP
+        return FaultInjector(FaultConfig(
+            plan=FaultPlan().kill_channel(1, at=at)))
     return None
 
 
@@ -86,10 +108,42 @@ def _data(rng: np.random.Generator, dims, element: int, cell: str):
         # blocks, half pages of the 32-wide ones
         rows = np.arange(dims[0])
         data[(rows // 4) % 3 == 0] = 0
-    elif cell == "compressed":
+    elif cell == "compressed" or cell in CHURN:
         # low-entropy halves compress to fewer units than they fill
         data[: dims[0] // 2] &= 0x03
     return data
+
+
+def _tile(rng: np.random.Generator, space):
+    """A churn op's region: a whole block or a random partial tile, the
+    latter possibly across block edges."""
+    if rng.random() < 0.4:
+        coord = [int(rng.integers(0, g)) for g in space.grid]
+        return [c * b for c, b in zip(coord, space.bb)], list(space.bb)
+    origin = [int(rng.integers(0, d)) for d in space.dims]
+    extents = [int(rng.integers(1, b + b // 2 + 1)) for b in space.bb]
+    return origin, [min(e, d - o) for o, e, d
+                    in zip(origin, extents, space.dims)]
+
+
+def _payload(rng: np.random.Generator, shape):
+    """Incompressible, low-entropy or all-zero tile bytes."""
+    data = rng.integers(0, 256, shape, dtype=np.uint8)
+    kind = rng.random()
+    if kind < 0.3:
+        data &= 0x03
+    elif kind < 0.45:
+        data[...] = 0
+    return data
+
+
+def _lines_sha256(flash) -> str:
+    lines = list(flash.channel_lines)
+    for row in flash.bank_lines:
+        lines.extend(row)
+    return hashlib.sha256(json.dumps(
+        [[line.name, line.free_at.hex(), line.busy_time.hex(), line.ops]
+         for line in lines]).encode()).hexdigest()
 
 
 def run_cell(cell: str) -> dict:
@@ -98,26 +152,30 @@ def run_cell(cell: str) -> dict:
     faults = _faults(cell)
     if faults is not None:
         flash.attach_faults(faults)
+    compressed = cell == "compressed" or cell in CHURN
     stl = SpaceTranslationLayer(
         flash, gc_threshold=0.25,
-        compressor=ZlibCompressor() if cell == "compressed" else None,
+        compressor=ZlibCompressor() if compressed else None,
         elide_zero_pages=cell == "elide", parity=cell == "parity")
     rng = np.random.default_rng(17)
     outcomes = []
     now = 0.0
 
-    def ingest(space) -> None:
+    def write(space, origin, extents, data) -> None:
         nonlocal now
-        data = (_data(rng, space.dims, space.element_size, cell)
-                if store else None)
         try:
-            end = stl.write_region(space.space_id, (0,) * space.rank,
-                                   space.dims, data=data,
-                                   start_time=now).end_time
+            end = stl.write_region(space.space_id, origin, extents,
+                                   data=data, start_time=now).end_time
             outcomes.append(end.hex())
         except Exception as err:  # pinned: which op raised what
             outcomes.append("!" + type(err).__name__)
         now += OP_GAP
+
+    def ingest(space):
+        data = (_data(rng, space.dims, space.element_size, cell)
+                if store else None)
+        write(space, (0,) * space.rank, space.dims, data)
+        return data
 
     if cell == "near-full":
         filler = stl.create_space(FILLER, 4)
@@ -127,13 +185,16 @@ def run_cell(cell: str) -> dict:
         plane = stl.allocator.planes[(1, 0)]
         for block in list(plane.free_blocks):
             stl.gc.retire_block(1, 0, block, 0.0)
-    for (dims, element, bb, cube), shard in zip(SPACES, SHARDS):
-        space = stl.create_space(dims, element, bb_override=bb,
-                                 use_3d_blocks=cube,
-                                 shard=shard if cell == "sharded" else None)
-        ingest(space)
+    if cell in CHURN:
+        readback = _churn(stl, rng, ingest, write)
+    else:
+        for (dims, element, bb, cube), shard in zip(SPACES, SHARDS):
+            space = stl.create_space(
+                dims, element, bb_override=bb, use_3d_blocks=cube,
+                shard=shard if cell == "sharded" else None)
+            ingest(space)
     state = _state(stl)
-    return {
+    result = {
         "outcomes": outcomes,
         "stl_stats": dict(sorted(stl.stats.counters.items())),
         "flash_stats": dict(sorted(flash.stats.counters.items())),
@@ -145,6 +206,43 @@ def run_cell(cell: str) -> dict:
         "state_sha256": hashlib.sha256(
             json.dumps(state).encode()).hexdigest(),
     }
+    if cell in CHURN:
+        result["lines_sha256"] = _lines_sha256(flash)
+        result["readback"] = readback(now)
+    return result
+
+
+def _churn(stl, rng: np.random.Generator, ingest, write):
+    """Ingest the two 2-D spaces whole, then overwrite random tiles of
+    them. Returns the read-back check, run once the state is pinned."""
+    spaces, models = [], []
+    for dims, element, bb, cube in SPACES[:2]:
+        space = stl.create_space(dims, element, bb_override=bb,
+                                 use_3d_blocks=cube)
+        spaces.append(space)
+        models.append(ingest(space).copy())
+    for _ in range(CHURN_OPS):
+        i = int(rng.integers(0, len(spaces)))
+        origin, extents = _tile(rng, spaces[i])
+        data = _payload(rng, tuple(extents) + (spaces[i].element_size,))
+        write(spaces[i], origin, extents, data)
+        region = tuple(slice(o, o + e) for o, e in zip(origin, extents))
+        models[i][region] = data
+
+    def readback(start: float) -> list:
+        """Per space: "ok", "mismatch" or the error a whole read
+        raised."""
+        verdicts = []
+        for space, model in zip(spaces, models):
+            try:
+                got = stl.read_region(space.space_id, (0,) * space.rank,
+                                      space.dims, start_time=start).data
+                verdicts.append("ok" if np.array_equal(got, model)
+                                else "mismatch")
+            except Exception as err:  # pinned: which read raised what
+                verdicts.append("!" + type(err).__name__)
+        return verdicts
+    return readback
 
 
 def _ppa(ppa) -> list | None:
@@ -196,6 +294,8 @@ def test_placement_bit_identical(cell):
     assert got["fault_stats"] == want["fault_stats"]
     assert got["gc"] == want["gc"]
     assert got["state_sha256"] == want["state_sha256"]
+    assert got.get("lines_sha256") == want.get("lines_sha256")
+    assert got.get("readback") == want.get("readback")
 
 
 def test_cells_reach_their_branches():
@@ -212,8 +312,22 @@ def test_cells_reach_their_branches():
     assert golden["compressed"]["stl_stats"].get(
         "stl_blocks_compressed", 0) > 0
     assert golden["full-plane"]["gc"]["retired"] > 0
+    for cell in CHURN:
+        assert golden[cell]["gc"]["erased"] > 0
+        assert golden[cell]["stl_stats"]["stl_blocks_compressed"] \
+            > len(golden[cell]["outcomes"])
+    assert golden["compressed-fail"]["fault_stats"]["program_fails"] > 0
+    assert golden["compressed-kill"]["fault_stats"][
+        "plan_channels_killed"] == 1
+    # the kill fails some later partial writes (their merge reads a
+    # dead unit); every other cell's ops all finish and read back
+    assert any(o.startswith("!")
+               for o in golden["compressed-kill"]["outcomes"])
     assert all(not o.startswith("!") for cell in CELLS
+               if cell != "compressed-kill"
                for o in golden[cell]["outcomes"])
+    assert golden["compressed-churn"]["readback"] == ["ok", "ok"]
+    assert golden["compressed-fail"]["readback"] == ["ok", "ok"]
 
 
 if __name__ == "__main__":
