@@ -16,7 +16,8 @@ Overwrites pick a fresh unit from the *same channel and bank* as the
 overwritten unit, preserving the block's parallelism. The STL's
 ``write_block`` binds every unit at its plane's append point itself (an
 overwrite on the old unit's plane, a fresh unit on the next plane of
-the block's :meth:`NdsAllocator.placement_plan`) and comes to
+the block's :meth:`NdsAllocator.placement_plan`, a compressed block's
+units first on the planes of the units it replaces) and comes to
 :meth:`NdsAllocator.allocate` (``prefer``) only when the plane is full
 or its channel is dead, for the rule-4 fallback. The plan gives rules
 1–3 in closed form: a block's units fill one bank at a time, in one

@@ -102,7 +102,8 @@ class BlockEntry:
         """Bind ``ppa`` to ``pages[position]`` and count it, through the
         update step :meth:`counter` binds. ``NdsAllocator.allocate``
         binds one unit this way; the STL's ``write_block`` binds its
-        fresh units itself, with one step bound per block."""
+        fresh units itself, plain and compressed alike, with one step
+        bound per block."""
         self.pages[position] = ppa
         self.last_alloc = ppa
         self.counter()(ppa)

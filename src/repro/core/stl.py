@@ -25,6 +25,7 @@ hardware NDS — is the systems layer's decision (paper Fig. 7).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -312,33 +313,60 @@ class SpaceTranslationLayer:
                     issue_time: float,
                     region: Optional[np.ndarray] = None) -> BlockOpResult:
         """Write one block access; ``region`` is the block-region-shaped
-        ``(*extent, element_size)`` uint8 payload (None = timing only)."""
+        ``(*extent, element_size)`` uint8 payload (None = timing only).
+        With a compressor and a payload the block is stored whole, in
+        fewer units of codec bytes (§5.3.4); plain and compressed writes
+        bind and program their units in the one loop below."""
         space = self.get_space(space_id)
         self._sync_faults()
         index = self.indexes[space_id]
         lookup = index.ensure(access.block_coord)
         entry = lookup.entry
-        if self.compressor is not None and region is not None:
-            return self._write_block_compressed(space_id, space, lookup,
-                                                access, issue_time, region)
-        positions = pages_for_region(space, access.block_slice)
         page_bytes = self._page_size
+        compressed = self.compressor is not None and region is not None
+        content: Optional[np.ndarray] = None
+        pinned = ()
+        if compressed:
+            # §5.3.4: merge the region into the whole block (read every
+            # stored unit if the write is partial, decompress), compress
+            # it, and release every old unit. The units of codec bytes
+            # take the old units' planes first, in position order.
+            rmw_done, rmw_reads = self._merge_read(
+                space, access, entry.allocated_pages(), issue_time)
+            raw = self._block_buffer(space, entry)
+            self._block_region(space, raw, access)[...] = region
+            content = self.compressor.compress_block(
+                raw[:space.block_bytes])
+            needed = max(1, -(-content.size // page_bytes))
+            if needed > len(entry.pages):
+                # the codec header can push an incompressible block one
+                # page past its raw footprint; every old unit is still
+                # bound, so its usage record is counted again here,
+                # before the release
+                entry.extend_pages(needed)
+            pinned = []
+            for position in range(len(entry.pages)):
+                ppa = self._release(entry, position)
+                if ppa is not None:
+                    pinned.append((ppa.channel, ppa.bank))
+            positions = range(needed)
+        else:
+            # Merge phase: materialize current block content for the
+            # touched pages if the write covers them only partially
+            # (read-modify-write on overwrite, new-unit programming per
+            # NAND rules).
+            positions = pages_for_region(space, access.block_slice)
+            existing = []
+            if self.flash.store_data and region is not None:
+                content = self._block_buffer(space, entry)
+                self._block_region(space, content, access)[...] = region
+            if content is not None or not self.flash.store_data:
+                existing = [entry.pages[p] for p in positions
+                            if entry.pages[p] is not None]
+            rmw_done, rmw_reads = self._merge_read(space, access, existing,
+                                                   issue_time)
 
-        # Merge phase: materialize current block content for the touched
-        # pages if the write covers them only partially (read-modify-write
-        # on overwrite, new-unit programming per NAND rules).
-        new_content: Optional[np.ndarray] = None
-        existing = []
-        if self.flash.store_data and region is not None:
-            new_content = self._block_buffer(space, entry)
-            self._block_region(space, new_content, access)[...] = region
-        if new_content is not None or not self.flash.store_data:
-            existing = [entry.pages[p] for p in positions
-                        if entry.pages[p] is not None]
-        rmw_done, rmw_reads = self._merge_read(space, access, existing,
-                                               issue_time)
-
-        # Bind + program each touched page. With no injector attached,
+        # Bind + program each unit. With no injector attached,
         # consecutive programs between GC events batch into one flash
         # call: every page still issues at ``rmw_done`` in position
         # order, so the timings are bit-identical. With one, each page
@@ -350,7 +378,7 @@ class SpaceTranslationLayer:
         batching = self.flash.faults is None
         pending_ppas: List = []
         pending_data: Optional[List[np.ndarray]] = \
-            [] if new_content is not None else None
+            [] if content is not None else None
         coord = access.block_coord
         pages = entry.pages
         planes = self.allocator.planes
@@ -362,12 +390,14 @@ class SpaceTranslationLayer:
         banks = geometry.banks_per_channel
         blocks = geometry.blocks_per_bank
         block_pages = geometry.pages_per_block
-        elide = self.elide_zero_pages
+        elide = self.elide_zero_pages and not compressed
         # The block's §4.2 placement plan (rules 1-3) and its usage
         # count, each bound at its first fresh unit. The plan holds
         # while each plane it yields is bound there; anything else that
         # moves the usage record or ``last_alloc`` drops it, and the
-        # next fresh unit binds a new one.
+        # next fresh unit binds a new one. A compressed write's plan
+        # yields the pinned planes of the positions still to come
+        # first.
         plan = count = None
         for position in positions:
             old = pages[position]
@@ -376,6 +406,8 @@ class SpaceTranslationLayer:
                 if plan is None:
                     plan = self.allocator.placement_plan(
                         entry, self._shard_planes.get(space_id))
+                    if pinned:
+                        plan = chain(pinned[position:], plan)
                 prefer = next(plan)
             else:
                 # The overwrite step (§4.2 pins an overwrite to the old
@@ -402,7 +434,7 @@ class SpaceTranslationLayer:
                                 completion = done
                         pending_ppas = []
                         pending_data = \
-                            [] if new_content is not None else None
+                            [] if content is not None else None
                     gc_result = gc.collect(prefer[0], prefer[1], completion)
                 except BaseException:
                     if old is not None:
@@ -414,9 +446,9 @@ class SpaceTranslationLayer:
                 # the collection's flash ops may have seen a later kill
                 dead = faults is not None and faults.channel_dead(prefer[0])
             payload = None
-            if new_content is not None:
+            if content is not None:
                 start = position * page_bytes
-                payload = [new_content[start:start + page_bytes]]
+                payload = [content[start:start + page_bytes]]
             if (elide and payload is not None and old is None
                     and not payload[0].any()):
                 # sparse optimization (§8): never materialize an
@@ -479,9 +511,12 @@ class SpaceTranslationLayer:
         if self.parity is not None:
             parity_end = self._update_parity(space_id, space,
                                              access.block_coord, entry,
-                                             new_content, rmw_done)
+                                             content, rmw_done)
             completion = max(completion, parity_end)
         self.stats.count("stl_pages_programmed", units)
+        if compressed:
+            entry.stored_bytes = content.size
+            self.stats.count("stl_blocks_compressed")
         return BlockOpResult(access=access, issue_time=issue_time,
                              completion_time=completion, pages=units,
                              nodes_visited=lookup.nodes_visited,
@@ -564,74 +599,6 @@ class SpaceTranslationLayer:
         result.stats.count("stl_writes")
         return result
 
-    def _write_block_compressed(self, space_id: int, space: Space, lookup,
-                                access: BlockAccess, issue_time: float,
-                                region: np.ndarray) -> BlockOpResult:
-        """§5.3.4 path: merge, compress the whole block, store it in
-        (fewer) fresh units."""
-        entry = lookup.entry
-        page_bytes = self._page_size
-
-        # Merge: materialize current content (decompressing if present),
-        # reading the stored units when the write is partial.
-        rmw_done, rmw_reads = self._merge_read(
-            space, access, entry.allocated_pages(), issue_time)
-        content = self._block_buffer(space, entry)
-        self._block_region(space, content, access)[...] = region
-
-        stored = self.compressor.compress_block(content[:space.block_bytes])
-        needed = max(1, -(-stored.size // page_bytes))
-        if needed > len(entry.pages):
-            # the codec header can push an incompressible block one page
-            # past its raw footprint; every old unit is still bound, so
-            # its usage record is counted again here, before the release
-            entry.extend_pages(needed)
-
-        # Release every old unit, then place the compressed payload.
-        old_planes = []
-        for position in range(len(entry.pages)):
-            ppa = self._release(entry, position)
-            if ppa is not None:
-                old_planes.append((ppa.channel, ppa.bank))
-        coord = access.block_coord
-        # the old units' planes first, then the placement plan, dropped
-        # on the events write_block drops it on
-        plan = None
-        completion = rmw_done
-        gc_time = 0.0
-        units = 0
-        for position in range(needed):
-            if position < len(old_planes):
-                prefer = old_planes[position]
-            else:
-                if plan is None:
-                    plan = self.allocator.placement_plan(
-                        entry, self._shard_planes.get(space_id))
-                prefer = next(plan)
-            if self.gc.needs_collection(*prefer) and \
-                    not self.allocator._channel_dead(prefer[0]):
-                gc_result = self.gc.collect(prefer[0], prefer[1], completion)
-                gc_time += max(0.0, gc_result.end_time - completion)
-                completion = max(completion, gc_result.end_time)
-                plan = None
-            ppa = self._place(space_id, entry, coord, position, prefer)
-            chunk = stored[position * page_bytes:(position + 1) * page_bytes]
-            completion = max(completion, self._program(
-                space_id, entry, coord, position, ppa, rmw_done, [chunk]))
-            if entry.last_alloc is not ppa or \
-                    (ppa.channel, ppa.bank) != prefer:
-                # a rule-4 fallback or a re-drive
-                plan = None
-            units += 1
-        entry.stored_bytes = stored.size
-        self.stats.count("stl_pages_programmed", units)
-        self.stats.count("stl_blocks_compressed")
-        return BlockOpResult(access=access, issue_time=issue_time,
-                             completion_time=completion, pages=units,
-                             nodes_visited=lookup.nodes_visited,
-                             units_allocated=units, rmw_reads=rmw_reads,
-                             gc_time=gc_time)
-
     def _merge_read(self, space: Space, access: BlockAccess, ppas: List,
                     issue_time: float) -> Tuple[float, int]:
         """The read half of a read-modify-write: read ``ppas`` at
@@ -661,10 +628,10 @@ class SpaceTranslationLayer:
         first plane of a placement plan, then rule 4's fallback) and the
         usage step ``BlockEntry.counter`` binds.
 
-        ``write_block`` binds a unit at its plan's plane itself and
-        comes here only for the rule-4 fallback; the re-drive of
-        :meth:`_program`, the degraded-read relocation and the
-        compressed write place every unit here."""
+        ``write_block`` binds a unit, compressed writes' included, at
+        its plan's (or pinned) plane itself and comes here only for the
+        rule-4 fallback; the re-drive of :meth:`_program` and the
+        degraded-read relocation place every unit here."""
         ppa = self.allocator.allocate(
             entry, position, prefer=prefer,
             allowed=self._shard_planes.get(space_id))
