@@ -122,9 +122,6 @@ class RelocatingCollector:
             self.reverse.pop(ppa_to_index(ppa, self.geometry), None)
 
     # ------------------------------------------------------------------
-    def needs_collection(self, channel: int, bank: int) -> bool:
-        return self.planes[(channel, bank)].free_pages < self.trigger_mark
-
     def _traced_collect(self, channel: int, bank: int, now: float,
                         target: Optional[float] = None,
                         max_victims: Optional[int] = None):

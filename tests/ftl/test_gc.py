@@ -40,7 +40,7 @@ class TestCollect:
         geometry, flash, ftl, gc = small_world
         for lpn in range(12):
             _write(ftl, flash, gc, lpn, lpn, now=float(lpn))
-        assert gc.needs_collection(0, 0)
+        assert gc.planes[(0, 0)].free_pages < gc.trigger_mark
         result = gc.collect(0, 0, 100.0)
         assert not result.ran
         assert result.pages_relocated == 0
@@ -52,7 +52,7 @@ class TestCollect:
         # 16 pages, 14 of them stale.
         for value in range(15):
             _write(ftl, flash, gc, 0, value, now=float(value))
-        assert gc.needs_collection(0, 0)
+        assert gc.planes[(0, 0)].free_pages < gc.trigger_mark
         result = gc.collect(0, 0, 100.0)
         assert result.ran
         assert result.blocks_erased >= 1
@@ -198,7 +198,7 @@ class TestTriggerMark:
         plane = ftl.planes[(0, 0)]
         per_bank = geometry.pages_per_bank
         for _ in range(per_bank):
-            assert gc.needs_collection(0, 0) == \
+            assert (gc.planes[(0, 0)].free_pages < gc.trigger_mark) == \
                 (plane.free_pages / per_bank < threshold)
             plane.allocate_page()
-        assert gc.needs_collection(0, 0)
+        assert gc.planes[(0, 0)].free_pages < gc.trigger_mark
