@@ -24,7 +24,7 @@ import numpy as np
 from repro.core.space import Space
 
 __all__ = ["BlockAccess", "translate", "translate_region",
-           "pages_for_region",
+           "check_region", "pages_for_region",
            "set_translation_cache_limit", "translation_cache_limit",
            "translation_cache_stats", "reset_translation_cache_stats"]
 
@@ -116,6 +116,18 @@ def translate(space: Space, coordinate: Sequence[int],
     return translate_region(space, origin, tuple(sub_dim))
 
 
+def check_region(origin: Sequence[int], extents: Sequence[int],
+                 dims: Sequence[int]) -> None:
+    """Raise ``ValueError`` unless ``[origin, origin + extents)`` is a
+    non-empty region inside ``dims``, of the same rank."""
+    if len(origin) != len(dims) or len(extents) != len(dims):
+        raise ValueError("origin/extents rank mismatch")
+    for axis, (o, f, d) in enumerate(zip(origin, extents, dims)):
+        if f < 1 or o < 0 or o + f > d:
+            raise ValueError(
+                f"region [{o}, {o + f}) exceeds extent {d} on axis {axis}")
+
+
 def translate_region(space: Space, origin: Sequence[int],
                      extents: Sequence[int]) -> List[BlockAccess]:
     """Raw-region variant of :func:`translate` (used by views, whose
@@ -136,12 +148,7 @@ def translate_region(space: Space, origin: Sequence[int],
         return list(hit)
     stats["region_misses"] += 1
     _cache_stats["region_misses"] += 1
-    if len(origin) != space.rank or len(extents) != space.rank:
-        raise ValueError("origin/extents rank mismatch")
-    for axis, (o, f, d) in enumerate(zip(origin, extents, space.dims)):
-        if f < 1 or o < 0 or o + f > d:
-            raise ValueError(
-                f"region [{o}, {o + f}) exceeds extent {d} on axis {axis}")
+    check_region(origin, extents, space.dims)
     axis_ranges = []
     for o, f, bb in zip(origin, extents, space.bb):
         first = o // bb

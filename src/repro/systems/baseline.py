@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cache.config import CacheConfig
+from repro.core.translator import check_region
 from repro.faults.injector import FaultInjector
 from repro.faults.model import FaultConfig
 from repro.ftl.ssd import BaselineSSD
@@ -383,6 +384,7 @@ class BaselineSystem(LinearSystem):
         """A tile's dataset record, its extents in layout order, the
         first byte of each of its row runs and their one byte length."""
         record = self._dataset(dataset)
+        check_region(origin, extents, record.dims)
         l_origin, l_extents = record.to_layout(origin, extents)
         runs = row_runs(record.layout_dims, l_origin, l_extents)
         elem = record.element_size

@@ -21,6 +21,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cache.config import CacheConfig
+from repro.core.translator import check_region
 from repro.faults.model import FaultConfig
 from repro.host.io_engine import IoRun
 from repro.nvm.profiles import DeviceProfile
@@ -118,8 +119,7 @@ class OracleSystem(LinearSystem):
                       extents: Sequence[int], start_time: float = 0.0,
                       with_data: bool = False,
                       dtype: Optional[np.dtype] = None) -> SystemOpResult:
-        copy = self._match(dataset, extents)
-        index = self._tile_index(copy, origin)
+        copy, index = self._tile(dataset, origin, extents)
         first = copy.start_page + index * copy.tile_pages
         # A software-library oracle still reads through the page cache:
         # one contiguous copy into the user buffer per request. This is
@@ -146,8 +146,7 @@ class OracleSystem(LinearSystem):
                        extents: Sequence[int],
                        data: Optional[np.ndarray] = None,
                        start_time: float = 0.0) -> SystemOpResult:
-        copy = self._match(dataset, extents)
-        index = self._tile_index(copy, origin)
+        copy, index = self._tile(dataset, origin, extents)
         first = copy.start_page + index * copy.tile_pages
         payload = None
         if data is not None and self.store_data:
@@ -181,26 +180,27 @@ class OracleSystem(LinearSystem):
         return self._next_page * self.page_size
 
     # ------------------------------------------------------------------
-    def _match(self, dataset: str, extents: Sequence[int]) -> _TiledCopy:
+    def _tile(self, dataset: str, origin: Sequence[int],
+              extents: Sequence[int]) -> Tuple[_TiledCopy, int]:
+        """The stored copy for a tile's shape and the tile's index in
+        it; the tile must lie inside the dataset, on the copy's grid."""
         copies = self._copies.get(dataset)
         if not copies:
             raise KeyError(f"unknown dataset {dataset!r}")
+        # every copy of a dataset has its dims
+        check_region(origin, extents, next(iter(copies.values())).dims)
         copy = copies.get(tuple(int(e) for e in extents))
         if copy is None:
             raise KeyError(
                 f"oracle has no copy of {dataset!r} for tile {tuple(extents)};"
                 f" available: {sorted(copies)}")
-        return copy
-
-    @staticmethod
-    def _tile_index(copy: _TiledCopy, origin: Sequence[int]) -> int:
         index = 0
         for o, t, g in zip(origin, copy.tile, copy.grid):
             if o % t != 0:
                 raise ValueError(
                     f"oracle reads must be tile aligned: origin {origin}")
             index = index * g + o // t
-        return index
+        return copy, index
 
     def _extract_tile(self, data: np.ndarray, copy: _TiledCopy,
                       index: int) -> np.ndarray:
