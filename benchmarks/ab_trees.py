@@ -22,7 +22,10 @@ What runs (``--what``):
 ``phase``
     ``WORKLOADS[--workload].run(system, seed, --units)`` on a system
     built outside the timer: perfbench's timed phase, at the workload's
-    golden seed. Both trees must give the same digest of every
+    golden seed. ``--warm N`` first runs N untimed units at the next
+    seed, so the timed window starts from a system in steady state (a
+    freshly built ``nds-sweep`` runs few STL collections for its first
+    ~2000 units). Both trees must give the same digest of every
     executed op's end time; the script exits non-zero when they differ.
 
 Prints min / q1 / median per tree, then the median of the per-pair
@@ -32,7 +35,7 @@ Usage::
 
     python benchmarks/ab_trees.py --parent PARENT_CHECKOUT --change . \
         [--what ingest|build|fig10|phase] [--workload nds-sweep] \
-        [--mib 64] [--units 200] [--pairs 10]
+        [--mib 64] [--units 200] [--warm 0] [--pairs 10]
 """
 
 from __future__ import annotations
@@ -121,12 +124,15 @@ def run_fig10(tree: Tree) -> float:
     return perf_counter() - start
 
 
-def run_phase(tree: Tree, workload: str, units: int) -> float:
-    """Time the workload's op stream on a freshly built system; the
-    digest of every executed op's end time goes to ``tree.digests``."""
+def run_phase(tree: Tree, workload: str, units: int, warm: int) -> float:
+    """Time the workload's op stream on a freshly built system, after
+    ``warm`` untimed units at the next seed; the digest of every
+    executed op's end time goes to ``tree.digests``."""
     target = tree.module("workloads").WORKLOADS[workload]
     system = target.build()
     system.reset_time()
+    if warm:
+        target.run(system, target.golden_seed + 1, warm)
     gc.collect()
     start = perf_counter()
     outcome = target.run(system, target.golden_seed, units)
@@ -144,7 +150,7 @@ RUNS = {"ingest": lambda tree, args: run_ingest(tree, args.mib),
         "build": lambda tree, args: run_build(tree, args.workload),
         "fig10": lambda tree, args: run_fig10(tree),
         "phase": lambda tree, args: run_phase(tree, args.workload,
-                                              args.units)}
+                                              args.units, args.warm)}
 
 
 def summary(times: List[float]) -> str:
@@ -168,10 +174,15 @@ def main(argv=None) -> int:
                         help="space size for --what ingest (default 64)")
     parser.add_argument("--units", type=int, default=200,
                         help="work units for --what phase (default 200)")
+    parser.add_argument("--warm", type=int, default=0,
+                        help="untimed units before the timed window of "
+                             "--what phase (default 0)")
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
     if args.pairs < 1 or args.mib < 1 or args.units < 1:
         parser.error("--pairs, --mib and --units must be at least 1")
+    if args.warm < 0:
+        parser.error("--warm must not be negative")
     trees = [Tree("parent", args.parent.resolve()),
              Tree("change", args.change.resolve())]
     times: Dict[str, List[float]] = {tree.label: [] for tree in trees}
@@ -186,7 +197,8 @@ def main(argv=None) -> int:
     what = {"ingest": f"ingest {args.mib} MiB",
             "build": f"build {args.workload}",
             "fig10": "fig10 endtoend_sweep()",
-            "phase": f"phase {args.workload}, {args.units} units",
+            "phase": f"phase {args.workload}, {args.units} units"
+                     + (f" after {args.warm} warm" if args.warm else ""),
             }[args.what]
     print(f"{what}, {args.pairs} pairs")
     for label, series in times.items():
