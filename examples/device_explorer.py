@@ -16,7 +16,7 @@ import numpy as np
 from repro.core import SpaceTranslationLayer
 from repro.core.api import array_to_bytes
 from repro.ftl import BaselineSSD, wear_report
-from repro.nvm import PAPER_PROTOTYPE, FlashArray
+from repro.nvm import PAPER_PROTOTYPE, FlashArray, index_to_ppa
 
 
 def explore_nds() -> None:
@@ -32,9 +32,10 @@ def explore_nds() -> None:
 
     # Where did the first block's pages go?
     entry = stl.indexes[space.space_id].lookup((0, 0)).entry
-    channels = Counter(p.channel for p in entry.allocated_pages())
-    banks = Counter(p.bank for p in entry.allocated_pages())
-    print(f"block (0,0): {len(entry.allocated_pages())} pages over "
+    units = [index_to_ppa(p, flash.geometry) for p in entry.allocated_pages()]
+    channels = Counter(p.channel for p in units)
+    banks = Counter(p.bank for p in units)
+    print(f"block (0,0): {len(units)} pages over "
           f"{len(channels)} channels (x{channels.most_common(1)[0][1]} each)"
           f" and {len(banks)} bank(s) — every channel reachable in "
           f"parallel (Eq. 1)")

@@ -32,11 +32,11 @@ FTL underneath, it just *places* differently.
 from __future__ import annotations
 
 import random
-from typing import Dict, FrozenSet, Iterator, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.core.btree import BlockEntry
 from repro.core.errors import CapacityError
-from repro.ftl.mapping import OutOfSpaceError, PlaneAllocator
+from repro.ftl.mapping import OutOfSpaceError, PlaneAllocator, make_planes
 from repro.nvm.geometry import Geometry
 
 __all__ = ["NdsAllocator"]
@@ -51,11 +51,11 @@ class NdsAllocator:
     def __init__(self, geometry: Geometry, seed: int = 0x5D5) -> None:
         self.geometry = geometry
         self.rng = random.Random(seed)
+        #: every plane, indexed by plane number (``ppa // pages_per_bank``)
+        self.planes_by_number: List[PlaneAllocator] = make_planes(geometry)
         self.planes: Dict[Tuple[int, int], PlaneAllocator] = {
-            (c, b): PlaneAllocator(c, b, geometry)
-            for c in range(geometry.channels)
-            for b in range(geometry.banks_per_channel)
-        }
+            plane.key: plane for plane in self.planes_by_number}
+        self._plane_pages = geometry.pages_per_bank
         #: optional :class:`~repro.faults.injector.FaultInjector` shared
         #: with the flash array — lets placement steer around dead
         #: channels; None leaves every decision untouched
@@ -126,7 +126,7 @@ class NdsAllocator:
             else:
                 yield sorted(allowed)[rng.randrange(len(allowed))]
         key_grid, bank_tot, bank_width = entry.usage
-        bank = entry.last_alloc.bank
+        bank = entry.last_alloc // self._plane_pages % g.banks_per_channel
         while True:
             # An entry's units never leave its shard, so a count of the
             # channels it uses in this bank says whether it covers them
@@ -151,8 +151,9 @@ class NdsAllocator:
     # ------------------------------------------------------------------
     def allocate(self, entry: BlockEntry, position: int,
                  prefer: Optional[Tuple[int, int]] = None,
-                 allowed: Optional[Planes] = None):
-        """Allocate a physical unit for block position ``position``.
+                 allowed: Optional[Planes] = None) -> int:
+        """Allocate a physical unit for block position ``position``;
+        returns its page index.
 
         ``prefer`` pins (channel, bank) — used for overwrites, which must
         land in the same channel and bank as the replaced unit (§4.2).
@@ -173,13 +174,12 @@ class NdsAllocator:
             raise CapacityError("no free access unit in any channel/bank")
         if entry.usage is None:
             # the block's first counted unit: count its record first
-            entry.count_usage(self.geometry.channels,
-                              self.geometry.banks_per_channel)
+            entry.count_usage(self.geometry)
         entry.record_alloc(ppa, position)
         return ppa
 
     def allocate_raw(self, prefer: Optional[Tuple[int, int]] = None,
-                     allowed: Optional[Planes] = None):
+                     allowed: Optional[Planes] = None) -> int:
         """Allocate a physical unit outside any building block's
         bookkeeping — used for cross-channel parity units."""
         target = prefer
@@ -197,14 +197,15 @@ class NdsAllocator:
             raise CapacityError("no free access unit in any channel/bank")
         return ppa
 
-    def _try_allocate(self, target: Tuple[int, int]):
+    def _try_allocate(self, target: Tuple[int, int]) -> Optional[int]:
         try:
             return self.planes[target].allocate_page()
         except OutOfSpaceError:
             return None
 
     def _fallback_allocate(self, target: Tuple[int, int],
-                           allowed: Optional[Planes] = None):
+                           allowed: Optional[Planes] = None
+                           ) -> Optional[int]:
         """Rule 4: scan least-used (most-free) planes first (within the
         shard, when one is given — the shard boundary is absolute)."""
         keys = self.planes.keys() if allowed is None else sorted(allowed)
@@ -218,5 +219,9 @@ class NdsAllocator:
                 return ppa
         return None
 
-    def invalidate(self, ppa) -> None:
-        self.planes[(ppa.channel, ppa.bank)].invalidate(ppa)
+    def plane_of(self, ppa: int) -> PlaneAllocator:
+        """The plane holding page index ``ppa``."""
+        return self.planes_by_number[ppa // self._plane_pages]
+
+    def invalidate(self, ppa: int) -> None:
+        self.plane_of(ppa).invalidate(ppa)

@@ -19,18 +19,19 @@ from functools import partial
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.space import Space
-from repro.nvm.address import PhysicalPageAddress
+from repro.nvm.geometry import Geometry
 
 __all__ = ["BlockEntry", "BTreeNode", "BTreeIndex", "LookupResult"]
 
 
 def _add_units(key_grid: List[List[int]], bank_tot: List[int],
-               bank_width: List[int], m: int, ppa: PhysicalPageAddress,
+               bank_width: List[int], m: int, plane_pages: int, ppa: int,
                step: int = 1) -> None:
-    """Add ``step`` (1 or -1) units on ``ppa``'s plane to a usage record
-    ``(key_grid, bank_tot, bank_width)`` with key modulus ``m`` (see
+    """Add ``step`` (1 or -1) units on page index ``ppa``'s plane (plane
+    number ``ppa // plane_pages``) to a usage record ``(key_grid,
+    bank_tot, bank_width)`` with key modulus ``m`` (see
     :class:`BlockEntry`)."""
-    c, b = ppa.channel, ppa.bank
+    c, b = divmod(ppa // plane_pages, len(key_grid))
     for row in key_grid:
         row[c] += step
     row = key_grid[b]
@@ -44,9 +45,11 @@ def _add_units(key_grid: List[List[int]], bank_tot: List[int],
 class BlockEntry:
     """Leaf payload: the physical pages of one building block.
 
-    ``pages[i]`` holds the unit storing the block's i-th page-sized
-    slice (row-major order inside the block, §4.2: "sorted according to
-    the sequential order of the units in the building block").
+    ``pages[i]`` holds the page index (an int, see
+    :mod:`repro.nvm.address`) of the unit storing the block's i-th
+    page-sized slice (row-major order inside the block, §4.2: "sorted
+    according to the sequential order of the units in the building
+    block"); ``last_alloc`` is the index most recently bound.
 
     ``usage`` is the block's one usage record, the counts the §4.2
     placement rules read: ``(key_grid, bank_tot, bank_width)``.
@@ -56,24 +59,32 @@ class BlockEntry:
     row gives the least-bank-use-then-least-channel-use order.
     ``bank_tot[b]`` counts the units in bank b, and ``bank_width[b]``
     the channels of bank b that hold one. :meth:`count_usage` counts the
-    record from ``pages`` (None until then); :meth:`record_alloc` and
-    :meth:`release_counts` keep it current and need it, through the one
-    update step :meth:`counter` binds to the record.
+    record from ``pages`` (None until then) and notes the array's pages
+    per plane, which turn a page index into its plane;
+    :meth:`record_alloc` and :meth:`release_counts` keep it current and
+    need it, through the one update step :meth:`counter` binds to the
+    record.
     """
 
     coord: Tuple[int, ...]
-    pages: List[Optional[PhysicalPageAddress]]
-    last_alloc: Optional[PhysicalPageAddress] = None
+    pages: List[Optional[int]]
+    last_alloc: Optional[int] = None
     #: when the space is compressed (§5.3.4): stored bytes including the
     #: codec header; None = uncompressed block
     stored_bytes: Optional[int] = None
     usage: Optional[Tuple[List[List[int]], List[int], List[int]]] = None
+    #: pages per plane of the array, set by :meth:`count_usage`
+    plane_pages: int = field(default=0, repr=False, compare=False)
 
-    def count_usage(self, channels: int, banks: int) -> None:
-        """Count the usage record from ``pages`` on a ``channels`` x
-        ``banks`` array. A unit whose slot an overwrite emptied while the
-        record still counts it is not in ``pages``, so count only while
-        no count is held."""
+    def count_usage(self, geometry: Geometry) -> None:
+        """Count the usage record from ``pages`` on ``geometry``'s array.
+        A unit whose slot an overwrite emptied while the record still
+        counts it is not in ``pages``, so count only while no count is
+        held."""
+        self.plane_pages = geometry.pages_per_bank
+        self._recount(geometry.channels, geometry.banks_per_channel)
+
+    def _recount(self, channels: int, banks: int) -> None:
         self.usage = ([[0] * channels for _ in range(banks)], [0] * banks,
                       [0] * banks)
         count = self.counter()
@@ -83,11 +94,13 @@ class BlockEntry:
 
     def counter(self) -> Callable[..., None]:
         """The usage-record update bound to this entry's record:
-        ``count(ppa, step=1)`` adds ``step`` (1 or -1) units on ``ppa``'s
-        plane, through ``_add_units``, the one key packing. Bind once
-        per block access: the key modulus ``M`` follows ``len(pages)``,
-        and :meth:`count_usage` makes a new record."""
-        return partial(_add_units, *self.usage, len(self.pages) + 1)
+        ``count(ppa, step=1)`` adds ``step`` (1 or -1) units on page
+        index ``ppa``'s plane, through ``_add_units``, the one key
+        packing. Bind once per block access: the key modulus ``M``
+        follows ``len(pages)``, and :meth:`count_usage` makes a new
+        record."""
+        return partial(_add_units, *self.usage, len(self.pages) + 1,
+                       self.plane_pages)
 
     def extend_pages(self, size: int) -> None:
         """Grow ``pages`` to ``size`` slots. The key packing follows
@@ -96,9 +109,9 @@ class BlockEntry:
         self.pages.extend([None] * (size - len(self.pages)))
         if self.usage is not None:
             key_grid = self.usage[0]
-            self.count_usage(len(key_grid[0]), len(key_grid))
+            self._recount(len(key_grid[0]), len(key_grid))
 
-    def record_alloc(self, ppa: PhysicalPageAddress, position: int) -> None:
+    def record_alloc(self, ppa: int, position: int) -> None:
         """Bind ``ppa`` to ``pages[position]`` and count it, through the
         update step :meth:`counter` binds. ``NdsAllocator.allocate``
         binds one unit this way; the STL's ``write_block`` binds its
@@ -108,7 +121,7 @@ class BlockEntry:
         self.last_alloc = ppa
         self.counter()(ppa)
 
-    def record_release(self, position: int) -> Optional[PhysicalPageAddress]:
+    def record_release(self, position: int) -> Optional[int]:
         ppa = self.pages[position]
         if ppa is None:
             return None
@@ -116,12 +129,12 @@ class BlockEntry:
         self.release_counts(ppa)
         return ppa
 
-    def release_counts(self, ppa: PhysicalPageAddress) -> None:
+    def release_counts(self, ppa: int) -> None:
         """Take ``ppa`` out of the usage record: the counter half of
         :meth:`record_release`, for a unit whose slot is already empty."""
         self.counter()(ppa, -1)
 
-    def rebind(self, position: int, ppa: PhysicalPageAddress) -> None:
+    def rebind(self, position: int, ppa: int) -> None:
         """Point ``pages[position]`` at ``ppa``, a unit on the same
         (channel, bank) as the one the usage record holds for it.
 
@@ -132,7 +145,7 @@ class BlockEntry:
         self.pages[position] = ppa
         self.last_alloc = ppa
 
-    def allocated_pages(self) -> List[PhysicalPageAddress]:
+    def allocated_pages(self) -> List[int]:
         return [p for p in self.pages if p is not None]
 
     @property

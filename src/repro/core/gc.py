@@ -34,7 +34,6 @@ from repro.core.allocator import NdsAllocator
 from repro.core.btree import BlockEntry
 from repro.faults.parity import PARITY_POSITION
 from repro.ftl.gc import RelocatingCollector, _low_mark
-from repro.nvm.address import PhysicalPageAddress, ppa_to_index
 from repro.nvm.flash import FlashArray
 from repro.sim.stats import StatSet
 
@@ -100,16 +99,18 @@ class NdsGarbageCollector(RelocatingCollector):
         #: relocation callback for parity units (position
         #: :data:`~repro.faults.parity.PARITY_POSITION` in the reverse
         #: table): called as ``parity_patcher(space_id, coord, new_ppa)``
+        #: with the destination's page index
         self.parity_patcher: Optional[Callable] = None
 
     # ------------------------------------------------------------------
-    def note_alloc(self, ppa: PhysicalPageAddress, space_id: int,
+    def note_alloc(self, ppa: int, space_id: int,
                    block_coord: Tuple[int, ...], position: int,
                    entry: Optional[BlockEntry] = None) -> None:
-        """Record the owner of a freshly bound unit: ``entry``'s slot
-        ``position``, or with ``entry`` None a parity unit."""
-        self.reverse[ppa_to_index(ppa, self.allocator.geometry)] = ReverseEntry(
-            space_id, block_coord, position, entry)
+        """Record the owner of a freshly bound unit at page index
+        ``ppa``: ``entry``'s slot ``position``, or with ``entry`` None a
+        parity unit."""
+        self.reverse[ppa] = ReverseEntry(space_id, block_coord, position,
+                                         entry)
 
     def reverse_table_bytes(self) -> int:
         """Modelled OOB footprint of the reverse table."""
@@ -161,8 +162,7 @@ class NdsGarbageCollector(RelocatingCollector):
         total.stats.count("nds_gc_blocks_erased", total.blocks_erased)
         return total
 
-    def _moved(self, ref: ReverseEntry,
-               new_ppa: PhysicalPageAddress) -> None:
+    def _moved(self, ref: ReverseEntry, new_ppa: int) -> None:
         """Patch the B-tree leaf (or the parity store) that owns a
         relocated unit.
 

@@ -25,7 +25,6 @@ from typing import Callable, Dict, Optional, Sequence, Set, Tuple
 
 from repro.faults.errors import EraseFailError, ProgramFailError
 from repro.ftl.mapping import OutOfSpaceError, PageMapFTL, PlaneAllocator
-from repro.nvm.address import PhysicalPageAddress, ppa_to_index
 from repro.nvm.flash import FlashArray
 from repro.nvm.geometry import Geometry
 from repro.sim.stats import StatSet
@@ -62,7 +61,8 @@ class RelocatingCollector:
 
     ``reverse`` maps a physical page index to the payload that names
     its owner (an LPN here, a building-block reference in the STL);
-    every live page with an owner has an entry. A subclass provides
+    every live page with an owner has an entry, keyed by the same int
+    object the owner's map entry or leaf slot holds. A subclass provides
     :meth:`_moved`, a thin public ``collect`` over
     :meth:`_traced_collect`, and these class constants:
 
@@ -111,15 +111,15 @@ class RelocatingCollector:
         faults = self.flash.faults
         return faults.suppress() if faults is not None else nullcontext()
 
-    def _moved(self, owner, new_ppa: PhysicalPageAddress) -> None:
-        """Point ``owner``'s map entry at ``new_ppa`` (the reverse table
-        is already patched)."""
+    def _moved(self, owner, new_ppa: int) -> None:
+        """Point ``owner``'s map entry at page index ``new_ppa`` (the
+        reverse table is already patched)."""
         raise NotImplementedError
 
-    def note_release(self, ppa: Optional[PhysicalPageAddress]) -> None:
+    def note_release(self, ppa: Optional[int]) -> None:
         """Drop the reverse entry of a page its owner let go of."""
         if ppa is not None:
-            self.reverse.pop(ppa_to_index(ppa, self.geometry), None)
+            self.reverse.pop(ppa, None)
 
     # ------------------------------------------------------------------
     def _traced_collect(self, channel: int, bank: int, now: float,
@@ -201,10 +201,11 @@ class RelocatingCollector:
         The pages move through one :meth:`FlashArray.move_chain`: per
         page, in page order, it reserves the read, takes the verified
         payload, invalidates, allocates and reserves the program, and
-        then this step patches the reverse table and calls the owner
-        hook. Reads issue at ``now``; with ``chained`` every read after
-        the first moved page issues at the running end instead. ``end``
-        is the running end on entry.
+        then this step moves the reverse entry to the destination index
+        and calls the owner hook with that same int. Reads issue at
+        ``now``; with ``chained`` every read after the first moved page
+        issues at the running end instead. ``end`` is the running end on
+        entry.
 
         Where the chain stops, the page in flight goes through
         :meth:`program_page`, which re-drives a failed program, and the
@@ -216,25 +217,20 @@ class RelocatingCollector:
         Returns ``(end, moved, complete)``.
         """
         flash = self.flash
-        geometry = self.geometry
-        per_block = geometry.pages_per_block
         channel, bank = plane.channel, plane.bank
-        plane_base = ((channel * geometry.banks_per_channel + bank)
-                      * geometry.blocks_per_bank)
-        block_base = (plane_base + block) * per_block
+        block_base = plane.base + block * self.geometry.pages_per_block
         valid = plane._state(block).valid
         allocate = plane.allocate_page
         reverse = self.reverse
         moved_hook = self._moved
 
-        def patch(page: int, new_ppa: PhysicalPageAddress) -> None:
+        def patch(page: int, new_ppa: int) -> None:
             owner = reverse.pop(block_base + page, None)
             if owner is not None:
-                reverse[(plane_base + new_ppa.block) * per_block
-                        + new_ppa.page] = owner
+                reverse[new_ppa] = owner
                 moved_hook(owner, new_ppa)
 
-        def place() -> Optional[PhysicalPageAddress]:
+        def place() -> Optional[int]:
             try:
                 return allocate()
             except OutOfSpaceError:
@@ -256,13 +252,13 @@ class RelocatingCollector:
                     end, chained, sources, dests)
                 if stop is None:
                     break
-                page, payload, issue, err = stop
+                page, payload, issue, dest, err = stop
                 try:
                     if err is None and retiring:
                         self._collect(channel, bank, issue)
                     dest, done = self.program_page(
-                        err.ppa if err else None, issue, (payload,),
-                        plane.invalidate, place, err)
+                        dest, issue, (payload,), plane.invalidate, place,
+                        err)
                 except OutOfSpaceError:
                     valid[page] = True
                     raise
@@ -296,22 +292,24 @@ class RelocatingCollector:
         if self.flash.faults is not None:
             self.flash.faults.count("grown_bad_blocks")
 
-    def program_page(self, ppa: Optional[PhysicalPageAddress],
-                     issue: float, data: Optional[Sequence],
-                     unbind: Callable[[PhysicalPageAddress], None],
-                     place: Callable[[], Optional[PhysicalPageAddress]],
+    def program_page(self, ppa: Optional[int], issue: float,
+                     data: Optional[Sequence],
+                     unbind: Callable[[int], None],
+                     place: Callable[[], Optional[int]],
                      failed: Optional[ProgramFailError] = None
-                     ) -> Tuple[Optional[PhysicalPageAddress], float]:
+                     ) -> Tuple[Optional[int], float]:
         """Program one unit at ``issue`` (``data`` as for
         :meth:`FlashArray.program_pages`), re-driven through grown bad
-        blocks (§4.2). ``ppa`` is the page the unit is bound to (None:
-        ``place()`` it first), and ``failed`` a ``ProgramFailError`` the
-        caller's own program of ``ppa`` already raised.
+        blocks (§4.2). ``ppa`` is the page index the unit is bound to
+        (None: ``place()`` it first), and ``failed`` a
+        ``ProgramFailError`` the caller's own program of ``ppa`` already
+        raised.
 
-        On each failure: ``unbind(ppa)``, retire the block, ``place()``
-        the unit again and program it at the retirement's end. The
-        caller counts ``pages_programmed``. Returns the page holding the
-        unit and the program's end, or ``(None, issue)`` once ``place``
+        On each failure: ``unbind(ppa)``, retire the block the error
+        names (its decoded ``err.ppa``), ``place()`` the unit again and
+        program it at the retirement's end. The caller counts
+        ``pages_programmed``. Returns the page index holding the unit
+        and the program's end, or ``(None, issue)`` once ``place``
         returns None.
         """
         while True:
@@ -326,7 +324,8 @@ class RelocatingCollector:
                 except ProgramFailError as err:
                     failed = err
             unbind(ppa)
-            issue = self.retire_block(ppa.channel, ppa.bank, ppa.block,
+            where = failed.ppa
+            issue = self.retire_block(where.channel, where.bank, where.block,
                                       failed.fail_time)
             ppa = failed = None
 
@@ -369,13 +368,12 @@ class GarbageCollector(RelocatingCollector):
     # ------------------------------------------------------------------
     # reverse-map maintenance (called by the SSD on every map change)
     # ------------------------------------------------------------------
-    def note_alloc(self, lpn: int, ppa: PhysicalPageAddress,
-                   old: Optional[PhysicalPageAddress]) -> None:
+    def note_alloc(self, lpn: int, ppa: int, old: Optional[int]) -> None:
         if old is not None:
-            self.reverse.pop(ppa_to_index(old, self.ftl.geometry), None)
-        self.reverse[ppa_to_index(ppa, self.ftl.geometry)] = lpn
+            self.reverse.pop(old, None)
+        self.reverse[ppa] = lpn
 
-    def _moved(self, lpn: int, new_ppa: PhysicalPageAddress) -> None:
+    def _moved(self, lpn: int, new_ppa: int) -> None:
         self.ftl.map[lpn] = new_ppa
 
     def collect(self, channel: int, bank: int, now: float) -> GcResult:

@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.ftl.gc import GarbageCollector
 from repro.ftl.mapping import PageMapFTL
-from repro.nvm.address import PhysicalPageAddress
 from repro.nvm.flash import FlashArray
 from repro.nvm.profiles import DeviceProfile
 from repro.sim.stats import StatSet
@@ -101,13 +100,10 @@ class BaselineSSD:
         ftl = self.ftl
         fmap = ftl.map
         map_get = fmap.get
-        planes = ftl.planes
+        planes = ftl.planes_by_number
+        plane_pages = self.geometry.pages_per_bank
         stripe_planes = ftl.stripe_planes
         stripes = len(stripe_planes)
-        geometry = self.geometry
-        banks = geometry.banks_per_channel
-        blocks = geometry.blocks_per_bank
-        per_block = geometry.pages_per_block
         trigger_mark = gc.trigger_mark
         program_chain = flash._program_chain
         count_flash = flash.stats.count
@@ -128,18 +124,16 @@ class BaselineSSD:
                 if gc_result.end_time > end:
                     end = gc_result.end_time
                 stats.merge(gc_result.stats)
-            # PageMapFTL.allocate, then GarbageCollector.note_alloc
-            # (reverse keys are ppa_to_index)
+            # PageMapFTL.allocate, then GarbageCollector.note_alloc: the
+            # map value and the reverse key are one int
             old = map_get(lpn)
             if old is not None:
-                planes[(old.channel, old.bank)].invalidate(old)
+                planes[old // plane_pages].invalidate(old)
             ppa = plane.allocate_page()
             fmap[lpn] = ppa
             if old is not None:
-                reverse.pop(((old.channel * banks + old.bank) * blocks
-                             + old.block) * per_block + old.page, None)
-            reverse[((plane.channel * banks + plane.bank) * blocks
-                     + ppa.block) * per_block + ppa.page] = lpn
+                reverse.pop(old, None)
+            reverse[ppa] = lpn
             if faults is None:
                 batch.append(ppa)
                 if payloads is not None:
@@ -161,8 +155,9 @@ class BaselineSSD:
         stats.count("device_pages_written", len(lpns))
         return end
 
-    def _bind(self, lpn: int) -> PhysicalPageAddress:
-        """Bind ``lpn`` to a fresh page, reverse entry included."""
+    def _bind(self, lpn: int) -> int:
+        """Bind ``lpn`` to a fresh page, reverse entry included; returns
+        its page index."""
         ppa, old = self.ftl.allocate(lpn)
         self.gc.note_alloc(lpn, ppa, old)
         return ppa
@@ -178,12 +173,12 @@ class BaselineSSD:
         lookup = self.ftl.map.get
         resolved = [lookup(lpn) for lpn in lpns]
         ppas = [ppa for ppa in resolved if ppa is not None]
-        op = self.flash.read_pages(ppas, start_time)
+        end = self.flash._read_pages(ppas, start_time)
         stats = StatSet()
         stats.count("device_pages_read", len(ppas))
         stats.count("device_pages_unmapped", len(resolved) - len(ppas))
         data = self._gather(resolved) if with_data else None
-        return DeviceOpResult(start_time=start_time, end_time=op.end_time,
+        return DeviceOpResult(start_time=start_time, end_time=end,
                               data=data, stats=stats)
 
     def trim_lpns(self, lpns: Sequence[int]) -> None:
@@ -238,7 +233,7 @@ class BaselineSSD:
         """Contents of resolved pages in request order (ECC-verified);
         unmapped LPNs (None) read back as zeros."""
         return [np.zeros(self.page_size, dtype=np.uint8) if ppa is None
-                else self.flash.page_data(ppa) for ppa in resolved]
+                else self.flash._page_data(ppa) for ppa in resolved]
 
     def reset_time(self) -> None:
         """Zero all device timelines (content untouched) — used between

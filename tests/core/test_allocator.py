@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import CapacityError, NdsAllocator
 from repro.core.btree import BlockEntry
-from repro.nvm import Geometry
+from repro.nvm import Geometry, index_to_ppa, ppa_to_index
 
 
 @pytest.fixture
@@ -22,10 +22,16 @@ def _entry(pages=32):
     return BlockEntry(coord=(0, 0), pages=[None] * pages)
 
 
+def _allocate(allocator, entry, position, **kwargs):
+    """``allocator.allocate``'s page index, decoded to its address."""
+    return index_to_ppa(allocator.allocate(entry, position, **kwargs),
+                        allocator.geometry)
+
+
 class TestPlacementRules:
     def test_first_unit_lands_somewhere_valid(self, allocator, geometry):
         entry = _entry()
-        ppa = allocator.allocate(entry, 0)
+        ppa = _allocate(allocator, entry, 0)
         assert 0 <= ppa.channel < geometry.channels
         assert 0 <= ppa.bank < geometry.banks_per_channel
 
@@ -33,7 +39,7 @@ class TestPlacementRules:
         """Rule 2: successive units go to least-used channels of the
         same bank until every channel holds one."""
         entry = _entry()
-        ppas = [allocator.allocate(entry, i)
+        ppas = [_allocate(allocator, entry, i)
                 for i in range(geometry.channels)]
         assert len({p.channel for p in ppas}) == geometry.channels
         assert len({p.bank for p in ppas}) == 1
@@ -42,7 +48,7 @@ class TestPlacementRules:
         """Rule 3: once a bank holds a unit in every channel, the next
         unit moves to another bank."""
         entry = _entry()
-        ppas = [allocator.allocate(entry, i)
+        ppas = [_allocate(allocator, entry, i)
                 for i in range(2 * geometry.channels)]
         banks = {p.bank for p in ppas}
         assert len(banks) == 2
@@ -55,19 +61,19 @@ class TestPlacementRules:
         on least-used banks."""
         entry = _entry(pages=3 * geometry.channels * geometry.banks_per_channel)
         total = geometry.channels * geometry.banks_per_channel
-        ppas = [allocator.allocate(entry, i) for i in range(2 * total)]
+        ppas = [_allocate(allocator, entry, i) for i in range(2 * total)]
         pairs = [(p.channel, p.bank) for p in ppas]
         # every pair used exactly twice — perfectly even
         from collections import Counter
         assert set(Counter(pairs).values()) == {2}
 
-    def test_overwrite_prefers_same_channel_bank(self, allocator):
+    def test_overwrite_prefers_same_channel_bank(self, allocator, geometry):
         entry = _entry()
-        first = allocator.allocate(entry, 0)
+        first = _allocate(allocator, entry, 0)
         entry.record_release(0)
-        allocator.invalidate(first)
-        replacement = allocator.allocate(entry, 0,
-                                         prefer=(first.channel, first.bank))
+        allocator.invalidate(ppa_to_index(first, geometry))
+        replacement = _allocate(allocator, entry, 0,
+                                prefer=(first.channel, first.bank))
         assert (replacement.channel, replacement.bank) == (first.channel,
                                                            first.bank)
         assert replacement != first
@@ -81,7 +87,7 @@ class TestCapacity:
         # exhaust one plane by pinning allocations to it
         for i in range(pages_per_plane):
             allocator.allocate(entry, i, prefer=(0, 0))
-        ppa = allocator.allocate(entry, pages_per_plane, prefer=(0, 0))
+        ppa = _allocate(allocator, entry, pages_per_plane, prefer=(0, 0))
         assert (ppa.channel, ppa.bank) != (0, 0)
 
     def test_capacity_error_when_everything_full(self, geometry):

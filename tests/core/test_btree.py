@@ -3,12 +3,17 @@
 import pytest
 
 from repro.core import BTreeIndex, Space
-from repro.nvm import Geometry, PhysicalPageAddress
+from repro.nvm import Geometry, PhysicalPageAddress, ppa_to_index
 
 
 @pytest.fixture
 def geometry():
     return Geometry(channels=4, banks_per_channel=2, page_size=256)
+
+
+def _unit(geometry, *fields) -> int:
+    """The page index of the address ``fields``."""
+    return ppa_to_index(PhysicalPageAddress(*fields), geometry)
 
 
 @pytest.fixture
@@ -71,42 +76,42 @@ class TestEntryBookkeeping:
     block of 4 pages (so M = 5): ``key_grid[b][c]`` packs the units on
     (c, b) times M plus the units on channel c."""
 
-    def test_record_alloc_updates_usage(self, index):
+    def test_record_alloc_updates_usage(self, index, geometry):
         entry = index.ensure((0, 0, 0)).entry
         assert len(entry.pages) == 4 and entry.usage is None
-        entry.count_usage(4, 2)
-        ppa = PhysicalPageAddress(2, 1, 0, 0)
+        entry.count_usage(geometry)
+        ppa = _unit(geometry, 2, 1, 0, 0)
         entry.record_alloc(ppa, 0)
         assert entry.pages[0] == ppa
         assert entry.usage == ([[0, 0, 1, 0], [0, 0, 5 + 1, 0]],
                                [0, 1], [0, 1])
         assert entry.last_alloc == ppa
-        entry.record_alloc(PhysicalPageAddress(2, 0, 0, 0), 1)
+        entry.record_alloc(_unit(geometry, 2, 0, 0, 0), 1)
         assert entry.usage == ([[0, 0, 5 + 2, 0], [0, 0, 5 + 2, 0]],
                                [1, 1], [1, 1])
 
-    def test_record_release(self, index):
+    def test_record_release(self, index, geometry):
         entry = index.ensure((0, 0, 0)).entry
-        entry.count_usage(4, 2)
-        ppa = PhysicalPageAddress(2, 1, 0, 0)
+        entry.count_usage(geometry)
+        ppa = _unit(geometry, 2, 1, 0, 0)
         entry.record_alloc(ppa, 0)
         released = entry.record_release(0)
         assert released == ppa
         assert entry.usage == ([[0] * 4, [0] * 4], [0, 0], [0, 0])
         assert entry.is_empty
 
-    def test_count_usage_counts_the_bound_pages(self, index):
+    def test_count_usage_counts_the_bound_pages(self, index, geometry):
         entry = index.ensure((0, 0, 0)).entry
-        entry.pages[0] = PhysicalPageAddress(1, 0, 0, 0)
-        entry.pages[3] = PhysicalPageAddress(1, 0, 0, 1)
-        entry.count_usage(4, 2)
+        entry.pages[0] = _unit(geometry, 1, 0, 0, 0)
+        entry.pages[3] = _unit(geometry, 1, 0, 0, 1)
+        entry.count_usage(geometry)
         assert entry.usage == ([[0, 2 * 5 + 2, 0, 0], [0, 2, 0, 0]],
                                [2, 0], [1, 0])
 
-    def test_extend_pages_recounts_with_the_new_packing(self, index):
+    def test_extend_pages_recounts_with_the_new_packing(self, index, geometry):
         entry = index.ensure((0, 0, 0)).entry
-        entry.count_usage(4, 2)
-        entry.record_alloc(PhysicalPageAddress(3, 1, 0, 0), 0)
+        entry.count_usage(geometry)
+        entry.record_alloc(_unit(geometry, 3, 1, 0, 0), 0)
         entry.extend_pages(5)
         assert len(entry.pages) == 5
         assert entry.usage == ([[0, 0, 0, 1], [0, 0, 0, 6 + 1]],
@@ -147,10 +152,9 @@ class TestIterationAndMemory:
         for i in range(space.grid[0]):
             for j in range(space.grid[1]):
                 entry = index.ensure((i, j)).entry
-                entry.count_usage(geometry.channels,
-                                  geometry.banks_per_channel)
+                entry.count_usage(geometry)
                 for position in range(space.pages_per_block):
-                    entry.record_alloc(PhysicalPageAddress(0, 0, 0, 0),
+                    entry.record_alloc(_unit(geometry, 0, 0, 0, 0),
                                        position)
         overhead = index.memory_bytes() / space.total_bytes
         assert overhead < 0.005

@@ -6,7 +6,7 @@ import pytest
 from repro.core import NdsGarbageCollector, SpaceTranslationLayer
 from repro.core.api import array_to_bytes, bytes_to_array
 from repro.core.gc import OOB_BYTES_PER_UNIT
-from repro.nvm import FlashArray, Geometry, NvmTiming
+from repro.nvm import FlashArray, Geometry, NvmTiming, index_to_ppa
 
 
 @pytest.fixture
@@ -50,7 +50,8 @@ class TestCollection:
         index = stl.indexes[space.space_id]
         for entry in index.iter_entries():
             for ppa in entry.allocated_pages():
-                assert stl.flash.is_programmed(ppa)
+                assert stl.flash.is_programmed(
+                    index_to_ppa(ppa, stl.geometry))
         result = stl.read(space.space_id, (0, 0), (8, 8))
         assert bytes_to_array(result.data, np.int16)[0, 0] == 23
 

@@ -39,14 +39,19 @@ from repro.faults.parity import PARITY_POSITION
 from repro.ftl.mapping import OutOfSpaceError
 from repro.nvm import TINY_TEST, FlashArray, NvmTiming
 from repro.nvm.flash import EccError
-from repro.nvm.address import PhysicalPageAddress, ppa_to_index
+from repro.nvm.address import PhysicalPageAddress, index_to_ppa, ppa_to_index
 from repro.nvm.geometry import Geometry
 
 
-def _recount(entry):
+def _unit(geometry, *fields) -> int:
+    """The page index of the address ``fields``."""
+    return ppa_to_index(PhysicalPageAddress(*fields), geometry)
+
+
+def _recount(geometry, entry):
     """The entry's units per channel and per (channel, bank), counted
     from its pages."""
-    live = [p for p in entry.pages if p is not None]
+    live = [index_to_ppa(p, geometry) for p in entry.pages if p is not None]
     return (Counter(p.channel for p in live),
             Counter((p.channel, p.bank) for p in live))
 
@@ -54,7 +59,7 @@ def _recount(entry):
 def _expected_usage(geometry, entry):
     """The usage record a fresh count of the entry's pages gives:
     ``(key_grid, bank_tot, bank_width)`` as ``BlockEntry`` documents."""
-    channel_use, bank_use = _recount(entry)
+    channel_use, bank_use = _recount(geometry, entry)
     m = len(entry.pages) + 1
     banks = range(geometry.banks_per_channel)
     key_grid = [[bank_use[(c, b)] * m + channel_use[c]
@@ -67,7 +72,7 @@ def _expected_usage(geometry, entry):
 
 
 def _old_least_used_channel(geometry, entry, bank):
-    channel_use, bank_use = _recount(entry)
+    channel_use, bank_use = _recount(geometry, entry)
     best = None
     best_bank_use = 0
     best_channel_use = 0
@@ -87,7 +92,7 @@ def _old_least_used_channel(geometry, entry, bank):
 
 def _old_bank_usage(geometry, entry):
     usage = [0] * geometry.banks_per_channel
-    for (_c, b), count in _recount(entry)[1].items():
+    for (_c, b), count in _recount(geometry, entry)[1].items():
         usage[b] += count
     return usage
 
@@ -100,7 +105,7 @@ def _run_trial(seed):
     alloc = NdsAllocator(geo, seed=seed)
     npages = rng.choice([1, 4, 16, 64, 200])
     entry = BlockEntry(coord=(0,), pages=[None] * npages)
-    entry.count_usage(geo.channels, geo.banks_per_channel)
+    entry.count_usage(geo)
     live = []
     for step in range(300):
         op = rng.random()
@@ -109,9 +114,9 @@ def _run_trial(seed):
             if not free:
                 continue
             pos = rng.choice(free)
-            ppa = PhysicalPageAddress(rng.randrange(geo.channels),
-                                      rng.randrange(geo.banks_per_channel),
-                                      rng.randrange(64), rng.randrange(64))
+            ppa = _unit(geo, rng.randrange(geo.channels),
+                        rng.randrange(geo.banks_per_channel),
+                        rng.randrange(64), rng.randrange(64))
             entry.record_alloc(ppa, pos)
             live.append(pos)
         elif op < 0.8:
@@ -123,7 +128,7 @@ def _run_trial(seed):
             last = entry.last_alloc
             for bank in range(geo.banks_per_channel):
                 # rules 2-3 after a unit in ``bank``, the RNG rewound
-                entry.last_alloc = PhysicalPageAddress(0, bank, 0, 0)
+                entry.last_alloc = _unit(geo, 0, bank, 0, 0)
                 state = alloc.rng.getstate()
                 got, chosen = alloc.choose_target(entry)
                 alloc.rng.setstate(state)
@@ -147,14 +152,14 @@ def test_placement_counters_match_old_scans():
 # ----------------------------------------------------------------------
 # sharded spaces run the same rules over the shard's channels and banks
 # ----------------------------------------------------------------------
-def _old_choose_target_sharded(rng, entry, allowed):
+def _old_choose_target_sharded(rng, geometry, entry, allowed):
     """Rules 1-3 for a sharded space as dict scans over the entry's
     usage maps, drawing from ``rng`` exactly as the allocator does."""
     planes = sorted(allowed)
     if entry.last_alloc is None:
         return planes[rng.randrange(len(planes))]
-    bank = entry.last_alloc.bank
-    channel_use, bank_use = _recount(entry)
+    bank = index_to_ppa(entry.last_alloc, geometry).bank
+    channel_use, bank_use = _recount(geometry, entry)
     shard_channels_in_bank = {c for (c, b) in allowed if b == bank}
     used_in_bank = {c for (c, b) in bank_use if b == bank}
     if not shard_channels_in_bank or \
@@ -207,9 +212,9 @@ def _run_sharded_trial(seed):
     for step in range(500):
         if entry is None or rng.random() < 0.01:
             entry = BlockEntry(coord=(0,), pages=[None] * npages)
-            entry.count_usage(geo.channels, geo.banks_per_channel)
+            entry.count_usage(geo)
         got = alloc.choose_target(entry, allowed=allowed)
-        want = _old_choose_target_sharded(reference, entry, allowed)
+        want = _old_choose_target_sharded(reference, geo, entry, allowed)
         assert got == want, (seed, step, got, want)
         assert got in allowed
         choices += 1
@@ -220,8 +225,8 @@ def _run_sharded_trial(seed):
             # plane of the shard
             channel, bank = (got if rng.random() < 0.8 else
                              rng.choice(sorted(allowed)))
-            entry.record_alloc(PhysicalPageAddress(
-                channel, bank, rng.randrange(64), rng.randrange(64)),
+            entry.record_alloc(_unit(
+                geo, channel, bank, rng.randrange(64), rng.randrange(64)),
                 rng.choice(free))
         elif live:
             entry.record_release(rng.choice(live))
@@ -271,7 +276,8 @@ def test_fault_free_ingest_binds_units_in_one_pass():
     finally:
         sys.setprofile(None)
     for name in ("allocate", "_try_allocate", "_place", "choose_target",
-                 "record_alloc", "note_alloc", "ppa_to_index", "_unbind"):
+                 "record_alloc", "note_alloc", "ppa_to_index",
+                 "index_to_ppa", "_unbind"):
         assert calls[name] == 0, (name, calls[name])
     assert len(plans) == blocks and set(plans.values()) == {1}
     assert calls["allocate_page"] == calls["_add_units"] == units
@@ -307,7 +313,7 @@ def _old_placement_rule(rng, geometry, entry, allowed=None):
         banks = sorted({b for (_c, b) in allowed})
         width = len(channels)
     key_grid, bank_tot, bank_width = entry.usage
-    bank = last.bank
+    bank = index_to_ppa(last, geometry).bank
     if bank_width[bank] >= width:
         scan = range(len(bank_tot)) if banks is None else banks
         least = min(bank_tot[b] for b in scan)
@@ -346,8 +352,7 @@ def _run_plan_trial(seed):
     entry = plan = None
 
     def unit(plane):
-        return PhysicalPageAddress(*plane, rng.randrange(64),
-                                   rng.randrange(64))
+        return _unit(geo, *plane, rng.randrange(64), rng.randrange(64))
 
     def draw():
         nonlocal plan
@@ -364,7 +369,7 @@ def _run_plan_trial(seed):
             # a new block: empty, or partly filled off the rules
             npages = rng.choice([1, 4, 16, 64, 200])
             entry = BlockEntry(coord=(0,), pages=[None] * npages)
-            entry.count_usage(geo.channels, geo.banks_per_channel)
+            entry.count_usage(geo)
             for position in rng.sample(range(npages),
                                        rng.randrange(npages)):
                 entry.record_alloc(unit(rng.choice(shard)), position)
@@ -386,7 +391,7 @@ def _run_plan_trial(seed):
             seen["fallback"] += 1
         elif live and event < 0.9:
             position = rng.choice(live)
-            old = entry.pages[position]
+            old = index_to_ppa(entry.pages[position], geo)
             entry.rebind(position, unit((old.channel, old.bank)))
             seen["rebind"] += 1
         elif live and event < 0.97:
@@ -564,17 +569,16 @@ def _assert_reverse_matches_leaves(stl) -> None:
     its page, and holds that slot's entry object (a parity unit's holds
     None); every filled slot has its reverse entry. So a GC move never
     finds its slot empty, and rebinds the entry the index holds."""
-    geometry = stl.geometry
     owners = {}
     for space_id, index in stl.indexes.items():
         for entry in index.iter_entries():
             for position, ppa in enumerate(entry.pages):
                 if ppa is not None:
-                    owners[ppa_to_index(ppa, geometry)] = (
+                    owners[ppa] = (
                         space_id, entry.coord, position, id(entry))
         if stl.parity is not None:
             for coord, ppa in stl.parity.iter_space(space_id):
-                owners[ppa_to_index(ppa, geometry)] = (
+                owners[ppa] = (
                     space_id, coord, PARITY_POSITION, id(None))
     assert {idx: (ref.space_id, ref.block_coord, ref.position,
                   id(ref.entry))
@@ -721,7 +725,7 @@ class TestEmptySlotIsUnreachable:
         stl.write_region(space.space_id, (0, 0), (32, 32),
                          data=self._data((32, 32)))
         entry = next(stl.indexes[space.space_id].iter_entries())
-        ppa = entry.record_release(0)
+        ppa = index_to_ppa(entry.record_release(0), stl.geometry)
         with pytest.raises(AssertionError, match="empty slot"):
             stl.gc.retire_block(ppa.channel, ppa.bank, ppa.block, 1.0)
 
@@ -734,11 +738,11 @@ def _pinned_entries(stl) -> list:
     per (channel, bank) and per bank and channel, as plain sorted data
     (the counts from the pages, which the record equals)."""
     def ppa(p):
-        return None if p is None else (p.channel, p.bank, p.block, p.page)
+        return None if p is None else tuple(index_to_ppa(p, stl.geometry))
     state = []
     for space_id in sorted(stl.indexes):
         for entry in stl.indexes[space_id].iter_entries():
-            channel_use, bank_use = _recount(entry)
+            channel_use, bank_use = _recount(stl.geometry, entry)
             per_bank = {}
             for (c, b), count in bank_use.items():
                 per_bank.setdefault(b, {})[c] = count
@@ -939,7 +943,7 @@ def _overwrite_churn(seed: int, case: str) -> dict:
             for entry in stl.indexes[space.space_id].iter_entries():
                 if entry.coord not in written:
                     for ppa in entry.allocated_pages():
-                        flash.corrupt_page(ppa)
+                        flash.corrupt_page(index_to_ppa(ppa, stl.geometry))
             corrupted, readable = True, False
         elif not corrupted:
             rows, cols = rng.choice(sizes), rng.choice(sizes)
@@ -983,8 +987,8 @@ def test_write_at_the_kill_time_steers_off_the_dead_channel():
                stl.plan_region(space.space_id, (0, 0), extents)]
 
     def on_dead() -> int:
-        return sum(ppa.channel == dead for entry in entries
-                   for ppa in entry.allocated_pages())
+        return sum(index_to_ppa(ppa, stl.geometry).channel == dead
+                   for entry in entries for ppa in entry.allocated_pages())
 
     assert on_dead() > 0
     region = rng.integers(0, 256, extents + (CHURN_ELEMENT,), dtype=np.uint8)
@@ -1024,12 +1028,14 @@ def test_kill_during_the_rmw_read_steers_off_the_dead_channel(compressed):
     stl.write_region(space.space_id, (0, 0), CHURN_DIMS, data=model)
     extents = (8, 16)
     entry = stl.indexes[space.space_id].lookup((0, 0)).entry
-    assert any(ppa.channel == dead for ppa in entry.allocated_pages())
+    assert any(index_to_ppa(ppa, stl.geometry).channel == dead
+               for ppa in entry.allocated_pages())
     region = rng.integers(0, 256, extents + (CHURN_ELEMENT,), dtype=np.uint8)
     result = stl.write_region(space.space_id, (0, 0), extents, data=region,
                               start_time=t0)
     assert result.blocks[0].rmw_reads > 0
-    assert not any(ppa.channel == dead for ppa in entry.allocated_pages())
+    assert not any(index_to_ppa(ppa, stl.geometry).channel == dead
+                   for ppa in entry.allocated_pages())
     assert flash.faults.counters().get("program_fails", 0) == 0
     model[:8, :16] = region
     got = stl.read_region(space.space_id, (0, 0), (16, 16),

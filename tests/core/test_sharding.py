@@ -10,6 +10,7 @@ import pytest
 
 from repro.core import ShardSpec, SpaceTranslationLayer
 from repro.core.api import array_to_bytes
+from repro.nvm import index_to_ppa
 
 
 def _live_planes(stl, space_id):
@@ -17,6 +18,7 @@ def _live_planes(stl, space_id):
     planes = set()
     for entry in stl.indexes[space_id].iter_entries():
         for ppa in entry.allocated_pages():
+            ppa = index_to_ppa(ppa, stl.geometry)
             planes.add((ppa.channel, ppa.bank))
     return planes
 
@@ -120,7 +122,8 @@ class TestShardedAllocation:
         space = stl.create_space((64, 64), 1, shard=shard)
         data = rng.integers(0, 255, (64, 64)).astype(np.uint8)
         _write(stl, space.space_id, data)
-        parity_ppas = [ppa for _, ppa in stl.parity.iter_space(space.space_id)]
+        parity_ppas = [index_to_ppa(ppa, stl.geometry)
+                       for _, ppa in stl.parity.iter_space(space.space_id)]
         assert parity_ppas
         assert {ppa.channel for ppa in parity_ppas} <= {0, 1}
 
@@ -161,7 +164,7 @@ class TestShardedAllocation:
             data = np.arange(32 * 32, dtype=np.uint8).reshape(32, 32)
             _write(stl, space.space_id, data)
             return sorted(
-                (ppa.channel, ppa.bank, ppa.block, ppa.page)
+                tuple(index_to_ppa(ppa, stl.geometry))
                 for entry in stl.indexes[space.space_id].iter_entries()
                 for ppa in entry.allocated_pages())
 

@@ -9,7 +9,7 @@ from repro.core import SpaceTranslationLayer
 from repro.faults import FaultConfig, FaultInjector, FaultPlan
 from repro.ftl import (BaselineSSD, PageMapFTL, WearReport, erases_by_plane,
                        wear_report)
-from repro.nvm import TINY_TEST, FlashArray
+from repro.nvm import TINY_TEST, FlashArray, index_to_ppa
 
 
 def _planeless_ftl() -> PageMapFTL:
@@ -93,7 +93,8 @@ class TestOutOfServiceAccounting:
         plane.release_block(0)
         assert plane.free_page_count() == 56
         assert (0, 0) not in low
-        assert plane.allocate_page().block == 2
+        assert index_to_ppa(plane.allocate_page(), TINY_TEST.geometry) \
+            .block == 2
 
     def test_retire_block_in_free_pool(self):
         plane, low = self._plane()
@@ -106,7 +107,8 @@ class TestOutOfServiceAccounting:
         assert (0, 0) in low
         plane.retire_block(6)  # already out of service: no double count
         assert plane.free_page_count() == 48
-        blocks = {plane.allocate_page().block for _ in range(48)}
+        blocks = {index_to_ppa(plane.allocate_page(), TINY_TEST.geometry)
+                  .block for _ in range(48)}
         assert blocks == {0, 1, 2, 3, 4, 7}
         assert plane.free_page_count() == 0
 

@@ -11,7 +11,7 @@ from repro.core.api import array_to_bytes
 from repro.core.errors import DegradedReadError, UncorrectableError
 from repro.faults import FaultConfig, FaultInjector, FaultPlan
 from repro.faults.parity import xor_fold
-from repro.nvm import FlashArray, TINY_TEST
+from repro.nvm import FlashArray, TINY_TEST, index_to_ppa
 from repro.systems import (BaselineSystem, HardwareNdsSystem, OracleSystem,
                            SoftwareNdsSystem)
 
@@ -143,7 +143,7 @@ class TestParityLifecycle:
             0, 256, size=(32, 32, 4), dtype=np.uint8)
         stl.write_region(space.space_id, (0, 0), (32, 32), data=data)
         entry = next(stl.indexes[space.space_id].iter_entries())
-        lost = entry.pages[0]
+        lost = index_to_ppa(entry.pages[0], stl.geometry)
         # a dry run shows the reconstructed unit lands in ch0/bk1/blk0,
         # the lost unit's own block
         assert (lost.channel, lost.bank, lost.block) == (0, 1, 0)
@@ -160,7 +160,7 @@ class TestParityLifecycle:
         counters = stl.flash.faults.counters()
         assert counters["stl_degraded_reads"] == 1
         assert counters["grown_bad_blocks"] == 1
-        now = entry.pages[0]
+        now = index_to_ppa(entry.pages[0], stl.geometry)
         assert (now.channel, now.bank, now.block) != (0, 1, 0)
 
     def test_parity_rejects_incompatible_modes(self):

@@ -9,7 +9,7 @@ from repro.faults import FaultConfig, FaultInjector, FaultPlan
 from repro.ftl import BaselineSSD, GarbageCollector, PageMapFTL, wear_report
 from repro.ftl.mapping import OutOfSpaceError
 from repro.ftl.wear import erases_by_plane
-from repro.nvm import FlashArray, Geometry, NvmTiming, TINY_TEST
+from repro.nvm import FlashArray, Geometry, NvmTiming, TINY_TEST, index_to_ppa
 
 
 @pytest.fixture
@@ -27,7 +27,7 @@ def small_world():
 def _write(ftl, flash, gc, lpn, value, now=0.0):
     ppa, old = ftl.allocate(lpn)
     gc.note_alloc(lpn, ppa, old)
-    flash.program_pages([ppa], now,
+    flash.program_pages([index_to_ppa(ppa, ftl.geometry)], now,
                         data=[np.full(4, value, dtype=np.uint8)])
     return ppa
 
@@ -57,7 +57,7 @@ class TestCollect:
         assert result.ran
         assert result.blocks_erased >= 1
         # the forward map still resolves and data is preserved
-        ppa = ftl.lookup(0)
+        ppa = index_to_ppa(ftl.lookup(0), geometry)
         assert flash.page_data(ppa)[0] == 14
 
     def test_collect_relocates_live_data(self, small_world):
@@ -69,7 +69,7 @@ class TestCollect:
             _write(ftl, flash, gc, 99, value, now=1.0)
         gc.collect(0, 0, 50.0)
         for lpn in range(3):
-            ppa = ftl.lookup(lpn)
+            ppa = index_to_ppa(ftl.lookup(lpn), geometry)
             assert flash.page_data(ppa)[0] == 100 + lpn
 
     def test_threshold_validation(self, small_world):
@@ -132,7 +132,7 @@ class TestCollect:
         plane = ftl.planes[(0, 0)]
         for lpn in range(12):
             want = 100 + lpn if lpn < 3 else lpn
-            ppa = ftl.lookup(lpn)
+            ppa = index_to_ppa(ftl.lookup(lpn), geometry)
             assert flash.page_data(ppa, verify=False)[0] == want
             assert plane.blocks[ppa.block].valid[ppa.page], lpn
 

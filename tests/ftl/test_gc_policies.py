@@ -5,7 +5,7 @@ import pytest
 
 from repro.ftl import BaselineSSD, GarbageCollector, PageMapFTL
 from repro.ftl.mapping import PlaneAllocator
-from repro.nvm import FlashArray, Geometry, NvmTiming
+from repro.nvm import FlashArray, Geometry, NvmTiming, index_to_ppa
 from repro.nvm.profiles import TINY_TEST
 
 
@@ -20,6 +20,11 @@ def _fill_block(plane):
     return [plane.allocate_page() for _ in range(4)]
 
 
+def _block(plane, ppa) -> int:
+    """The block number of page index ``ppa``."""
+    return index_to_ppa(ppa, plane.geometry).block
+
+
 class TestVictimPolicies:
     def test_greedy_picks_most_invalid(self, plane):
         a = _fill_block(plane)
@@ -27,7 +32,7 @@ class TestVictimPolicies:
         plane.invalidate(a[0])
         for ppa in b[:3]:
             plane.invalidate(ppa)
-        assert plane.victim_candidates("greedy")[0] == b[0].block
+        assert plane.victim_candidates("greedy")[0] == _block(plane, b[0])
 
     def test_fifo_picks_oldest(self, plane):
         a = _fill_block(plane)
@@ -35,7 +40,7 @@ class TestVictimPolicies:
         # b is emptier, but a filled first
         for ppa in b[:3]:
             plane.invalidate(ppa)
-        assert plane.victim_candidates("fifo")[0] == a[0].block
+        assert plane.victim_candidates("fifo")[0] == _block(plane, a[0])
 
     def test_cost_benefit_weighs_age_against_utilization(self, plane):
         a = _fill_block(plane)        # old, fully live
@@ -43,11 +48,11 @@ class TestVictimPolicies:
         for ppa in b[:3]:
             plane.invalidate(ppa)
         # a is older but 100 % live => score 0; b wins
-        assert plane.victim_candidates("cost-benefit")[0] == b[0].block
+        assert plane.victim_candidates("cost-benefit")[0] == _block(plane, b[0])
         # now kill a too: a becomes old AND empty => a wins
         for ppa in a:
             plane.invalidate(ppa)
-        assert plane.victim_candidates("cost-benefit")[0] == a[0].block
+        assert plane.victim_candidates("cost-benefit")[0] == _block(plane, a[0])
 
     def test_unknown_policy(self, plane):
         _fill_block(plane)

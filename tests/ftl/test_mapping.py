@@ -3,7 +3,7 @@
 import pytest
 
 from repro.ftl import OutOfSpaceError, PageMapFTL, PlaneAllocator
-from repro.nvm import Geometry
+from repro.nvm import Geometry, index_to_ppa
 
 
 @pytest.fixture
@@ -28,17 +28,19 @@ class TestStripeTarget:
 
 
 class TestAllocate:
-    def test_allocation_honours_stripe_target(self, ftl):
+    def test_allocation_honours_stripe_target(self, ftl, geometry):
         for lpn in range(16):
             ppa, old = ftl.allocate(lpn)
             assert old is None
+            ppa = index_to_ppa(ppa, geometry)
             assert (ppa.channel, ppa.bank) == ftl.stripe_target(lpn)
 
-    def test_overwrite_invalidates_old(self, ftl):
+    def test_overwrite_invalidates_old(self, ftl, geometry):
         first, _ = ftl.allocate(0)
         second, old = ftl.allocate(0)
         assert old == first
         assert second != first
+        first, second = (index_to_ppa(p, geometry) for p in (first, second))
         assert (second.channel, second.bank) == (first.channel, first.bank)
         plane = ftl.planes[(first.channel, first.bank)]
         assert not plane.blocks[first.block].valid[first.page]
@@ -77,7 +79,7 @@ class TestPlaneAllocator:
     def test_release_returns_block_to_pool(self, geometry):
         plane = PlaneAllocator(0, 0, geometry)
         pages = [plane.allocate_page() for _ in range(geometry.pages_per_block)]
-        block = pages[0].block
+        block = index_to_ppa(pages[0], geometry).block
         for ppa in pages:
             plane.invalidate(ppa)
         plane.release_block(block)
@@ -93,8 +95,10 @@ class TestPlaneAllocator:
         for ppa in block_b[:4]:
             plane.invalidate(ppa)
         victims = plane.victim_candidates()
-        assert victims[0] == block_b[0].block
-        assert set(victims) == {block_a[0].block, block_b[0].block}
+        block_a, block_b = (index_to_ppa(pages[0], geometry).block
+                            for pages in (block_a, block_b))
+        assert victims[0] == block_b
+        assert set(victims) == {block_a, block_b}
 
     def test_active_block_is_not_a_victim(self, geometry):
         plane = PlaneAllocator(0, 0, geometry)

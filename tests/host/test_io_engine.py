@@ -133,11 +133,13 @@ class TestStatsWhenABatchRaises:
     def test_read_batch_hitting_a_dead_channel(self):
         from repro.faults.errors import UncorrectableError
         from repro.faults.model import FaultConfig
+        from repro.nvm import index_to_ppa
         system = self._system(store_data=False, faults=FaultConfig(seed=1))
         engine, cpu, link, ssd = system.engine, system.cpu, system.link, \
             system.ssd
         engine.run_writes(_requests(2))
-        first, second = (ssd.ftl.map[lpn] for lpn in (0, 1))
+        first, second = (index_to_ppa(ssd.ftl.map[lpn], ssd.geometry)
+                         for lpn in (0, 1))
         assert first.channel != second.channel
         ssd.flash.faults.dead_channels.add(second.channel)
         pages_before = ssd.flash.stats.get_count("pages_read")

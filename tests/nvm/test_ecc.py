@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nvm import FlashArray, PhysicalPageAddress, TINY_TEST
+from repro.nvm import FlashArray, PhysicalPageAddress, TINY_TEST, index_to_ppa
 from repro.nvm.flash import EccError, FlashStateError
 
 
@@ -75,7 +75,7 @@ class TestEccThroughTheStack:
         entry = stl.indexes[space.space_id].lookup(
             next(iter([e.coord for e in
                        stl.indexes[space.space_id].iter_entries()]))).entry
-        victim = entry.allocated_pages()[0]
+        victim = index_to_ppa(entry.allocated_pages()[0], stl.geometry)
         flash.corrupt_page(victim)
         with pytest.raises(EccError):
             stl.read(space.space_id, (0, 0), (16, 16))

@@ -62,6 +62,7 @@ import pytest
 
 from repro.cache import CacheConfig
 from repro.nvm import TINY_TEST
+from repro.nvm.address import index_to_ppa
 from repro.systems import BaselineSystem, OracleSystem
 
 GOLDEN_PATH = Path(__file__).parent / "engine_read_goldens.json"
@@ -140,7 +141,7 @@ def _system(cell: str):
 
 def _state(system) -> list:
     ssd = system.ssd
-    forward = sorted([lpn, ppa.channel, ppa.bank, ppa.block, ppa.page]
+    forward = sorted([lpn, *index_to_ppa(ppa, ssd.geometry)]
                      for lpn, ppa in ssd.ftl.map.items())
     reverse = sorted(ssd.gc.reverse.items())
     planes = []

@@ -42,6 +42,7 @@ import pytest
 
 from repro.faults import FaultConfig, FaultPlan
 from repro.nvm import TINY_TEST
+from repro.nvm.address import index_to_ppa
 from repro.systems import BaselineSystem
 
 GOLDEN_PATH = Path(__file__).parent / "engine_write_goldens.json"
@@ -96,7 +97,7 @@ def _ops(rng: random.Random) -> list:
 
 def _state(system) -> list:
     ssd = system.ssd
-    forward = sorted([lpn, ppa.channel, ppa.bank, ppa.block, ppa.page]
+    forward = sorted([lpn, *index_to_ppa(ppa, ssd.geometry)]
                      for lpn, ppa in ssd.ftl.map.items())
     reverse = sorted(ssd.gc.reverse.items())
     planes = []

@@ -56,6 +56,7 @@ from repro.core.compression import ZlibCompressor
 from repro.core.sharding import ShardSpec
 from repro.faults import FaultConfig, FaultInjector, FaultPlan
 from repro.nvm import TINY_TEST, FlashArray
+from repro.nvm.address import index_to_ppa
 
 GOLDEN_PATH = Path(__file__).parent / "placement_goldens.json"
 
@@ -245,17 +246,19 @@ def _churn(stl, rng: np.random.Generator, ingest, write):
     return readback
 
 
-def _ppa(ppa) -> list | None:
-    return None if ppa is None else list(ppa)
+def _ppa(ppa, geometry) -> list | None:
+    """A page index as its ``[channel, bank, block, page]`` fields."""
+    return None if ppa is None else list(index_to_ppa(ppa, geometry))
 
 
 def _state(stl) -> list:
+    geometry = stl.geometry
     entries = []
     for space_id in sorted(stl.indexes):
         for entry in stl.indexes[space_id].iter_entries():
             entries.append([space_id, list(entry.coord),
-                            [_ppa(p) for p in entry.pages],
-                            _ppa(entry.last_alloc), entry.usage,
+                            [_ppa(p, geometry) for p in entry.pages],
+                            _ppa(entry.last_alloc, geometry), entry.usage,
                             entry.stored_bytes])
     entries.sort(key=repr)
     reverse = sorted([idx, ref.space_id, list(ref.block_coord), ref.position]
@@ -263,7 +266,8 @@ def _state(stl) -> list:
     parity = []
     if stl.parity is not None:
         for space_id in sorted(stl.indexes):
-            parity.extend(sorted([space_id, list(coord), _ppa(ppa)]
+            parity.extend(sorted([space_id, list(coord),
+                                  _ppa(ppa, geometry)]
                                  for coord, ppa
                                  in stl.parity.iter_space(space_id)))
     planes = []

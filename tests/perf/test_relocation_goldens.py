@@ -58,7 +58,7 @@ from repro.core import SpaceTranslationLayer
 from repro.faults import FaultConfig, FaultInjector, FaultPlan
 from repro.ftl import BaselineSSD
 from repro.nvm import TINY_TEST, FlashArray
-from repro.nvm.address import PhysicalPageAddress
+from repro.nvm.address import PhysicalPageAddress, index_to_ppa
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.probe import Probe
 from repro.runtime.trace import TraceRecorder
@@ -248,10 +248,11 @@ def _planes_state(planes) -> list:
     return out
 
 
-def _ppa(ppa) -> list | None:
+def _ppa(ppa, geometry) -> list | None:
+    """A page index as its ``[channel, bank, block, page]`` fields."""
     if ppa is None:
         return None
-    return [ppa.channel, ppa.bank, ppa.block, ppa.page]
+    return list(index_to_ppa(ppa, geometry))
 
 
 def _usage_counts(entry) -> tuple:
@@ -275,9 +276,9 @@ def _stl_state(stl) -> list:
     for space_id in sorted(stl.indexes):
         for entry in stl.indexes[space_id].iter_entries():
             entries.append([space_id, list(entry.coord),
-                            [_ppa(p) for p in entry.pages],
+                            [_ppa(p, stl.geometry) for p in entry.pages],
                             *_usage_counts(entry),
-                            _ppa(entry.last_alloc)])
+                            _ppa(entry.last_alloc, stl.geometry)])
     entries.sort(key=repr)
     reverse = sorted([idx, ref.space_id, list(ref.block_coord), ref.position]
                      for idx, ref in stl.gc.reverse.items())
@@ -285,7 +286,8 @@ def _stl_state(stl) -> list:
 
 
 def _ftl_state(ssd) -> list:
-    forward = sorted([lpn, _ppa(ppa)] for lpn, ppa in ssd.ftl.map.items())
+    forward = sorted([lpn, _ppa(ppa, ssd.geometry)]
+                     for lpn, ppa in ssd.ftl.map.items())
     reverse = sorted(ssd.gc.reverse.items())
     return [forward, reverse, _planes_state(ssd.ftl.planes)]
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.allocator import NdsAllocator
 from repro.core.btree import BlockEntry
-from repro.nvm import Geometry
+from repro.nvm import Geometry, index_to_ppa
 
 
 @settings(max_examples=40, deadline=None)
@@ -27,8 +27,7 @@ def test_no_physical_unit_is_ever_double_allocated(data):
     for i in range(count):
         entry = entries[data.draw(st.integers(0, 2))]
         position = sum(1 for p in entry.pages if p is not None)
-        ppa = allocator.allocate(entry, position)
-        key = (ppa.channel, ppa.bank, ppa.block, ppa.page)
+        key = allocator.allocate(entry, position)
         assert key not in granted
         granted.add(key)
     assert allocator.total_free_pages() == total - count
@@ -44,5 +43,5 @@ def test_block_channel_spread_is_maximal(seed, units):
     allocator = NdsAllocator(geometry, seed=seed)
     entry = BlockEntry(coord=(0,), pages=[None] * 64)
     ppas = [allocator.allocate(entry, i) for i in range(units)]
-    channels = {p.channel for p in ppas}
+    channels = {index_to_ppa(p, geometry).channel for p in ppas}
     assert len(channels) == min(units, geometry.channels)

@@ -37,7 +37,6 @@ from repro.host.cpu import HostCpu
 from repro.host.io_engine import HostIoEngine, IoRun
 from repro.interconnect.link import Link
 from repro.nvm import FlashArray, Geometry, NvmTiming
-from repro.nvm.address import ppa_to_index
 from repro.nvm.profiles import TINY_TEST
 from repro.systems import BaselineSystem, HardwareNdsSystem, SoftwareNdsSystem
 
@@ -362,7 +361,6 @@ def test_free_space_index_matches_recount_baseline_no_faults(data):
                                     TINY_TEST.link_command_overhead),
                           HostCpu())
     planes = ssd.ftl.planes
-    geometry = ssd.geometry
     page = ssd.page_size
     # half to two thirds of the logical space live: GC-dense, yet each
     # plane keeps room for a victim's survivors (near full logical
@@ -395,8 +393,7 @@ def test_free_space_index_matches_recount_baseline_no_faults(data):
 
     def check():
         _assert_free_counts(planes)
-        forward = {ppa_to_index(ppa, geometry): lpn
-                   for lpn, ppa in ssd.ftl.map.items()}
+        forward = {ppa: lpn for lpn, ppa in ssd.ftl.map.items()}
         assert len(forward) == len(ssd.ftl.map)
         assert forward == ssd.gc.reverse
         lpns = sorted(mirror)

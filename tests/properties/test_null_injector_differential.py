@@ -83,7 +83,7 @@ def _stl_run(compressed: bool, injector) -> tuple:
         now += OP_GAP
     entries = sorted(
         [space_id, list(entry.coord),
-         [None if p is None else list(p) for p in entry.pages],
+         list(entry.pages),
          entry.usage, entry.stored_bytes]
         for space_id in sorted(stl.indexes)
         for entry in stl.indexes[space_id].iter_entries())
@@ -112,7 +112,7 @@ def _ssd_run(injector) -> tuple:
         data = [rng.integers(0, 256, page, dtype=np.uint8) for _ in lpns]
         ends.append(ssd.write_lpns(lpns, now, data=data).end_time.hex())
         now += OP_GAP
-    state = [sorted([lpn, list(ppa)] for lpn, ppa in ssd.ftl.map.items()),
+    state = [sorted(ssd.ftl.map.items()),
              _planes(ssd.ftl.planes), _lines(ssd.flash),
              dict(sorted(ssd.flash.stats.counters.items()))]
     return ends, state, ssd.gc.total_erased
