@@ -8,7 +8,8 @@ the STL reconstructs it from the surviving units plus parity, all of
 which live on other channels/banks by construction.
 
 The store tracks only the parity unit's physical location per
-``(space_id, block_coord)``; the parity *content* lives in the flash
+``(space_id, block_coord)``, as its int page index (see
+:mod:`repro.nvm.address`); the parity *content* lives in the flash
 array like any other page, so functional verification covers it.
 """
 
@@ -35,18 +36,18 @@ class ParityStore:
     """Parity-unit locations keyed by (space_id, block_coord)."""
 
     def __init__(self) -> None:
-        self._pages: Dict[Tuple[int, Tuple[int, ...]], object] = {}
+        self._pages: Dict[Tuple[int, Tuple[int, ...]], int] = {}
 
-    def get(self, space_id: int, coord: Tuple[int, ...]) -> Optional[object]:
+    def get(self, space_id: int, coord: Tuple[int, ...]) -> Optional[int]:
         return self._pages.get((space_id, tuple(coord)))
 
-    def put(self, space_id: int, coord: Tuple[int, ...], ppa: object) -> None:
+    def put(self, space_id: int, coord: Tuple[int, ...], ppa: int) -> None:
         self._pages[(space_id, tuple(coord))] = ppa
 
-    def pop(self, space_id: int, coord: Tuple[int, ...]) -> Optional[object]:
+    def pop(self, space_id: int, coord: Tuple[int, ...]) -> Optional[int]:
         return self._pages.pop((space_id, tuple(coord)), None)
 
-    def iter_space(self, space_id: int) -> Iterator[Tuple[Tuple[int, ...], object]]:
+    def iter_space(self, space_id: int) -> Iterator[Tuple[Tuple[int, ...], int]]:
         for (sid, coord), ppa in list(self._pages.items()):
             if sid == space_id:
                 yield coord, ppa

@@ -201,7 +201,8 @@ class HostIoEngine:
                 if probe is not None:
                     probe.stage("device_ctrl", "ftl_map", "ftl.map",
                                 ctrl_start, ctrl_done)
-                # device: FTL map + flash fan-out (ssd.read_lpns)
+                # device: FTL map (page indices) + flash fan-out
+                # (ssd.read_lpns)
                 if first < 0 or first + count > logical_pages:
                     check_lpns(range(first, first + count))
                 if count == 1 and not with_data:
