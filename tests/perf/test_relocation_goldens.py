@@ -36,6 +36,14 @@ block a background collection moves pages into, so the re-drive's
 retirement leaves the collection no free page for the page in flight
 and the collection gives it back and stops.
 
+``stl/degraded-mid`` turns parity on and, after the churn, scripts a
+corrupt page on the second of a building block's four units, then reads
+every block of the space whole, one read per block. The read of that
+block fails on the corrupt unit, rebuilds it from its parity group
+(``_degraded_read``) and reads the block's later units after the
+rebuild. The cell also pins each read's end time, the STL stats and
+the trace and metrics digests.
+
 Re-record (only after a change meant to move the model) with::
 
     PYTHONPATH=src python tests/perf/test_relocation_goldens.py --record
@@ -102,6 +110,8 @@ def _plan(cell: str) -> FaultPlan | None:
         plan.corrupt_page(*CORRUPT[layer])
     elif kind == "dead-channel":
         plan.kill_channel(*DEAD_CHANNEL[layer])
+    elif kind == "degraded-mid":
+        plan.corrupt_page(*DEGRADED, READ_AT)
     else:
         return None
     return plan
@@ -143,13 +153,21 @@ DEAD_CHANNEL = {
     "stl": (1, 0.03),
     "ftl": (1, 0.03),
 }
+#: ``stl/degraded-mid``'s read phase starts here, after the churn: the
+#: (channel, bank, block, page) of the unit at position 1 of block
+#: (7, 0) is corrupt from then on, and block i of the space (row-major)
+#: is read whole at ``READ_AT + i * OP_GAP``
+DEGRADED = (1, 1, 2, 2)
+READ_AT = 0.125
 
 CELLS = ("stl/timing", "stl/data", "stl/parity", "stl/bad-dest",
          "stl/corrupt", "stl/ecc", "stl/dead-channel",
          "ftl/timing", "ftl/data", "ftl/bad-dest", "ftl/bad-nested",
          "ftl/corrupt", "ftl/ecc", "ftl/dead-channel",
          "stl/traced", "ftl/traced", "stl/parity-bad", "stl/retire-full",
-         "stl/give-back")
+         "stl/give-back", "stl/degraded-mid")
+#: cells observed by a probe with a trace and a metrics registry
+TRACED = ("stl/traced", "ftl/traced", "stl/degraded-mid")
 
 
 def _attach(flash: FlashArray, cell: str) -> None:
@@ -161,7 +179,7 @@ def _attach(flash: FlashArray, cell: str) -> None:
 def _observe(flash: FlashArray, gc, cell: str) -> None:
     """A traced cell's one probe (trace + metrics) on the flash array and
     the collector, as a system attaches it."""
-    if cell.endswith("/traced"):
+    if cell in TRACED:
         probe = Probe(trace=TraceRecorder(), metrics=MetricsRegistry())
         flash.probe = gc.probe = probe
 
@@ -174,7 +192,8 @@ def _run_stl(cell: str, spy):
     _attach(flash, cell)
     stl = SpaceTranslationLayer(flash,
                                 gc_threshold=STL_GC_LOW.get(cell, STL_GC),
-                                parity=kind.startswith("parity"))
+                                parity=kind.startswith("parity")
+                                or kind == "degraded-mid")
     _observe(flash, stl.gc, cell)
     spy(stl.gc)
     space = stl.create_space(STL_DIMS, STL_ELEMENT)
@@ -207,7 +226,20 @@ def _run_stl(cell: str, spy):
         origin = (rng.randrange(0, STL_DIMS[0] - rows + 1, 8),
                   rng.randrange(0, STL_DIMS[1] - cols + 1, 8))
         op(index, origin, (rows, cols))
-    return flash, stl.gc, outcomes, _stl_state(stl)
+    extra = {}
+    if kind == "degraded-mid":
+        rows, cols = space.bb
+        blocks = [(r, c) for r in range(0, STL_DIMS[0], rows)
+                  for c in range(0, STL_DIMS[1], cols)]
+        for index, origin in enumerate(blocks):
+            try:
+                end = stl.read_region(space.space_id, origin, space.bb,
+                                      start_time=READ_AT + index * OP_GAP)
+                outcomes.append(end.end_time.hex())
+            except Exception as err:  # pinned: which read raised what
+                outcomes.append("!" + type(err).__name__)
+        extra["stl_stats"] = dict(sorted(stl.stats.counters.items()))
+    return flash, stl.gc, outcomes, _stl_state(stl), extra
 
 
 def _run_ftl(cell: str, spy):
@@ -234,7 +266,7 @@ def _run_ftl(cell: str, spy):
     op(0, list(range(FTL_LIVE)))
     for index in range(1, FTL_OPS):
         op(index, sorted(rng.sample(range(FTL_LIVE), FTL_BATCH)))
-    return ssd.flash, ssd.gc, outcomes, _ftl_state(ssd)
+    return ssd.flash, ssd.gc, outcomes, _ftl_state(ssd), {}
 
 
 def _planes_state(planes) -> list:
@@ -317,7 +349,7 @@ def _spy_retirements(gc, log: list) -> None:
 def run_cell(cell: str) -> dict:
     runner = _run_stl if cell.startswith("stl/") else _run_ftl
     retirements = []
-    flash, gc, outcomes, state = runner(
+    flash, gc, outcomes, state, extra = runner(
         cell, lambda gc: _spy_retirements(gc, retirements))
     digest = hashlib.sha256(json.dumps(state).encode())
     for idx in sorted(flash._pages):
@@ -338,6 +370,7 @@ def run_cell(cell: str) -> dict:
                "retired": gc.total_retired},
         "retirements": retirements,
         "state_sha256": digest.hexdigest(),
+        **extra,
     }
     probe = flash.probe
     if probe is not None:
@@ -365,7 +398,7 @@ def test_relocation_bit_identical(cell):
     assert got["outcomes"] == want["outcomes"]
     assert got["lines"] == want["lines"]
     assert got["state_sha256"] == want["state_sha256"]
-    for key in ("trace_sha256", "metrics_sha256"):
+    for key in ("trace_sha256", "metrics_sha256", "stl_stats"):
         assert got.get(key) == want.get(key), key
 
 
@@ -435,6 +468,52 @@ def _redrive_branches(cell: str, monkeypatch) -> Counter:
     return hits
 
 
+def _rebuilds(cell: str, monkeypatch) -> list:
+    """Rerun the STL ``cell`` and log each reconstruction a block read
+    makes as ``[position rebuilt, positions read after it]``: the block
+    positions of the units that same ``read_block`` reads once the
+    rebuild is done (the rebuild's own parity-group reads not
+    counted)."""
+    log = []
+    rebuilt = [None]  # the entry the running read_block rebuilt a unit of
+    depth = [0]
+    read_block = SpaceTranslationLayer.read_block
+    degraded = SpaceTranslationLayer._degraded_read
+    read_chain = FlashArray._read_chain
+
+    def traced_read_block(self, *args, **kwargs):
+        rebuilt[0] = None
+        try:
+            return read_block(self, *args, **kwargs)
+        finally:
+            rebuilt[0] = None
+
+    def traced_degraded(self, space_id, space, coord, entry, position, err):
+        depth[0] += 1
+        try:
+            return degraded(self, space_id, space, coord, entry, position,
+                            err)
+        finally:
+            depth[0] -= 1
+            log.append([position, []])
+            rebuilt[0] = entry
+
+    def traced_chain(self, ppas, *args, **kwargs):
+        entry = rebuilt[0]
+        if entry is not None and not depth[0]:
+            log[-1][1].extend(entry.pages.index(p) for p in ppas
+                              if p in entry.pages)
+        return read_chain(self, ppas, *args, **kwargs)
+
+    monkeypatch.setattr(SpaceTranslationLayer, "read_block",
+                        traced_read_block)
+    monkeypatch.setattr(SpaceTranslationLayer, "_degraded_read",
+                        traced_degraded)
+    monkeypatch.setattr(FlashArray, "_read_chain", traced_chain)
+    _run_stl(cell, lambda gc: None)
+    return log
+
+
 @pytest.mark.parametrize("cell", CELLS)
 def test_cell_exercises_its_path(cell, monkeypatch):
     """Each cell really drives the path it is named for."""
@@ -483,6 +562,17 @@ def test_cell_exercises_its_path(cell, monkeypatch):
         # a collection's re-drive retired a block, found no free page
         # and gave the page in flight back
         assert hits["give_back"] >= 1, hits
+    if kind == "degraded-mid":
+        # one block read rebuilt its unit at position 1 from parity and
+        # then read the block's later units
+        assert errors == set()
+        assert faults["stl_uncorrectable_reads"] == 1
+        assert faults["stl_degraded_reads"] == 1
+        assert want["stl_stats"]["stl_degraded_reads"] == 1
+        rebuilds = _rebuilds(cell, monkeypatch)
+        assert len(rebuilds) == 1, rebuilds
+        position, later = rebuilds[0]
+        assert position == 1 and later == [2, 3], rebuilds
 
 
 def test_traced_cells_record_relocation_events():
@@ -490,7 +580,7 @@ def test_traced_cells_record_relocation_events():
     the probe saw every program: the ones counted and the failed ones
     before each re-drive."""
     for cell in ("stl/traced", "ftl/traced"):
-        flash, gc, _outcomes, _state = (
+        flash, gc, _outcomes, _state, _extra = (
             _run_stl if cell.startswith("stl/") else _run_ftl)(
                 cell, lambda gc: None)
         names = {span.name for span in flash.probe.trace.spans}
