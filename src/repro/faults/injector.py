@@ -149,9 +149,10 @@ class FaultInjector:
             return "bad_block"
         if self.suppressed:
             return None
-        epoch = self._epoch.get(idx, 0)
-        draw = stable_unit(self.config.seed, _PROGRAM_SALT, idx, epoch)
-        if self.model.program_fails(draw, self._erases.get(block_key, 0)):
+        prob = self.model.program_fail_prob(self._erases.get(block_key, 0))
+        # a draw lies in [0, 1): with prob <= 0 the hash is skipped
+        if prob > 0.0 and stable_unit(self.config.seed, _PROGRAM_SALT, idx,
+                                      self._epoch.get(idx, 0)) < prob:
             return "wear"
         return None
 

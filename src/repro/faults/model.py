@@ -176,11 +176,10 @@ class ErrorModel:
                         uncorrectable=True, reason=reason)
 
     # ------------------------------------------------------------------
-    def program_fails(self, draw: float, erase_count: int) -> bool:
+    def program_fail_prob(self, erase_count: int) -> float:
         cfg = self.config
-        prob = cfg.program_fail_base + cfg.program_fail_wear * (
+        return cfg.program_fail_base + cfg.program_fail_wear * (
             cfg.initial_wear + erase_count)
-        return draw < prob
 
     def erase_fails(self, draw: float, erase_count: int) -> bool:
         cfg = self.config

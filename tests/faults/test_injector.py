@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.faults import FaultConfig, FaultInjector, FaultPlan
+from repro.faults import injector as injector_module
+from repro.faults.injector import _PROGRAM_SALT
+from repro.faults.model import stable_unit
 
 
 def _plan_config(plan: FaultPlan, **overrides) -> FaultConfig:
@@ -37,6 +42,47 @@ class TestPlanApplication:
         assert injector.erase_check((0, 1, 2)) == "bad_block"
         # already-programmed pages stay readable (grown-bad contract)
         assert not injector.read_plan(99, (0, 1, 2, 0), 0.0).uncorrectable
+
+
+class TestProgramVerdict:
+    @pytest.mark.parametrize("base", [0.0, 0.05, 0.5, 1.0])
+    @pytest.mark.parametrize("wear", [0.0, 0.02])
+    def test_verdict_is_the_hashed_rule(self, base, wear):
+        """Per page, block erase count and program epoch, the verdict is
+        "wear" exactly when the page's FNV-1a draw lies below the
+        block's program-fail probability, zero probability included."""
+        injector = FaultInjector(FaultConfig(program_fail_base=base,
+                                             program_fail_wear=wear,
+                                             initial_wear=2))
+        seed = injector.config.seed
+        epoch = 0
+        for erases in (0, 5):
+            prob = base + wear * (2 + erases)
+            for _ in range(3):
+                for idx in range(48):
+                    want = ("wear" if stable_unit(seed, _PROGRAM_SALT, idx,
+                                                  epoch) < prob else None)
+                    assert injector.program_check(idx, (0, 0, 1, idx)) \
+                        == want, (idx, erases, epoch)
+                    injector.note_program(idx, 0.0)
+                epoch += 1
+            for _ in range(5):
+                injector.note_erase((0, 0, 1), base_idx=1000, page_count=8,
+                                    end_time=0.0)
+
+    def test_no_draw_when_no_program_can_fail(self, monkeypatch):
+        draws = []
+
+        def counted(*keys):
+            draws.append(keys)
+            return stable_unit(*keys)
+
+        monkeypatch.setattr(injector_module, "stable_unit", counted)
+        assert FaultInjector().program_check(3, (0, 0, 0, 3)) is None
+        assert draws == []
+        failing = FaultInjector(FaultConfig(program_fail_base=1.0))
+        assert failing.program_check(3, (0, 0, 0, 3)) == "wear"
+        assert len(draws) == 1
 
 
 class TestSuppression:
