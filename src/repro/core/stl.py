@@ -41,6 +41,7 @@ from repro.core.translator import (BlockAccess, pages_for_region, translate,
 from repro.faults.errors import DegradedReadError, UncorrectableError
 from repro.faults.parity import PARITY_POSITION, ParityStore, xor_fold
 from repro.ftl.mapping import OutOfSpaceError
+from repro.nvm.address import index_to_ppa, ppa_to_index
 from repro.nvm.flash import EccError, FlashArray
 from repro.sim.stats import StatSet
 
@@ -277,32 +278,35 @@ class SpaceTranslationLayer:
         completion = issue_time
         pages_read = 0
         entry = lookup.entry
-        if entry is not None and entry.stored_bytes is None \
-                and self.flash.faults is not None:
-            # pages read one by one so a single uncorrectable unit can be
-            # reconstructed without losing the batch (timing is
-            # identical: all pages are issued at ``issue_time``)
-            for position in positions:
-                ppa = entry.pages[position]
-                if ppa is None:
-                    continue
+        if entry is not None:
+            # One read chain, every unit issued at ``issue_time``. A unit
+            # that fails is rebuilt from parity, whose re-reads of the
+            # units before it end after them, and the chain resumes.
+            # Compressed blocks are stored whole: any read touches every
+            # (fewer) stored unit (§5.3.4), and a lost one is not rebuilt.
+            pages = entry.pages
+            ppas = (entry.allocated_pages() if entry.stored_bytes is not None
+                    else [pages[p] for p in positions if pages[p] is not None])
+            while ppas:
                 try:
-                    end = self.flash._read_pages((ppa,), issue_time)
+                    end = self.flash._read_pages(ppas, issue_time)
                 except UncorrectableError as err:
+                    if entry.stored_bytes is not None:
+                        raise
+                    lost = ppa_to_index(err.ppa, self.geometry)
+                    read, position = ppas.index(lost), pages.index(lost)
+                    self.flash.stats.count("pages_read", read)
                     end = self._degraded_read(space_id, space,
                                               access.block_coord, entry,
                                               position, err)
+                    pages_read += read + 1  # the rebuilt unit counts too
+                    # the rebuild's re-drive can move later units
+                    ppas = [pages[p] for p in positions
+                            if p > position and pages[p] is not None]
+                else:
+                    pages_read += len(ppas)
+                    ppas = ()
                 completion = max(completion, end)
-                pages_read += 1
-        elif entry is not None:
-            # compressed blocks are stored whole: any read touches every
-            # (fewer) stored unit (§5.3.4)
-            ppas = (entry.allocated_pages() if entry.stored_bytes is not None
-                    else [entry.pages[p] for p in positions
-                          if entry.pages[p] is not None])
-            if ppas:
-                completion = self.flash._read_pages(ppas, issue_time)
-                pages_read = len(ppas)
         if out is not None:
             self._scatter_block(space, access, entry, out)
         self.stats.count("stl_pages_read", pages_read)
@@ -372,16 +376,15 @@ class SpaceTranslationLayer:
             rmw_done, rmw_reads = self._merge_read(space, access, existing,
                                                    issue_time)
 
-        # Bind + program each unit. With no injector attached,
-        # consecutive programs between GC events batch into one flash
-        # call: every page still issues at ``rmw_done`` in position
-        # order, so the timings are bit-identical. With one, each page
-        # is programmed alone so that a ProgramFailError can re-place
-        # its unit.
+        # Bind each unit and queue its program on the pending chain,
+        # which goes to the flash array as one call before a collection
+        # and at the end: every page still issues at ``rmw_done`` in
+        # position order, so the timings equal per-page programs. A unit
+        # whose program verdict fails flushes the chain and is programmed
+        # alone, so that a ProgramFailError can re-place it.
         completion = rmw_done
         units = 0
         gc_time = 0.0
-        batching = self.flash.faults is None
         pending_ppas: List = []
         pending_data: Optional[List[np.ndarray]] = \
             [] if content is not None else None
@@ -493,18 +496,23 @@ class SpaceTranslationLayer:
                 pages[position] = ppa
                 entry.last_alloc = ppa
                 reverse[ppa] = ref
-            if batching:
+            units += 1
+            if faults is None or faults.program_check(
+                    ppa, index_to_ppa(ppa, self.geometry)) is None:
                 pending_ppas.append(ppa)
                 if pending_data is not None:
                     pending_data.append(payload[0])
-                units += 1
                 continue
+            if pending_ppas:
+                completion = max(completion, self.flash._program_pages(
+                    pending_ppas, rmw_done, pending_data))
+                pending_ppas = []
+                pending_data = [] if content is not None else None
             completion = max(completion, self._program(
                 space_id, entry, coord, position, ppa, rmw_done, payload))
             if entry.last_alloc != ppa:
                 # a re-drive placed the unit again
                 plan = None
-            units += 1
         if pending_ppas:
             done = self.flash._program_pages(pending_ppas, rmw_done,
                                              pending_data)

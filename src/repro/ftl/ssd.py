@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.ftl.gc import GarbageCollector
 from repro.ftl.mapping import PageMapFTL
+from repro.nvm.address import index_to_ppa
 from repro.nvm.flash import FlashArray
 from repro.nvm.profiles import DeviceProfile
 from repro.sim.stats import StatSet
@@ -85,15 +86,17 @@ class BaselineSSD:
         Per LPN, in order: when its stripe target plane is below the GC
         threshold, the pending programs go to the flash array and the
         plane is collected starting at the running end; then the LPN
-        is bound to the plane's append point. Every program issues at
-        ``start_time``. With no injector attached nothing can fail, so
-        the programs between collections go out as one batch — the
-        reserve chains, and the timings, equal per-page calls. With an
-        injector each page is programmed at once, re-driven past a
-        failed program (:meth:`~repro.ftl.gc.RelocatingCollector.program_page`).
+        is bound to the plane's append point and its program joins the
+        pending chain, whose timings equal per-page calls: every program
+        issues at ``start_time``. A page whose program verdict fails
+        flushes the chain and is programmed alone, re-driven past the
+        failure (:meth:`~repro.ftl.gc.RelocatingCollector.program_page`).
         """
         flash = self.flash
         faults = flash.faults
+        if faults is not None:
+            # the verdicts below come before any program advances it
+            faults.advance(start_time)
         gc = self.gc
         collect = gc.collect
         reverse = gc.reverse
@@ -134,11 +137,18 @@ class BaselineSSD:
             if old is not None:
                 reverse.pop(old, None)
             reverse[ppa] = lpn
-            if faults is None:
+            if faults is None or faults.program_check(
+                    ppa, index_to_ppa(ppa, self.geometry)) is None:
                 batch.append(ppa)
                 if payloads is not None:
                     payloads.append(data[position])
                 continue
+            # a failing verdict: the chain goes first, then this page
+            if batch:
+                end = max(end, flash._program_pages(batch, start_time,
+                                                    payloads))
+                batch = []
+                payloads = [] if data is not None else None
             done = gc.program_page(
                 ppa, start_time,
                 (data[position],) if data is not None else None,

@@ -1,14 +1,15 @@
 """Differential check: an injector that never fires changes nothing.
 
-With no fault injector attached, the STL's ``write_block`` and
-``BaselineSSD._program_lpns`` send the programs between two GC events
-to the flash array as one batch; with one attached they program page by
-page, so that a status-fail can re-drive its unit. A batch reserves the
-same channel and bank chains as the per-page calls, so an injector
-that never fires (no bit errors, no program or erase fails, no plan)
-must leave every op's end time, every timeline and the placement state
-exactly as they are without one. Each run churns under GC pressure:
-plain STL writes, compressed STL writes and the baseline FTL's writes.
+The STL's ``write_block`` and ``BaselineSSD._program_lpns`` send the
+programs between two GC events to the flash array as one batch, with or
+without a fault injector. An attached injector is asked for each unit's
+program verdict when the unit binds; only a unit whose verdict fails is
+programmed alone, so that its status-fail can re-drive it. So an
+injector that never fires (no bit errors, no program or erase fails, no
+plan) must leave every op's end time, every timeline and the placement
+state exactly as they are without one. Each run churns under GC
+pressure: plain STL writes, compressed STL writes and the baseline
+FTL's writes.
 """
 
 from __future__ import annotations
