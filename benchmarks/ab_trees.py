@@ -28,6 +28,12 @@ What runs (``--what``):
     ~2000 units). Both trees must give the same digest of every
     executed op's end time; the script exits non-zero when they differ.
 
+``--faults idle|default`` (``ingest`` and ``phase``) attaches a fault
+injector to every flash array of the timed system after its build:
+``idle`` is ``FaultConfig(rber_base=0.0)``, under which no read retries
+and nothing fails, and ``default`` is ``FaultConfig()``. With
+``phase`` the digest check then covers fault runs too.
+
 Prints min / q1 / median per tree, then the median of the per-pair
 change/parent ratios and how many pairs the change won.
 
@@ -35,7 +41,8 @@ Usage::
 
     python benchmarks/ab_trees.py --parent PARENT_CHECKOUT --change . \
         [--what ingest|build|fig10|phase] [--workload nds-sweep] \
-        [--mib 64] [--units 200] [--warm 0] [--pairs 10]
+        [--mib 64] [--units 200] [--warm 0] [--faults idle|default] \
+        [--pairs 10]
 """
 
 from __future__ import annotations
@@ -71,6 +78,7 @@ class Tree:
         with self.active():
             importlib.import_module("workloads")
             importlib.import_module("repro.core")
+            importlib.import_module("repro.faults")
             importlib.import_module("repro.nvm")
 
     @contextmanager
@@ -91,12 +99,38 @@ class Tree:
         return self.modules[name]
 
 
-def run_ingest(tree: Tree, mib: int) -> float:
+#: ``--faults`` name -> FaultConfig keyword arguments
+FAULTS = {"idle": {"rber_base": 0.0}, "default": {}}
+
+
+def attach_faults(tree: Tree, flashes, faults) -> None:
+    """Attach a fresh ``--faults`` injector to each flash array (none
+    when ``faults`` is None)."""
+    if faults is None:
+        return
+    module = tree.module("repro.faults")
+    for flash in flashes:
+        flash.attach_faults(module.FaultInjector(
+            module.FaultConfig(**FAULTS[faults])))
+
+
+def flash_arrays(system) -> list:
+    """Every flash array of a built system: its own or its SSD's, or
+    each pool member's."""
+    cluster = getattr(system, "cluster", None)
+    if cluster is not None:
+        return [flash for handle in cluster.pool.devices
+                for flash in flash_arrays(handle.system)]
+    return [getattr(system, "ssd", system).flash]
+
+
+def run_ingest(tree: Tree, mib: int, faults) -> float:
     flash_cls = tree.module("repro.nvm").FlashArray
     stl_cls = tree.module("repro.core").SpaceTranslationLayer
     profile = tree.module("workloads").GC_DENSE
     side = int(math.isqrt((mib << 20) // 4))
     flash = flash_cls(profile.geometry, profile.timing, store_data=False)
+    attach_faults(tree, [flash], faults)
     stl = stl_cls(flash)
     space = stl.create_space((side, side), 4)
     gc.collect()
@@ -124,12 +158,14 @@ def run_fig10(tree: Tree) -> float:
     return perf_counter() - start
 
 
-def run_phase(tree: Tree, workload: str, units: int, warm: int) -> float:
+def run_phase(tree: Tree, workload: str, units: int, warm: int,
+              faults) -> float:
     """Time the workload's op stream on a freshly built system, after
     ``warm`` untimed units at the next seed; the digest of every
     executed op's end time goes to ``tree.digests``."""
     target = tree.module("workloads").WORKLOADS[workload]
     system = target.build()
+    attach_faults(tree, flash_arrays(system), faults)
     system.reset_time()
     if warm:
         target.run(system, target.golden_seed + 1, warm)
@@ -146,11 +182,13 @@ def run_phase(tree: Tree, workload: str, units: int, warm: int) -> float:
     return elapsed
 
 
-RUNS = {"ingest": lambda tree, args: run_ingest(tree, args.mib),
+RUNS = {"ingest": lambda tree, args: run_ingest(tree, args.mib,
+                                                args.faults),
         "build": lambda tree, args: run_build(tree, args.workload),
         "fig10": lambda tree, args: run_fig10(tree),
         "phase": lambda tree, args: run_phase(tree, args.workload,
-                                              args.units, args.warm)}
+                                              args.units, args.warm,
+                                              args.faults)}
 
 
 def summary(times: List[float]) -> str:
@@ -177,12 +215,17 @@ def main(argv=None) -> int:
     parser.add_argument("--warm", type=int, default=0,
                         help="untimed units before the timed window of "
                              "--what phase (default 0)")
+    parser.add_argument("--faults", choices=tuple(FAULTS), default=None,
+                        help="attach a fault injector to the system of "
+                             "--what ingest|phase after its build")
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
     if args.pairs < 1 or args.mib < 1 or args.units < 1:
         parser.error("--pairs, --mib and --units must be at least 1")
     if args.warm < 0:
         parser.error("--warm must not be negative")
+    if args.faults is not None and args.what not in ("ingest", "phase"):
+        parser.error("--faults applies to --what ingest|phase only")
     trees = [Tree("parent", args.parent.resolve()),
              Tree("change", args.change.resolve())]
     times: Dict[str, List[float]] = {tree.label: [] for tree in trees}
@@ -200,6 +243,8 @@ def main(argv=None) -> int:
             "phase": f"phase {args.workload}, {args.units} units"
                      + (f" after {args.warm} warm" if args.warm else ""),
             }[args.what]
+    if args.faults is not None:
+        what += f", {args.faults} injector"
     print(f"{what}, {args.pairs} pairs")
     for label, series in times.items():
         print(f"  {label:<7}{summary(series)}")
