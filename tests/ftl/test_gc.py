@@ -190,7 +190,7 @@ class TestTriggerMark:
         assert checked > 100000
 
     @pytest.mark.parametrize("threshold", [0.10, 0.20, 0.9])
-    def test_needs_collection_is_the_float_test(self, threshold):
+    def test_trigger_mark_is_the_float_test(self, threshold):
         geometry = TINY_TEST.geometry
         flash = FlashArray(geometry, TINY_TEST.timing)
         ftl = PageMapFTL(geometry)
