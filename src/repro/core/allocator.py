@@ -152,8 +152,8 @@ class NdsAllocator:
     def allocate(self, entry: BlockEntry, position: int,
                  prefer: Optional[Tuple[int, int]] = None,
                  allowed: Optional[Planes] = None) -> int:
-        """Allocate a physical unit for block position ``position``;
-        returns its page index.
+        """Allocate a physical unit for block position ``position``,
+        owned by ``entry``; returns its page index.
 
         ``prefer`` pins (channel, bank) — used for overwrites, which must
         land in the same channel and bank as the replaced unit (§4.2).
@@ -167,9 +167,9 @@ class NdsAllocator:
             target = self.choose_target(entry, allowed=allowed)
         ppa = None
         if not self._channel_dead(target[0]):
-            ppa = self._try_allocate(target)
+            ppa = self._try_allocate(target, entry)
         if ppa is None:
-            ppa = self._fallback_allocate(target, allowed=allowed)
+            ppa = self._fallback_allocate(target, entry, allowed=allowed)
         if ppa is None:
             raise CapacityError("no free access unit in any channel/bank")
         if entry.usage is None:
@@ -178,10 +178,12 @@ class NdsAllocator:
         entry.record_alloc(ppa, position)
         return ppa
 
-    def allocate_raw(self, prefer: Optional[Tuple[int, int]] = None,
+    def allocate_raw(self, owner: object,
+                     prefer: Optional[Tuple[int, int]] = None,
                      allowed: Optional[Planes] = None) -> int:
-        """Allocate a physical unit outside any building block's
-        bookkeeping — used for cross-channel parity units."""
+        """Allocate a physical unit owned by ``owner``, outside any
+        building block's bookkeeping — used for cross-channel parity
+        units."""
         target = prefer
         if target is None or self._channel_dead(target[0]):
             live = [key for key in (self.planes if allowed is None
@@ -190,20 +192,21 @@ class NdsAllocator:
             if not live:
                 raise CapacityError("no live channel for a raw allocation")
             target = max(live, key=lambda key: self.planes[key].free_page_count())
-        ppa = self._try_allocate(target)
+        ppa = self._try_allocate(target, owner)
         if ppa is None:
-            ppa = self._fallback_allocate(target, allowed=allowed)
+            ppa = self._fallback_allocate(target, owner, allowed=allowed)
         if ppa is None:
             raise CapacityError("no free access unit in any channel/bank")
         return ppa
 
-    def _try_allocate(self, target: Tuple[int, int]) -> Optional[int]:
+    def _try_allocate(self, target: Tuple[int, int],
+                      owner: object) -> Optional[int]:
         try:
-            return self.planes[target].allocate_page()
+            return self.planes[target].allocate_page(owner)
         except OutOfSpaceError:
             return None
 
-    def _fallback_allocate(self, target: Tuple[int, int],
+    def _fallback_allocate(self, target: Tuple[int, int], owner: object,
                            allowed: Optional[Planes] = None
                            ) -> Optional[int]:
         """Rule 4: scan least-used (most-free) planes first (within the
@@ -214,7 +217,7 @@ class NdsAllocator:
         for key in ordered:
             if key == target or self._channel_dead(key[0]):
                 continue
-            ppa = self._try_allocate(key)
+            ppa = self._try_allocate(key, owner)
             if ppa is not None:
                 return ppa
         return None
@@ -223,5 +226,5 @@ class NdsAllocator:
         """The plane holding page index ``ppa``."""
         return self.planes_by_number[ppa // self._plane_pages]
 
-    def invalidate(self, ppa: int) -> None:
-        self.plane_of(ppa).invalidate(ppa)
+    def invalidate(self, ppa: int) -> object:
+        return self.plane_of(ppa).invalidate(ppa)

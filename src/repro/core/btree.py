@@ -219,8 +219,8 @@ class BTreeIndex:
     def adopt(self, entry: BlockEntry) -> None:
         """Link an existing entry at its (empty) coordinate, allocating
         nodes as :meth:`ensure` does. A resize moves the live entries
-        into the new index this way, so whatever holds one (the GC
-        reverse table) still holds the index's own."""
+        into the new index this way, so whatever holds one (the owner
+        slots of its units' pages) still holds the index's own."""
         self._check_coord(entry.coord)
         node = self._leaf_node(entry.coord)[0]
         node.leaves[entry.coord[-1]] = entry

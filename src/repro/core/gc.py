@@ -3,18 +3,19 @@
 "Garbage collection in NDS is similar to that of a conventional NVM
 storage device, except that NDS can maintain a reverse lookup table
 that records the building blocks associated with the erasing unit."
-The reverse table maps each physical unit to ``(space, block
-coordinate, position inside the block)`` — modelled as the 8 bytes of
-out-of-band metadata per unit the paper describes — so relocations can
-patch the B-tree leaf in place. Each entry also holds the live leaf
-(:class:`~repro.core.btree.BlockEntry`) it names, so a relocation
-patches it without a tree walk; the STL keeps every entry object alive
-for as long as its units are bound (``resize_space`` moves the entries
-themselves into the new index). Relocation stays within the same
-(channel, bank) to preserve block parallelism. The victim loop and the
-per-page move are shared with the FTL collector
-(:class:`~repro.ftl.gc.RelocatingCollector`); this module supplies the
-leaf patch and background collection.
+That table is the erase block's owner slots
+(:attr:`~repro.ftl.mapping.BlockState.owners`), modelled as the 8 bytes
+of out-of-band metadata per unit the paper describes. A data unit's
+slot holds its live leaf (:class:`~repro.core.btree.BlockEntry`), and
+a relocation finds the unit's position in it with
+``entry.pages.index(old_ppa)``, so it patches the leaf in place without
+a tree walk; ``resize_space`` moves the entries themselves into the new
+index, so a slot always holds the index's own. A parity unit's slot
+holds its ``(space_id, block coordinate)`` key in the parity store.
+Relocation stays within the same (channel, bank) to preserve block
+parallelism. The victim loop and the per-page move are shared with the
+FTL collector (:class:`~repro.ftl.gc.RelocatingCollector`); this module
+supplies the leaf patch and background collection.
 
 Background collection does not scan the array. The collector owns
 ``low_planes``, the set of planes whose free fraction is below its
@@ -31,36 +32,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Set, Tuple
 
 from repro.core.allocator import NdsAllocator
-from repro.core.btree import BlockEntry
-from repro.faults.parity import PARITY_POSITION
 from repro.ftl.gc import RelocatingCollector, _low_mark
 from repro.nvm.flash import FlashArray
 from repro.sim.stats import StatSet
 
-__all__ = ["NdsGarbageCollector", "NdsGcResult", "ReverseEntry"]
+__all__ = ["NdsGarbageCollector", "NdsGcResult"]
 
 #: modelled out-of-band bytes consumed per unit by the reverse table
 OOB_BYTES_PER_UNIT = 8
-
-
-@dataclass(slots=True)
-class ReverseEntry:
-    """The owner of one bound unit: ``(space, block coordinate,
-    position)``, the modelled out-of-band record.
-
-    A slotted, unfrozen dataclass: one is built per fresh unit, and a
-    frozen one (``object.__setattr__`` per field, plus an instance
-    dict) took about four times as long to build and more than twice
-    the bytes. No code mutates or hashes one: a GC move and the STL's
-    overwrite rebind keep the same object."""
-
-    space_id: int
-    block_coord: Tuple[int, ...]
-    position: int
-    #: the leaf that owns the unit (None for a parity unit); not part of
-    #: the modelled OOB record, so left out of equality and repr
-    entry: Optional[BlockEntry] = field(default=None, compare=False,
-                                        repr=False)
 
 
 @dataclass
@@ -96,25 +75,19 @@ class NdsGarbageCollector(RelocatingCollector):
             plane.low_set = self.low_planes
             if plane.free_pages < low_mark:
                 self.low_planes.add(key)
-        #: relocation callback for parity units (position
-        #: :data:`~repro.faults.parity.PARITY_POSITION` in the reverse
-        #: table): called as ``parity_patcher(space_id, coord, new_ppa)``
-        #: with the destination's page index
+        #: relocation callback for parity units (owned by their
+        #: ``(space_id, coord)`` key): called as
+        #: ``parity_patcher(space_id, coord, new_ppa)`` with the
+        #: destination's page index
         self.parity_patcher: Optional[Callable] = None
 
     # ------------------------------------------------------------------
-    def note_alloc(self, ppa: int, space_id: int,
-                   block_coord: Tuple[int, ...], position: int,
-                   entry: Optional[BlockEntry] = None) -> None:
-        """Record the owner of a freshly bound unit at page index
-        ``ppa``: ``entry``'s slot ``position``, or with ``entry`` None a
-        parity unit."""
-        self.reverse[ppa] = ReverseEntry(space_id, block_coord, position,
-                                         entry)
-
     def reverse_table_bytes(self) -> int:
-        """Modelled OOB footprint of the reverse table."""
-        return len(self.reverse) * OOB_BYTES_PER_UNIT
+        """Modelled OOB footprint of the reverse table: one record per
+        live unit."""
+        return OOB_BYTES_PER_UNIT * sum(
+            state.live for plane in self.planes.values()
+            for state in plane.blocks.values())
 
     # ------------------------------------------------------------------
     def collect(self, channel: int, bank: int, now: float,
@@ -162,21 +135,24 @@ class NdsGarbageCollector(RelocatingCollector):
         total.stats.count("nds_gc_blocks_erased", total.blocks_erased)
         return total
 
-    def _moved(self, ref: ReverseEntry, new_ppa: int) -> None:
+    def _moved(self, owner, old_ppa: int, new_ppa: int) -> None:
         """Patch the B-tree leaf (or the parity store) that owns a
         relocated unit.
 
-        A relocation never leaves its (channel, bank), so the leaf the
-        reverse entry holds is rebound (:meth:`BlockEntry.rebind`)
-        without touching its usage record. The slot is never empty:
-        every path that empties a slot drops its reverse-table entry in
-        the same step."""
-        if ref.position == PARITY_POSITION:
+        A relocation never leaves its (channel, bank), so the leaf is
+        rebound (:meth:`BlockEntry.rebind`) at the position that holds
+        ``old_ppa``, without touching its usage record. The leaf always
+        holds it: every path that empties a leaf slot empties the
+        page's owner slot in the same step."""
+        if isinstance(owner, tuple):
             # parity units live in the STL's parity store, not a B-tree
             if self.parity_patcher is not None:
-                self.parity_patcher(ref.space_id, ref.block_coord, new_ppa)
+                self.parity_patcher(owner[0], owner[1], new_ppa)
             return
-        entry = ref.entry
-        assert entry.pages[ref.position] is not None, \
-            f"reverse entry {ref} names an empty slot"
-        entry.rebind(ref.position, new_ppa)
+        try:
+            position = owner.pages.index(old_ppa)
+        except ValueError:
+            raise AssertionError(
+                f"the unit at {old_ppa} of block {owner.coord} names an "
+                f"empty slot") from None
+        owner.rebind(position, new_ppa)

@@ -33,7 +33,7 @@ import numpy as np
 from repro.core.allocator import NdsAllocator
 from repro.core.btree import BlockEntry, BTreeIndex
 from repro.core.errors import SpaceNotFoundError
-from repro.core.gc import NdsGarbageCollector, ReverseEntry
+from repro.core.gc import NdsGarbageCollector
 from repro.core.sharding import ShardSpec
 from repro.core.space import Space
 from repro.core.translator import (BlockAccess, pages_for_region, translate,
@@ -222,7 +222,7 @@ class SpaceTranslationLayer:
             inside = all(coord < grid for coord, grid
                          in zip(entry.coord, resized.grid))
             if inside:
-                # the entry itself moves: the GC reverse table holds it
+                # the entry itself moves: its units' owner slots hold it
                 new_index.adopt(entry)
                 continue
             released += self._release_block(space_id, entry)
@@ -388,14 +388,12 @@ class SpaceTranslationLayer:
         pending_ppas: List = []
         pending_data: Optional[List[np.ndarray]] = \
             [] if content is not None else None
-        coord = access.block_coord
         pages = entry.pages
         planes = self.allocator.planes
         planes_by_number = self.allocator.planes_by_number
         plane_pages = self._plane_pages
         faults = self.allocator.faults
         gc = self.gc
-        reverse = gc.reverse
         trigger_mark = gc.trigger_mark
         elide = self.elide_zero_pages and not compressed
         # The block's §4.2 placement plan (rules 1-3) and its usage
@@ -419,10 +417,10 @@ class SpaceTranslationLayer:
                 plane = planes[prefer]
             else:
                 # The overwrite step (§4.2 pins an overwrite to the old
-                # unit's plane). 1. Unbind: the slot, the valid bit and
-                # the reverse entry go now; the usage record keeps its
+                # unit's plane). 1. Unbind: the leaf slot and the page's
+                # owner slot empty now; the usage record keeps its
                 # count. Its bind moves ``last_alloc``: re-plan.
-                ref = self._unbind(entry, position)[1]
+                self._unbind(entry, position)
                 plane = planes_by_number[old // plane_pages]
                 prefer = plane.key
                 plan = None
@@ -465,22 +463,22 @@ class SpaceTranslationLayer:
                 self.stats.count("stl_pages_elided")
                 plan = None
                 continue
-            # 3. Bind at the plane's append point. An overwrite keeps
-            # its count and its reverse entry (a unit on the same plane
-            # leaves the usage record as it was, see BlockEntry.rebind);
-            # a fresh unit is counted and gets a new reverse entry. A
-            # full plane or a dead channel releases an overwrite's held
-            # count and takes _place's rule-4 fallback, off the plan.
+            # 3. Bind at the plane's append point, owned by the leaf. An
+            # overwrite keeps its count (a unit on the same plane leaves
+            # the usage record as it was, see BlockEntry.rebind); a
+            # fresh unit is counted. A full plane or a dead channel
+            # releases an overwrite's held count and takes _place's
+            # rule-4 fallback, off the plan.
             ppa = None
             if not dead:
                 try:
-                    ppa = plane.allocate_page()
+                    ppa = plane.allocate_page(entry)
                 except OutOfSpaceError:
                     pass
             if ppa is None:
                 if old is not None:
                     entry.release_counts(old)
-                ppa = self._place(space_id, entry, coord, position, prefer)
+                ppa = self._place(space_id, entry, position, prefer)
                 plan = None
             else:
                 if old is None:
@@ -491,11 +489,8 @@ class SpaceTranslationLayer:
                             entry.count_usage(self.geometry)
                         count = entry.counter()
                     count(ppa)
-                    ref = ReverseEntry(space_id, coord, position, entry)
-                # the slot and the reverse key share one int
                 pages[position] = ppa
                 entry.last_alloc = ppa
-                reverse[ppa] = ref
             units += 1
             if faults is None or faults.program_check(
                     ppa, index_to_ppa(ppa, self.geometry)) is None:
@@ -509,7 +504,7 @@ class SpaceTranslationLayer:
                 pending_ppas = []
                 pending_data = [] if content is not None else None
             completion = max(completion, self._program(
-                space_id, entry, coord, position, ppa, rmw_done, payload))
+                space_id, entry, position, ppa, rmw_done, payload))
             if entry.last_alloc != ppa:
                 # a re-drive placed the unit again
                 plan = None
@@ -630,26 +625,24 @@ class SpaceTranslationLayer:
     # ------------------------------------------------------------------
     # the §4.2 unit lifecycle: place, program, release
     # ------------------------------------------------------------------
-    def _place(self, space_id: int, entry: BlockEntry,
-               coord: Tuple[int, ...], position: int, prefer=None):
-        """Bind a fresh unit to ``entry.pages[position]`` under the
-        §4.2 rules (``prefer`` pins its plane) and record its reverse
-        entry, through ``allocator.allocate`` (``choose_target``, the
-        first plane of a placement plan, then rule 4's fallback) and the
-        usage step ``BlockEntry.counter`` binds.
+    def _place(self, space_id: int, entry: BlockEntry, position: int,
+               prefer=None):
+        """Bind a fresh unit, owned by ``entry``, to
+        ``entry.pages[position]`` under the §4.2 rules (``prefer`` pins
+        its plane), through ``allocator.allocate`` (``choose_target``,
+        the first plane of a placement plan, then rule 4's fallback) and
+        the usage step ``BlockEntry.counter`` binds.
 
         ``write_block`` binds a unit, compressed writes' included, at
         its plan's (or pinned) plane itself and comes here only for the
         rule-4 fallback; the re-drive of :meth:`_program` and the
         degraded-read relocation place every unit here."""
-        ppa = self.allocator.allocate(
+        return self.allocator.allocate(
             entry, position, prefer=prefer,
             allowed=self._shard_planes.get(space_id))
-        self.gc.note_alloc(ppa, space_id, coord, position, entry)
-        return ppa
 
-    def _program(self, space_id: int, entry: BlockEntry,
-                 coord: Tuple[int, ...], position: int, ppa, issue: float,
+    def _program(self, space_id: int, entry: BlockEntry, position: int,
+                 ppa, issue: float,
                  data: Optional[List[np.ndarray]]) -> float:
         """Program the unit of ``entry.pages[position]`` at ``ppa``
         (None: place it first), re-driven past a status-fail
@@ -657,27 +650,25 @@ class SpaceTranslationLayer:
         Returns the program's completion."""
         end = self.gc.program_page(
             ppa, issue, data, lambda _ppa: self._release(entry, position),
-            lambda: self._place(space_id, entry, coord, position))[1]
+            lambda: self._place(space_id, entry, position))[1]
         self.flash.stats.count("pages_programmed")
         return end
 
     def _unbind(self, entry: BlockEntry, position: int):
-        """Empty ``entry.pages[position]``: the leaf slot, the plane's
-        valid bit and the reverse entry go together, so a GC move never
-        finds its slot empty. The usage record still counts the unit.
-        Returns ``(unit, reverse entry)``, or ``(None, None)`` if the
-        slot was empty."""
+        """Empty ``entry.pages[position]``: the leaf slot and the page's
+        owner slot go together, so a GC move never finds its leaf slot
+        empty. The usage record still counts the unit. Returns the unit
+        (None if the slot was empty)."""
         ppa = entry.pages[position]
-        if ppa is None:
-            return None, None
-        entry.pages[position] = None
-        self.allocator.invalidate(ppa)
-        return ppa, self.gc.reverse.pop(ppa)
+        if ppa is not None:
+            entry.pages[position] = None
+            self.allocator.invalidate(ppa)
+        return ppa
 
     def _release(self, entry: BlockEntry, position: int):
         """Unbind ``entry.pages[position]`` and drop the unit from the
         usage record. Returns the unit (None if the slot was empty)."""
-        ppa = self._unbind(entry, position)[0]
+        ppa = self._unbind(entry, position)
         if ppa is not None:
             entry.release_counts(ppa)
         return ppa
@@ -687,7 +678,6 @@ class SpaceTranslationLayer:
         ppa = self.parity.pop(space_id, coord)
         if ppa is not None:
             self.allocator.invalidate(ppa)
-            self.gc.note_release(ppa)
         return ppa
 
     def _release_block(self, space_id: int, entry: BlockEntry) -> int:
@@ -732,10 +722,10 @@ class SpaceTranslationLayer:
             ppa, end = self.gc.program_page(
                 None, issue_time, (payload,), self.allocator.invalidate,
                 lambda: self.allocator.allocate_raw(
+                    (space_id, coord),
                     allowed=self._shard_planes.get(space_id)))
         self.flash.stats.count("pages_programmed")
         self.parity.put(space_id, coord, ppa)
-        self.gc.note_alloc(ppa, space_id, coord, PARITY_POSITION)
         self.stats.count("stl_parity_units_written")
         return end
 
@@ -777,8 +767,8 @@ class SpaceTranslationLayer:
                 ) from err
             # relocate the reconstructed unit off the failing page
             self._release(entry, position)
-            end = max(end, self._program(space_id, entry, coord, position,
-                                         None, end, [page]))
+            end = max(end, self._program(space_id, entry, position, None,
+                                         end, [page]))
         faults.count("stl_degraded_reads")
         faults.count("stl_pages_reconstructed")
         self.stats.count("stl_degraded_reads")

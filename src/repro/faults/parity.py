@@ -21,8 +21,9 @@ import numpy as np
 
 __all__ = ["ParityStore", "PARITY_POSITION", "xor_fold"]
 
-#: sentinel block position for parity units in the GC reverse table —
-#: relocations of a parity page patch the store, not a B-tree leaf
+#: sentinel block position of a parity unit — a parity page belongs to
+#: the store (its owner slot holds the ``(space_id, coord)`` key), not to
+#: a B-tree leaf
 PARITY_POSITION = -1
 
 

@@ -3,17 +3,21 @@
 The paper's prototype reserves 10 % of capacity as over-provisioning for
 background GC (§6.1) and triggers collection when the free units of a
 (channel, bank) combination drop below a threshold, "typically 10 %"
-(§4.2). Victim selection is greedy (fewest live pages); valid pages are
+(§4.2). Victim selection is greedy (fewest live pages); live pages are
 relocated within the same (channel, bank) so the striping (FTL) or
 building-block placement (STL) invariants survive collection.
+
+The reverse lookup is the victim's own owner slots
+(:attr:`~repro.ftl.mapping.BlockState.owners`): a moved page's
+destination takes the owner its source held, an LPN here.
 
 :class:`RelocatingCollector` holds what this collector and the NDS one
 (:mod:`repro.core.gc`) share: the trigger, the victim loop, the traced
 collect step, the relocation step, grown-bad-block retirement, the
 recovery context, and the program re-drive that every write path and
-relocation take after a program failure. A subclass supplies the
-reverse-map payload (:meth:`RelocatingCollector._moved`), its
-read-issue rule and its names.
+relocation take after a program failure. A subclass supplies the owner
+patch (:meth:`RelocatingCollector._moved`), its read-issue rule and its
+names.
 """
 
 from __future__ import annotations
@@ -59,10 +63,8 @@ class RelocatingCollector:
     """Collection, relocation and bad-block machinery shared by both
     collectors, and the one program re-drive (:meth:`program_page`).
 
-    ``reverse`` maps a physical page index to the payload that names
-    its owner (an LPN here, a building-block reference in the STL);
-    every live page with an owner has an entry, keyed by the same int
-    object the owner's map entry or leaf slot holds. A subclass provides
+    A live page's owner sits in its block's owner slot (an LPN here, a
+    leaf or a parity key in the STL). A subclass provides
     :meth:`_moved`, a thin public ``collect`` over
     :meth:`_traced_collect`, and these class constants:
 
@@ -91,7 +93,6 @@ class RelocatingCollector:
         #: is bit-equal to ``free_pages / pages_per_bank < threshold``
         self.trigger_mark = _low_mark(threshold, geometry.pages_per_bank)
         self.policy = policy
-        self.reverse: Dict[int, object] = {}
         #: (channel, bank, block) of every block a :meth:`_relocate` is
         #: emptying; a nested collection never takes one as its victim
         self._relocating: Set[Tuple[int, int, int]] = set()
@@ -111,15 +112,10 @@ class RelocatingCollector:
         faults = self.flash.faults
         return faults.suppress() if faults is not None else nullcontext()
 
-    def _moved(self, owner, new_ppa: int) -> None:
-        """Point ``owner``'s map entry at page index ``new_ppa`` (the
-        reverse table is already patched)."""
+    def _moved(self, owner, old_ppa: int, new_ppa: int) -> None:
+        """Point ``owner``'s map entry from page index ``old_ppa`` to
+        ``new_ppa`` (the owner slots are already patched)."""
         raise NotImplementedError
-
-    def note_release(self, ppa: Optional[int]) -> None:
-        """Drop the reverse entry of a page its owner let go of."""
-        if ppa is not None:
-            self.reverse.pop(ppa, None)
 
     # ------------------------------------------------------------------
     def _traced_collect(self, channel: int, bank: int, now: float,
@@ -200,39 +196,35 @@ class RelocatingCollector:
 
         The pages move through one :meth:`FlashArray.move_chain`: per
         page, in page order, it reserves the read, takes the verified
-        payload, invalidates, allocates and reserves the program, and
-        then this step moves the reverse entry to the destination index
-        and calls the owner hook with that same int. Reads issue at
+        payload, allocates the destination to the page's owner and
+        reserves the program, and then empties the source slot and
+        calls the owner hook with both page indices. Reads issue at
         ``now``; with ``chained`` every read after the first moved page
         issues at the running end instead. ``end`` is the running end on
-        entry.
+        entry. The victim's ``live`` count falls by the pages moved, once,
+        on the way out.
 
         Where the chain stops, the page in flight goes through
         :meth:`program_page`, which re-drives a failed program, and the
         chain runs on from the next page. With no free page a collection
-        (``retiring`` False) gives the page back and stops, and a
-        retirement collects the plane once and goes on. An
-        :class:`OutOfSpaceError` leaves with the page in flight valid.
+        (``retiring`` False) stops, and a retirement collects the plane
+        once and goes on. A page leaves its slot only once its program
+        succeeded, so a stop or an :class:`OutOfSpaceError` leaves the
+        page in flight live.
 
         Returns ``(end, moved, complete)``.
         """
         flash = self.flash
         channel, bank = plane.channel, plane.bank
         block_base = plane.base + block * self.geometry.pages_per_block
-        valid = plane._state(block).valid
+        state = plane._state(block)
+        owners = state.owners
         allocate = plane.allocate_page
-        reverse = self.reverse
-        moved_hook = self._moved
-
-        def patch(page: int, new_ppa: int) -> None:
-            owner = reverse.pop(block_base + page, None)
-            if owner is not None:
-                reverse[new_ppa] = owner
-                moved_hook(owner, new_ppa)
+        moved = self._moved
 
         def place() -> Optional[int]:
             try:
-                return allocate()
+                return allocate(owner)
             except OutOfSpaceError:
                 if retiring:
                     raise
@@ -248,30 +240,27 @@ class RelocatingCollector:
         try:
             while True:
                 end, stop = flash.move_chain(
-                    channel, bank, block, valid, page, allocate, patch, now,
-                    end, chained, sources, dests)
+                    channel, bank, block, owners, page, allocate, moved,
+                    now, end, chained, sources, dests)
                 if stop is None:
                     break
                 page, payload, issue, dest, err = stop
-                try:
-                    if err is None and retiring:
-                        self._collect(channel, bank, issue)
-                    dest, done = self.program_page(
-                        dest, issue, (payload,), plane.invalidate, place,
-                        err)
-                except OutOfSpaceError:
-                    valid[page] = True
-                    raise
+                owner = owners[page]
+                if err is None and retiring:
+                    self._collect(channel, bank, issue)
+                dest, done = self.program_page(
+                    dest, issue, (payload,), plane.invalidate, place, err)
                 if dest is None:
-                    # a collection found no free page: give it back
-                    valid[page] = True
+                    # a collection found no free page
                     return max(end, done), len(dests), False
                 dests.append(dest)
-                patch(page, dest)
+                owners[page] = None
+                moved(owner, block_base + page, dest)
                 end = max(end, done)
                 page += 1
         finally:
             self._relocating.discard(busy)
+            state.live -= len(dests)
             counters = flash.stats.counters
             if sources:
                 counters["pages_read"] = \
@@ -351,9 +340,9 @@ class RelocatingCollector:
 class GarbageCollector(RelocatingCollector):
     """Greedy per-(channel, bank) garbage collector.
 
-    Keeps the reverse PPA→LPN table needed to patch the forward map when
-    live pages move. (For NDS the analogous reverse lookup maps physical
-    units back to building blocks, §4.2; see :mod:`repro.core.gc`.)
+    A page's owner slot holds its LPN, the reverse lookup that patches
+    the forward map when live pages move. (For NDS the slots name the
+    building blocks, §4.2; see :mod:`repro.core.gc`.)
     """
 
     CHAINED = True
@@ -366,14 +355,7 @@ class GarbageCollector(RelocatingCollector):
         self.ftl = ftl
 
     # ------------------------------------------------------------------
-    # reverse-map maintenance (called by the SSD on every map change)
-    # ------------------------------------------------------------------
-    def note_alloc(self, lpn: int, ppa: int, old: Optional[int]) -> None:
-        if old is not None:
-            self.reverse.pop(old, None)
-        self.reverse[ppa] = lpn
-
-    def _moved(self, lpn: int, new_ppa: int) -> None:
+    def _moved(self, lpn: int, old_ppa: int, new_ppa: int) -> None:
         self.ftl.map[lpn] = new_ppa
 
     def collect(self, channel: int, bank: int, now: float) -> GcResult:

@@ -4,7 +4,7 @@ A physical page address (PPA) names one basic access unit:
 ``(channel, bank, block, page)``. Its compact integer linearization,
 :func:`ppa_to_index` (channel-major, then bank, block, page), is the
 form the simulator stores and passes on its hot paths: the FTL map, the
-STL leaf slots, the parity store, both GC reverse tables, the page
+STL leaf slots, the parity store, the page
 allocators and the flash array's reserve chains all hold plain ints.
 The plane number of an index (``channel * banks_per_channel + bank``)
 is ``index // pages_per_bank``. Index order is the field order, so a

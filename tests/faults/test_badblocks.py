@@ -78,7 +78,7 @@ class TestOutOfServiceAccounting:
 
     def test_retire_active_block_partway(self):
         plane, low = self._plane()
-        pages = [plane.allocate_page() for _ in range(10)]
+        pages = [plane.allocate_page(lpn) for lpn in range(10)]
         assert plane.active_block == 1  # block 0 full, block 1 at page 2
         assert plane.free_page_count() == 54
         assert (0, 0) not in low
@@ -93,7 +93,7 @@ class TestOutOfServiceAccounting:
         plane.release_block(0)
         assert plane.free_page_count() == 56
         assert (0, 0) not in low
-        assert index_to_ppa(plane.allocate_page(), TINY_TEST.geometry) \
+        assert index_to_ppa(plane.allocate_page(0), TINY_TEST.geometry) \
             .block == 2
 
     def test_retire_block_in_free_pool(self):
@@ -107,8 +107,8 @@ class TestOutOfServiceAccounting:
         assert (0, 0) in low
         plane.retire_block(6)  # already out of service: no double count
         assert plane.free_page_count() == 48
-        blocks = {index_to_ppa(plane.allocate_page(), TINY_TEST.geometry)
-                  .block for _ in range(48)}
+        blocks = {index_to_ppa(plane.allocate_page(lpn), TINY_TEST.geometry)
+                  .block for lpn in range(48)}
         assert blocks == {0, 1, 2, 3, 4, 7}
         assert plane.free_page_count() == 0
 

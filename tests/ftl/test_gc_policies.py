@@ -17,7 +17,7 @@ def plane():
 
 
 def _fill_block(plane):
-    return [plane.allocate_page() for _ in range(4)]
+    return [plane.allocate_page(lpn) for lpn in range(4)]
 
 
 def _block(plane, ppa) -> int:

@@ -43,7 +43,7 @@ class TestAllocate:
         first, second = (index_to_ppa(p, geometry) for p in (first, second))
         assert (second.channel, second.bank) == (first.channel, first.bank)
         plane = ftl.planes[(first.channel, first.bank)]
-        assert not plane.blocks[first.block].valid[first.page]
+        assert plane.blocks[first.block].owners[first.page] is None
 
     def test_lookup(self, ftl):
         assert ftl.lookup(5) is None
@@ -65,20 +65,21 @@ class TestAllocate:
 class TestPlaneAllocator:
     def test_exhaustion_raises(self, geometry):
         plane = PlaneAllocator(0, 0, geometry)
-        for _ in range(geometry.pages_per_bank):
-            plane.allocate_page()
+        for lpn in range(geometry.pages_per_bank):
+            plane.allocate_page(lpn)
         with pytest.raises(OutOfSpaceError):
-            plane.allocate_page()
+            plane.allocate_page(0)
 
     def test_free_page_count_decreases(self, geometry):
         plane = PlaneAllocator(0, 0, geometry)
         start = plane.free_page_count()
-        plane.allocate_page()
+        plane.allocate_page(0)
         assert plane.free_page_count() == start - 1
 
     def test_release_returns_block_to_pool(self, geometry):
         plane = PlaneAllocator(0, 0, geometry)
-        pages = [plane.allocate_page() for _ in range(geometry.pages_per_block)]
+        pages = [plane.allocate_page(lpn)
+                 for lpn in range(geometry.pages_per_block)]
         block = index_to_ppa(pages[0], geometry).block
         for ppa in pages:
             plane.invalidate(ppa)
@@ -88,8 +89,8 @@ class TestPlaneAllocator:
 
     def test_victims_are_fully_written_most_invalid_first(self, geometry):
         plane = PlaneAllocator(0, 0, geometry)
-        block_a = [plane.allocate_page() for _ in range(8)]
-        block_b = [plane.allocate_page() for _ in range(8)]
+        block_a = [plane.allocate_page(lpn) for lpn in range(8)]
+        block_b = [plane.allocate_page(lpn) for lpn in range(8, 16)]
         # invalidate more pages in block B
         plane.invalidate(block_a[0])
         for ppa in block_b[:4]:
@@ -102,11 +103,11 @@ class TestPlaneAllocator:
 
     def test_active_block_is_not_a_victim(self, geometry):
         plane = PlaneAllocator(0, 0, geometry)
-        plane.allocate_page()  # partially fills the active block
+        plane.allocate_page(0)  # partially fills the active block
         assert plane.victim_candidates() == []
 
     def test_lazy_block_state(self, geometry):
         plane = PlaneAllocator(0, 0, geometry)
         assert plane.blocks == {}
-        plane.allocate_page()
+        plane.allocate_page(0)
         assert len(plane.blocks) == 1
