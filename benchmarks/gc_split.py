@@ -3,10 +3,13 @@
 
 Runs one perfbench workload (untimed) and counts every run of Python's
 cyclic collector through ``gc.callbacks``, by generation and by the
-kind of the top-level op executing when it fired. Ops are tracked
-around the system's ``RequestScheduler.execute``, the same hook
-perfbench times; collections during construction and ingest count as
-``setup``, those between ops as ``between``.
+kind of the top-level op executing when it fired, and times each run
+from its ``start`` to its ``stop`` callback. Ops are tracked around the
+system's ``RequestScheduler.execute``, the same hook perfbench times;
+collections during construction and ingest count as ``setup``, those
+between ops as ``between``. It also prints how many objects the
+collector tracks once the system is built: a full collection traverses
+every one of them, so its cost grows with that heap.
 
 A gen-0 collection fires after a fixed number of container allocations,
 so moving allocations from one code path into another moves
@@ -26,6 +29,7 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -33,20 +37,29 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def gc_split(workload, seed: int, units: int):
-    """``(collections, ops)``: Counters keyed by ``(kind, generation)``
-    and by op kind."""
+    """``(collections, seconds, ops, tracked)``: Counters keyed by
+    ``(kind, generation)`` of the collections and of their seconds, a
+    Counter keyed by op kind, and the tracked-object count after the
+    build."""
     collections: Counter = Counter()
+    seconds: Counter = Counter()
     ops: Counter = Counter()
     current = ["setup"]
+    started = [0.0]
 
     def callback(phase: str, info: dict) -> None:
+        key = (current[-1], info["generation"])
         if phase == "start":
-            collections[(current[-1], info["generation"])] += 1
+            collections[key] += 1
+            started[0] = time.perf_counter()
+        else:
+            seconds[key] += time.perf_counter() - started[0]
 
     gc.collect()
     gc.callbacks.append(callback)
     try:
         system = workload.build()
+        tracked = len(gc.get_objects())
         current[-1] = "between"
         scheduler = system.scheduler
         inner = scheduler.execute
@@ -68,19 +81,22 @@ def gc_split(workload, seed: int, units: int):
         gc.callbacks.remove(callback)
     if outcome["failed"]:
         raise SystemExit(f"{outcome['failed']} ops failed")
-    return collections, ops
+    return collections, seconds, ops, tracked
 
 
-def format_split(collections: Counter, ops: Counter) -> str:
+def format_split(collections: Counter, seconds: Counter,
+                 ops: Counter) -> str:
     kinds = ["setup"] + sorted(ops) + ["between"]
     lines = [f"{'kind':<10}{'ops':>8}{'gen0':>8}{'gen1':>8}{'gen2':>8}"
-             f"{'per 1k ops':>12}"]
+             f"{'per 1k ops':>12}{'gen0 s':>9}{'gen1 s':>9}{'gen2 s':>9}"]
     for kind in kinds:
         counts = [collections[(kind, g)] for g in range(3)]
         per_k = (f"{1000.0 * sum(counts) / ops[kind]:.1f}"
                  if ops.get(kind) else "-")
         lines.append(f"{kind:<10}{ops.get(kind, 0):>8}"
-                     + "".join(f"{c:>8}" for c in counts) + f"{per_k:>12}")
+                     + "".join(f"{c:>8}" for c in counts) + f"{per_k:>12}"
+                     + "".join(f"{seconds[(kind, g)]:>9.3f}"
+                               for g in range(3)))
     return "\n".join(lines)
 
 
@@ -96,10 +112,11 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(ROOT / "src"))
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import WORKLOADS
-    collections, ops = gc_split(WORKLOADS[args.workload], args.seed,
-                                args.units)
+    collections, seconds, ops, tracked = gc_split(
+        WORKLOADS[args.workload], args.seed, args.units)
     print(f"{args.workload} seed={args.seed} units={args.units}")
-    print(format_split(collections, ops))
+    print(f"tracked objects after the build: {tracked}")
+    print(format_split(collections, seconds, ops))
     return 0
 
 
