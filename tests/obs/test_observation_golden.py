@@ -80,9 +80,10 @@ def run_faulted(factory) -> dict:
     return _digests(trace, registry)
 
 
-def run_pool() -> dict:
+def pool_scenario():
     """Two-device parity pool, device 1 killed mid-run, write-back
-    tier: reads and writes straddle the kill."""
+    tier: reads and writes straddle the kill. Returns ``(system,
+    trace, registry)`` after the run."""
     system = SoftwareNdsSystem(
         TINY_TEST, devices=2,
         faults=FaultConfig(parity=True,
@@ -100,16 +101,22 @@ def run_pool() -> dict:
             system.write_tile("d", origin, (16, 16), start_time=i * 1e-4)
         else:
             system.read_tile("d", origin, (16, 16), start_time=i * 1e-4)
+    return system, trace, registry
+
+
+def run_pool() -> dict:
+    _, trace, registry = pool_scenario()
     return _digests(trace, registry)
 
 
-def run_serving() -> dict:
+def serving_scenario():
     """Open-loop embedding serving on a three-device parity pool with a
     write-back tier and a device kill, observed by all three
-    subscribers at once."""
+    subscribers at once. Returns ``(system, trace, registry, monitor)``
+    after the run."""
     from repro.analysis.loadline_sweep import (arrival_process,
                                                default_workload)
-    from repro.obs.monitor import Monitor, monitor_json
+    from repro.obs.monitor import Monitor
     from repro.obs.slo import SloPolicy
     from repro.traffic.injector import OpenLoopInjector, TrafficStream
 
@@ -131,6 +138,13 @@ def run_serving() -> dict:
                            token_rate=4000.0)
     OpenLoopInjector(system, [stream], horizon=horizon, trace=trace,
                      metrics=registry, marks=8, monitor=monitor).run()
+    return system, trace, registry, monitor
+
+
+def run_serving() -> dict:
+    from repro.obs.monitor import monitor_json
+
+    _, trace, registry, monitor = serving_scenario()
     out = _digests(trace, registry)
     out["monitor"] = _digest(monitor_json(monitor.report(trace=trace)))
     return out
