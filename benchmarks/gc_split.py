@@ -8,8 +8,10 @@ from its ``start`` to its ``stop`` callback. Ops are tracked around the
 system's ``RequestScheduler.execute``, the same hook perfbench times;
 collections during construction and ingest count as ``setup``, those
 between ops as ``between``. It also prints how many objects the
-collector tracks once the system is built: a full collection traverses
-every one of them, so its cost grows with that heap.
+collector tracks once the system is built, and how many more it tracks
+after the run per op executed: a full collection traverses every one
+of them, so its cost grows with that heap, and an op that leaves
+objects behind grows it for every later collection.
 
 A gen-0 collection fires after a fixed number of container allocations,
 so moving allocations from one code path into another moves
@@ -37,9 +39,10 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def gc_split(workload, seed: int, units: int):
-    """``(collections, seconds, ops, tracked)``: Counters keyed by
-    ``(kind, generation)`` of the collections and of their seconds, a
-    Counter keyed by op kind, and the tracked-object count after the
+    """``(collections, seconds, ops, tracked, retained)``: Counters
+    keyed by ``(kind, generation)`` of the collections and of their
+    seconds, a Counter keyed by op kind, the tracked-object count after
+    the build, and that count after the run minus the one after the
     build."""
     collections: Counter = Counter()
     seconds: Counter = Counter()
@@ -77,11 +80,12 @@ def gc_split(workload, seed: int, units: int):
             outcome = workload.run(system, seed, units)
         finally:
             del scheduler.execute
+        retained = len(gc.get_objects()) - tracked
     finally:
         gc.callbacks.remove(callback)
     if outcome["failed"]:
         raise SystemExit(f"{outcome['failed']} ops failed")
-    return collections, seconds, ops, tracked
+    return collections, seconds, ops, tracked, retained
 
 
 def format_split(collections: Counter, seconds: Counter,
@@ -112,10 +116,14 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(ROOT / "src"))
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import WORKLOADS
-    collections, seconds, ops, tracked = gc_split(
+    collections, seconds, ops, tracked, retained = gc_split(
         WORKLOADS[args.workload], args.seed, args.units)
+    total = sum(ops.values())
     print(f"{args.workload} seed={args.seed} units={args.units}")
     print(f"tracked objects after the build: {tracked}")
+    print(f"tracked objects retained per op: "
+          f"{retained / total if total else 0.0:.2f} "
+          f"({retained} over {total} ops)")
     print(format_split(collections, seconds, ops))
     return 0
 

@@ -24,6 +24,7 @@ base: the same sliding completion window limits NVMe queue pairs inside
 
 from __future__ import annotations
 
+from array import array
 from heapq import heappush, heapreplace
 from typing import Dict, List, Optional
 
@@ -96,7 +97,15 @@ class QueueDepthWindow:
 
 class StreamHandle:
     """One tenant stream: identity, queue depth, QoS parameters,
-    completion history and SLO accounting."""
+    completion history and SLO accounting.
+
+    The history is three columns of C doubles, one row per executed op:
+    ``submits``, ``issues`` (the op's start after queue-depth gating)
+    and ``completes``, with ``ops`` counting the rows. The stream keeps
+    no :class:`~repro.runtime.tileop.TileOp`: an ``array`` holds no
+    Python objects, so a long run's history adds nothing for the cyclic
+    collector to traverse.
+    """
 
     def __init__(self, name: str, queue_depth: Optional[int] = None,
                  weight: float = 1.0,
@@ -107,7 +116,11 @@ class StreamHandle:
             raise ValueError("latency target must be > 0 seconds")
         self.name = name
         self.window = QueueDepthWindow(queue_depth)
-        self.ops: List[TileOp] = []
+        #: executed ops and their submit / issue / completion times
+        self.ops = 0
+        self.submits = array("d")
+        self.issues = array("d")
+        self.completes = array("d")
         #: service share under ``"weighted"`` arbitration
         self.weight = float(weight)
         #: per-op latency SLO in seconds (None = no target)
@@ -132,23 +145,25 @@ class StreamHandle:
 
     @property
     def completions(self) -> List[float]:
-        return [op.result.end_time for op in self.ops if op.result is not None]
+        return self.completes.tolist()
 
     @property
     def latencies(self) -> List[float]:
-        return [op.latency for op in self.ops if op.result is not None]
+        """Per-op submit→completion latencies."""
+        return [end - submit
+                for submit, end in zip(self.submits, self.completes)]
 
     @property
     def queue_waits(self) -> List[float]:
         """Per-op enqueue→issue waits (queue-depth gating)."""
-        return [op.queue_wait for op in self.ops
-                if op.queue_wait is not None]
+        return [start - submit
+                for submit, start in zip(self.submits, self.issues)]
 
     @property
     def service_times(self) -> List[float]:
         """Per-op issue→completion service times."""
-        return [op.service_time for op in self.ops
-                if op.service_time is not None]
+        return [end - start
+                for start, end in zip(self.issues, self.completes)]
 
     @property
     def makespan(self) -> float:
@@ -161,10 +176,15 @@ class StreamHandle:
         latencies = self.latencies
         return sum(latencies) / len(latencies) if latencies else 0.0
 
-    def note_result(self, elapsed: float, latency: float) -> bool:
+    def note_result(self, submit: float, start: float, end: float) -> bool:
         """Account one completed op; returns True when the op violated
         this stream's latency target."""
-        self.service_time += max(elapsed, 0.0)
+        self.ops += 1
+        self.submits.append(submit)
+        self.issues.append(start)
+        self.completes.append(end)
+        self.service_time += max(end - start, 0.0)
+        latency = end - submit
         if self.latency_target is None:
             return False
         if latency > self.latency_target:
@@ -175,14 +195,15 @@ class StreamHandle:
 
     def reset(self) -> None:
         self.window.reset()
-        self.ops.clear()
+        self.ops = 0
+        del self.submits[:], self.issues[:], self.completes[:]
         self.service_time = 0.0
         self.slo_met = 0
         self.slo_violated = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"StreamHandle({self.name!r}, depth={self.queue_depth}, "
-                f"weight={self.weight}, ops={len(self.ops)})")
+                f"weight={self.weight}, ops={self.ops})")
 
 
 class RequestScheduler:
@@ -216,6 +237,8 @@ class RequestScheduler:
         #: (observation only — nothing feeds back into scheduling)
         self.probe = None
         self.streams: Dict[str, StreamHandle] = {}
+        #: every op submitted here, in execution order (a pool's
+        #: sub-ops run through :meth:`run_subop` and are not kept)
         self.executed: List[TileOp] = []
         self._pending: List[TileOp] = []
         self._next_op_id = 0
@@ -267,12 +290,17 @@ class RequestScheduler:
     # ------------------------------------------------------------------
     # submission and execution
     # ------------------------------------------------------------------
-    def submit(self, op: TileOp) -> TileOp:
-        """Queue one op on its stream (created on first use)."""
+    def _admit(self, op: TileOp) -> None:
+        """Open ``op``'s stream (on first use), number the op and stamp
+        its enqueue time."""
         self.stream(op.stream)
         op.op_id = self._next_op_id
         self._next_op_id += 1
         op.enqueue_time = op.submit_time
+
+    def submit(self, op: TileOp) -> TileOp:
+        """Queue one op on its stream (created on first use)."""
+        self._admit(op)
         self._pending.append(op)
         return op
 
@@ -307,6 +335,7 @@ class RequestScheduler:
             # rest of the batch survives for the next drain
             self._pending.remove(op)
             self._run(op)
+            self.executed.append(op)
             executed.append(op)
         return executed
 
@@ -342,12 +371,22 @@ class RequestScheduler:
 
     def execute(self, op: TileOp) -> "TileOp":
         """Submit and immediately execute one op (the synchronous
-        facade used by ``StorageSystem.read_tile`` et al.). Pending
-        batched ops are left untouched."""
-        self.stream(op.stream)
-        op.op_id = self._next_op_id
-        self._next_op_id += 1
-        op.enqueue_time = op.submit_time
+        facade used by ``StorageSystem.read_tile`` et al.) and keep it
+        in :attr:`executed`. Pending batched ops are left untouched."""
+        self._admit(op)
+        self._run(op)
+        self.executed.append(op)
+        return op
+
+    def run_subop(self, op: TileOp) -> "TileOp":
+        """Execute one pool sub-op on this member, the one step
+        :class:`~repro.cluster.translation.ClusterTranslationLayer`
+        runs a member through. Admission, the op ledger, the stream's
+        history and SLO accounting and the scoped probe's
+        ``dN.sched.*`` metrics are those of :meth:`execute`; only the
+        op is not kept in :attr:`executed` (the pool owner keeps the
+        host-level op)."""
+        self._admit(op)
         self._run(op)
         return op
 
@@ -389,7 +428,7 @@ class RequestScheduler:
             queue_waits = handle.queue_waits
             services = handle.service_times
             entry: Dict[str, object] = {
-                "ops": len(handle.ops),
+                "ops": handle.ops,
                 "makespan": handle.makespan,
                 "mean_latency": handle.mean_latency,
                 "max_latency": max(latencies) if latencies else 0.0,
@@ -497,9 +536,7 @@ class RequestScheduler:
         op.issue_time = result.start_time
         op.complete_time = result.end_time
         handle.window.complete(result.end_time)
-        handle.ops.append(op)
-        self.executed.append(op)
-        violated = handle.note_result(result.end_time - result.start_time,
-                                      result.end_time - op.submit_time)
+        violated = handle.note_result(op.submit_time, result.start_time,
+                                      result.end_time)
         if probe is not None:
             probe.op_done(op, result, handle.latency_target, violated, cache)

@@ -271,11 +271,12 @@ def test_ledger_matches_snapshot_reference(config, streams, batched,
     if monitor is not None:
         assert monitor.series()["cache"] == owner.monitor_cache(monitor)
     # every member op goes through the cluster's one sub-op step, which
-    # counts it; the member scheduler records the same ops
+    # counts it; the member scheduler's streams record the same ops
     devices = system.device_report() or {}
     for index, member in enumerate(system._member_systems()):
         assert (devices[f"d{index}"]["subops"]
-                == len(member.scheduler.executed))
+                == sum(handle.ops
+                       for handle in member.scheduler.streams.values()))
 
     # what the ledger guarantees everywhere: every increment the sources
     # made happened inside some op of the owner, and landed on a stream

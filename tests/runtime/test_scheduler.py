@@ -162,7 +162,7 @@ def test_stream_metrics_and_reset():
     assert handle.completions == pytest.approx([0.1, 0.2])
     assert handle.mean_latency == pytest.approx(0.15)
     sched.reset()
-    assert handle.ops == [] and sched.executed == []
+    assert handle.ops == 0 and sched.executed == []
     assert sched.streams["t"] is handle     # streams persist across reset
 
 
