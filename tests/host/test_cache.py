@@ -29,7 +29,7 @@ def access(tier, pages):
     return tuple(hits), tuple(misses)
 
 
-class TestPageCache:
+class TestLpnRunTier:
     """The §7.1 page cache is the DRAM tier keyed by LPN run."""
 
     def test_cold_then_warm(self):
