@@ -18,7 +18,7 @@ would have cost, just later.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, List, Optional
 
 from repro.cache.config import CacheConfig
@@ -50,7 +50,6 @@ class CacheEntry:
     #: coarse locality bucket for overlap checks (the NDS systems use
     #: (dataset, block_coord) so writes only scan one block's entries)
     group: Hashable = None
-    extra: dict = field(default_factory=dict)
 
 
 class HostTierCache:

@@ -38,24 +38,20 @@ class DeviceHandle:
 
     __slots__ = ("device_id", "system", "window")
 
-    def __init__(self, device_id: int, system,
-                 queue_depth: Optional[int]) -> None:
+    def __init__(self, device_id: int, system) -> None:
         self.device_id = device_id
         self.system = system
-        self.window = QueueDepthWindow(queue_depth)
+        self.window = QueueDepthWindow(DEFAULT_DEVICE_QUEUE_DEPTH)
 
 
 class DevicePool:
     """N independently-simulated devices plus the shared host state."""
 
-    def __init__(self, systems: Sequence,
-                 queue_depth: Optional[int] = DEFAULT_DEVICE_QUEUE_DEPTH,
-                 ) -> None:
+    def __init__(self, systems: Sequence) -> None:
         if not systems:
             raise ValueError("a device pool needs at least one device")
-        self.queue_depth = queue_depth
         self.devices: List[DeviceHandle] = [
-            DeviceHandle(index, system, queue_depth)
+            DeviceHandle(index, system)
             for index, system in enumerate(systems)]
         #: device -> earliest scheduled kill time (from kill_device plan
         #: events); applied lazily as ops observe model time
@@ -66,14 +62,12 @@ class DevicePool:
             {key: 0 for key in _COUNTER_KEYS} for _ in systems]
 
     @classmethod
-    def from_factory(cls, count: int, factory: Callable[[int], object],
-                     queue_depth: Optional[int] = DEFAULT_DEVICE_QUEUE_DEPTH,
+    def from_factory(cls, count: int, factory: Callable[[int], object]
                      ) -> "DevicePool":
         """Build ``count`` devices with ``factory(device_id)``."""
         if count < 1:
             raise ValueError("a device pool needs at least one device")
-        return cls([factory(index) for index in range(count)],
-                   queue_depth=queue_depth)
+        return cls([factory(index) for index in range(count)])
 
     def __len__(self) -> int:
         return len(self.devices)

@@ -142,14 +142,13 @@ class ClusterTranslationLayer:
 
     def __init__(self, pool: DevicePool, owner,
                  parity: bool = False, extents_per_device: int = 1,
-                 rebalance: Optional[RebalancePolicy] = None,
-                 gc_budget_seconds: float = 2e-3) -> None:
+                 rebalance: Optional[RebalancePolicy] = None) -> None:
         self.pool = pool
         self.owner = owner
         self.parity = parity
         self.extents_per_device = max(1, int(extents_per_device))
         self.rebalance = rebalance
-        self.gc = GcCoordinator(pool, gc_budget_seconds)
+        self.gc = GcCoordinator(pool)
         #: ingest key (architecture-specific) -> layout
         self.layouts: Dict[object, ClusterLayout] = {}
         self._layout_seq = 0

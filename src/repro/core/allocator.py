@@ -56,13 +56,14 @@ class NdsAllocator:
         self.planes: Dict[Tuple[int, int], PlaneAllocator] = {
             plane.key: plane for plane in self.planes_by_number}
         self._plane_pages = geometry.pages_per_bank
-        #: optional :class:`~repro.faults.injector.FaultInjector` shared
-        #: with the flash array — lets placement steer around dead
-        #: channels; None leaves every decision untouched
-        self.faults = None
+        #: the :class:`~repro.nvm.flash.FlashArray` (set by the owning
+        #: STL): placement steers around the channels its fault injector
+        #: reports dead; with none, every decision stays untouched
+        self.flash = None
 
     def _channel_dead(self, channel: int) -> bool:
-        return self.faults is not None and self.faults.channel_dead(channel)
+        faults = self.flash.faults if self.flash is not None else None
+        return faults is not None and faults.channel_dead(channel)
 
     # ------------------------------------------------------------------
     # free-space queries

@@ -41,7 +41,7 @@ from repro.core.translator import (BlockAccess, pages_for_region, translate,
 from repro.faults.errors import DegradedReadError, UncorrectableError
 from repro.faults.parity import PARITY_POSITION, ParityStore, xor_fold
 from repro.ftl.mapping import OutOfSpaceError
-from repro.nvm.address import index_to_ppa, ppa_to_index
+from repro.nvm.address import ppa_to_index
 from repro.nvm.flash import EccError, FlashArray
 from repro.sim.stats import StatSet
 
@@ -116,6 +116,7 @@ class SpaceTranslationLayer:
             raise ValueError(
                 "parity groups need functional mode (store_data=True)")
         self.allocator = NdsAllocator(flash.geometry, seed=seed)
+        self.allocator.flash = flash
         self.gc = NdsGarbageCollector(self.allocator, flash,
                                       threshold=gc_threshold,
                                       policy=gc_policy)
@@ -271,7 +272,6 @@ class SpaceTranslationLayer:
         """Read one block access; scatter into ``out`` (request-shaped
         ``(*extents, element_size)`` uint8 array) when given."""
         space = self.get_space(space_id)
-        self._sync_faults()
         index = self.indexes[space_id]
         lookup = index.lookup(access.block_coord)
         positions = pages_for_region(space, access.block_slice)
@@ -323,7 +323,6 @@ class SpaceTranslationLayer:
         fewer units of codec bytes (§5.3.4); plain and compressed writes
         bind and program their units in the one loop below."""
         space = self.get_space(space_id)
-        self._sync_faults()
         index = self.indexes[space_id]
         lookup = index.ensure(access.block_coord)
         entry = lookup.entry
@@ -392,7 +391,7 @@ class SpaceTranslationLayer:
         planes = self.allocator.planes
         planes_by_number = self.allocator.planes_by_number
         plane_pages = self._plane_pages
-        faults = self.allocator.faults
+        faults = self.flash.faults
         gc = self.gc
         trigger_mark = gc.trigger_mark
         elide = self.elide_zero_pages and not compressed
@@ -492,8 +491,7 @@ class SpaceTranslationLayer:
                 pages[position] = ppa
                 entry.last_alloc = ppa
             units += 1
-            if faults is None or faults.program_check(
-                    ppa, index_to_ppa(ppa, self.geometry)) is None:
+            if faults is None or faults.program_check(ppa) is None:
                 pending_ppas.append(ppa)
                 if pending_data is not None:
                     pending_data.append(payload[0])
@@ -693,12 +691,6 @@ class SpaceTranslationLayer:
     # ------------------------------------------------------------------
     # reliability internals
     # ------------------------------------------------------------------
-    def _sync_faults(self) -> None:
-        """Placement steers around dead channels: keep the allocator's
-        view of the injector in step with the flash array's."""
-        if self.allocator.faults is not self.flash.faults:
-            self.allocator.faults = self.flash.faults
-
     def _patch_parity(self, space_id: int, coord: Tuple[int, ...],
                       new_ppa) -> None:
         """GC relocation callback for parity units."""

@@ -16,22 +16,25 @@ reconstruction) run under :meth:`suppress`, which disables the
 plan-marked bad blocks) in force — a model of the controller's
 "relocations are verified and re-tried internally" behaviour that also
 keeps recovery from recursing into itself.
+
+Pages and blocks are keyed by the flash array's int indices (a page's
+block is ``index // pages_per_block``); the array hands over its
+geometry on attach, and a plan event's address becomes an index once,
+when the event is applied.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, Iterator, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, Optional, Set, Tuple
 
 from repro.faults.model import ErrorModel, FaultConfig, ReadPlan, stable_unit
 from repro.sim.stats import StatSet
 
-__all__ = ["FaultInjector"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.nvm.geometry import Geometry
 
-#: (channel, bank, block)
-BlockKey = Tuple[int, int, int]
-#: (channel, bank, block, page)
-PageKey = Tuple[int, int, int, int]
+__all__ = ["FaultInjector"]
 
 _READ_SALT = 0x52454144      # "READ"
 _PROGRAM_SALT = 0x50524F47   # "PROG"
@@ -57,14 +60,38 @@ class FaultInjector:
         #: the whole device behind this injector is gone (plan
         #: ``kill_device``): every channel answers dead
         self.device_dead = False
-        self.bad_blocks: Set[BlockKey] = set()
-        self.corrupt_pages: Set[PageKey] = set()
+        self.bad_blocks: Set[int] = set()
+        self.corrupt_pages: Set[int] = set()
         # wear / retention bookkeeping
-        self._erases: Dict[BlockKey, int] = {}
+        self._erases: Dict[int, int] = {}
         self._programmed_at: Dict[int, float] = {}
         self._epoch: Dict[int, int] = {}
         self._read_seq: Dict[int, int] = {}
         self._suppress_depth = 0
+        self.geometry: Optional["Geometry"] = None
+        self._per_block = self._per_channel = 0
+
+    def attach(self, geometry: "Geometry") -> None:
+        """Take the geometry of the flash array this injector is
+        attached to (:meth:`~repro.nvm.flash.FlashArray.attach_faults`).
+        A plan event naming a block or page outside it is refused: its
+        index would name another block's."""
+        for event in self._events:
+            if event.kind in ("bad_block", "corrupt_page") and not (
+                    0 <= event.channel < geometry.channels
+                    and 0 <= event.bank < geometry.banks_per_channel
+                    and 0 <= event.block < geometry.blocks_per_bank
+                    and (event.kind == "bad_block"
+                         or 0 <= event.page < geometry.pages_per_block)):
+                raise ValueError(f"{event} lies outside {geometry}")
+        self.geometry = geometry
+        self._per_block = geometry.pages_per_block
+        self._per_channel = geometry.pages_per_channel
+
+    def _block(self, channel: int, bank: int, block: int) -> int:
+        """The block index of ``(channel, bank, block)``."""
+        g = self.geometry
+        return (channel * g.banks_per_channel + bank) * g.blocks_per_bank + block
 
     # ------------------------------------------------------------------
     # plan application
@@ -86,11 +113,13 @@ class FaultInjector:
                 self.device_dead = True
                 self.count("plan_devices_killed")
             elif event.kind == "bad_block":
-                self.bad_blocks.add((event.channel, event.bank, event.block))
+                self.bad_blocks.add(
+                    self._block(event.channel, event.bank, event.block))
                 self.count("plan_blocks_marked_bad")
             else:  # corrupt_page
-                self.corrupt_pages.add((event.channel, event.bank,
-                                        event.block, event.page))
+                self.corrupt_pages.add(
+                    self._block(event.channel, event.bank, event.block)
+                    * self._per_block + event.page)
                 self.count("plan_pages_corrupted")
 
     def count(self, name: str, amount: int = 1) -> None:
@@ -122,53 +151,52 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # flash-side queries
     # ------------------------------------------------------------------
-    def read_plan(self, idx: int, page_key: PageKey,
-                  sense_time: float) -> ReadPlan:
+    def read_plan(self, idx: int, sense_time: float) -> ReadPlan:
         """Ladder outcome for one page read sensed at ``sense_time``."""
-        if page_key in self.corrupt_pages and not self.suppressed:
-            return self.model.full_ladder("corrupt")
         if self.suppressed:
-            return ReadPlan.clean()
+            return ReadPlan()
+        if idx in self.corrupt_pages:
+            return self.model.full_ladder("corrupt")
         epoch = self._epoch.get(idx, 0)
         ordinal = self._read_seq.get(idx, 0)
         self._read_seq[idx] = ordinal + 1
-        erases = self._erases.get(page_key[:3], 0)
+        erases = self._erases.get(idx // self._per_block, 0)
         retention = sense_time - self._programmed_at.get(idx, sense_time)
         draw = stable_unit(self.config.seed, _READ_SALT, idx, epoch, ordinal)
         return self.model.read_outcome(draw,
                                        self.model.rber(erases, retention))
 
-    def program_check(self, idx: int, page_key: PageKey) -> Optional[str]:
+    def program_check(self, idx: int) -> Optional[str]:
         """None = program succeeds; otherwise the failure reason."""
-        block_key = page_key[:3]
         if self.device_dead:
             return "device_dead"
-        if block_key[0] in self.dead_channels:
+        if idx // self._per_channel in self.dead_channels:
             return "channel_dead"
-        if block_key in self.bad_blocks:
+        block = idx // self._per_block
+        if block in self.bad_blocks:
             return "bad_block"
         if self.suppressed:
             return None
-        prob = self.model.program_fail_prob(self._erases.get(block_key, 0))
+        prob = self.model.program_fail_prob(self._erases.get(block, 0))
         # a draw lies in [0, 1): with prob <= 0 the hash is skipped
         if prob > 0.0 and stable_unit(self.config.seed, _PROGRAM_SALT, idx,
                                       self._epoch.get(idx, 0)) < prob:
             return "wear"
         return None
 
-    def erase_check(self, block_key: BlockKey) -> Optional[str]:
+    def erase_check(self, key: Tuple[int, int, int]) -> Optional[str]:
         """None = erase succeeds; otherwise the failure reason."""
         if self.device_dead:
             return "device_dead"
-        if block_key[0] in self.dead_channels:
+        if key[0] in self.dead_channels:
             return "channel_dead"
-        if block_key in self.bad_blocks:
+        block = self._block(*key)
+        if block in self.bad_blocks:
             return "bad_block"
         if self.suppressed:
             return None
-        erases = self._erases.get(block_key, 0)
-        draw = stable_unit(self.config.seed, _ERASE_SALT,
-                           block_key[0], block_key[1], block_key[2], erases)
+        erases = self._erases.get(block, 0)
+        draw = stable_unit(self.config.seed, _ERASE_SALT, *key, erases)
         if self.model.erase_fails(draw, erases):
             return "wear"
         return None
@@ -181,15 +209,15 @@ class FaultInjector:
         self._epoch[idx] = self._epoch.get(idx, 0) + 1
         self._read_seq.pop(idx, None)
 
-    def note_erase(self, block_key: BlockKey, base_idx: int,
-                   page_count: int, end_time: float) -> None:
-        self._erases[block_key] = self._erases.get(block_key, 0) + 1
-        for offset in range(page_count):
-            self._programmed_at.pop(base_idx + offset, None)
-            self._read_seq.pop(base_idx + offset, None)
+    def note_erase(self, key: Tuple[int, int, int]) -> None:
+        block = self._block(*key)
+        self._erases[block] = self._erases.get(block, 0) + 1
+        pages = range(block * self._per_block, (block + 1) * self._per_block)
+        for idx in pages:
+            self._programmed_at.pop(idx, None)
+            self._read_seq.pop(idx, None)
         # erasing clears scripted corruption for the block's pages
-        self.corrupt_pages = {key for key in self.corrupt_pages
-                              if key[:3] != block_key}
+        self.corrupt_pages.difference_update(pages)
 
     def note_time_reset(self) -> None:
         """Timelines were zeroed between measurement phases: re-anchor
@@ -199,8 +227,8 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------
-    def erase_count(self, block_key: BlockKey) -> int:
-        return self._erases.get(block_key, 0)
+    def erase_count(self, key: Tuple[int, int, int]) -> int:
+        return self._erases.get(self._block(*key), 0)
 
     def counters(self) -> Dict[str, int]:
         """Snapshot of all fault counters."""

@@ -132,10 +132,6 @@ class ReadPlan:
     uncorrectable: bool = False
     reason: str = "ecc"
 
-    @classmethod
-    def clean(cls) -> "ReadPlan":
-        return cls()
-
 
 class ErrorModel:
     """Pure functions of the fault configuration (no mutable state)."""
@@ -157,7 +153,7 @@ class ErrorModel:
         cfg = self.config
         effective = rber * 2.0 ** (cfg.jitter_log2 * (2.0 * draw - 1.0))
         if effective <= cfg.ecc_rber:
-            return ReadPlan.clean()
+            return ReadPlan()
         plan = ReadPlan()
         for tier, gain in enumerate(cfg.retry_rber_gain):
             plan.retries = tier + 1

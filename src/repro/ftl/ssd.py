@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.ftl.gc import GarbageCollector
 from repro.ftl.mapping import PageMapFTL
-from repro.nvm.address import index_to_ppa
 from repro.nvm.flash import FlashArray
 from repro.nvm.profiles import DeviceProfile
 from repro.sim.stats import StatSet
@@ -133,8 +132,7 @@ class BaselineSSD:
             fmap[lpn] = ppa
             if old is not None:
                 planes[old // plane_pages].invalidate(old)
-            if faults is None or faults.program_check(
-                    ppa, index_to_ppa(ppa, self.geometry)) is None:
+            if faults is None or faults.program_check(ppa) is None:
                 batch.append(ppa)
                 if payloads is not None:
                     payloads.append(data[position])

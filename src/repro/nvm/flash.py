@@ -22,8 +22,8 @@ take :class:`~repro.nvm.address.PhysicalPageAddress` objects. The
 layers above store pages as plain int indices and call the index forms
 (:meth:`~FlashArray._read_pages`, :meth:`~FlashArray._program_pages`,
 :meth:`~FlashArray._page_data`, the reserve chains and
-:meth:`~FlashArray.move_chain`); those decode an index to an address
-only for the fault injector and for a typed fault error.
+:meth:`~FlashArray.move_chain`), as does the fault injector; an index
+is decoded to an address only to build a typed fault error.
 """
 
 from __future__ import annotations
@@ -154,8 +154,11 @@ class FlashArray:
                             for n in planes]
 
     def attach_faults(self, injector) -> None:
-        """Attach a fault injector (None detaches). Attach before any
-        timed operations so wear/retention bookkeeping is complete."""
+        """Attach a fault injector, with this array's geometry (None
+        detaches). Attach before any timed operations so wear/retention
+        bookkeeping is complete."""
+        if injector is not None:
+            injector.attach(self.geometry)
         self.faults = injector
 
     # ------------------------------------------------------------------
@@ -348,8 +351,7 @@ class FlashArray:
             issue = xfer_end
             if faults is not None:
                 faults.advance(issue)
-                verdict = faults.program_check(dest,
-                                               index_to_ppa(dest, geometry))
+                verdict = faults.program_check(dest)
             if store and verdict is None:
                 self._store_page(dest, payload)
             program_at = issue + t_cmd
@@ -399,17 +401,17 @@ class FlashArray:
             faults.count("erase_fails")
             raise EraseFailError(channel, bank, block, fail_time=end,
                                  reason=verdict)
-        geometry = self.geometry
-        base_idx = ((channel * geometry.banks_per_channel + bank)
-                    * geometry.blocks_per_bank + block) * geometry.pages_per_block
         if self.store_data:
-            for offset in range(self.geometry.pages_per_block):
-                self._programmed.discard(base_idx + offset)
-                self._pages.pop(base_idx + offset, None)
-                self._checksums.pop(base_idx + offset, None)
+            geometry = self.geometry
+            per_block = geometry.pages_per_block
+            base = ((channel * geometry.banks_per_channel + bank)
+                    * geometry.blocks_per_bank + block) * per_block
+            for idx in range(base, base + per_block):
+                self._programmed.discard(idx)
+                self._pages.pop(idx, None)
+                self._checksums.pop(idx, None)
         if faults is not None:
-            faults.note_erase((channel, bank, block), base_idx,
-                              self.geometry.pages_per_block, end)
+            faults.note_erase((channel, bank, block))
         self.stats.count("blocks_erased")
         result = FlashOpResult(start_time=start, end_time=end, completions=[end])
         result.stats.count("blocks_erased")
@@ -427,12 +429,13 @@ class FlashArray:
         packets are tiny and interleave with data on the bus), the die
         senses for ``t_read``, then the page moves over the channel bus.
 
-        With an injector attached each page first checks for a dead
-        channel and afterwards walks the ECC retry ladder; probe events
-        are emitted per page at the same point. ``completions``, when
-        given, receives the per-page completion times; callers that only
-        need the batch end time (the host I/O engine) pass None. The
-        caller accounts ``pages_read`` stats."""
+        With an injector attached (its plan advanced once per chain) each
+        page first checks for a dead channel and afterwards walks the ECC
+        retry ladder; probe events are emitted per page at the same
+        point. ``completions``, when given, receives the per-page
+        completion times; callers that only need the batch end time (the
+        host I/O engine) pass None. The caller accounts ``pages_read``
+        stats."""
         timing = self.timing
         t_read = timing.t_read
         issue = start_time + timing.t_cmd
@@ -445,15 +448,15 @@ class FlashArray:
         hooked = faults is not None or self.probe is not None
         append = completions.append if completions is not None else None
         end_time = start_time
+        if faults is not None and ppas:
+            faults.advance(start_time)
         for ppa in ppas:
             plane = ppa // plane_pages
-            if faults is not None:
-                faults.advance(start_time)
-                if faults.channel_dead(plane // banks):
-                    faults.count("dead_channel_reads")
-                    raise UncorrectableError(
-                        index_to_ppa(ppa, self.geometry),
-                        fail_time=start_time, reason="channel_dead")
+            if faults is not None and faults.channel_dead(plane // banks):
+                faults.count("dead_channel_reads")
+                raise UncorrectableError(index_to_ppa(ppa, self.geometry),
+                                         fail_time=start_time,
+                                         reason="channel_dead")
             channel = plane_channel[plane]
             bank = plane_bank[plane]
             read_start = bank.free_at
@@ -503,8 +506,7 @@ class FlashArray:
         """Walk the ECC read-retry ladder: each retry re-senses at a
         tuned reference voltage (longer than a default sense) and moves
         the page out again so the ECC engine can re-decode."""
-        ppa = index_to_ppa(idx, self.geometry)
-        plan = self.faults.read_plan(idx, ppa, sense_start)
+        plan = self.faults.read_plan(idx, sense_start)
         end = first_end
         for factor in plan.sense_factors:
             retry_start, retry_end = bank.reserve(end,
@@ -525,8 +527,8 @@ class FlashArray:
         if plan.uncorrectable:
             self.stats.count("uncorrectable_reads")
             self.faults.count("uncorrectable_reads")
-            raise UncorrectableError(ppa, fail_time=end,
-                                     retries=plan.retries,
+            raise UncorrectableError(index_to_ppa(idx, self.geometry),
+                                     fail_time=end, retries=plan.retries,
                                      reason=plan.reason)
         return end
 
@@ -535,14 +537,14 @@ class FlashArray:
                        completions: Optional[List[float]] = None) -> float:
         """The program reserve chain of a batch (see :meth:`_read_chain`):
         per page the data moves in over the channel, then the bank
-        programs for ``t_program``. With an injector attached each page
-        first asks for a program verdict; a failing page skips the
+        programs for ``t_program``. With an injector attached (its plan
+        advanced once per chain) each page first asks for a program
+        verdict; a failing page skips the
         NAND-state update, still costs its bus and array time, and
         raises :class:`ProgramFailError` after observation."""
         timing = self.timing
         t_program = timing.t_program
         issue = start_time + timing.t_cmd
-        geometry = self.geometry
         xfer = self._page_xfer
         plane_pages = self._plane_pages
         plane_channel = self._plane_channel
@@ -553,11 +555,11 @@ class FlashArray:
         append = completions.append if completions is not None else None
         end_time = start_time
         verdict = None
+        if faults is not None and ppas:
+            faults.advance(start_time)
         for position, ppa in enumerate(ppas):
             if faults is not None:
-                faults.advance(start_time)
-                verdict = faults.program_check(ppa,
-                                               index_to_ppa(ppa, geometry))
+                verdict = faults.program_check(ppa)
             if store and verdict is None:
                 self._store_page(ppa, data[position]
                                  if data is not None else None)

@@ -291,12 +291,10 @@ class RequestScheduler:
     # submission and execution
     # ------------------------------------------------------------------
     def _admit(self, op: TileOp) -> None:
-        """Open ``op``'s stream (on first use), number the op and stamp
-        its enqueue time."""
+        """Open ``op``'s stream (on first use) and number the op."""
         self.stream(op.stream)
         op.op_id = self._next_op_id
         self._next_op_id += 1
-        op.enqueue_time = op.submit_time
 
     def submit(self, op: TileOp) -> TileOp:
         """Queue one op on its stream (created on first use)."""

@@ -47,11 +47,10 @@ class TileOp:
     op_id: int = -1
     #: attached by the scheduler after execution
     result: Optional[Any] = None
-    #: lifecycle timestamps stamped by the scheduler: model time the op
-    #: entered its stream queue, the time it was actually issued to the
-    #: system flow (after queue-depth gating), and the time it finished.
-    #: ``None`` until the corresponding transition happens.
-    enqueue_time: Optional[float] = None
+    #: lifecycle timestamps stamped by the scheduler: the time the op
+    #: was actually issued to the system flow (after queue-depth gating;
+    #: it entered its stream queue at ``submit_time``), and the time it
+    #: finished. ``None`` until the corresponding transition happens.
     issue_time: Optional[float] = None
     complete_time: Optional[float] = None
 
@@ -93,10 +92,6 @@ class TileOp:
         return f"{self.kind}:{self.dataset}{list(self.extents)}@{list(self.origin)}"
 
     @property
-    def completion_time(self) -> Optional[float]:
-        return None if self.result is None else self.result.end_time
-
-    @property
     def latency(self) -> Optional[float]:
         """Submit-to-completion latency (None before execution)."""
         if self.result is None:
@@ -105,12 +100,10 @@ class TileOp:
 
     @property
     def queue_wait(self) -> Optional[float]:
-        """Enqueue-to-issue wait (None before the op was issued)."""
+        """Submit-to-issue wait (None before the op was issued)."""
         if self.issue_time is None:
             return None
-        base = self.enqueue_time if self.enqueue_time is not None \
-            else self.submit_time
-        return self.issue_time - base
+        return self.issue_time - self.submit_time
 
     @property
     def service_time(self) -> Optional[float]:

@@ -77,7 +77,7 @@ class StorageSystem(abc.ABC):
 
     #: host translation layer over a device pool (None = classic
     #: single-device system; set by :meth:`_init_cluster` when a
-    #: constructor is given ``devices > 1`` or an explicit pool)
+    #: constructor is given ``devices > 1``)
     cluster = None
 
     #: host DRAM cache tier (None = uncached, bit-identical; set by
@@ -383,26 +383,23 @@ class StorageSystem(abc.ABC):
     # ------------------------------------------------------------------
     # device-pool hooks (multi-device operation)
     # ------------------------------------------------------------------
-    def _init_cluster(self, devices: int, pool, faults, rebalance,
+    def _init_cluster(self, devices: int, faults, rebalance,
                       extents_per_device: int, factory) -> bool:
         """Attach a :class:`~repro.cluster.ClusterTranslationLayer` when
         the constructor asked for more than one device.
 
         ``factory(device_id, device_faults)`` builds one member system;
-        with ``devices=1`` and no explicit pool nothing is attached and
-        the caller proceeds with the classic single-device construction
-        (every existing code path stays bit-identical). Returns True
-        when pooled.
+        with ``devices=1`` nothing is attached and the caller proceeds
+        with the classic single-device construction (every existing code
+        path stays bit-identical). Returns True when pooled.
         """
-        if pool is None and devices <= 1:
+        if devices <= 1:
             return False
         from repro.cluster import (ClusterTranslationLayer, DevicePool,
                                    split_fault_config)
-        if pool is None:
-            count = int(devices)
-            pool = DevicePool.from_factory(
-                count,
-                lambda i: factory(i, split_fault_config(faults, i, count)))
+        count = int(devices)
+        pool = DevicePool.from_factory(
+            count, lambda i: factory(i, split_fault_config(faults, i, count)))
         parity = bool(faults.parity) if faults is not None else False
         self.cluster = ClusterTranslationLayer(
             pool, self, parity=parity,

@@ -76,7 +76,7 @@ class LinearSystem(StorageSystem):
     def _init_device(self, profile: DeviceProfile, store_data: bool,
                      queue_depth: int, max_request_bytes: int,
                      cpu: Optional[HostCpu], faults, cache, devices: int,
-                     pool, extents_per_device: int, rebalance,
+                     extents_per_device: int, rebalance,
                      factory) -> bool:
         """Build the SSD, link, host CPU and I/O engine, or a device
         pool of ``factory``-built members when more than one device is
@@ -86,7 +86,7 @@ class LinearSystem(StorageSystem):
         self.store_data = store_data
         self.max_request_bytes = max_request_bytes
         self.page_size = profile.geometry.page_size
-        if self._init_cluster(devices, pool, faults, rebalance,
+        if self._init_cluster(devices, faults, rebalance,
                               extents_per_device, factory):
             return True
         self.ssd = BaselineSSD(profile, store_data=store_data)
@@ -250,12 +250,12 @@ class BaselineSystem(LinearSystem):
                  max_request_bytes: int = DEFAULT_MAX_REQUEST_BYTES,
                  cpu: Optional[HostCpu] = None,
                  faults: Optional["FaultConfig"] = None,
-                 devices: int = 1, pool=None,
+                 devices: int = 1,
                  extents_per_device: int = 1, rebalance=None,
                  cache: Optional[CacheConfig] = None) -> None:
         if self._init_device(
                 profile, store_data, queue_depth, max_request_bytes, cpu,
-                faults, cache, devices, pool, extents_per_device, rebalance,
+                faults, cache, devices, extents_per_device, rebalance,
                 lambda i, f: BaselineSystem(
                     profile, store_data=store_data, queue_depth=queue_depth,
                     max_request_bytes=max_request_bytes, faults=f,

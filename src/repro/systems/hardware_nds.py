@@ -50,14 +50,14 @@ class HardwareNdsSystem(NdsSystem):
                  cpu: Optional[HostCpu] = None,
                  cipher=None,
                  faults: Optional[FaultConfig] = None,
-                 devices: int = 1, pool=None,
+                 devices: int = 1,
                  extents_per_device: int = 1, rebalance=None,
                  cache: Optional[CacheConfig] = None) -> None:
         self.segment_bytes = segment_bytes
         self.cipher = cipher
         if self._init_device(
                 profile, store_data, bb_override, cpu, faults, cache, devices,
-                pool, extents_per_device, rebalance,
+                extents_per_device, rebalance,
                 lambda i, f: HardwareNdsSystem(
                     profile, store_data=store_data,
                     controller_timing=controller_timing,

@@ -38,7 +38,7 @@ class NdsSystem(StorageSystem):
     def _init_device(self, profile, store_data: bool,
                      bb_override: Optional[Sequence[int]],
                      cpu: Optional[HostCpu], faults, cache, devices: int,
-                     pool, extents_per_device: int, rebalance,
+                     extents_per_device: int, rebalance,
                      factory) -> bool:
         """Build the flash array, STL, link and host CPU, or a device
         pool of ``factory``-built members when more than one device is
@@ -48,7 +48,7 @@ class NdsSystem(StorageSystem):
         self.store_data = store_data
         self.bb_override = bb_override
         self.page_size = profile.geometry.page_size
-        if self._init_cluster(devices, pool, faults, rebalance,
+        if self._init_cluster(devices, faults, rebalance,
                               extents_per_device, factory):
             return True
         self.flash = FlashArray(profile.geometry, profile.timing,

@@ -54,12 +54,12 @@ class OracleSystem(LinearSystem):
                  queue_depth: int = 32,
                  max_request_bytes: int = DEFAULT_MAX_REQUEST_BYTES,
                  faults: Optional[FaultConfig] = None,
-                 devices: int = 1, pool=None,
+                 devices: int = 1,
                  extents_per_device: int = 1, rebalance=None,
                  cache: Optional[CacheConfig] = None) -> None:
         if self._init_device(
                 profile, store_data, queue_depth, max_request_bytes, None,
-                faults, cache, devices, pool, extents_per_device, rebalance,
+                faults, cache, devices, extents_per_device, rebalance,
                 lambda i, f: OracleSystem(
                     profile, store_data=store_data, queue_depth=queue_depth,
                     max_request_bytes=max_request_bytes, faults=f,

@@ -63,14 +63,14 @@ class SoftwareNdsSystem(NdsSystem):
                  bb_override: Optional[Sequence[int]] = None,
                  cpu: Optional[HostCpu] = None,
                  faults: Optional[FaultConfig] = None,
-                 devices: int = 1, pool=None,
+                 devices: int = 1,
                  extents_per_device: int = 1, rebalance=None,
                  cache: Optional[CacheConfig] = None) -> None:
         self.queue_depth = queue_depth
         self.costs = costs
         self._init_device(
             profile, store_data, bb_override, cpu, faults, cache, devices,
-            pool, extents_per_device, rebalance,
+            extents_per_device, rebalance,
             lambda i, f: SoftwareNdsSystem(
                 profile, store_data=store_data, queue_depth=queue_depth,
                 costs=costs, bb_override=bb_override, faults=f,

@@ -642,7 +642,9 @@ def _gc_churn(seed: int, old_patch: bool):
                 key = rng.choice(sorted(planes))
                 victims = planes[key].victim_candidates()
                 if victims:
-                    flash.faults.bad_blocks.add((*key, victims[0]))
+                    flash.faults.bad_blocks.add(
+                        planes[key].base // flash.geometry.pages_per_block
+                        + victims[0])
             elif step == 1:
                 now = stl.gc.collect_background(
                     now, rng.choice([1e-9, 3e-5, 1.0])).end_time

@@ -56,19 +56,48 @@ def test_ssd_scattered_roundtrip(data):
         assert page[0] == expected[lpn]
 
 
+#: LPNs 0-7 are hot (one per plane, rewritten every churn round); each
+#: round also writes the next 8 cold LPNs from 48 on, which stay live
+COLD_BASE, CHURN_ROUNDS = 48, 30
+
+
 @SETTINGS
 @given(st.data())
 def test_forward_and_reverse_maps_stay_consistent(data):
+    """Drawn writes and trims over LPNs 0-40 run between rounds of a
+    fixed churn that makes every plane collect: each round rewrites the
+    hot LPNs and writes 8 new cold ones, so every erase block keeps
+    live pages and each collection moves some before it erases the
+    victim. Right before each erase, and at the end, every block's live
+    count must count its filled slots; at the end the forward map and
+    the owner slots must be one bijection."""
     ssd = BaselineSSD(TINY_TEST, store_data=False)
+    erase_block = ssd.flash.erase_block
+
+    def checked_erase(*args):
+        # the victim's pages have all moved: its live count is 0 here
+        assert_live_counts(ssd.ftl.planes)
+        return erase_block(*args)
+
+    ssd.flash.erase_block = checked_erase
     operations = data.draw(st.lists(
         st.tuples(st.sampled_from(["write", "trim"]),
                   st.integers(0, 40)),
         min_size=1, max_size=60))
-    for serial, (op, lpn) in enumerate(operations):
-        if op == "write":
-            ssd.write_lpns([lpn], float(serial))
-        else:
-            ssd.trim_lpns([lpn])
+    now = 0.0
+    for step in range(max(CHURN_ROUNDS, len(operations))):
+        if step < CHURN_ROUNDS:
+            cold = COLD_BASE + 8 * step
+            ssd.write_lpns(list(range(8)) + list(range(cold, cold + 8)),
+                           now)
+        if step < len(operations):
+            op, lpn = operations[step]
+            if op == "write":
+                ssd.write_lpns([lpn], now)
+            else:
+                ssd.trim_lpns([lpn])
+        now += 1e-3
+    assert ssd.gc.total_relocated > 0
     # every forward mapping has exactly one live owner slot and vice
     # versa, and every block's live count counts its filled slots
     forward = dict(ssd.ftl.map)

@@ -244,7 +244,8 @@ def _mark_victim_bad(draw, flash, planes) -> None:
     key = draw(st.sampled_from(sorted(planes)))
     victims = planes[key].victim_candidates()
     if victims:
-        flash.faults.bad_blocks.add((*key, victims[0]))
+        flash.faults.bad_blocks.add(
+            planes[key].base // flash.geometry.pages_per_block + victims[0])
 
 
 def _checked_background(stl, now, budget):
