@@ -52,8 +52,8 @@ class Space:
     #: cache reaches the capacity limit.
     _region_cache: OrderedDict = field(init=False, repr=False, compare=False)
     _pages_cache: OrderedDict = field(init=False, repr=False, compare=False)
-    #: per-space hit/miss counters for both memo caches (module-level
-    #: ``translation_cache_stats()`` aggregates these for compat)
+    #: per-space hit/miss counters for both memo caches (the translator's
+    #: module-level ``translation_cache_stats()`` sums every space's)
     _translation_stats: Dict[str, int] = field(init=False, repr=False,
                                                compare=False)
 

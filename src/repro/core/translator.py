@@ -17,68 +17,37 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import List, Sequence, Tuple
 
 from repro.core.space import Space
 
 __all__ = ["BlockAccess", "translate", "translate_region",
-           "check_region", "pages_for_region",
-           "set_translation_cache_limit", "translation_cache_limit",
-           "translation_cache_stats", "reset_translation_cache_stats"]
+           "check_region", "pages_for_region", "translation_cache_stats"]
 
 #: per-Space entry cap for each memo cache. Tile plans revisit a small
 #: set of (origin, shape) pairs, so the working set is tiny; the cap
 #: only guards pathological workloads that sweep millions of distinct
-#: regions. 0 disables caching entirely (the knob the equivalence
-#: tests use to A/B the cached path against the raw walk).
-_DEFAULT_CACHE_LIMIT = 4096
-_cache_limit = _DEFAULT_CACHE_LIMIT
+#: regions. A full cache evicts its least-recently-used entry (hits
+#: refresh recency), so a working set one entry over the cap degrades
+#: gracefully instead of thrashing.
+_CACHE_LIMIT = 4096
 _cache_stats = {"region_hits": 0, "region_misses": 0,
                 "pages_hits": 0, "pages_misses": 0}
 
-#: switch the vectorized page walk on above this many outer rows (the
-#: numpy setup cost beats the scalar loop from roughly a dozen rows)
-_VECTOR_THRESHOLD = 16
 
-
-def set_translation_cache_limit(limit: int) -> None:
-    """Set the per-Space translation cache capacity (entries per cache;
-    0 disables memoization). A full cache evicts its least-recently-used
-    entry — hits refresh recency — so a working set one entry over the
-    cap degrades gracefully instead of thrashing from a wholesale
-    clear."""
-    global _cache_limit
-    if limit < 0:
-        raise ValueError("cache limit must be >= 0")
-    _cache_limit = int(limit)
-
-
-def translation_cache_limit() -> int:
-    return _cache_limit
-
-
-def translation_cache_stats(space: Optional[Space] = None) -> dict:
-    """Hit/miss counters over both memo caches.
-
-    With ``space`` given, that space's own counters; without, the
-    process-wide aggregate across every space (the historical behaviour,
-    kept as a compat shim — prefer :meth:`Space.translation_cache_stats`
-    when comparing systems, since the aggregate mixes every space,
-    system, and pooled device in the process)."""
-    if space is not None:
-        return space.translation_cache_stats()
+def translation_cache_stats() -> dict:
+    """Process-wide hit/miss counters over both memo caches, summed
+    across every space, system and pooled device in the process (use
+    :meth:`Space.translation_cache_stats` for one space's own)."""
     return dict(_cache_stats)
 
 
-def reset_translation_cache_stats(space: Optional[Space] = None) -> None:
-    """Zero the aggregate counters, or one space's with ``space``."""
-    if space is not None:
-        space.reset_translation_cache_stats()
-        return
-    for key in _cache_stats:
-        _cache_stats[key] = 0
+def _remember(cache, key, value: tuple) -> None:
+    """Insert into a capped memo cache, evicting least-recently-used
+    entries first."""
+    while len(cache) >= _CACHE_LIMIT:
+        cache.popitem(last=False)
+    cache[key] = value
 
 
 @dataclass(frozen=True)
@@ -170,10 +139,7 @@ def translate_region(space: Space, origin: Sequence[int],
             block_slice=tuple(block_slice),
             out_slice=tuple(out_slice),
         ))
-    if _cache_limit:
-        while len(cache) >= _cache_limit:
-            cache.popitem(last=False)
-        cache[key] = tuple(accesses)
+    _remember(cache, key, tuple(accesses))
     return accesses
 
 
@@ -184,8 +150,7 @@ def pages_for_region(space: Space,
     byte stream sequentially.
 
     Memoized per Space keyed on ``block_slice`` (pure geometry, like
-    :func:`translate_region`); large regions take a numpy-vectorized
-    walk over the outer rows instead of the per-row Python loop."""
+    :func:`translate_region`)."""
     key = tuple(tuple(pair) for pair in block_slice)
     cache = space._pages_cache
     stats = space._translation_stats
@@ -205,10 +170,7 @@ def pages_for_region(space: Space,
                for (start, stop), extent in zip(block_slice, bb))
     if full:
         pages = list(range(page))
-        if _cache_limit:
-            while len(cache) >= _cache_limit:
-                cache.popitem(last=False)
-            cache[key] = tuple(pages)
+        _remember(cache, key, tuple(pages))
         return pages
 
     # Walk contiguous runs: fix all axes but the last, the last axis is a
@@ -219,63 +181,15 @@ def pages_for_region(space: Space,
     for axis in range(len(bb) - 2, -1, -1):
         strides[axis] = strides[axis + 1] * bb[axis + 1]
 
-    outer_rows = 1
-    for start, stop in block_slice[:-1]:
-        outer_rows *= stop - start
-    if outer_rows >= _VECTOR_THRESHOLD:
-        pages = _pages_vectorized(block_slice, strides, last_start, elem,
-                                  run_bytes, page_size_bytes)
-    else:
-        page_set = set()
-        outer_ranges = [range(start, stop)
-                        for start, stop in block_slice[:-1]]
-        for outer in itertools.product(*outer_ranges):
-            offset = last_start * elem
-            for axis, index in enumerate(outer):
-                offset += index * strides[axis]
-            first_page = offset // page_size_bytes
-            last_page = (offset + run_bytes - 1) // page_size_bytes
-            page_set.update(range(first_page, last_page + 1))
-        pages = sorted(page_set)
-    if _cache_limit:
-        while len(cache) >= _cache_limit:
-            cache.popitem(last=False)
-        cache[key] = tuple(pages)
+    page_set = set()
+    outer_ranges = [range(start, stop) for start, stop in block_slice[:-1]]
+    for outer in itertools.product(*outer_ranges):
+        offset = last_start * elem
+        for axis, index in enumerate(outer):
+            offset += index * strides[axis]
+        first_page = offset // page_size_bytes
+        last_page = (offset + run_bytes - 1) // page_size_bytes
+        page_set.update(range(first_page, last_page + 1))
+    pages = sorted(page_set)
+    _remember(cache, key, tuple(pages))
     return pages
-
-
-def _pages_vectorized(block_slice: Sequence[Tuple[int, int]],
-                      strides: Sequence[int], last_start: int, elem: int,
-                      run_bytes: int, page_size_bytes: int) -> List[int]:
-    """Vectorized equivalent of the per-row offset walk: build every
-    outer-row byte offset with broadcast adds, then map run start/end
-    bytes to page indices in bulk. Integer math throughout, so the
-    result is identical to the scalar walk."""
-    offsets = np.asarray([last_start * elem], dtype=np.int64)
-    for (start, stop), stride in zip(block_slice[:-1], strides[:-1]):
-        axis = np.arange(start, stop, dtype=np.int64) * stride
-        offsets = (offsets[:, None] + axis[None, :]).ravel()
-    first = offsets // page_size_bytes
-    last = (offsets + (run_bytes - 1)) // page_size_bytes
-    if int((last - first).max()) == 0:
-        touched = _sorted_unique(first)
-    else:
-        spans = [np.arange(f, l + 1, dtype=np.int64)
-                 for f, l in zip(first.tolist(), last.tolist())]
-        touched = _sorted_unique(np.concatenate(spans))
-    return touched.tolist()
-
-
-def _sorted_unique(values: np.ndarray) -> np.ndarray:
-    """Sorted distinct values of an int array. Same result as
-    ``np.unique``, without it: ``np.unique`` drags in the lazily-imported
-    ``numpy.ma`` machinery (a ~30 ms one-time stall that lands on the
-    first translated region of a run) and carries masked/axis handling
-    this hot path never needs."""
-    if values.size == 0:
-        return values
-    ordered = np.sort(values)
-    keep = np.empty(ordered.shape, dtype=bool)
-    keep[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
-    return ordered[keep]

@@ -1,5 +1,7 @@
 """Tests for the Eq. 5 space translator."""
 
+from unittest import mock
+
 import pytest
 
 from repro.core import Space, pages_for_region, translate, translate_region
@@ -106,9 +108,7 @@ class TestTranslationCacheEviction:
         from repro.core import translator
 
         space = Space.create(7, (64, 64), 4, geometry)
-        old_limit = translator.translation_cache_limit()
-        translator.set_translation_cache_limit(4)
-        try:
+        with mock.patch.object(translator, "_CACHE_LIMIT", 4):
             hot = ((0, 0), (16, 16))
             translate_region(space, *hot)
             for i in range(1, 4):
@@ -117,13 +117,11 @@ class TestTranslationCacheEviction:
             before = space.translation_cache_stats()["region_hits"]
             # one more distinct region forces a single LRU eviction...
             translate_region(space, (0, 16), (16, 16))
-            assert len(space._region_cache) <= 4
+            assert len(space._region_cache) == 4
             # ...and the hot entry survives it
             translate_region(space, *hot)
             after = space.translation_cache_stats()["region_hits"]
             assert after == before + 1
-        finally:
-            translator.set_translation_cache_limit(old_limit)
 
     def test_hot_entry_survives_overflowing_working_set(self, geometry):
         """A region re-accessed between every cold access stays resident
@@ -133,9 +131,7 @@ class TestTranslationCacheEviction:
         from repro.core import translator
 
         space = Space.create(8, (64, 64), 4, geometry)
-        old_limit = translator.translation_cache_limit()
-        translator.set_translation_cache_limit(4)
-        try:
+        with mock.patch.object(translator, "_CACHE_LIMIT", 4):
             hot = ((0, 0), (16, 16))
             cold = [((16 * (i % 4), 16), (16, 16)) for i in range(8)]
             translate_region(space, *hot)
@@ -145,8 +141,6 @@ class TestTranslationCacheEviction:
             stats = space.translation_cache_stats()
             assert stats["region_hits"] >= len(cold)
             assert len(space._region_cache) <= 4
-        finally:
-            translator.set_translation_cache_limit(old_limit)
 
 
 class TestPerSpaceStats:
@@ -171,19 +165,21 @@ class TestPerSpaceStats:
         b = Space.create(14, (64, 64), 4, geometry)
         translate_region(a, (0, 0), (16, 16))
         translate_region(b, (0, 0), (16, 16))
-        from repro.core.translator import (reset_translation_cache_stats,
-                                           translation_cache_stats)
-        reset_translation_cache_stats(a)
-        assert translation_cache_stats(a)["region_misses"] == 0
-        assert translation_cache_stats(b)["region_misses"] == 1
+        a.reset_translation_cache_stats()
+        assert a.translation_cache_stats()["region_misses"] == 0
+        assert b.translation_cache_stats()["region_misses"] == 1
 
     def test_module_shim_aggregates_without_space(self, geometry):
-        from repro.core.translator import (reset_translation_cache_stats,
-                                           translation_cache_stats)
-        reset_translation_cache_stats()
-        space = Space.create(15, (64, 64), 4, geometry)
-        translate_region(space, (0, 0), (16, 16))
-        assert translation_cache_stats()["region_misses"] >= 1
+        from repro.core.translator import translation_cache_stats
+        before = translation_cache_stats()
+        a = Space.create(15, (64, 64), 4, geometry)
+        b = Space.create(16, (64, 64), 4, geometry)
+        translate_region(a, (0, 0), (16, 16))
+        translate_region(b, (0, 0), (16, 16))
+        translate_region(b, (0, 0), (16, 16))
+        after = translation_cache_stats()
+        assert after["region_misses"] == before["region_misses"] + 2
+        assert after["region_hits"] == before["region_hits"] + 1
 
     def test_two_systems_report_independent_counts(self):
         from repro.nvm import TINY_TEST

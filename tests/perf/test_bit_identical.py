@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -121,18 +122,13 @@ def test_devices_one_bit_identical_to_single_device(wl_name, cls):
 
 @pytest.mark.parametrize("cls", SYSTEMS, ids=[c.name for c in SYSTEMS])
 def test_translation_memo_off_agrees(cls):
-    """The translation memo is invisible: with its cache limit at 0 the
+    """The translation memo is invisible: with nothing let into it the
     same scenario must give the same floats."""
-    from repro.core.translator import (set_translation_cache_limit,
-                                       translation_cache_limit)
+    from repro.core import translator
 
     memo = _run_one(GemmWorkload(n=256, tile=128, max_tiles=12), cls)
-    saved = translation_cache_limit()
-    set_translation_cache_limit(0)
-    try:
+    with mock.patch.object(translator, "_remember", lambda *args: None):
         plain = _run_one(GemmWorkload(n=256, tile=128, max_tiles=12), cls)
-    finally:
-        set_translation_cache_limit(saved)
     assert memo[0].hex() == plain[0].hex()
     assert memo[2].hex() == plain[2].hex()
     assert [e.hex() for e in memo[1]] == [e.hex() for e in plain[1]]
