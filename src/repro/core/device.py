@@ -17,7 +17,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.core.api import array_to_bytes, bytes_to_array
-from repro.core.controller import ControllerTiming, NdsController
+from repro.core.controller import NdsController
 from repro.core.errors import FaultError, NdsError, PayloadError
 from repro.core.stl import SpaceTranslationLayer
 from repro.interconnect.encoding import EncodedCommand, decode_command
@@ -48,15 +48,13 @@ class NdsDevice:
     """An NDS SSD consuming :class:`EncodedCommand` submissions."""
 
     def __init__(self, profile: DeviceProfile,
-                 store_data: bool = True,
-                 controller_timing: ControllerTiming = ControllerTiming(),
-                 ) -> None:
+                 store_data: bool = True) -> None:
         self.profile = profile
         self.flash = FlashArray(profile.geometry, profile.timing,
                                 store_data=store_data)
         self.stl = SpaceTranslationLayer(self.flash,
                                          gc_threshold=profile.overprovisioning)
-        self.controller = NdsController(controller_timing)
+        self.controller = NdsController()
         self._linear_space_id: Optional[int] = None
 
     # ------------------------------------------------------------------

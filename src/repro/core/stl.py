@@ -91,7 +91,6 @@ class SpaceTranslationLayer:
     def __init__(self, flash: FlashArray, gc_threshold: float = 0.10,
                  seed: int = 0x5D5, compressor=None,
                  elide_zero_pages: bool = False,
-                 gc_policy: str = "greedy",
                  parity: bool = False) -> None:
         self.flash = flash
         self.geometry = flash.geometry
@@ -118,8 +117,7 @@ class SpaceTranslationLayer:
         self.allocator = NdsAllocator(flash.geometry, seed=seed)
         self.allocator.flash = flash
         self.gc = NdsGarbageCollector(self.allocator, flash,
-                                      threshold=gc_threshold,
-                                      policy=gc_policy)
+                                      threshold=gc_threshold)
         #: cross-channel XOR parity: one extra unit per building block,
         #: reconstructed reads on uncorrectable errors (None = off)
         self.parity: Optional[ParityStore] = ParityStore() if parity else None

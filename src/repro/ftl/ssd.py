@@ -47,16 +47,15 @@ class BaselineSSD:
         Functional mode keeps page bytes; timing-only mode does not.
     """
 
-    def __init__(self, profile: DeviceProfile, store_data: bool = True,
-                 gc_policy: str = "greedy") -> None:
+    def __init__(self, profile: DeviceProfile,
+                 store_data: bool = True) -> None:
         self.profile = profile
         self.geometry = profile.geometry
         self.flash = FlashArray(profile.geometry, profile.timing,
                                 store_data=store_data)
         self.ftl = PageMapFTL(profile.geometry)
         self.gc = GarbageCollector(self.ftl, self.flash,
-                                   threshold=profile.overprovisioning,
-                                   policy=gc_policy)
+                                   threshold=profile.overprovisioning)
         self.page_size = profile.geometry.page_size
         #: logical capacity excludes the over-provisioned share
         self.logical_pages = int(

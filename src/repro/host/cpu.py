@@ -22,18 +22,13 @@ class HostCpu:
 
     def __init__(self, per_io_cost: float = 4e-6,
                  memory: MemoryModel = MemoryModel(),
-                 copy_cores: int = 1,
-                 stl_lookup_cost: float = 2e-6) -> None:
+                 copy_cores: int = 1) -> None:
         if per_io_cost < 0:
             raise ValueError("per_io_cost must be non-negative")
         self.per_io_cost = per_io_cost
         self.memory = memory
         self.issue_line = Timeline("host_issue")
         self.copy_lines = MultiTimeline(copy_cores, "host_copy")
-        #: per-request cost of host-side STL work (B-tree walk + Eq. 5
-        #: translation) for the software NDS; calibrated against the
-        #: 41 µs worst-case adder of §7.3 together with LightNVM I/O costs.
-        self.stl_lookup_cost = stl_lookup_cost
         self.stats = StatSet()
         #: the owning system's :class:`~repro.obs.probe.Probe` while a
         #: trace or metrics subscriber is attached, else None

@@ -23,7 +23,7 @@ import numpy as np
 from repro.cache.config import CacheConfig
 from repro.cache.nd import region_key
 from repro.core.api import bytes_to_array
-from repro.core.controller import ControllerTiming, NdsController
+from repro.core.controller import NdsController
 from repro.faults.model import FaultConfig
 from repro.host.cpu import HostCpu
 from repro.nvm.profiles import DeviceProfile
@@ -35,7 +35,7 @@ __all__ = ["HardwareNdsSystem"]
 
 #: segment size at which assembled data is pushed to the host (§4.4:
 #: the optimal data-exchange volume of the interconnect, [P2]'s 2 MB)
-DEFAULT_SEGMENT_BYTES = 2 * 2**20
+SEGMENT_BYTES = 2 * 2**20
 
 
 class HardwareNdsSystem(NdsSystem):
@@ -44,8 +44,6 @@ class HardwareNdsSystem(NdsSystem):
     name = "hardware-nds"
 
     def __init__(self, profile: DeviceProfile, store_data: bool = False,
-                 controller_timing: ControllerTiming = ControllerTiming(),
-                 segment_bytes: int = DEFAULT_SEGMENT_BYTES,
                  bb_override: Optional[Sequence[int]] = None,
                  cpu: Optional[HostCpu] = None,
                  cipher=None,
@@ -53,18 +51,15 @@ class HardwareNdsSystem(NdsSystem):
                  devices: int = 1,
                  extents_per_device: int = 1, rebalance=None,
                  cache: Optional[CacheConfig] = None) -> None:
-        self.segment_bytes = segment_bytes
         self.cipher = cipher
         if self._init_device(
                 profile, store_data, bb_override, cpu, faults, cache, devices,
                 extents_per_device, rebalance,
                 lambda i, f: HardwareNdsSystem(
-                    profile, store_data=store_data,
-                    controller_timing=controller_timing,
-                    segment_bytes=segment_bytes, bb_override=bb_override,
+                    profile, store_data=store_data, bb_override=bb_override,
                     cipher=cipher, faults=f, cache=cache)):
             return
-        self.controller = NdsController(controller_timing)
+        self.controller = NdsController()
         # optional controller AES engine (§5.3.3): decryption rides the
         # assembly path, encryption the disassembly path; the engine is
         # one shared pipeline resource
@@ -150,10 +145,10 @@ class HardwareNdsSystem(NdsSystem):
                                                  block.pages)
                 pending_bytes += region_bytes
                 pending_ready = max(pending_ready, ready)
-                while pending_bytes >= self.segment_bytes:
-                    transfer = self.link.transfer(self.segment_bytes,
+                while pending_bytes >= SEGMENT_BYTES:
+                    transfer = self.link.transfer(SEGMENT_BYTES,
                                                   pending_ready)
-                    pending_bytes -= self.segment_bytes
+                    pending_bytes -= SEGMENT_BYTES
                     end = max(end, transfer.end_time)
             if pending_bytes > 0:
                 transfer = self.link.transfer(pending_bytes, pending_ready)
@@ -301,7 +296,7 @@ class HardwareNdsSystem(NdsSystem):
         arrivals = []
         cumulative = 0
         while cumulative < total_bytes:
-            chunk = min(self.segment_bytes, total_bytes - cumulative)
+            chunk = min(SEGMENT_BYTES, total_bytes - cumulative)
             transfer = self.link.transfer(chunk, first_start)
             cumulative += chunk
             arrivals.append((cumulative, transfer.end_time))

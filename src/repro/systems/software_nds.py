@@ -56,10 +56,10 @@ class SoftwareNdsSystem(NdsSystem):
     """Host-resident STL over LightNVM physical addressing."""
 
     name = "software-nds"
+    costs = SoftwareStlCosts()
 
     def __init__(self, profile: DeviceProfile, store_data: bool = False,
                  queue_depth: int = 32,
-                 costs: SoftwareStlCosts = SoftwareStlCosts(),
                  bb_override: Optional[Sequence[int]] = None,
                  cpu: Optional[HostCpu] = None,
                  faults: Optional[FaultConfig] = None,
@@ -67,14 +67,12 @@ class SoftwareNdsSystem(NdsSystem):
                  extents_per_device: int = 1, rebalance=None,
                  cache: Optional[CacheConfig] = None) -> None:
         self.queue_depth = queue_depth
-        self.costs = costs
         self._init_device(
             profile, store_data, bb_override, cpu, faults, cache, devices,
             extents_per_device, rebalance,
             lambda i, f: SoftwareNdsSystem(
                 profile, store_data=store_data, queue_depth=queue_depth,
-                costs=costs, bb_override=bb_override, faults=f,
-                cache=cache))
+                bb_override=bb_override, faults=f, cache=cache))
 
     # ------------------------------------------------------------------
     def _execute_read(self, dataset: str, origin: Sequence[int],
