@@ -32,6 +32,7 @@ import json
 from typing import Dict, List, Optional, Sequence
 
 from repro.cache.config import CacheConfig
+from repro.faults.model import FaultConfig
 from repro.nvm.profiles import TINY_TEST, DeviceProfile
 from repro.obs.critical_path import critical_path
 from repro.obs.monitor import Monitor
@@ -43,8 +44,8 @@ from repro.traffic.injector import OpenLoopInjector, TrafficStream
 from repro.workloads.embedding import EmbeddingWorkload
 
 __all__ = ["LOADLINE_SYSTEMS", "default_workload", "arrival_process",
-           "run_load_point", "loadline_sweep", "sweep_json",
-           "format_loadline"]
+           "serving_injector", "run_load_point", "loadline_sweep",
+           "sweep_json", "format_loadline"]
 
 LOADLINE_SYSTEMS = ("baseline", "software-nds", "hardware-nds",
                     "software-oracle")
@@ -128,6 +129,70 @@ def _merged_cell(result, scheduler) -> Dict[str, object]:
     }
 
 
+def serving_injector(system_name: str, offered_rate: float,
+                     workload: EmbeddingWorkload,
+                     profile: DeviceProfile = TINY_TEST,
+                     devices: int = 1,
+                     cache: Optional[CacheConfig] = None,
+                     faults: Optional[FaultConfig] = None,
+                     arrival: str = "poisson",
+                     seed: int = 97,
+                     tenants: int = 1,
+                     token_rate: Optional[float] = None,
+                     admission_queue: Optional[int] = 64,
+                     horizon: float = 0.05,
+                     trace: Optional[TraceRecorder] = None,
+                     marks: int = 0,
+                     monitor: Optional[Monitor] = None) -> OpenLoopInjector:
+    """A ready-to-run embedding-serving scenario: ``system_name`` over a
+    ``devices``-member pool (with the optional DRAM tier and fault
+    config) holding ``workload``'s tables, with the clocks reset, and
+    an injector of ``offered_rate`` requests/s split over ``tenants``
+    traffic streams (see :func:`run_load_point`)."""
+    from repro.obs.report import SYSTEM_FACTORIES
+
+    factory = SYSTEM_FACTORIES.get(system_name)
+    if factory is None:
+        raise ValueError(f"unknown system {system_name!r}; pick from "
+                         f"{sorted(SYSTEM_FACTORIES)}")
+    if tenants < 1:
+        raise ValueError("tenants must be >= 1")
+    kwargs: Dict[str, object] = {}
+    if devices > 1:
+        kwargs["devices"] = devices
+    if cache is not None:
+        kwargs["cache"] = cache
+    if faults is not None:
+        kwargs["faults"] = faults
+    system = factory(profile, **kwargs)
+    if system_name == "software-oracle":
+        # the oracle stores one tile-major copy per fetch shape
+        for ds in workload.datasets():
+            system.ingest(ds.name, ds.dims, ds.element_size,
+                          tile=(1, workload.embedding_dim))
+    else:
+        for ds in workload.datasets():
+            system.ingest(ds.name, ds.dims, ds.element_size)
+    system.reset_time()
+    system._reset_runtime()
+
+    if tenants == 1:
+        streams = [TrafficStream(
+            "serve", arrival_process(arrival, offered_rate, seed),
+            workload.request_factory(),
+            token_rate=token_rate, admission_queue=admission_queue)]
+    else:
+        streams = [TrafficStream(
+            f"serve{t}",
+            arrival_process(arrival, offered_rate / tenants,
+                            seed + 7919 * t),
+            workload.request_factory(salt=t),
+            token_rate=token_rate, admission_queue=admission_queue)
+            for t in range(tenants)]
+    return OpenLoopInjector(system, streams, horizon=horizon, trace=trace,
+                            marks=marks, monitor=monitor)
+
+
 def run_load_point(system_name: str, offered_rate: float,
                    devices: int = 1,
                    profile: DeviceProfile = TINY_TEST,
@@ -161,49 +226,18 @@ def run_load_point(system_name: str, offered_rate: float,
     analogue of a pool-aware :func:`co_run_workloads` co-run. The cell
     then reports the merged aggregate plus per-tenant sub-reports under
     ``"streams"``."""
-    from repro.obs.report import SYSTEM_FACTORIES
-
-    factory = SYSTEM_FACTORIES.get(system_name)
-    if factory is None:
-        raise ValueError(f"unknown system {system_name!r}; pick from "
-                         f"{sorted(SYSTEM_FACTORIES)}")
-    if tenants < 1:
-        raise ValueError("tenants must be >= 1")
     if workload is None:
         workload = default_workload()
-    kwargs = {} if cache is None else {"cache": cache}
-    system = (factory(profile, **kwargs) if devices <= 1
-              else factory(profile, devices=devices, **kwargs))
-    if system_name == "software-oracle":
-        # the oracle stores one tile-major copy per fetch shape
-        for ds in workload.datasets():
-            system.ingest(ds.name, ds.dims, ds.element_size,
-                          tile=(1, workload.embedding_dim))
-    else:
-        for ds in workload.datasets():
-            system.ingest(ds.name, ds.dims, ds.element_size)
-    system.reset_time()
-    system._reset_runtime()
-
     trace = TraceRecorder() if attribute_layers else None
-    if tenants == 1:
-        streams = [TrafficStream(
-            "serve", arrival_process(arrival, offered_rate, seed),
-            workload.request_factory(),
-            token_rate=token_rate, admission_queue=admission_queue)]
-    else:
-        streams = [TrafficStream(
-            f"serve{t}",
-            arrival_process(arrival, offered_rate / tenants,
-                            seed + 7919 * t),
-            workload.request_factory(salt=t),
-            token_rate=token_rate, admission_queue=admission_queue)
-            for t in range(tenants)]
     mon = Monitor(slo=monitor, horizon=horizon) if monitor is not None \
         else None
-    injector = OpenLoopInjector(system, streams, horizon=horizon,
-                                trace=trace, marks=8 if trace else 0,
-                                monitor=mon)
+    injector = serving_injector(
+        system_name, offered_rate, workload, profile=profile,
+        devices=devices, cache=cache, arrival=arrival, seed=seed,
+        tenants=tenants, token_rate=token_rate,
+        admission_queue=admission_queue, horizon=horizon, trace=trace,
+        marks=8 if trace else 0, monitor=mon)
+    system = injector.system
     result = injector.run()
 
     cell: Dict[str, object] = {

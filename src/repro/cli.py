@@ -229,26 +229,16 @@ def _run_monitor_scenario(args: argparse.Namespace, policy):
     and ``--cache-mb --cache-write-back`` layer a mid-run device loss
     and a write-back DRAM tier on top.
     """
-    from repro.analysis.loadline_sweep import (arrival_process,
-                                               default_workload)
-    from repro.nvm.profiles import TINY_TEST
+    from repro.analysis.loadline_sweep import (default_workload,
+                                               serving_injector)
     from repro.obs.monitor import Monitor
-    from repro.obs.report import SYSTEM_FACTORIES
     from repro.runtime.trace import TraceRecorder
-    from repro.traffic.injector import OpenLoopInjector, TrafficStream
 
-    factory = SYSTEM_FACTORIES.get(args.system)
-    if factory is None:
-        raise SystemExit(f"unknown system {args.system!r}; pick from "
-                         f"{sorted(SYSTEM_FACTORIES)}")
-    kwargs = {}
-    if args.devices > 1:
-        kwargs["devices"] = args.devices
+    cache = faults = None
     if args.cache_mb:
         from repro.cache.config import CacheConfig
-        kwargs["cache"] = CacheConfig(
-            capacity_bytes=int(args.cache_mb * 2**20),
-            write_back=args.cache_write_back)
+        cache = CacheConfig(capacity_bytes=int(args.cache_mb * 2**20),
+                            write_back=args.cache_write_back)
     if args.kill_device is not None:
         from repro.faults.model import FaultConfig
         from repro.faults.plan import FaultPlan
@@ -257,40 +247,21 @@ def _run_monitor_scenario(args: argparse.Namespace, policy):
                              "(parity rebuild requires surviving peers)")
         kill_at = (args.kill_at if args.kill_at is not None
                    else args.horizon / 2)
-        kwargs["faults"] = FaultConfig(parity=True,
-                                       plan=FaultPlan().kill_device(
-                                           args.kill_device, at=kill_at))
-    system = factory(TINY_TEST, **kwargs)
-    workload = default_workload(seed=args.seed)
-    if args.system == "software-oracle":
-        for ds in workload.datasets():
-            system.ingest(ds.name, ds.dims, ds.element_size,
-                          tile=(1, workload.embedding_dim))
-    else:
-        for ds in workload.datasets():
-            system.ingest(ds.name, ds.dims, ds.element_size)
-    system.reset_time()
-    system._reset_runtime()
-
-    if args.tenants <= 1:
-        streams = [TrafficStream(
-            "serve", arrival_process(args.arrival, args.rate, args.seed),
-            workload.request_factory(),
-            admission_queue=args.admission_queue or None)]
-    else:
-        streams = [TrafficStream(
-            f"serve{t}",
-            arrival_process(args.arrival, args.rate / args.tenants,
-                            args.seed + 7919 * t),
-            workload.request_factory(salt=t),
-            admission_queue=args.admission_queue or None)
-            for t in range(args.tenants)]
+        faults = FaultConfig(parity=True, plan=FaultPlan().kill_device(
+            args.kill_device, at=kill_at))
     monitor = Monitor(windows=args.windows, slo=policy,
                       horizon=args.horizon)
     trace = TraceRecorder()
-    injector = OpenLoopInjector(system, streams, horizon=args.horizon,
-                                trace=trace, marks=args.windows,
-                                monitor=monitor)
+    try:
+        injector = serving_injector(
+            args.system, args.rate, default_workload(seed=args.seed),
+            devices=args.devices, cache=cache, faults=faults,
+            arrival=args.arrival, seed=args.seed, tenants=args.tenants,
+            admission_queue=args.admission_queue or None,
+            horizon=args.horizon, trace=trace, marks=args.windows,
+            monitor=monitor)
+    except ValueError as err:
+        raise SystemExit(str(err))
     injector.run()
     return trace, monitor.report(trace=trace)
 
