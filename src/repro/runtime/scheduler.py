@@ -415,9 +415,12 @@ class RequestScheduler:
         enqueue→issue→complete timestamps), the stream's weight and
         accumulated ``service_time`` plus its ``service_share`` of all
         streams' service; when a latency target is set, an ``slo``
-        sub-dict carries the target and the met/violated counts.
+        sub-dict carries the target and the met/violated counts; with a
+        DRAM tier attached, a ``cache`` sub-dict carries the stream's
+        :meth:`stream_cache_report` entry.
         """
         total_service = sum(h.service_time for h in self.streams.values())
+        stream_cache = self.stream_cache_report()
         report: Dict[str, Dict[str, object]] = {}
         for name, handle in self.streams.items():
             if not handle.ops:
@@ -451,14 +454,8 @@ class RequestScheduler:
                     "met": handle.slo_met,
                     "violated": handle.slo_violated,
                 }
-            cache_totals = self._cache_totals.get(name)
-            if cache_totals:
-                hits = cache_totals.get("hits", 0)
-                misses = cache_totals.get("misses", 0)
-                cache_entry: Dict[str, object] = dict(cache_totals)
-                cache_entry["hit_rate"] = (round(hits / (hits + misses), 6)
-                                           if hits + misses else 0.0)
-                entry["cache"] = cache_entry
+            if name in stream_cache:
+                entry["cache"] = stream_cache[name]
             report[name] = entry
         return report
 
