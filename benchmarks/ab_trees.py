@@ -28,10 +28,14 @@ What runs (``--what``):
     ~2000 units). Both trees must give the same digest of every
     executed op's end time; the script exits non-zero when they differ.
 
-``--faults idle|default`` (``ingest`` and ``phase``) attaches a fault
-injector to every flash array of the timed system after its build:
-``idle`` is ``FaultConfig(rber_base=0.0)``, under which no read retries
-and nothing fails, and ``default`` is ``FaultConfig()``. With
+``--faults idle|wear`` (``ingest`` and ``phase``) attaches a fault
+injector to every flash array of the timed system after its build and
+prints the injectors' summed counters after each run. Under ``idle``
+(``FaultConfig(rber_base=0.0)``) no read retries and nothing fails;
+``wear`` raises the raw bit-error rate and the program and erase fail
+rates, so reads retry and programs fail within 20 ``baseline-sweep``
+units, and within ``--warm 300`` plus 20 ``nds-sweep`` units (an STL
+unit programs about 5 pages, a baseline unit about 350). With
 ``phase`` the digest check then covers fault runs too.
 
 Prints min / q1 / median per tree, then the median of the per-pair
@@ -41,7 +45,7 @@ Usage::
 
     python benchmarks/ab_trees.py --parent PARENT_CHECKOUT --change . \
         [--what ingest|build|fig10|phase] [--workload nds-sweep] \
-        [--mib 64] [--units 200] [--warm 0] [--faults idle|default] \
+        [--mib 64] [--units 200] [--warm 0] [--faults idle|wear] \
         [--pairs 10]
 """
 
@@ -54,6 +58,7 @@ import importlib
 import math
 import statistics
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 from time import perf_counter
@@ -100,18 +105,35 @@ class Tree:
 
 
 #: ``--faults`` name -> FaultConfig keyword arguments
-FAULTS = {"idle": {"rber_base": 0.0}, "default": {}}
+FAULTS = {"idle": {"rber_base": 0.0},
+          "wear": {"rber_base": 4e-3, "program_fail_base": 5e-4,
+                   "erase_fail_base": 0.05}}
 
 
-def attach_faults(tree: Tree, flashes, faults) -> None:
-    """Attach a fresh ``--faults`` injector to each flash array (none
-    when ``faults`` is None)."""
+def attach_faults(tree: Tree, flashes, faults) -> list:
+    """Attach a fresh ``--faults`` injector to each flash array and
+    return the injectors (none when ``faults`` is None)."""
     if faults is None:
-        return
+        return []
     module = tree.module("repro.faults")
+    injectors = []
     for flash in flashes:
-        flash.attach_faults(module.FaultInjector(
+        injectors.append(module.FaultInjector(
             module.FaultConfig(**FAULTS[faults])))
+        flash.attach_faults(injectors[-1])
+    return injectors
+
+
+def print_fault_counters(tree: Tree, injectors) -> None:
+    """Print the summed counters of a run's injectors (nothing when no
+    injector was attached)."""
+    if not injectors:
+        return
+    total: Counter = Counter()
+    for injector in injectors:
+        total.update(injector.counters())
+    counts = "  ".join(f"{name} {total[name]}" for name in sorted(total))
+    print(f"  {tree.label} fault counters: {counts or 'none'}")
 
 
 def flash_arrays(system) -> list:
@@ -130,13 +152,15 @@ def run_ingest(tree: Tree, mib: int, faults) -> float:
     profile = tree.module("workloads").GC_DENSE
     side = int(math.isqrt((mib << 20) // 4))
     flash = flash_cls(profile.geometry, profile.timing, store_data=False)
-    attach_faults(tree, [flash], faults)
+    injectors = attach_faults(tree, [flash], faults)
     stl = stl_cls(flash)
     space = stl.create_space((side, side), 4)
     gc.collect()
     start = perf_counter()
     stl.write_region(space.space_id, (0, 0), (side, side))
-    return perf_counter() - start
+    elapsed = perf_counter() - start
+    print_fault_counters(tree, injectors)
+    return elapsed
 
 
 def run_build(tree: Tree, workload: str) -> float:
@@ -165,7 +189,7 @@ def run_phase(tree: Tree, workload: str, units: int, warm: int,
     executed op's end time goes to ``tree.digests``."""
     target = tree.module("workloads").WORKLOADS[workload]
     system = target.build()
-    attach_faults(tree, flash_arrays(system), faults)
+    injectors = attach_faults(tree, flash_arrays(system), faults)
     system.reset_time()
     if warm:
         target.run(system, target.golden_seed + 1, warm)
@@ -178,6 +202,7 @@ def run_phase(tree: Tree, workload: str, units: int, warm: int,
         digest.update(f"{op.kind} {op.complete_time.hex()}\n".encode())
     digest.update(f"failed {outcome['failed']}\n".encode())
     tree.digests.append(digest.hexdigest())
+    print_fault_counters(tree, injectors)
     del system
     return elapsed
 
