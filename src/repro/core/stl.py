@@ -287,7 +287,7 @@ class SpaceTranslationLayer:
                     else [pages[p] for p in positions if pages[p] is not None])
             while ppas:
                 try:
-                    end = self.flash._read_pages(ppas, issue_time)
+                    end = self.flash.read_pages(ppas, issue_time)
                 except UncorrectableError as err:
                     if entry.stored_bytes is not None:
                         raise
@@ -430,7 +430,7 @@ class SpaceTranslationLayer:
             if plane.free_pages < trigger_mark and not dead:
                 try:
                     if pending_ppas:
-                        done = self.flash._program_pages(
+                        done = self.flash.program_pages(
                             pending_ppas, rmw_done, pending_data)
                         if done > completion:
                             completion = done
@@ -495,7 +495,7 @@ class SpaceTranslationLayer:
                     pending_data.append(payload[0])
                 continue
             if pending_ppas:
-                completion = max(completion, self.flash._program_pages(
+                completion = max(completion, self.flash.program_pages(
                     pending_ppas, rmw_done, pending_data))
                 pending_ppas = []
                 pending_data = [] if content is not None else None
@@ -505,8 +505,8 @@ class SpaceTranslationLayer:
                 # a re-drive placed the unit again
                 plan = None
         if pending_ppas:
-            done = self.flash._program_pages(pending_ppas, rmw_done,
-                                             pending_data)
+            done = self.flash.program_pages(pending_ppas, rmw_done,
+                                            pending_data)
             if done > completion:
                 completion = done
         if self.parity is not None:
@@ -612,7 +612,7 @@ class SpaceTranslationLayer:
             for (lo, hi), extent in zip(access.block_slice, space.bb))
         done, reads = issue_time, 0
         if ppas and not covers_block:
-            done = self.flash._read_pages(ppas, issue_time)
+            done = self.flash.read_pages(ppas, issue_time)
             reads = len(ppas)
         if self.flash.faults is not None:
             self.flash.faults.advance(done)
@@ -644,11 +644,9 @@ class SpaceTranslationLayer:
         (None: place it first), re-driven past a status-fail
         (:meth:`~repro.ftl.gc.RelocatingCollector.program_page`).
         Returns the program's completion."""
-        end = self.gc.program_page(
+        return self.gc.program_page(
             ppa, issue, data, lambda _ppa: self._release(entry, position),
             lambda: self._place(space_id, entry, position))[1]
-        self.flash.stats.count("pages_programmed")
-        return end
 
     def _unbind(self, entry: BlockEntry, position: int):
         """Empty ``entry.pages[position]``: the leaf slot and the page's
@@ -714,7 +712,6 @@ class SpaceTranslationLayer:
                 lambda: self.allocator.allocate_raw(
                     (space_id, coord),
                     allowed=self._shard_planes.get(space_id)))
-        self.flash.stats.count("pages_programmed")
         self.parity.put(space_id, coord, ppa)
         self.stats.count("stl_parity_units_written")
         return end
@@ -747,9 +744,9 @@ class SpaceTranslationLayer:
         with faults.suppress():
             try:
                 for _pos, ppa in survivors + [(PARITY_POSITION, parity_ppa)]:
-                    end = max(end, self.flash._read_pages((ppa,),
-                                                          err.fail_time))
-                    page ^= self.flash._page_data(ppa)
+                    end = max(end, self.flash.read_pages((ppa,),
+                                                         err.fail_time))
+                    page ^= self.flash.page_data(ppa)
             except (EccError, UncorrectableError) as sibling_err:
                 raise DegradedReadError(
                     err.ppa, end,
@@ -772,7 +769,7 @@ class SpaceTranslationLayer:
         buffer = np.zeros(total, dtype=np.uint8)
         if entry.stored_bytes is not None:
             stored = np.concatenate(
-                [self.flash._page_data(ppa)
+                [self.flash.page_data(ppa)
                  for ppa in entry.allocated_pages()])
             raw = self.compressor.decompress_block(
                 stored[:max(entry.stored_bytes, 0)], space.block_bytes)
@@ -781,7 +778,7 @@ class SpaceTranslationLayer:
         for position, ppa in enumerate(entry.pages):
             if ppa is None:
                 continue
-            page = self.flash._page_data(ppa)
+            page = self.flash.page_data(ppa)
             buffer[position * self._page_size:
                    (position + 1) * self._page_size] = page
         return buffer

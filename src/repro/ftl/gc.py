@@ -170,7 +170,7 @@ class RelocatingCollector:
             if not complete:
                 break
             try:
-                erase = self.flash.erase_block(channel, bank, victim, end)
+                erased_at = self.flash.erase_block(channel, bank, victim, end)
             except EraseFailError as err:
                 # live pages are already out; the block is grown bad
                 self._retire(plane, victim)
@@ -178,7 +178,7 @@ class RelocatingCollector:
                 ran = True
                 continue
             plane.release_block(victim)
-            end = max(end, erase.end_time)
+            end = max(end, erased_at)
             erased += 1
             ran = True
         self.total_relocated += relocated
@@ -230,9 +230,7 @@ class RelocatingCollector:
                     raise
                 return None
 
-        #: pages read and destinations programmed (``dests[i]`` holds
-        #: ``sources[i]``)
-        sources: list = []
+        #: destinations programmed
         dests: list = []
         page = 0
         busy = (channel, bank, block)
@@ -241,7 +239,7 @@ class RelocatingCollector:
             while True:
                 end, stop = flash.move_chain(
                     channel, bank, block, owners, page, allocate, moved,
-                    now, end, chained, sources, dests)
+                    now, end, chained, dests)
                 if stop is None:
                     break
                 page, payload, issue, dest, err = stop
@@ -261,13 +259,6 @@ class RelocatingCollector:
         finally:
             self._relocating.discard(busy)
             state.live -= len(dests)
-            counters = flash.stats.counters
-            if sources:
-                counters["pages_read"] = \
-                    counters.get("pages_read", 0) + len(sources)
-            if dests:
-                counters["pages_programmed"] = \
-                    counters.get("pages_programmed", 0) + len(dests)
             if retiring:
                 self.total_relocated += len(dests)
         return end, len(dests), True
@@ -296,10 +287,9 @@ class RelocatingCollector:
 
         On each failure: ``unbind(ppa)``, retire the block the error
         names (its decoded ``err.ppa``), ``place()`` the unit again and
-        program it at the retirement's end. The caller counts
-        ``pages_programmed``. Returns the page index holding the unit
-        and the program's end, or ``(None, issue)`` once ``place``
-        returns None.
+        program it at the retirement's end. Returns the page index
+        holding the unit and the program's end, or ``(None, issue)`` once
+        ``place`` returns None.
         """
         while True:
             if ppa is None:
@@ -308,8 +298,7 @@ class RelocatingCollector:
                     return None, issue
             if failed is None:
                 try:
-                    return ppa, self.flash._program_chain((ppa,), issue,
-                                                          data)
+                    return ppa, self.flash.program_pages((ppa,), issue, data)
                 except ProgramFailError as err:
                     failed = err
             unbind(ppa)

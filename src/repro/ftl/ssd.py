@@ -105,8 +105,7 @@ class BaselineSSD:
         stripe_planes = ftl.stripe_planes
         stripes = len(stripe_planes)
         trigger_mark = gc.trigger_mark
-        program_chain = flash._program_chain
-        count_flash = flash.stats.count
+        program_pages = flash.program_pages
         end = start_time
         batch: List = []
         payloads: Optional[List] = [] if data is not None else None
@@ -114,8 +113,7 @@ class BaselineSSD:
             plane = stripe_planes[lpn % stripes]
             if plane.free_pages < trigger_mark:
                 if batch:
-                    done = program_chain(batch, start_time, payloads)
-                    count_flash("pages_programmed", len(batch))
+                    done = program_pages(batch, start_time, payloads)
                     if done > end:
                         end = done
                     batch = []
@@ -138,8 +136,7 @@ class BaselineSSD:
                 continue
             # a failing verdict: the chain goes first, then this page
             if batch:
-                end = max(end, flash._program_pages(batch, start_time,
-                                                    payloads))
+                end = max(end, program_pages(batch, start_time, payloads))
                 batch = []
                 payloads = [] if data is not None else None
             done = gc.program_page(
@@ -147,12 +144,10 @@ class BaselineSSD:
                 (data[position],) if data is not None else None,
                 lambda _ppa: ftl.trim(lpn),
                 lambda: ftl.allocate(lpn)[0])[1]
-            count_flash("pages_programmed")
             if done > end:
                 end = done
         if batch:
-            done = program_chain(batch, start_time, payloads)
-            count_flash("pages_programmed", len(batch))
+            done = program_pages(batch, start_time, payloads)
             if done > end:
                 end = done
         stats.count("device_pages_written", len(lpns))
@@ -169,7 +164,7 @@ class BaselineSSD:
         lookup = self.ftl.map.get
         resolved = [lookup(lpn) for lpn in lpns]
         ppas = [ppa for ppa in resolved if ppa is not None]
-        end = self.flash._read_pages(ppas, start_time)
+        end = self.flash.read_pages(ppas, start_time)
         stats = StatSet()
         stats.count("device_pages_read", len(ppas))
         stats.count("device_pages_unmapped", len(resolved) - len(ppas))
@@ -228,7 +223,7 @@ class BaselineSSD:
         """Contents of resolved pages in request order (ECC-verified);
         unmapped LPNs (None) read back as zeros."""
         return [np.zeros(self.page_size, dtype=np.uint8) if ppa is None
-                else self.flash._page_data(ppa) for ppa in resolved]
+                else self.flash.page_data(ppa) for ppa in resolved]
 
     def reset_time(self) -> None:
         """Zero all device timelines (content untouched) — used between

@@ -109,13 +109,13 @@ class HostIoEngine:
     controller, the link and the host copy cores — in the FCFS order of
     the per-layer calls (``cpu.issue_io``, ``link.transfer``,
     ``cpu.copy``), so each float operation happens in the same sequence.
-    On the device side the read flow walks the FTL map and the flash
-    read chain itself and the write flow calls the FTL write step
-    (``BaselineSSD._program_lpns``) into the run's stats, so no request
-    builds a device or flash result. With a probe attached, the events
-    those layers would emit are emitted at the same point. Per-layer
-    stats are committed when the run ends, also when a request raises,
-    so they always match the timelines.
+    On the device side the read flow walks the FTL map itself and calls
+    ``FlashArray.read_pages`` once per request, and the write flow calls
+    the FTL write step (``BaselineSSD._program_lpns``) into the run's
+    stats, so no request builds a device result. With a probe attached,
+    the events those layers would emit are emitted at the same point.
+    Per-layer stats are committed when the run ends, also when a request
+    raises, so they always match the timelines.
     """
 
     def __init__(self, ssd: BaselineSSD, link: Link, cpu: HostCpu,
@@ -143,11 +143,10 @@ class HostIoEngine:
         cpu = self.cpu
         link = self.link
         ssd = self.ssd
-        flash = ssd.flash
         check_lpns = ssd._check_lpns
         logical_pages = ssd.logical_pages
         map_get = ssd.ftl.map.get
-        read_chain = flash._read_chain
+        read_pages = ssd.flash.read_pages
         issue_line = cpu.issue_line
         ctrl_line = self.controller_line
         link_line = link.line
@@ -168,7 +167,7 @@ class HostIoEngine:
         ops_before = self._op_counts()
         issue_time_acc = cpu.stats.times.get("host_issue", 0.0)
         copy_time_acc = cpu.stats.times.get("host_copy", 0.0)
-        copied_bytes = chains = 0
+        copied_bytes = 0
         end_time = start_time
         useful_total = 0
         fetched_total = 0
@@ -211,8 +210,7 @@ class HostIoEngine:
                 else:
                     resolved = list(map(map_get, range(first, first + count)))
                     ppas = [ppa for ppa in resolved if ppa is not None]
-                device_end = read_chain(ppas, ctrl_done)
-                chains += 1
+                device_end = read_pages(ppas, ctrl_done)
                 pages_total += len(ppas)
                 unmapped_total += count - len(ppas)
                 data_append(ssd._gather(resolved) if with_data else None)
@@ -256,8 +254,6 @@ class HostIoEngine:
         finally:
             self._commit(ops_before, issue_time_acc, copy_time_acc,
                          copied_bytes, fetched_total)
-            if chains:
-                flash.stats.count("pages_read", pages_total)
         result.end_time = end_time
         result.useful_bytes = useful_total
         result.fetched_bytes = fetched_total

@@ -1,7 +1,7 @@
 """Flash / NVM device substrate: geometry, timing, functional+timed array."""
 
 from repro.nvm.address import PhysicalPageAddress, index_to_ppa, ppa_to_index
-from repro.nvm.flash import FlashArray, FlashOpResult, FlashStateError
+from repro.nvm.flash import FlashArray, FlashStateError
 from repro.nvm.geometry import Geometry
 from repro.nvm.profiles import (CONSUMER_SSD, PAPER_PROTOTYPE, PCM_PROTOTYPE,
                                 TINY_TEST, DeviceProfile)
@@ -14,7 +14,6 @@ __all__ = [
     "ppa_to_index",
     "index_to_ppa",
     "FlashArray",
-    "FlashOpResult",
     "FlashStateError",
     "DeviceProfile",
     "PAPER_PROTOTYPE",

@@ -5,15 +5,16 @@ A physical page address (PPA) names one basic access unit:
 :func:`ppa_to_index` (channel-major, then bank, block, page), is the
 form the simulator stores and passes on its hot paths: the FTL map, the
 STL leaf slots, the parity store, the page
-allocators, the flash array's reserve chains and the fault injector's
-page and block keys all hold plain ints.
+allocators, every page method of the flash array and the fault
+injector's page and block keys all hold plain ints.
 The plane number of an index (``channel * banks_per_channel + bank``)
 is ``index // pages_per_bank``. Index order is the field order, so a
 sort of indices keeps the order of a sort of addresses.
 
-:class:`PhysicalPageAddress` is the decoded form, built only at the
-edges: the ``ppa`` of a typed fault error and its message, and the
-flash array's public page methods.
+:class:`PhysicalPageAddress` is the decoded form, built only where an
+address leaves the program: the ``ppa`` of a typed fault error and its
+message. A :class:`~repro.faults.plan.FaultPlan` event, which comes in
+from outside, names its page by the same four fields.
 It is a named tuple: its hash and ordering are the plain tuple's
 (field-wise, in declaration order), and it compares equal to the plain
 4-tuple of its fields.

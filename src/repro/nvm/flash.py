@@ -16,34 +16,29 @@ This is the lowest substrate layer. It models:
 * **Data** — optional byte-accurate page contents (numpy ``uint8``
   arrays) so that every higher layer can be verified functionally.
 
-The public page methods (:meth:`FlashArray.read_pages`,
-:meth:`~FlashArray.program_pages`, :meth:`~FlashArray.page_data`, ...)
-take :class:`~repro.nvm.address.PhysicalPageAddress` objects. The
-layers above store pages as plain int indices and call the index forms
-(:meth:`~FlashArray._read_pages`, :meth:`~FlashArray._program_pages`,
-:meth:`~FlashArray._page_data`, the reserve chains and
-:meth:`~FlashArray.move_chain`), as does the fault injector; an index
-is decoded to an address only to build a typed fault error.
+Every page method takes plain int page indices
+(:func:`~repro.nvm.address.ppa_to_index`) and counts the pages it
+moves; an index is decoded to a
+:class:`~repro.nvm.address.PhysicalPageAddress` only to build a typed
+fault error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
-                    Tuple)
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.faults.errors import (EraseFailError, ProgramFailError,
                                  UncorrectableError)
-from repro.nvm.address import PhysicalPageAddress, index_to_ppa, ppa_to_index
+from repro.nvm.address import index_to_ppa
 from repro.nvm.geometry import Geometry
 from repro.nvm.timing import NvmTiming
 from repro.sim.resources import Timeline
 from repro.sim.stats import StatSet
 
-__all__ = ["FlashArray", "FlashOpResult", "FlashStateError", "EccError",
-           "MoveStop", "OutOfSpaceError"]
+__all__ = ["FlashArray", "FlashStateError", "EccError", "MoveStop",
+           "OutOfSpaceError"]
 
 
 class FlashStateError(RuntimeError):
@@ -71,25 +66,6 @@ class EccError(RuntimeError):
     Real NAND pages carry ECC in their out-of-band area; the model keeps
     a checksum per programmed page and raises when a read encounters
     injected corruption — the hook for failure-injection tests."""
-
-
-@dataclass
-class FlashOpResult:
-    """Outcome of a batch of page operations.
-
-    ``start_time`` is when the batch was issued, ``end_time`` when the
-    last page finished. ``completions`` holds per-page completion times
-    in issue order.
-    """
-
-    start_time: float
-    end_time: float
-    completions: List[float] = field(default_factory=list)
-    stats: StatSet = field(default_factory=StatSet)
-
-    @property
-    def elapsed(self) -> float:
-        return self.end_time - self.start_time
 
 
 class MoveStop(NamedTuple):
@@ -164,17 +140,12 @@ class FlashArray:
     # ------------------------------------------------------------------
     # functional access
     # ------------------------------------------------------------------
-    def page_data(self, ppa: PhysicalPageAddress,
-                  verify: bool = True) -> np.ndarray:
-        """Contents of a programmed page (zero-filled if never written
-        with data, e.g. timing-only programs).
+    def page_data(self, idx: int, verify: bool = True) -> np.ndarray:
+        """Contents of programmed page index ``idx`` (zero-filled if never
+        written with data, e.g. timing-only programs).
 
         ``verify`` checks the page's ECC checksum and raises
         :class:`EccError` on injected corruption."""
-        return self._page_data(ppa_to_index(ppa, self.geometry), verify)
-
-    def _page_data(self, idx: int, verify: bool = True) -> np.ndarray:
-        """:meth:`page_data` of page index ``idx``."""
         data = self._pages.get(idx)
         if data is None:
             return np.zeros(self.geometry.page_size, dtype=np.uint8)
@@ -184,258 +155,41 @@ class FlashArray:
                                f"{index_to_ppa(idx, self.geometry)}")
         return data
 
-    def corrupt_page(self, ppa: PhysicalPageAddress,
-                     byte_offset: int = 0) -> None:
-        """Failure injection: flip bits in a programmed page's stored
+    def corrupt_page(self, idx: int, byte_offset: int = 0) -> None:
+        """Failure injection: flip bits in page index ``idx``'s stored
         content so the next verified read raises :class:`EccError`."""
-        idx = ppa_to_index(ppa, self.geometry)
         data = self._pages.get(idx)
         if data is None:
-            raise FlashStateError(f"page {ppa} holds no data to corrupt")
+            raise FlashStateError(f"page {index_to_ppa(idx, self.geometry)} "
+                                  "holds no data to corrupt")
         data[byte_offset % data.size] ^= 0xFF
 
-    def is_programmed(self, ppa: PhysicalPageAddress) -> bool:
-        return ppa_to_index(ppa, self.geometry) in self._programmed
+    def is_programmed(self, idx: int) -> bool:
+        return idx in self._programmed
 
     # ------------------------------------------------------------------
     # timed operations
     # ------------------------------------------------------------------
-    def read_pages(self, ppas: Sequence[PhysicalPageAddress],
-                   start_time: float = 0.0) -> FlashOpResult:
-        """Read a batch of pages issued in order at ``start_time``.
+    def read_pages(self, ppas: Sequence[int], start_time: float = 0.0
+                   ) -> float:
+        """Read a batch of page indices issued in order at
+        ``start_time``; returns the batch's end and counts
+        ``pages_read``.
 
-        Returns per-page completion times; the scheduler exposes exactly
-        as much channel/bank parallelism as the addresses allow, which
-        is the effect the paper's Figures 1 and 5 are about.
-        """
-        geometry = self.geometry
-        result = FlashOpResult(start_time=start_time, end_time=start_time)
-        result.end_time = self._read_chain(
-            [ppa_to_index(ppa, geometry) for ppa in ppas], start_time,
-            result.completions)
-        result.stats.count("pages_read", len(ppas))
-        self.stats.count("pages_read", len(ppas))
-        return result
-
-    def _read_pages(self, ppas: Sequence[int], start_time: float) -> float:
-        """:meth:`read_pages` of page indices; returns the batch's end."""
-        end = self._read_chain(ppas, start_time)
-        self.stats.count("pages_read", len(ppas))
-        return end
-
-    def program_pages(self, ppas: Sequence[PhysicalPageAddress],
-                      start_time: float = 0.0,
-                      data: Optional[Sequence[Optional[np.ndarray]]] = None,
-                      ) -> FlashOpResult:
-        """Program a batch of pages issued in order at ``start_time``.
-
-        ``data[i]``, when given, must be at most ``page_size`` bytes and
-        is stored (zero-padded) for functional read-back.
-        """
-        geometry = self.geometry
-        result = FlashOpResult(start_time=start_time, end_time=start_time)
-        result.end_time = self._program_chain(
-            [ppa_to_index(ppa, geometry) for ppa in ppas], start_time, data,
-            result.completions)
-        result.stats.count("pages_programmed", len(ppas))
-        self.stats.count("pages_programmed", len(ppas))
-        return result
-
-    def _program_pages(self, ppas: Sequence[int], start_time: float,
-                       data: Optional[Sequence[Optional[np.ndarray]]] = None
-                       ) -> float:
-        """:meth:`program_pages` of page indices; returns the batch's
-        end."""
-        end = self._program_chain(ppas, start_time, data)
-        self.stats.count("pages_programmed", len(ppas))
-        return end
-
-    def move_chain(self, channel: int, bank: int, block: int,
-                   owners: List[object], page: int,
-                   allocate: Callable[[object], int],
-                   moved: Callable[[object, int, int], None],
-                   now: float, end: float, chained: bool,
-                   sources: List[int], dests: List[int]
-                   ) -> Tuple[float, Optional[MoveStop]]:
-        """Move the live pages of one block, from ``page`` on, to the
-        page indices ``allocate`` hands out (a plane's
-        ``allocate_page``): the relocation of one GC victim as one
-        reserve chain.
-
-        Per live page (``owners[page]`` not None), in page order:
-        reserve the read, take the verified payload, allocate the
-        destination to the page's owner, and reserve its program at the
-        read's completion. A read issues at ``now``; with ``chained``, at
-        the running ``end`` once a page has moved. Every read and program
-        stays on the block's bank and channel lines, so both are looked
-        up once; the reservations, the faults (dead channel, ECC ladder,
-        program verdict) and the probe events of each page are those of
-        a one-page :meth:`read_pages` and then :meth:`program_pages`, in
-        that order, and only run when an injector, a probe or
-        ``store_data`` is attached.
-
-        ``sources`` receives each page (its number in the block) once
-        its read completed and ``dests`` each destination index once its
-        program succeeded, so ``dests[i]`` now holds ``sources[i]``; the
-        caller counts the pages read and programmed, and lowers the
-        block's ``live`` count by ``len(dests)``. Right after each
-        successful program the source slot is emptied and ``moved(owner,
-        source, dest)`` runs with the source's page index, so the caller
-        patches the owner before the next read, as a page-at-a-time move
-        would. A source keeps its owner until its program succeeds: a
-        read error propagates, and a stop returns, with the page not
-        moved.
-
-        Returns ``(end, stop)``: the latest program completion (``end``
-        on entry at least), and None once no live page is left, or a
-        :class:`MoveStop` when no destination was free or a program
-        failed; the caller finishes the page in flight and calls again
-        from the next page.
-        """
-        timing = self.timing
-        t_cmd = timing.t_cmd
-        t_read = timing.t_read
-        t_program = timing.t_program
-        xfer = self._page_xfer
-        geometry = self.geometry
-        per_block = geometry.pages_per_block
-        block_base = ((channel * geometry.banks_per_channel + bank)
-                      * geometry.blocks_per_bank + block) * per_block
-        channel_line = self.channel_lines[channel]
-        bank_line = self.bank_lines[channel][bank]
-        store = self.store_data
-        faults = self.faults
-        hooked = faults is not None or self.probe is not None
-        verdict = None
-        while True:
-            while page < per_block and owners[page] is None:
-                page += 1
-            if page == per_block:
-                return end, None
-            start = end if chained and dests else now
-            source = block_base + page
-            if faults is not None:
-                faults.advance(start)
-                if faults.channel_dead(channel):
-                    faults.count("dead_channel_reads")
-                    raise UncorrectableError(index_to_ppa(source, geometry),
-                                             fail_time=start,
-                                             reason="channel_dead")
-            read_at = start + t_cmd
-            read_start = bank_line.free_at
-            if read_start < read_at:
-                read_start = read_at
-            read_end = read_start + t_read
-            bank_line.busy_time += t_read
-            bank_line.ops += 1
-            xfer_start = channel_line.free_at
-            if xfer_start < read_end:
-                xfer_start = read_end
-            xfer_end = xfer_start + xfer
-            channel_line.free_at = xfer_end
-            channel_line.busy_time += xfer
-            channel_line.ops += 1
-            bank_line.free_at = xfer_end
-            if hooked:
-                xfer_end = self._page_read(source, bank_line,
-                                           channel_line, xfer,
-                                           read_start, read_end,
-                                           xfer_start, xfer_end)
-            sources.append(page)
-            payload = self._page_data(source) if store else None
-            owner = owners[page]
-            try:
-                dest = allocate(owner)
-            except OutOfSpaceError:
-                return end, MoveStop(page, payload, xfer_end, None, None)
-            issue = xfer_end
-            if faults is not None:
-                faults.advance(issue)
-                verdict = faults.program_check(dest)
-            if store and verdict is None:
-                self._store_page(dest, payload)
-            program_at = issue + t_cmd
-            xfer_start = channel_line.free_at
-            if xfer_start < program_at:
-                xfer_start = program_at
-            xfer_end = xfer_start + xfer
-            channel_line.free_at = xfer_end
-            channel_line.busy_time += xfer
-            channel_line.ops += 1
-            prog_start = bank_line.free_at
-            if prog_start < xfer_end:
-                prog_start = xfer_end
-            prog_end = prog_start + t_program
-            bank_line.free_at = prog_end
-            bank_line.busy_time += t_program
-            bank_line.ops += 1
-            if hooked:
-                try:
-                    self._page_programmed(dest, bank_line, channel_line,
-                                          xfer_start, xfer_end, prog_start,
-                                          prog_end, verdict)
-                except ProgramFailError as err:
-                    return end, MoveStop(page, payload, issue, dest, err)
-            dests.append(dest)
-            owners[page] = None
-            moved(owner, source, dest)
-            if prog_end > end:
-                end = prog_end
-            page += 1
-
-    def erase_block(self, channel: int, bank: int, block: int,
-                    start_time: float = 0.0) -> FlashOpResult:
-        """Erase one block: the bank is busy for ``t_erase`` and all
-        pages in the block return to the erased state."""
-        faults = self.faults
-        verdict = None
-        if faults is not None:
-            faults.advance(start_time)
-            verdict = faults.erase_check((channel, bank, block))
-        line = self.bank_lines[channel][bank]
-        start, end = line.reserve(start_time, self.timing.t_erase)
-        if self.probe is not None:
-            self.probe.erase(line.name, start, end, verdict is not None)
-        if verdict is not None:
-            self.stats.count("erase_fails")
-            faults.count("erase_fails")
-            raise EraseFailError(channel, bank, block, fail_time=end,
-                                 reason=verdict)
-        if self.store_data:
-            geometry = self.geometry
-            per_block = geometry.pages_per_block
-            base = ((channel * geometry.banks_per_channel + bank)
-                    * geometry.blocks_per_bank + block) * per_block
-            for idx in range(base, base + per_block):
-                self._programmed.discard(idx)
-                self._pages.pop(idx, None)
-                self._checksums.pop(idx, None)
-        if faults is not None:
-            faults.note_erase((channel, bank, block))
-        self.stats.count("blocks_erased")
-        result = FlashOpResult(start_time=start, end_time=end, completions=[end])
-        result.stats.count("blocks_erased")
-        return result
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _read_chain(self, ppas: Sequence[int], start_time: float,
-                    completions: Optional[List[float]] = None) -> float:
-        """The read reserve chain of a batch of page indices, one page at
-        a time in FCFS issue order with the Timeline bookkeeping inlined
-        (a page's plane number picks its bank and channel lines): the
-        command reaches the die after ``t_cmd`` (latency only: command
-        packets are tiny and interleave with data on the bus), the die
-        senses for ``t_read``, then the page moves over the channel bus.
+        One reserve chain, a page at a time in FCFS issue order with the
+        Timeline bookkeeping inlined (a page's plane number picks its
+        bank and channel lines): the command reaches the die after
+        ``t_cmd`` (latency only: command packets are tiny and interleave
+        with data on the bus), the die senses for ``t_read``, then the
+        page moves over the channel bus. The scheduler exposes exactly as
+        much channel/bank parallelism as the pages allow, which is the
+        effect the paper's Figures 1 and 5 are about, and a batch costs
+        what its pages cost one call each at ``start_time``.
 
         With an injector attached (its plan advanced once per chain) each
         page first checks for a dead channel and afterwards walks the ECC
         retry ladder; probe events are emitted per page at the same
-        point. ``completions``, when given, receives the per-page
-        completion times; callers that only need the batch end time (the
-        host I/O engine) pass None. The caller accounts ``pages_read``
-        stats."""
+        point. A batch that raises counts no page."""
         timing = self.timing
         t_read = timing.t_read
         issue = start_time + timing.t_cmd
@@ -446,7 +200,6 @@ class FlashArray:
         banks = self.geometry.banks_per_channel
         faults = self.faults
         hooked = faults is not None or self.probe is not None
-        append = completions.append if completions is not None else None
         end_time = start_time
         if faults is not None and ppas:
             faults.advance(start_time)
@@ -478,12 +231,249 @@ class FlashArray:
                 xfer_end = self._page_read(ppa, bank, channel, xfer,
                                            read_start, read_end,
                                            xfer_start, xfer_end)
-            if append is not None:
-                append(xfer_end)
             if xfer_end > end_time:
                 end_time = xfer_end
+        self.stats.count("pages_read", len(ppas))
         return end_time
 
+    def program_pages(self, ppas: Sequence[int], start_time: float = 0.0,
+                      data: Optional[Sequence[Optional[np.ndarray]]] = None
+                      ) -> float:
+        """Program a batch of page indices issued in order at
+        ``start_time``; returns the batch's end and counts
+        ``pages_programmed``.
+
+        The reserve chain of :meth:`read_pages`' kind: per page the data
+        moves in over the channel, then the bank programs for
+        ``t_program``. ``data[i]``, when given, must be at most
+        ``page_size`` bytes and is stored (zero-padded) for functional
+        read-back. With an injector attached (its plan advanced once per
+        chain) each page first asks for a program verdict; a failing
+        page skips the NAND-state update, still costs its bus and array
+        time, and raises :class:`ProgramFailError` after observation. A
+        batch that raises counts no page."""
+        timing = self.timing
+        t_program = timing.t_program
+        issue = start_time + timing.t_cmd
+        xfer = self._page_xfer
+        plane_pages = self._plane_pages
+        plane_channel = self._plane_channel
+        plane_bank = self._plane_bank
+        store = self.store_data
+        faults = self.faults
+        hooked = faults is not None or self.probe is not None
+        end_time = start_time
+        verdict = None
+        if faults is not None and ppas:
+            faults.advance(start_time)
+        for position, ppa in enumerate(ppas):
+            if faults is not None:
+                verdict = faults.program_check(ppa)
+            if store and verdict is None:
+                self._store_page(ppa, data[position]
+                                 if data is not None else None)
+            plane = ppa // plane_pages
+            channel = plane_channel[plane]
+            bank = plane_bank[plane]
+            xfer_start = channel.free_at
+            if xfer_start < issue:
+                xfer_start = issue
+            xfer_end = xfer_start + xfer
+            channel.free_at = xfer_end
+            channel.busy_time += xfer
+            channel.ops += 1
+            prog_start = bank.free_at
+            if prog_start < xfer_end:
+                prog_start = xfer_end
+            prog_end = prog_start + t_program
+            bank.free_at = prog_end
+            bank.busy_time += t_program
+            bank.ops += 1
+            if hooked:
+                self._page_programmed(ppa, bank, channel, xfer_start,
+                                      xfer_end, prog_start, prog_end,
+                                      verdict)
+            if prog_end > end_time:
+                end_time = prog_end
+        self.stats.count("pages_programmed", len(ppas))
+        return end_time
+
+    def move_chain(self, channel: int, bank: int, block: int,
+                   owners: List[object], page: int,
+                   allocate: Callable[[object], int],
+                   moved: Callable[[object, int, int], None],
+                   now: float, end: float, chained: bool,
+                   dests: List[int]) -> Tuple[float, Optional[MoveStop]]:
+        """Move the live pages of one block, from ``page`` on, to the
+        page indices ``allocate`` hands out (a plane's
+        ``allocate_page``): the relocation of one GC victim as one
+        reserve chain.
+
+        Per live page (``owners[page]`` not None), in page order:
+        reserve the read, take the verified payload, allocate the
+        destination to the page's owner, and reserve its program at the
+        read's completion. A read issues at ``now``; with ``chained``, at
+        the running ``end`` once a page has moved. Every read and program
+        stays on the block's bank and channel lines, so both are looked
+        up once; the reservations, the faults (dead channel, ECC ladder,
+        program verdict) and the probe events of each page are those of
+        a one-page :meth:`read_pages` and then :meth:`program_pages`, in
+        that order, and only run when an injector, a probe or
+        ``store_data`` is attached.
+
+        ``dests`` receives each destination index once its program
+        succeeded; the caller lowers the block's ``live`` count by
+        ``len(dests)``. The chain counts its completed reads and
+        successful programs on the way out, a raised error's included.
+        Right after each successful program the source slot is emptied
+        and ``moved(owner, source, dest)`` runs with the source's page
+        index, so the caller patches the owner before the next read, as
+        a page-at-a-time move would. A source keeps its owner until its program succeeds: a
+        read error propagates, and a stop returns, with the page not
+        moved.
+
+        Returns ``(end, stop)``: the latest program completion (``end``
+        on entry at least), and None once no live page is left, or a
+        :class:`MoveStop` when no destination was free or a program
+        failed; the caller finishes the page in flight and calls again
+        from the next page.
+        """
+        timing = self.timing
+        t_cmd = timing.t_cmd
+        t_read = timing.t_read
+        t_program = timing.t_program
+        xfer = self._page_xfer
+        geometry = self.geometry
+        per_block = geometry.pages_per_block
+        block_base = ((channel * geometry.banks_per_channel + bank)
+                      * geometry.blocks_per_bank + block) * per_block
+        channel_line = self.channel_lines[channel]
+        bank_line = self.bank_lines[channel][bank]
+        store = self.store_data
+        faults = self.faults
+        hooked = faults is not None or self.probe is not None
+        verdict = None
+        reads = 0
+        before = len(dests)
+        try:
+            while True:
+                while page < per_block and owners[page] is None:
+                    page += 1
+                if page == per_block:
+                    return end, None
+                start = end if chained and dests else now
+                source = block_base + page
+                if faults is not None:
+                    faults.advance(start)
+                    if faults.channel_dead(channel):
+                        faults.count("dead_channel_reads")
+                        raise UncorrectableError(index_to_ppa(source, geometry),
+                                                 fail_time=start,
+                                                 reason="channel_dead")
+                read_at = start + t_cmd
+                read_start = bank_line.free_at
+                if read_start < read_at:
+                    read_start = read_at
+                read_end = read_start + t_read
+                bank_line.busy_time += t_read
+                bank_line.ops += 1
+                xfer_start = channel_line.free_at
+                if xfer_start < read_end:
+                    xfer_start = read_end
+                xfer_end = xfer_start + xfer
+                channel_line.free_at = xfer_end
+                channel_line.busy_time += xfer
+                channel_line.ops += 1
+                bank_line.free_at = xfer_end
+                if hooked:
+                    xfer_end = self._page_read(source, bank_line,
+                                               channel_line, xfer,
+                                               read_start, read_end,
+                                               xfer_start, xfer_end)
+                reads += 1
+                payload = self.page_data(source) if store else None
+                owner = owners[page]
+                try:
+                    dest = allocate(owner)
+                except OutOfSpaceError:
+                    return end, MoveStop(page, payload, xfer_end, None, None)
+                issue = xfer_end
+                if faults is not None:
+                    faults.advance(issue)
+                    verdict = faults.program_check(dest)
+                if store and verdict is None:
+                    self._store_page(dest, payload)
+                program_at = issue + t_cmd
+                xfer_start = channel_line.free_at
+                if xfer_start < program_at:
+                    xfer_start = program_at
+                xfer_end = xfer_start + xfer
+                channel_line.free_at = xfer_end
+                channel_line.busy_time += xfer
+                channel_line.ops += 1
+                prog_start = bank_line.free_at
+                if prog_start < xfer_end:
+                    prog_start = xfer_end
+                prog_end = prog_start + t_program
+                bank_line.free_at = prog_end
+                bank_line.busy_time += t_program
+                bank_line.ops += 1
+                if hooked:
+                    try:
+                        self._page_programmed(dest, bank_line, channel_line,
+                                              xfer_start, xfer_end, prog_start,
+                                              prog_end, verdict)
+                    except ProgramFailError as err:
+                        return end, MoveStop(page, payload, issue, dest, err)
+                dests.append(dest)
+                owners[page] = None
+                moved(owner, source, dest)
+                if prog_end > end:
+                    end = prog_end
+                page += 1
+        finally:
+            count = self.stats.count
+            if reads:
+                count("pages_read", reads)
+            if len(dests) > before:
+                count("pages_programmed", len(dests) - before)
+
+    def erase_block(self, channel: int, bank: int, block: int,
+                    start_time: float = 0.0) -> float:
+        """Erase one block: the bank is busy for ``t_erase`` and all
+        pages in the block return to the erased state. Returns the
+        erase's end."""
+        faults = self.faults
+        verdict = None
+        if faults is not None:
+            faults.advance(start_time)
+            verdict = faults.erase_check((channel, bank, block))
+        line = self.bank_lines[channel][bank]
+        start, end = line.reserve(start_time, self.timing.t_erase)
+        if self.probe is not None:
+            self.probe.erase(line.name, start, end, verdict is not None)
+        if verdict is not None:
+            self.stats.count("erase_fails")
+            faults.count("erase_fails")
+            raise EraseFailError(channel, bank, block, fail_time=end,
+                                 reason=verdict)
+        if self.store_data:
+            geometry = self.geometry
+            per_block = geometry.pages_per_block
+            base = ((channel * geometry.banks_per_channel + bank)
+                    * geometry.blocks_per_bank + block) * per_block
+            for idx in range(base, base + per_block):
+                self._programmed.discard(idx)
+                self._pages.pop(idx, None)
+                self._checksums.pop(idx, None)
+        if faults is not None:
+            faults.note_erase((channel, bank, block))
+        self.stats.count("blocks_erased")
+        return end
+
+    # ------------------------------------------------------------------
+    # internals
+    # ------------------------------------------------------------------
     def _page_read(self, ppa: int, bank: Timeline,
                    channel: Timeline, xfer: float, read_start: float,
                    read_end: float, xfer_start: float,
@@ -531,64 +521,6 @@ class FlashArray:
                                      fail_time=end, retries=plan.retries,
                                      reason=plan.reason)
         return end
-
-    def _program_chain(self, ppas: Sequence[int], start_time: float,
-                       data: Optional[Sequence[Optional[np.ndarray]]],
-                       completions: Optional[List[float]] = None) -> float:
-        """The program reserve chain of a batch (see :meth:`_read_chain`):
-        per page the data moves in over the channel, then the bank
-        programs for ``t_program``. With an injector attached (its plan
-        advanced once per chain) each page first asks for a program
-        verdict; a failing page skips the
-        NAND-state update, still costs its bus and array time, and
-        raises :class:`ProgramFailError` after observation."""
-        timing = self.timing
-        t_program = timing.t_program
-        issue = start_time + timing.t_cmd
-        xfer = self._page_xfer
-        plane_pages = self._plane_pages
-        plane_channel = self._plane_channel
-        plane_bank = self._plane_bank
-        store = self.store_data
-        faults = self.faults
-        hooked = faults is not None or self.probe is not None
-        append = completions.append if completions is not None else None
-        end_time = start_time
-        verdict = None
-        if faults is not None and ppas:
-            faults.advance(start_time)
-        for position, ppa in enumerate(ppas):
-            if faults is not None:
-                verdict = faults.program_check(ppa)
-            if store and verdict is None:
-                self._store_page(ppa, data[position]
-                                 if data is not None else None)
-            plane = ppa // plane_pages
-            channel = plane_channel[plane]
-            bank = plane_bank[plane]
-            xfer_start = channel.free_at
-            if xfer_start < issue:
-                xfer_start = issue
-            xfer_end = xfer_start + xfer
-            channel.free_at = xfer_end
-            channel.busy_time += xfer
-            channel.ops += 1
-            prog_start = bank.free_at
-            if prog_start < xfer_end:
-                prog_start = xfer_end
-            prog_end = prog_start + t_program
-            bank.free_at = prog_end
-            bank.busy_time += t_program
-            bank.ops += 1
-            if hooked:
-                self._page_programmed(ppa, bank, channel, xfer_start,
-                                      xfer_end, prog_start, prog_end,
-                                      verdict)
-            if append is not None:
-                append(prog_end)
-            if prog_end > end_time:
-                end_time = prog_end
-        return end_time
 
     def _store_page(self, idx: int, payload: Optional[np.ndarray]) -> None:
         """The NAND-state update of one successful program of page index

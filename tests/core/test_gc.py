@@ -6,7 +6,7 @@ import pytest
 from repro.core import NdsGarbageCollector, SpaceTranslationLayer
 from repro.core.api import array_to_bytes, bytes_to_array
 from repro.core.gc import OOB_BYTES_PER_UNIT
-from repro.nvm import FlashArray, Geometry, NvmTiming, index_to_ppa
+from repro.nvm import FlashArray, Geometry, NvmTiming
 from tests.owner_slots import live_slots
 
 
@@ -55,8 +55,7 @@ class TestCollection:
         index = stl.indexes[space.space_id]
         for entry in index.iter_entries():
             for ppa in entry.allocated_pages():
-                assert stl.flash.is_programmed(
-                    index_to_ppa(ppa, stl.geometry))
+                assert stl.flash.is_programmed(ppa)
         result = stl.read(space.space_id, (0, 0), (8, 8))
         assert bytes_to_array(result.data, np.int16)[0, 0] == 23
 

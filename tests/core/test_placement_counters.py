@@ -959,7 +959,7 @@ def _overwrite_churn(seed: int, case: str) -> dict:
             for entry in stl.indexes[space.space_id].iter_entries():
                 if entry.coord not in written:
                     for ppa in entry.allocated_pages():
-                        flash.corrupt_page(index_to_ppa(ppa, stl.geometry))
+                        flash.corrupt_page(ppa)
             corrupted, readable = True, False
         elif not corrupted:
             rows, cols = rng.choice(sizes), rng.choice(sizes)

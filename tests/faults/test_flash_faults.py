@@ -9,7 +9,7 @@ import pytest
 from repro.faults import (EraseFailError, FaultConfig, FaultInjector,
                           FaultPlan, ProgramFailError, UncorrectableError)
 from repro.nvm import TINY_TEST
-from repro.nvm.address import PhysicalPageAddress
+from repro.nvm.address import PhysicalPageAddress, ppa_to_index
 from repro.nvm.flash import FlashArray
 from repro.obs.probe import Probe
 from repro.runtime import TraceRecorder
@@ -22,32 +22,49 @@ def _flash(config=None) -> FlashArray:
     return flash
 
 
+def _index(channel: int, bank: int, block: int, page: int) -> int:
+    """The page index the array's methods take."""
+    return ppa_to_index(PhysicalPageAddress(channel, bank, block, page),
+                        TINY_TEST.geometry)
+
+
 def _spread_ppas(count: int):
     """Pages spread over channels/banks the way the allocators stripe."""
     geo = TINY_TEST.geometry
-    return [PhysicalPageAddress(i % geo.channels,
-                                (i // geo.channels) % geo.banks_per_channel,
-                                0, i // (geo.channels * geo.banks_per_channel))
+    return [_index(i % geo.channels,
+                   (i // geo.channels) % geo.banks_per_channel,
+                   0, i // (geo.channels * geo.banks_per_channel))
             for i in range(count)]
+
+
+def _timelines(flash: FlashArray) -> list:
+    """Every channel and bank timeline's state, bit for bit."""
+    lines = flash.channel_lines + [line for row in flash.bank_lines
+                                   for line in row]
+    return [(line.free_at.hex(), line.busy_time.hex(), line.ops)
+            for line in lines]
 
 
 class TestCleanPathIsBitIdentical:
     def test_default_config_matches_detached_timings(self):
         """A healthy-device injector (default config, no plan) must not
-        perturb a single completion time: with faults disabled the
-        golden timings stay bit-identical."""
+        perturb a single reservation: with faults disabled the golden
+        timings stay bit-identical."""
         plain, faulted = _flash(), _flash(FaultConfig())
         ppas = _spread_ppas(16)
         payload = [np.full(256, i, dtype=np.uint8) for i in range(16)]
         write_a = plain.program_pages(ppas, 0.0, data=payload)
         write_b = faulted.program_pages(ppas, 0.0, data=payload)
-        assert write_a.completions == write_b.completions
-        read_a = plain.read_pages(ppas, write_a.end_time)
-        read_b = faulted.read_pages(ppas, write_b.end_time)
-        assert read_a.completions == read_b.completions
-        erase_a = plain.erase_block(0, 0, 0, read_a.end_time)
-        erase_b = faulted.erase_block(0, 0, 0, read_b.end_time)
-        assert erase_a.end_time == erase_b.end_time
+        assert write_a == write_b
+        assert _timelines(plain) == _timelines(faulted)
+        read_a = plain.read_pages(ppas, write_a)
+        read_b = faulted.read_pages(ppas, write_b)
+        assert read_a == read_b
+        assert _timelines(plain) == _timelines(faulted)
+        erase_a = plain.erase_block(0, 0, 0, read_a)
+        erase_b = faulted.erase_block(0, 0, 0, read_b)
+        assert erase_a == erase_b
+        assert _timelines(plain) == _timelines(faulted)
         assert "read_retries" not in faulted.stats.counters
 
 
@@ -57,10 +74,9 @@ class TestRetryLadder:
             plan=FaultPlan().corrupt_page(0, 0, 0, 0, at=0.0)))
         trace = TraceRecorder()
         flash.probe = Probe(trace=trace)
-        ppa = PhysicalPageAddress(0, 0, 0, 0)
+        ppa = _index(0, 0, 0, 0)
         flash.program_pages([ppa], 0.0, data=[np.arange(256, dtype=np.uint8)])
-        clean_end = _flash().read_pages(
-            [PhysicalPageAddress(0, 0, 0, 0)], 1.0).end_time
+        clean_end = _flash().read_pages([_index(0, 0, 0, 0)], 1.0)
         with pytest.raises(UncorrectableError) as info:
             flash.read_pages([ppa], 1.0)
         err = info.value
@@ -81,34 +97,34 @@ class TestRetryLadder:
                              retry_rber_gain=(2.0,),
                              retry_sense_factors=(1.5,))
         flash = _flash(config)
-        ppa = PhysicalPageAddress(0, 0, 0, 0)
+        ppa = _index(0, 0, 0, 0)
         flash.program_pages([ppa], 0.0, data=[np.zeros(256, np.uint8)])
-        clean = _flash().read_pages([PhysicalPageAddress(0, 0, 0, 0)], 1.0)
+        clean = _flash().read_pages([_index(0, 0, 0, 0)], 1.0)
         retried = flash.read_pages([ppa], 1.0)
         xfer = TINY_TEST.timing.transfer_time(TINY_TEST.geometry.page_size)
-        expected = clean.end_time + 1.5 * TINY_TEST.timing.t_read + xfer
-        assert retried.end_time == pytest.approx(expected)
+        expected = clean + 1.5 * TINY_TEST.timing.t_read + xfer
+        assert retried == pytest.approx(expected)
 
 
 class TestStructuralFailures:
     def test_dead_channel_read_raises_immediately(self):
         flash = _flash(FaultConfig(
             plan=FaultPlan().kill_channel(0, at=0.05)))
-        ppa = PhysicalPageAddress(0, 0, 0, 0)
+        ppa = _index(0, 0, 0, 0)
         flash.program_pages([ppa], 0.0, data=[np.zeros(256, np.uint8)])
         with pytest.raises(UncorrectableError) as info:
             flash.read_pages([ppa], 0.1)
         assert info.value.reason == "channel_dead"
         assert flash.faults.stats.counters["dead_channel_reads"] == 1
         # the other channels keep working
-        other = PhysicalPageAddress(1, 0, 0, 0)
+        other = _index(1, 0, 0, 0)
         flash.program_pages([other], 0.2, data=[np.zeros(256, np.uint8)])
         flash.read_pages([other], 0.3)
 
     def test_bad_block_program_and_erase_fail_with_charged_time(self):
         flash = _flash(FaultConfig(
             plan=FaultPlan().mark_block_bad(0, 0, 3, at=0.0)))
-        ppa = PhysicalPageAddress(0, 0, 3, 0)
+        ppa = _index(0, 0, 3, 0)
         with pytest.raises(ProgramFailError) as info:
             flash.program_pages([ppa], 0.0, data=[np.zeros(256, np.uint8)])
         assert info.value.reason == "bad_block"
@@ -124,11 +140,11 @@ class TestStructuralFailures:
     def test_erase_clears_scripted_corruption(self):
         flash = _flash(FaultConfig(
             plan=FaultPlan().corrupt_page(0, 0, 0, 0, at=0.0)))
-        ppa = PhysicalPageAddress(0, 0, 0, 0)
+        ppa = _index(0, 0, 0, 0)
         flash.program_pages([ppa], 0.0, data=[np.zeros(256, np.uint8)])
         with pytest.raises(UncorrectableError):
             flash.read_pages([ppa], 0.1)
-        end = flash.erase_block(0, 0, 0, 0.2).end_time
+        end = flash.erase_block(0, 0, 0, 0.2)
         flash.program_pages([ppa], end, data=[np.zeros(256, np.uint8)])
         flash.read_pages([ppa], end + 0.01)  # clean again
         assert flash.faults.erase_count((0, 0, 0)) == 1

@@ -27,7 +27,7 @@ def small_world():
 
 def _write(ftl, flash, gc, lpn, value, now=0.0):
     ppa, _old = ftl.allocate(lpn)
-    flash.program_pages([index_to_ppa(ppa, ftl.geometry)], now,
+    flash.program_pages([ppa], now,
                         data=[np.full(4, value, dtype=np.uint8)])
     return ppa
 
@@ -57,8 +57,7 @@ class TestCollect:
         assert result.ran
         assert result.blocks_erased >= 1
         # the forward map still resolves and data is preserved
-        ppa = index_to_ppa(ftl.lookup(0), geometry)
-        assert flash.page_data(ppa)[0] == 14
+        assert flash.page_data(ftl.lookup(0))[0] == 14
 
     def test_collect_relocates_live_data(self, small_world):
         geometry, flash, ftl, gc = small_world
@@ -69,8 +68,7 @@ class TestCollect:
             _write(ftl, flash, gc, 99, value, now=1.0)
         gc.collect(0, 0, 50.0)
         for lpn in range(3):
-            ppa = index_to_ppa(ftl.lookup(lpn), geometry)
-            assert flash.page_data(ppa)[0] == 100 + lpn
+            assert flash.page_data(ftl.lookup(lpn))[0] == 100 + lpn
 
     def test_threshold_validation(self, small_world):
         geometry, flash, ftl, _ = small_world
@@ -132,8 +130,8 @@ class TestCollect:
         plane = ftl.planes[(0, 0)]
         for lpn in range(12):
             want = 100 + lpn if lpn < 3 else lpn
+            assert flash.page_data(ftl.lookup(lpn), verify=False)[0] == want
             ppa = index_to_ppa(ftl.lookup(lpn), geometry)
-            assert flash.page_data(ppa, verify=False)[0] == want
             assert plane.blocks[ppa.block].owners[ppa.page] == lpn
 
     def test_an_overwrite_on_a_full_plane_keeps_the_old_page_live(self):
@@ -168,7 +166,7 @@ class TestCollect:
             ppa = index_to_ppa(ssd.ftl.map[lpn], geometry)
             plane = ssd.ftl.planes[(ppa.channel, ppa.bank)]
             assert plane.blocks[ppa.block].owners[ppa.page] == lpn
-            data = ssd.flash.page_data(ppa, verify=False)
+            data = ssd.flash.page_data(ssd.ftl.map[lpn], verify=False)
             assert int.from_bytes(data[:4].tobytes(), "little") == want, lpn
         # the collections that stopped for want of a free page left every
         # victim's live count equal to its filled slots

@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.nvm import FlashArray, PhysicalPageAddress, TINY_TEST, index_to_ppa
+from repro.nvm import FlashArray, PhysicalPageAddress, TINY_TEST, ppa_to_index
 from repro.nvm.flash import EccError, FlashStateError
+
+
+def index(channel: int, bank: int, block: int, page: int) -> int:
+    """The page index the array's methods take."""
+    return ppa_to_index(PhysicalPageAddress(channel, bank, block, page),
+                        TINY_TEST.geometry)
 
 
 @pytest.fixture
@@ -15,13 +21,13 @@ def flash():
 
 class TestEccDetection:
     def test_clean_page_reads_fine(self, flash, rng):
-        ppa = PhysicalPageAddress(0, 0, 0, 0)
+        ppa = index(0, 0, 0, 0)
         payload = rng.integers(0, 256, 256).astype(np.uint8)
         flash.program_pages([ppa], 0.0, data=[payload])
         assert np.array_equal(flash.page_data(ppa), payload)
 
     def test_corruption_raises_on_verified_read(self, flash, rng):
-        ppa = PhysicalPageAddress(1, 0, 0, 0)
+        ppa = index(1, 0, 0, 0)
         flash.program_pages([ppa], 0.0,
                             data=[rng.integers(0, 256, 256).astype(np.uint8)])
         flash.corrupt_page(ppa, byte_offset=17)
@@ -29,7 +35,7 @@ class TestEccDetection:
             flash.page_data(ppa)
 
     def test_unverified_read_returns_raw_bytes(self, flash, rng):
-        ppa = PhysicalPageAddress(1, 1, 0, 0)
+        ppa = index(1, 1, 0, 0)
         flash.program_pages([ppa], 0.0,
                             data=[rng.integers(0, 256, 256).astype(np.uint8)])
         flash.corrupt_page(ppa)
@@ -38,10 +44,10 @@ class TestEccDetection:
 
     def test_corrupting_empty_page_rejected(self, flash):
         with pytest.raises(FlashStateError):
-            flash.corrupt_page(PhysicalPageAddress(0, 0, 0, 7))
+            flash.corrupt_page(index(0, 0, 0, 7))
 
     def test_erase_clears_checksum(self, flash, rng):
-        ppa = PhysicalPageAddress(0, 0, 2, 0)
+        ppa = index(0, 0, 2, 0)
         flash.program_pages([ppa], 0.0,
                             data=[rng.integers(0, 256, 256).astype(np.uint8)])
         flash.erase_block(0, 0, 2, 0.0)
@@ -50,7 +56,7 @@ class TestEccDetection:
 
     def test_double_corruption_still_detected(self, flash, rng):
         """Two byte flips at different offsets keep the checksum off."""
-        ppa = PhysicalPageAddress(2, 0, 0, 0)
+        ppa = index(2, 0, 0, 0)
         flash.program_pages([ppa], 0.0,
                             data=[rng.integers(0, 256, 256).astype(np.uint8)])
         flash.corrupt_page(ppa, byte_offset=3)
@@ -75,7 +81,6 @@ class TestEccThroughTheStack:
         entry = stl.indexes[space.space_id].lookup(
             next(iter([e.coord for e in
                        stl.indexes[space.space_id].iter_entries()]))).entry
-        victim = index_to_ppa(entry.allocated_pages()[0], stl.geometry)
-        flash.corrupt_page(victim)
+        flash.corrupt_page(entry.allocated_pages()[0])
         with pytest.raises(EccError):
             stl.read(space.space_id, (0, 0), (16, 16))

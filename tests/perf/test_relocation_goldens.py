@@ -66,7 +66,7 @@ from repro.core import SpaceTranslationLayer
 from repro.faults import FaultConfig, FaultInjector, FaultPlan
 from repro.ftl import BaselineSSD
 from repro.nvm import TINY_TEST, FlashArray
-from repro.nvm.address import PhysicalPageAddress, index_to_ppa
+from repro.nvm.address import PhysicalPageAddress, index_to_ppa, ppa_to_index
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.probe import Probe
 from repro.runtime.trace import TraceRecorder
@@ -203,7 +203,8 @@ def _run_stl(cell: str, spy):
 
     def op(index: int, origin, extents) -> None:
         if kind == "ecc" and index == ECC["stl"][4]:
-            flash.corrupt_page(PhysicalPageAddress(*ECC["stl"][:4]))
+            flash.corrupt_page(ppa_to_index(
+                PhysicalPageAddress(*ECC["stl"][:4]), flash.geometry))
         data = None
         if store:
             data = _payload(rng, extents[0] * extents[1] * STL_ELEMENT)
@@ -256,7 +257,8 @@ def _run_ftl(cell: str, spy):
 
     def op(index: int, lpns) -> None:
         if kind == "ecc" and index == ECC["ftl"][4]:
-            ssd.flash.corrupt_page(PhysicalPageAddress(*ECC["ftl"][:4]))
+            ssd.flash.corrupt_page(ppa_to_index(
+                PhysicalPageAddress(*ECC["ftl"][:4]), ssd.geometry))
         data = [_payload(rng, page) for _ in lpns] if store else None
         try:
             end = ssd.write_lpns(lpns, index * OP_GAP, data=data).end_time
@@ -480,7 +482,7 @@ def _rebuilds(cell: str, monkeypatch) -> list:
     depth = [0]
     read_block = SpaceTranslationLayer.read_block
     degraded = SpaceTranslationLayer._degraded_read
-    read_chain = FlashArray._read_chain
+    read_pages = FlashArray.read_pages
 
     def traced_read_block(self, *args, **kwargs):
         rebuilt[0] = None
@@ -504,13 +506,13 @@ def _rebuilds(cell: str, monkeypatch) -> list:
         if entry is not None and not depth[0]:
             log[-1][1].extend(entry.pages.index(p) for p in ppas
                               if p in entry.pages)
-        return read_chain(self, ppas, *args, **kwargs)
+        return read_pages(self, ppas, *args, **kwargs)
 
     monkeypatch.setattr(SpaceTranslationLayer, "read_block",
                         traced_read_block)
     monkeypatch.setattr(SpaceTranslationLayer, "_degraded_read",
                         traced_degraded)
-    monkeypatch.setattr(FlashArray, "_read_chain", traced_chain)
+    monkeypatch.setattr(FlashArray, "read_pages", traced_chain)
     _run_stl(cell, lambda gc: None)
     return log
 

@@ -3,8 +3,8 @@
 and ``last_alloc``, and the parity store hold plain int page indices.
 Each live page's owner slot names the map entry, leaf slot or parity
 unit that holds its index, and the live slots are exactly those.
-Decoding to an address happens only at the edges (fault errors, the
-flash array's public page methods)."""
+Decoding to an address happens only at the edge, in typed fault
+errors."""
 
 from __future__ import annotations
 
