@@ -6,9 +6,12 @@ and answers the flash array's three questions deterministically:
 
 * ``read_plan``    — how many retry rounds does this read take, and
   does it ultimately fail?
-* ``program_check`` / ``erase_check`` — does this operation report
-  status-fail (dead channel, plan-marked bad block, or a wear-dependent
-  draw)?
+* ``program_check`` — does this program report status-fail (dead
+  channel, plan-marked bad block, or a wear-dependent draw)?
+* ``erase_check`` — does this erase report status-fail? Only structural
+  facts fail one (dead device or channel, plan-marked bad block): every
+  erase runs inside a GC collection, under :meth:`suppress`, so an erase
+  has no draw.
 
 Recovery paths (garbage collection, bad-block relocation, parity
 reconstruction) run under :meth:`suppress`, which disables the
@@ -38,7 +41,6 @@ __all__ = ["FaultInjector"]
 
 _READ_SALT = 0x52454144      # "READ"
 _PROGRAM_SALT = 0x50524F47   # "PROG"
-_ERASE_SALT = 0x45524153     # "ERAS"
 
 
 class FaultInjector:
@@ -136,8 +138,8 @@ class FaultInjector:
     # ------------------------------------------------------------------
     @contextmanager
     def suppress(self) -> Iterator[None]:
-        """Disable probabilistic draws (retries, wear-dependent fails)
-        inside recovery paths; structural failures still apply."""
+        """Disable probabilistic draws (retries, wear-dependent program
+        fails) inside recovery paths; structural failures still apply."""
         self._suppress_depth += 1
         try:
             yield
@@ -185,20 +187,14 @@ class FaultInjector:
         return None
 
     def erase_check(self, key: Tuple[int, int, int]) -> Optional[str]:
-        """None = erase succeeds; otherwise the failure reason."""
+        """None = erase succeeds; otherwise the structural failure
+        reason."""
         if self.device_dead:
             return "device_dead"
         if key[0] in self.dead_channels:
             return "channel_dead"
-        block = self._block(*key)
-        if block in self.bad_blocks:
+        if self._block(*key) in self.bad_blocks:
             return "bad_block"
-        if self.suppressed:
-            return None
-        erases = self._erases.get(block, 0)
-        draw = stable_unit(self.config.seed, _ERASE_SALT, *key, erases)
-        if self.model.erase_fails(draw, erases):
-            return "wear"
         return None
 
     # ------------------------------------------------------------------

@@ -58,8 +58,10 @@ def stable_unit(*keys: int) -> float:
 @dataclass(frozen=True)
 class FaultConfig:
     """Every knob of the fault subsystem. The default instance models a
-    healthy mid-life TLC device: reads almost never retry, programs and
-    erases never fail. Tests and experiments override aggressively."""
+    healthy mid-life TLC device: reads almost never retry, programs
+    never fail. Erases have no knob: they fail only on a plan's
+    structural facts (dead device or channel, bad block). Tests and
+    experiments override aggressively."""
 
     #: master switch-equivalent: systems only build an injector when a
     #: config is passed, so absence of a config == faults disabled
@@ -88,15 +90,11 @@ class FaultConfig:
     #: per-tier re-sense time as a multiple of ``t_read``
     retry_sense_factors: Tuple[float, ...] = (1.25, 1.75, 2.75)
 
-    # --- program / erase failure --------------------------------------
+    # --- program failure ----------------------------------------------
     #: probability a program reports status-fail on a fresh block
     program_fail_base: float = 0.0
     #: added program-fail probability per block erase count
     program_fail_wear: float = 0.0
-    #: probability an erase reports status-fail on a fresh block
-    erase_fail_base: float = 0.0
-    #: added erase-fail probability per block erase count
-    erase_fail_wear: float = 0.0
 
     # --- redundancy ---------------------------------------------------
     #: maintain one XOR parity unit per NDS building block and
@@ -176,9 +174,3 @@ class ErrorModel:
         cfg = self.config
         return cfg.program_fail_base + cfg.program_fail_wear * (
             cfg.initial_wear + erase_count)
-
-    def erase_fails(self, draw: float, erase_count: int) -> bool:
-        cfg = self.config
-        prob = cfg.erase_fail_base + cfg.erase_fail_wear * (
-            cfg.initial_wear + erase_count)
-        return draw < prob

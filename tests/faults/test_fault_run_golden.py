@@ -3,8 +3,8 @@
 Software NDS (with parity) and the baseline each take an ingest and
 then a GC-dense churn of row-tile writes and reads on the tiny device
 with 16 blocks per bank, under a :class:`FaultConfig` whose bit-error
-rate, program-fail and erase-fail probabilities all grow with the
-block's erase count, and a :class:`FaultPlan` with one event of each
+rate and program-fail probability both grow with the block's erase
+count, and a :class:`FaultPlan` with one event of each
 kind (corrupt a page, mark a block bad, kill a channel, kill the
 device). ``fault_run_golden.json`` holds, per system:
 
@@ -54,8 +54,7 @@ def _config(parity: bool) -> FaultConfig:
             .kill_channel(3, at=(OPS - 12) * OP_GAP)
             .kill_device(0, at=(OPS - 4) * OP_GAP))
     return FaultConfig(seed=0x3A7, rber_base=3e-3, wear_scale=4.0,
-                       program_fail_wear=3e-4, erase_fail_wear=3e-4,
-                       parity=parity, plan=plan)
+                       program_fail_wear=3e-4, parity=parity, plan=plan)
 
 
 def _lines(flash) -> list:
@@ -116,8 +115,9 @@ def test_fault_run_golden(name):
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_golden_exercises_wear_faults(name):
-    """The golden is not vacuous: wear fed the read ladder, the program
-    verdicts and the erase draws, and the collector ran."""
+    """The golden is not vacuous: wear fed the read ladder and the
+    program verdicts, the plan's structural verdicts failed erases, and
+    the collector ran."""
     entry = GOLDEN[name]
     for counter in ("read_retries", "program_fails", "erase_fails"):
         assert entry["faults"][counter] > 0, counter

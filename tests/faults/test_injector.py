@@ -114,13 +114,11 @@ class TestProgramVerdict:
 
 class TestSuppression:
     def test_suppress_disables_probabilistic_draws(self):
-        injector = _injector(FaultConfig(program_fail_base=1.0,
-                                         erase_fail_base=1.0))
+        injector = _injector(FaultConfig(program_fail_base=1.0))
         assert injector.program_check(0) == "wear"
         with injector.suppress():
             assert injector.program_check(0) is None
-            assert injector.erase_check((0, 0, 0)) is None
-        assert injector.erase_check((0, 0, 0)) == "wear"
+        assert injector.program_check(0) == "wear"
 
     def test_suppress_keeps_structural_failures(self):
         injector = _injector(_plan_config(
@@ -131,6 +129,9 @@ class TestSuppression:
             # (2, 0, 0, 0) and (0, 0, 5, 0)
             assert injector.program_check(2048) == "channel_dead"
             assert injector.program_check(320) == "bad_block"
+            assert injector.erase_check((2, 0, 0)) == "channel_dead"
+            assert injector.erase_check((0, 0, 5)) == "bad_block"
+            assert injector.erase_check((1, 0, 0)) is None
             # scripted corruption reads clean inside recovery (the
             # reconstruction path must be able to read survivors)
             assert injector.read_plan(1024, 0.0).retries == 0
