@@ -293,7 +293,6 @@ class SpaceTranslationLayer:
                         raise
                     lost = ppa_to_index(err.ppa, self.geometry)
                     read, position = ppas.index(lost), pages.index(lost)
-                    self.flash.stats.count("pages_read", read)
                     end = self._degraded_read(space_id, space,
                                               access.block_coord, entry,
                                               position, err)

@@ -189,7 +189,8 @@ class FlashArray:
         With an injector attached (its plan advanced once per chain) each
         page first checks for a dead channel and afterwards walks the ECC
         retry ladder; probe events are emitted per page at the same
-        point. A batch that raises counts no page."""
+        point. A batch that raises counts the pages before the failing
+        one."""
         timing = self.timing
         t_read = timing.t_read
         issue = start_time + timing.t_cmd
@@ -203,36 +204,41 @@ class FlashArray:
         end_time = start_time
         if faults is not None and ppas:
             faults.advance(start_time)
-        for ppa in ppas:
-            plane = ppa // plane_pages
-            if faults is not None and faults.channel_dead(plane // banks):
-                faults.count("dead_channel_reads")
-                raise UncorrectableError(index_to_ppa(ppa, self.geometry),
-                                         fail_time=start_time,
-                                         reason="channel_dead")
-            channel = plane_channel[plane]
-            bank = plane_bank[plane]
-            read_start = bank.free_at
-            if read_start < issue:
-                read_start = issue
-            read_end = read_start + t_read
-            bank.busy_time += t_read
-            bank.ops += 1
-            xfer_start = channel.free_at
-            if xfer_start < read_end:
-                xfer_start = read_end
-            xfer_end = xfer_start + xfer
-            channel.free_at = xfer_end
-            channel.busy_time += xfer
-            channel.ops += 1
-            # the die's page register is held until the transfer drains
-            bank.free_at = xfer_end
-            if hooked:
-                xfer_end = self._page_read(ppa, bank, channel, xfer,
-                                           read_start, read_end,
-                                           xfer_start, xfer_end)
-            if xfer_end > end_time:
-                end_time = xfer_end
+        try:
+            for ppa in ppas:
+                plane = ppa // plane_pages
+                if faults is not None and faults.channel_dead(plane // banks):
+                    faults.count("dead_channel_reads")
+                    raise UncorrectableError(index_to_ppa(ppa, self.geometry),
+                                             fail_time=start_time,
+                                             reason="channel_dead")
+                channel = plane_channel[plane]
+                bank = plane_bank[plane]
+                read_start = bank.free_at
+                if read_start < issue:
+                    read_start = issue
+                read_end = read_start + t_read
+                bank.busy_time += t_read
+                bank.ops += 1
+                xfer_start = channel.free_at
+                if xfer_start < read_end:
+                    xfer_start = read_end
+                xfer_end = xfer_start + xfer
+                channel.free_at = xfer_end
+                channel.busy_time += xfer
+                channel.ops += 1
+                # the die's page register is held until the transfer drains
+                bank.free_at = xfer_end
+                if hooked:
+                    xfer_end = self._page_read(ppa, bank, channel, xfer,
+                                               read_start, read_end,
+                                               xfer_start, xfer_end)
+                if xfer_end > end_time:
+                    end_time = xfer_end
+        except UncorrectableError:
+            # the pages before the failing one completed their reads
+            self.stats.count("pages_read", ppas.index(ppa))
+            raise
         self.stats.count("pages_read", len(ppas))
         return end_time
 

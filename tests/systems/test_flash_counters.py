@@ -8,7 +8,8 @@ growth of its bank timelines' summed ``ops``, and ``pages_read +
 pages_programmed`` the growth of its channel timelines' summed ``ops``.
 The runs cover ingest, overwrites dense enough that GC relocates pages
 and erases blocks, and reads, on software NDS, hardware NDS and the
-baseline, functional and timing-only.
+baseline, functional and timing-only. A read that raises on a dead
+channel still counts the pages it read before the failing one.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.faults import FaultConfig, FaultError, FaultPlan
 from repro.nvm import TINY_TEST
 from repro.systems import BaselineSystem, HardwareNdsSystem, SoftwareNdsSystem
 
@@ -92,3 +94,26 @@ def test_gc_dense_timing_only_counters_equal_reservations():
     assert deltas[2] > 100
     assert system.stl.gc.total_relocated > 50
     _assert_ledger(deltas)
+
+
+@pytest.mark.parametrize("system_cls, parity", [
+    (BaselineSystem, False), (SoftwareNdsSystem, False),
+    (SoftwareNdsSystem, True), (HardwareNdsSystem, False)],
+    ids=["baseline", "software", "software-parity", "hardware"])
+def test_raised_read_counts_pages_before_the_error(system_cls, parity):
+    """Channel 2 dies before the read, so the read raises part way
+    through its chain; the pages read until then are counted."""
+    config = FaultConfig(rber_base=0, parity=parity,
+                         plan=FaultPlan().kill_channel(2, at=0.5))
+    system = system_cls(TINY_TEST, store_data=True, faults=config)
+    flash = _device(system).flash
+    before = _snapshot(flash)
+    data = np.arange(64 * 64, dtype=np.int32).reshape(64, 64)
+    system.ingest("m", data.shape, 4, data=data)
+    with pytest.raises(FaultError):
+        system.read_tile("m", (0, 0), data.shape, start_time=1.0,
+                         with_data=True)
+    read, programmed, erased, bank_ops, _channel_ops = (
+        b - a for a, b in zip(before, _snapshot(flash)))
+    assert read > 0
+    assert read + programmed + erased == bank_ops
