@@ -172,7 +172,7 @@ def test_ablation_controller_queue_capacity(benchmark):
     """§5.3.2: the controller's pipeline elements exchange work through
     message-queue pairs. Tiny queues backpressure the fast front-end
     stages behind the flash; a few slots recover full throughput."""
-    from repro.sim.queues import bounded_pipeline
+    from repro.host import run_pipeline
 
     def run():
         # per-block stage times through the controller pipeline for a
@@ -181,10 +181,11 @@ def test_ablation_controller_queue_capacity(benchmark):
         stage_times = [[4.3e-6, 80e-6, 20e-6, 55e-6]] * blocks
         out = {}
         for capacity in (1, 2, 4, 8):
-            result = bounded_pipeline(stage_times,
-                                      [capacity, capacity, capacity])
+            result = run_pipeline(
+                stage_times,
+                queue_capacities=[capacity, capacity, capacity])
             out[capacity] = result.total_time
-        out["unbounded"] = bounded_pipeline(stage_times).total_time
+        out["unbounded"] = run_pipeline(stage_times).total_time
         return out
 
     sweep = once(benchmark, run)

@@ -178,34 +178,6 @@ class BaselineSSD:
             self.ftl.trim(lpn)
 
     # ------------------------------------------------------------------
-    # byte-granular convenience (page-aligned under the hood)
-    # ------------------------------------------------------------------
-    def write_bytes(self, offset: int, payload: np.ndarray,
-                    start_time: float = 0.0) -> DeviceOpResult:
-        """Write a page-aligned byte extent."""
-        if offset % self.page_size != 0:
-            raise ValueError("offset must be page aligned")
-        raw = np.asarray(payload, dtype=np.uint8).ravel()
-        first = offset // self.page_size
-        count = -(-raw.size // self.page_size)
-        chunks = [raw[i * self.page_size:(i + 1) * self.page_size]
-                  for i in range(count)]
-        return self.write_lpns(list(range(first, first + count)),
-                               start_time, data=chunks)
-
-    def read_bytes(self, offset: int, size: int,
-                   start_time: float = 0.0) -> DeviceOpResult:
-        """Read a byte extent; returned data is trimmed to ``size``."""
-        first = offset // self.page_size
-        last = (offset + size - 1) // self.page_size
-        result = self.read_lpns(list(range(first, last + 1)), start_time,
-                                with_data=True)
-        blob = np.concatenate(result.data) if result.data else np.zeros(0, np.uint8)
-        inner = offset - first * self.page_size
-        result.data = [blob[inner:inner + size]]
-        return result
-
-    # ------------------------------------------------------------------
     def _check_lpns(self, lpns: Sequence[int]) -> None:
         if not lpns:
             return

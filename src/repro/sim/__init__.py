@@ -2,8 +2,7 @@
 
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.resources import MultiTimeline, Timeline
-from repro.sim.queues import BoundedPipelineResult, bounded_pipeline
-from repro.sim.stats import BandwidthSample, StatSet, effective_bandwidth
+from repro.sim.stats import StatSet, effective_bandwidth
 
 __all__ = [
     "Simulator",
@@ -11,8 +10,5 @@ __all__ = [
     "Timeline",
     "MultiTimeline",
     "StatSet",
-    "BandwidthSample",
     "effective_bandwidth",
-    "bounded_pipeline",
-    "BoundedPipelineResult",
 ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable
 
-__all__ = ["StatSet", "BandwidthSample", "effective_bandwidth"]
+__all__ = ["StatSet", "effective_bandwidth"]
 
 
 def effective_bandwidth(num_bytes: int, elapsed_seconds: float) -> float:
@@ -19,26 +19,6 @@ def effective_bandwidth(num_bytes: int, elapsed_seconds: float) -> float:
     if elapsed_seconds <= 0:
         return 0.0
     return num_bytes / elapsed_seconds
-
-
-@dataclass
-class BandwidthSample:
-    """One measured transfer: how many bytes moved in how long."""
-
-    num_bytes: int
-    elapsed_seconds: float
-
-    @property
-    def bytes_per_second(self) -> float:
-        return effective_bandwidth(self.num_bytes, self.elapsed_seconds)
-
-    @property
-    def gib_per_second(self) -> float:
-        return self.bytes_per_second / 2**30
-
-    @property
-    def mib_per_second(self) -> float:
-        return self.bytes_per_second / 2**20
 
 
 @dataclass

@@ -16,8 +16,6 @@ from repro.workloads.runner import (CoRunResult, StreamRunResult,
                                     ingest_datasets, measure_io_times,
                                     run_workload, speedup)
 from repro.workloads.sssp import SsspWorkload
-from repro.workloads.trace import (AccessTrace, TraceEvent, TracingSystem,
-                                   replay_trace)
 from repro.workloads.tc import TcWorkload
 from repro.workloads.ttv import TtvWorkload
 
@@ -67,8 +65,4 @@ __all__ = [
     "co_run_workloads",
     "CoRunResult",
     "StreamRunResult",
-    "AccessTrace",
-    "TraceEvent",
-    "TracingSystem",
-    "replay_trace",
 ]

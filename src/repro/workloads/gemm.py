@@ -70,18 +70,3 @@ class GemmWorkload(Workload):
 
     def reference(self, inputs: Dict[str, np.ndarray]) -> np.ndarray:
         return inputs["A"].astype(np.float64) @ inputs["B"].astype(np.float64)
-
-    def blocked_multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """The tiled algorithm itself (used by the examples to exercise
-        the tile plan end to end)."""
-        n, t = self.n, self.tile
-        out = np.zeros((n, n), dtype=np.float64)
-        blocks = n // t
-        for i in range(blocks):
-            for j in range(blocks):
-                acc = np.zeros((t, t), dtype=np.float64)
-                for k in range(blocks):
-                    acc += (a[i * t:(i + 1) * t, k * t:(k + 1) * t].astype(np.float64)
-                            @ b[k * t:(k + 1) * t, j * t:(j + 1) * t].astype(np.float64))
-                out[i * t:(i + 1) * t, j * t:(j + 1) * t] = acc
-        return out

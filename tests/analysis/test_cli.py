@@ -64,17 +64,3 @@ class TestScript:
                               timeout=120)
         assert done.returncode == 0, done.stderr
         assert "GEMM" in done.stdout
-
-
-class TestAsciiChart:
-    def test_chart_renders(self):
-        from repro.analysis.figures import ascii_chart
-        chart = ascii_chart({"a": {32: 1e3, 64: 1e6}, "b": {32: 1e4}},
-                            title="demo")
-        assert "demo" in chart
-        assert "o=a" in chart and "x=b" in chart
-        assert "32" in chart
-
-    def test_empty(self):
-        from repro.analysis.figures import ascii_chart
-        assert ascii_chart({}, title="t") == "t"

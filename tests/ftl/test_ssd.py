@@ -45,24 +45,6 @@ class TestReadWrite:
             TINY_TEST.geometry.total_pages * 0.9)
 
 
-class TestByteInterface:
-    def test_byte_roundtrip(self, ssd, rng):
-        payload = rng.integers(0, 256, 3 * ssd.page_size).astype(np.uint8)
-        ssd.write_bytes(0, payload, 0.0)
-        result = ssd.read_bytes(0, payload.size, 0.0)
-        assert np.array_equal(result.data[0], payload)
-
-    def test_unaligned_offset_rejected_for_write(self, ssd):
-        with pytest.raises(ValueError):
-            ssd.write_bytes(1, np.zeros(10, np.uint8), 0.0)
-
-    def test_read_sub_page_extent(self, ssd, rng):
-        payload = rng.integers(0, 256, ssd.page_size).astype(np.uint8)
-        ssd.write_bytes(0, payload, 0.0)
-        result = ssd.read_bytes(10, 20, 0.0)
-        assert np.array_equal(result.data[0], payload[10:30])
-
-
 class TestGcIntegration:
     def test_sustained_overwrites_trigger_gc(self):
         ssd = BaselineSSD(TINY_TEST, store_data=True)

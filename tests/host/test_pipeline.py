@@ -59,3 +59,54 @@ class TestValidation:
     def test_name_length_mismatch(self):
         with pytest.raises(ValueError):
             run_pipeline([[1.0, 2.0]], ["only-one"])
+
+
+class TestQueues:
+    """Finite inter-stage queues (§5.3.2 backpressure)."""
+
+    def test_huge_queues_match_unbounded(self):
+        stage_times = [[1.0, 2.0]] * 6
+        assert run_pipeline(stage_times,
+                            queue_capacities=[100]).total_time == \
+            pytest.approx(run_pipeline(stage_times).total_time)
+
+    def test_small_queue_blocks_fast_producer(self):
+        # stage0 fast, stage1 slow: with queue size 1 the producer stalls
+        stage_times = [[0.1, 1.0]] * 8
+        tight = run_pipeline(stage_times, queue_capacities=[1])
+        assert sum(tight.stage_blocked) > 0
+        # blocked time exists but throughput is still stage-1 bound,
+        # so total latency matches the unbounded schedule
+        loose = run_pipeline(stage_times, queue_capacities=[8])
+        assert tight.total_time == pytest.approx(loose.total_time)
+
+    def test_blocking_propagates_upstream(self):
+        # three stages, middle queue tiny, last stage slow: stage 0
+        # eventually stalls behind stage 1's stalls
+        stage_times = [[0.1, 0.1, 1.0]] * 10
+        result = run_pipeline(stage_times, queue_capacities=[1, 1])
+        assert result.stage_blocked[0] > 0
+        assert result.stage_blocked[1] > 0
+        assert result.stage_blocked[2] == pytest.approx(0.0)
+
+    def test_bounded_never_faster_than_unbounded(self):
+        stage_times = [[0.5, 0.2, 0.9], [0.1, 1.2, 0.3], [0.8, 0.2, 0.2],
+                       [0.05, 0.9, 0.6]]
+        unbounded = run_pipeline(stage_times).total_time
+        for capacity in (1, 2, 3):
+            bounded = run_pipeline(
+                stage_times,
+                queue_capacities=[capacity, capacity]).total_time
+            assert bounded >= unbounded - 1e-12
+
+    def test_wrong_capacity_count(self):
+        with pytest.raises(ValueError):
+            run_pipeline([[1.0, 1.0]], queue_capacities=[1, 1])
+
+    def test_zero_capacity_rejected(self):
+        with pytest.raises(ValueError):
+            run_pipeline([[1.0, 1.0]], queue_capacities=[0])
+
+    def test_negative_duration_rejected(self):
+        with pytest.raises(ValueError):
+            run_pipeline([[1.0, -1.0]], queue_capacities=[1])

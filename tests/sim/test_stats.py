@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import BandwidthSample, StatSet, effective_bandwidth
+from repro.sim import StatSet, effective_bandwidth
 
 
 class TestEffectiveBandwidth:
@@ -14,14 +14,6 @@ class TestEffectiveBandwidth:
 
     def test_negative_interval(self):
         assert effective_bandwidth(1000, -1.0) == 0.0
-
-
-class TestBandwidthSample:
-    def test_units(self):
-        sample = BandwidthSample(num_bytes=2**30, elapsed_seconds=1.0)
-        assert sample.bytes_per_second == 2**30
-        assert sample.gib_per_second == pytest.approx(1.0)
-        assert sample.mib_per_second == pytest.approx(1024.0)
 
 
 class TestStatSet:

@@ -88,14 +88,6 @@ class TestFunctionalKernels:
         finite = np.isfinite(dist)
         assert finite.sum() > 16
 
-    def test_gemm_blocked_equals_reference(self, rng):
-        from repro.workloads import GemmWorkload
-        wl = GemmWorkload(n=64, tile=16)
-        inputs = wl.generate(rng)
-        expected = wl.reference(inputs)
-        blocked = wl.blocked_multiply(inputs["A"], inputs["B"])
-        assert np.allclose(blocked, expected)
-
     def test_hotspot_step(self, rng):
         from repro.workloads import HotspotWorkload
         wl = HotspotWorkload(n=32, tile_rows=8, tile_cols=16)
