@@ -37,6 +37,7 @@ per-sub-op object. The pool owner's scheduler keeps the host-level op.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -336,9 +337,7 @@ class ClusterTranslationLayer:
             completions.append(res.end_time)
             fetched += res.fetched_bytes
             requests += res.requests
-        useful = elem
-        for extent_len in extents:
-            useful *= extent_len
+        useful = elem * math.prod(extents)
         data = None
         if out is not None:
             data = out if op.dtype is None else bytes_to_array(out, op.dtype)
@@ -385,9 +384,7 @@ class ClusterTranslationLayer:
             requests += sub_requests
             self.heat[(layout.ordinal, extent.index)] = \
                 self.heat.get((layout.ordinal, extent.index), 0.0) + 1.0
-        useful = elem
-        for extent_len in extents:
-            useful *= extent_len
+        useful = elem * math.prod(extents)
         from repro.systems.base import SystemOpResult
         return SystemOpResult(
             start_time=earliest, end_time=max(completions, default=earliest),

@@ -1,18 +1,15 @@
 """Host-device interconnect substrate: link timing + NVMe command model."""
 
-from repro.interconnect.link import Link, LinkTransfer
+from repro.interconnect.link import Link
 from repro.interconnect.nvme import (
     NVME_LIMITS,
     CommandLimits,
-    NvmeCommand,
     NvmeOpcode,
     saturation_curve,
 )
 
 __all__ = [
     "Link",
-    "LinkTransfer",
-    "NvmeCommand",
     "NvmeOpcode",
     "CommandLimits",
     "NVME_LIMITS",

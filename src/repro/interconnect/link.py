@@ -9,25 +9,10 @@ while ≥ 2 MB requests saturate (§2.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.sim.resources import Timeline
 from repro.sim.stats import StatSet
 
-__all__ = ["Link", "LinkTransfer"]
-
-
-@dataclass
-class LinkTransfer:
-    """One completed link transfer."""
-
-    start_time: float
-    end_time: float
-    num_bytes: int
-
-    @property
-    def elapsed(self) -> float:
-        return self.end_time - self.start_time
+__all__ = ["Link"]
 
 
 class Link:
@@ -59,8 +44,8 @@ class Link:
     def transfer_duration(self, num_bytes: int) -> float:
         return self.command_overhead + num_bytes / self.bandwidth
 
-    def transfer(self, num_bytes: int, earliest_start: float) -> LinkTransfer:
-        """Occupy the link for one transfer; returns actual interval."""
+    def transfer(self, num_bytes: int, earliest_start: float) -> float:
+        """Occupy the link for one transfer; returns its end time."""
         if num_bytes < 0:
             raise ValueError("num_bytes must be non-negative")
         start, end = self.line.reserve(earliest_start,
@@ -69,18 +54,13 @@ class Link:
         self.stats.count("bytes", num_bytes)
         if self.probe is not None:
             self.probe.transfer(start, end, num_bytes)
-        return LinkTransfer(start_time=start, end_time=end, num_bytes=num_bytes)
-
-    def efficiency(self, request_bytes: int) -> float:
-        """Achieved fraction of peak bandwidth at a given request size."""
-        if request_bytes <= 0:
-            return 0.0
-        ideal = request_bytes / self.bandwidth
-        return ideal / self.transfer_duration(request_bytes)
+        return end
 
     def effective_bandwidth(self, request_bytes: int) -> float:
         """Achieved bytes/second for back-to-back requests of one size."""
-        return self.bandwidth * self.efficiency(request_bytes)
+        if request_bytes <= 0:
+            return 0.0
+        return request_bytes / self.transfer_duration(request_bytes)
 
     def reset_time(self) -> None:
         self.line.reset()

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence, Tuple
 
-__all__ = ["NvmeOpcode", "NvmeCommand", "CommandLimits", "NVME_LIMITS",
-           "saturation_curve"]
+from repro.interconnect.link import Link
+
+__all__ = ["NvmeOpcode", "CommandLimits", "NVME_LIMITS", "saturation_curve"]
 
 #: NVMe extension limits from §5.3.1: one 4 KB page of coordinate payload
 #: supports up to 32 dimensions, 2**64 elements each.
@@ -63,34 +64,12 @@ class CommandLimits:
 NVME_LIMITS = CommandLimits()
 
 
-@dataclass(frozen=True)
-class NvmeCommand:
-    """One host→device command (payload described, not carried)."""
-
-    opcode: NvmeOpcode
-    payload_bytes: int = 0
-    coordinate: Tuple[int, ...] = ()
-    sub_dimensionality: Tuple[int, ...] = ()
-    space_id: int = 0
-
-    def __post_init__(self) -> None:
-        if self.payload_bytes < 0:
-            raise ValueError("payload_bytes must be non-negative")
-        if self.opcode in (NvmeOpcode.ND_READ, NvmeOpcode.ND_WRITE):
-            NVME_LIMITS.validate_dimensionality(self.sub_dimensionality)
-            if len(self.coordinate) != len(self.sub_dimensionality):
-                raise ValueError(
-                    "coordinate and sub-dimensionality ranks differ")
-
-
 def saturation_curve(link_bandwidth: float, command_overhead: float,
                      request_sizes: Sequence[int]) -> Tuple[Tuple[int, float], ...]:
     """Effective bandwidth vs request size — the Fig. 3 NVMe-oF series.
 
     Returns ``((size, bytes_per_second), ...)``.
     """
-    points = []
-    for size in request_sizes:
-        duration = command_overhead + size / link_bandwidth
-        points.append((size, size / duration))
-    return tuple(points)
+    link = Link(link_bandwidth, command_overhead)
+    return tuple((size, link.effective_bandwidth(size))
+                 for size in request_sizes)

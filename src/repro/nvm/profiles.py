@@ -48,15 +48,6 @@ class DeviceProfile:
         return self.timing.internal_read_bandwidth(
             g.channels, g.banks_per_channel, g.page_size)
 
-    def link_time(self, num_bytes: int) -> float:
-        """Time for one transfer of ``num_bytes`` over the external link."""
-        return self.link_command_overhead + num_bytes / self.link_bandwidth
-
-    def link_efficiency(self, request_bytes: int) -> float:
-        """Fraction of peak link bandwidth achieved at a request size."""
-        ideal = request_bytes / self.link_bandwidth
-        return ideal / self.link_time(request_bytes)
-
     def scaled_capacity(self, factor: float) -> "DeviceProfile":
         """Same structure and speeds, ``factor``× the blocks per bank."""
         return replace(

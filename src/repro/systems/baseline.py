@@ -184,7 +184,8 @@ class LinearSystem(StorageSystem):
                 requests=len(run))
         if tier is not None:
             for first, count in zip(run.firsts, run.counts):
-                self._invalidate_overlapping_lpns(first, first + count - 1)
+                self._flush_overlapping_lpns(first, first + count - 1,
+                                             start_time, invalidate=True)
         result = self.engine.run_writes(run, start_time)
         return SystemOpResult(start_time=start_time, end_time=result.end_time,
                               useful_bytes=useful_bytes,
@@ -232,12 +233,6 @@ class LinearSystem(StorageSystem):
             if invalidate:
                 tier.invalidate(key)
         return now
-
-    def _invalidate_overlapping_lpns(self, first: int, last: int) -> None:
-        tier = self.tier
-        for key in list(tier.entries):
-            if key[1] <= last and first <= key[2]:
-                tier.invalidate(key)
 
 
 class BaselineSystem(LinearSystem):
@@ -397,11 +392,8 @@ class BaselineSystem(LinearSystem):
                   ) -> np.ndarray:
         """The tile's bytes in layout order: request ``i`` read
         ``lengths[i]`` bytes from dataset byte ``starts[i]``."""
-        elem = record.element_size
-        total = elem
-        for extent in l_extents:
-            total *= extent
-        out = np.zeros(total, dtype=np.uint8)
+        out = np.zeros(record.element_size * math.prod(l_extents),
+                       dtype=np.uint8)
         cursor = 0
         for byte_start, byte_len, pages in zip(starts, lengths,
                                                pages_per_request):

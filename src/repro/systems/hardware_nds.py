@@ -16,6 +16,7 @@ the source of the 17 % write-bandwidth penalty of Fig. 9(d).
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -133,26 +134,18 @@ class HardwareNdsSystem(NdsSystem):
                     # block slice must reach flash before we read it
                     translate_done = self._flush_overlapping(
                         dataset, access, translate_done)
-                translate_done = self.controller.translate(
-                    translate_done, space.rank, 1)
-                block = self.stl.read_block(space_id, access, translate_done,
-                                            out=out)
-                fetched += block.pages * self.page_size
-                region_bytes = access.element_count() * elem
-                decrypted = self._crypt(block.completion_time,
-                                        block.pages * self.page_size)
-                ready = self.controller.assemble(decrypted, region_bytes,
-                                                 block.pages)
-                pending_bytes += region_bytes
+                translate_done, ready, pages = self._controller_read(
+                    space_id, space, access, translate_done, out=out)
+                fetched += pages * self.page_size
+                pending_bytes += access.element_count() * elem
                 pending_ready = max(pending_ready, ready)
                 while pending_bytes >= SEGMENT_BYTES:
-                    transfer = self.link.transfer(SEGMENT_BYTES,
-                                                  pending_ready)
                     pending_bytes -= SEGMENT_BYTES
-                    end = max(end, transfer.end_time)
+                    end = max(end, self.link.transfer(SEGMENT_BYTES,
+                                                      pending_ready))
             if pending_bytes > 0:
-                transfer = self.link.transfer(pending_bytes, pending_ready)
-                end = max(end, transfer.end_time)
+                end = max(end, self.link.transfer(pending_bytes,
+                                                  pending_ready))
             if tier is not None:
                 # assembled regions land in the host tier once the final
                 # segment arrives
@@ -166,9 +159,7 @@ class HardwareNdsSystem(NdsSystem):
             self._prefetch_neighbors(dataset, space_id, space, origin,
                                      extents, end)
 
-        useful = elem
-        for extent in extents:
-            useful *= extent
+        useful = elem * math.prod(extents)
         data = None
         if out is not None:
             data = out if dtype is None else bytes_to_array(out, dtype)
@@ -187,10 +178,7 @@ class HardwareNdsSystem(NdsSystem):
         elem = space.element_size
 
         raw = self._write_source(data, extents)
-
-        useful = elem
-        for extent in extents:
-            useful *= extent
+        useful = elem * math.prod(extents)
 
         tier = None if self._bulk_ingest else self.tier
         if tier is not None and tier.config.write_back:
@@ -218,71 +206,79 @@ class HardwareNdsSystem(NdsSystem):
 
         sent = 0
         end = cmd_done
-        translate_done = cmd_done
         consumed = 0
         for access in accesses:
-            region_bytes = access.element_count() * elem
-            consumed += region_bytes
+            consumed += access.element_count() * elem
             arrival = self._arrival_for(arrival_times, consumed, useful)
-            translate_done = self.controller.translate(
-                max(translate_done, cmd_done), space.rank, 1)
-            pages = self._pages_of(space_id, access)
-            alloc_done = self.controller.allocate(
-                max(translate_done, arrival), pages)
-            disassembled = self.controller.assemble(alloc_done, region_bytes,
-                                                    pages)
-            disassembled = self._crypt(disassembled,
-                                       pages * self.page_size)
-            block = self.stl.write_block(space_id, access, disassembled,
-                                         region=self._source_region(raw,
-                                                                    access))
+            done, pages = self._controller_write(
+                space_id, space, access, self._source_region(raw, access),
+                cmd_done, arrival)
             sent += pages * self.page_size
-            end = max(end, block.completion_time)
+            end = max(end, done)
             if tier is not None:
-                self._note_write_through(dataset, space_id, access)
+                self._note_write_through(dataset, space_id, access, done)
         return SystemOpResult(start_time=start_time, end_time=end,
                               useful_bytes=useful, fetched_bytes=sent,
                               requests=1)
+
+    def _controller_read(self, space_id: int, space, access, start: float,
+                         out=None) -> Tuple[float, float, int]:
+        """One region's controller read step: translate → STL block
+        read → AES → assembly in device DRAM. Returns the translation's
+        end, the time the assembled region is ready and the pages
+        read."""
+        translated = self.controller.translate(start, space.rank, 1)
+        block = self.stl.read_block(space_id, access, translated, out=out)
+        decrypted = self._crypt(block.completion_time,
+                                block.pages * self.page_size)
+        ready = self.controller.assemble(
+            decrypted, access.element_count() * space.element_size,
+            block.pages)
+        return translated, ready, block.pages
+
+    def _controller_write(self, space_id: int, space, access, region,
+                          cmd_done: float,
+                          arrival: float) -> Tuple[float, int]:
+        """One region's controller write step: translate → allocate
+        once the bytes have arrived → disassembly → AES → STL write.
+        Returns the write's end and the pages written."""
+        translated = self.controller.translate(cmd_done, space.rank, 1)
+        pages = self._pages_of(space_id, access)
+        alloc_done = self.controller.allocate(max(translated, arrival), pages)
+        disassembled = self.controller.assemble(
+            alloc_done, access.element_count() * space.element_size, pages)
+        disassembled = self._crypt(disassembled, pages * self.page_size)
+        block = self.stl.write_block(space_id, access, disassembled,
+                                     region=region)
+        return block.completion_time, pages
 
     # ------------------------------------------------------------------
     # DRAM tier glue (only reached with cache=CacheConfig(...) set)
     # ------------------------------------------------------------------
     def _flush_cache_entry(self, entry, now: float) -> float:
         """Write one buffered dirty region back: a single-region NDS
-        write command replayed through the controller path, so a
-        deferred flush costs exactly what the write would have."""
-        dataset, space_id, access = entry.payload
+        write command through the controller write step, so a deferred
+        flush costs exactly what the write would have."""
+        _dataset, space_id, access = entry.payload
         space = self.stl.get_space(space_id)
-        elem = space.element_size
-        region_bytes = access.element_count() * elem
         issued = self.cpu.issue_io(now)
         cmd_done = self.controller.handle_command(issued)
-        transfer = self.link.transfer(region_bytes, cmd_done)
-        translated = self.controller.translate(cmd_done, space.rank, 1)
-        pages = self._pages_of(space_id, access)
-        alloc_done = self.controller.allocate(
-            max(translated, transfer.end_time), pages)
-        disassembled = self.controller.assemble(alloc_done, region_bytes,
-                                                pages)
-        disassembled = self._crypt(disassembled, pages * self.page_size)
-        block = self.stl.write_block(space_id, access, disassembled,
-                                     region=entry.data)
-        return block.completion_time
+        arrival = self.link.transfer(
+            access.element_count() * space.element_size, cmd_done)
+        done, _pages = self._controller_write(space_id, space, access,
+                                              entry.data, cmd_done, arrival)
+        return done
 
     def _prefetch_region(self, space_id: int, space, access,
                          start: float) -> float:
-        """One speculative single-region command: translation, block
-        read, controller assembly and the transfer into the tier."""
+        """One speculative single-region command through the
+        controller read step, then the transfer into the tier."""
         issued = self.cpu.issue_io(start)
         cmd_done = self.controller.handle_command(issued)
-        translated = self.controller.translate(cmd_done, space.rank, 1)
-        block = self.stl.read_block(space_id, access, translated)
-        region_bytes = access.element_count() * space.element_size
-        decrypted = self._crypt(block.completion_time,
-                                block.pages * self.page_size)
-        ready = self.controller.assemble(decrypted, region_bytes,
-                                         block.pages)
-        return self.link.transfer(region_bytes, ready).end_time
+        _translated, ready, _pages = self._controller_read(
+            space_id, space, access, cmd_done)
+        return self.link.transfer(
+            access.element_count() * space.element_size, ready)
 
     # ------------------------------------------------------------------
     def _reset_timelines(self) -> None:
@@ -297,9 +293,9 @@ class HardwareNdsSystem(NdsSystem):
         cumulative = 0
         while cumulative < total_bytes:
             chunk = min(SEGMENT_BYTES, total_bytes - cumulative)
-            transfer = self.link.transfer(chunk, first_start)
             cumulative += chunk
-            arrivals.append((cumulative, transfer.end_time))
+            arrivals.append((cumulative,
+                             self.link.transfer(chunk, first_start)))
         return arrivals
 
     @staticmethod

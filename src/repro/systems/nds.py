@@ -192,34 +192,21 @@ class NdsSystem(StorageSystem):
         """Write-back: absorb one region into DRAM with one host copy
         (``row_bytes`` per segment, 0 for a contiguous copy); the device
         write happens at eviction, dirty-bound or fence."""
-        tier = self.tier
         elem = self.stl.get_space(space_id).element_size
         done = self.cpu.copy(access.element_count() * elem, earliest,
                              row_bytes, label="cache_copy")
-        key = region_key(dataset, access)
-        # overlapping buffered regions: older dirty data must hit flash
-        # first (write order), overlapping clean copies are now stale
-        for other in tier.group_keys(region_group(dataset, access)):
-            if other == key:
-                continue
-            entry = tier.get(other)
-            if entry is None:
-                continue
-            if slices_overlap(entry.payload[2].block_slice,
-                              access.block_slice):
-                if entry.dirty:
-                    done = tier.flush_entry(other, done)
-                tier.invalidate(other)
+        done = self._drop_overlapping(dataset, access, done)
         data = None
         if region is not None:
             data = np.ascontiguousarray(region).copy()
         return self._cache_region(dataset, space_id, access, done,
                                   data=data, dirty=True)
 
-    def _note_write_through(self, dataset: str, space_id: int,
-                            access) -> None:
-        """Write-through coherence: refresh the exact cached region,
-        drop overlapping neighbors (their bytes are now stale)."""
+    def _drop_overlapping(self, dataset: str, access, now: float) -> float:
+        """Drop buffered regions that overlap a write to ``access``
+        (other than its own region): older dirty data must hit flash
+        first (write order), and overlapping clean copies are now
+        stale. Returns the time after any flushes."""
         tier = self.tier
         key = region_key(dataset, access)
         for other in tier.group_keys(region_group(dataset, access)):
@@ -228,8 +215,18 @@ class NdsSystem(StorageSystem):
             entry = tier.get(other)
             if entry is not None and slices_overlap(
                     entry.payload[2].block_slice, access.block_slice):
+                if entry.dirty:
+                    now = tier.flush_entry(other, now)
                 tier.invalidate(other)
-        entry = tier.get(key)
+        return now
+
+    def _note_write_through(self, dataset: str, space_id: int, access,
+                            now: float) -> None:
+        """Write-through coherence after a write that ends at ``now``:
+        drop overlapping neighbors and refresh the exact cached region.
+        A write-through tier holds nothing dirty, so nothing flushes."""
+        self._drop_overlapping(dataset, access, now)
+        entry = self.tier.get(region_key(dataset, access))
         if entry is not None and self.store_data:
             entry.data = self.stl.block_region_data(space_id, access)
 

@@ -15,6 +15,7 @@ host-side B-tree walk and translation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -100,8 +101,6 @@ class SoftwareNdsSystem(NdsSystem):
         missed = tier is None
         for access in accesses:
             earliest = window.earliest(setup_done)
-            region_bytes = access.element_count() * elem
-            row_bytes = access.extent()[-1] * elem
             if tier is not None:
                 entry = tier.lookup(region_key(dataset, access))
                 if entry is not None:
@@ -111,7 +110,8 @@ class SoftwareNdsSystem(NdsSystem):
                         slicer = tuple(slice(lo, hi)
                                        for lo, hi in access.out_slice)
                         out[slicer] = entry.data
-                    done = self.cpu.copy(region_bytes, earliest, row_bytes,
+                    done = self.cpu.copy(access.element_count() * elem,
+                                         earliest, access.extent()[-1] * elem,
                                          label="cache_copy")
                     window.complete(done)
                     completions.append(done)
@@ -120,19 +120,9 @@ class SoftwareNdsSystem(NdsSystem):
                 # coherence: buffered dirty regions overlapping this
                 # block slice must reach flash before we read around them
                 earliest = self._flush_overlapping(dataset, access, earliest)
-            # One vectored LightNVM command per building block, plus the
-            # host B-tree walk for that block.
-            issued = self.cpu.run_issue_work(
-                earliest,
-                self.costs.per_command + self.costs.per_node * space.rank,
-                label="stl_translate")
-            block = self.stl.read_block(space_id, access, issued, out=out)
-            fetched += block.pages * self.page_size
-            transfer = self.link.transfer(block.pages * self.page_size,
-                                          block.completion_time)
-            # Host assembly: scatter the block's rows into the tile
-            # buffer — one memcpy per block-row segment ([P1] residue).
-            done = self.cpu.copy(region_bytes, transfer.end_time, row_bytes)
+            done, pages = self._read_access(space_id, space, access,
+                                            earliest, out=out)
+            fetched += pages * self.page_size
             if tier is not None:
                 done = self._cache_region(
                     dataset, space_id, access, done,
@@ -146,9 +136,7 @@ class SoftwareNdsSystem(NdsSystem):
             # op's completion
             self._prefetch_neighbors(dataset, space_id, space, origin,
                                      extents, end)
-        useful = elem
-        for extent in extents:
-            useful *= extent
+        useful = elem * math.prod(extents)
         data = None
         if out is not None:
             data = out if dtype is None else bytes_to_array(out, dtype)
@@ -190,13 +178,11 @@ class SoftwareNdsSystem(NdsSystem):
                                              earliest)
             sent += pages * self.page_size
             if tier is not None:
-                self._note_write_through(dataset, space_id, access)
+                self._note_write_through(dataset, space_id, access, done)
             window.complete(done)
             completions.append(done)
         end = max(completions, default=setup_done)
-        useful = elem
-        for extent in extents:
-            useful *= extent
+        useful = elem * math.prod(extents)
         return SystemOpResult(start_time=start_time, end_time=end,
                               useful_bytes=useful, fetched_bytes=sent,
                               requests=len(accesses))
@@ -220,10 +206,32 @@ class SoftwareNdsSystem(NdsSystem):
             self.costs.per_command + self.costs.per_node * space.rank
             + self.costs.per_unit_write * pages,
             label="stl_translate")
-        transfer = self.link.transfer(pages * self.page_size, issued)
-        block = self.stl.write_block(space_id, access, transfer.end_time,
+        transferred = self.link.transfer(pages * self.page_size, issued)
+        block = self.stl.write_block(space_id, access, transferred,
                                      region=region)
         return block.completion_time, pages
+
+    def _read_access(self, space_id: int, space, access, earliest: float,
+                     out=None, label: str = "host_copy") -> tuple:
+        """One building-block device read: LightNVM command and host
+        B-tree walk → STL read → link transfer → host copy (``label``
+        names the copy's span). Shared by the demand read path and
+        prefetch. Returns the copy's end and the pages read."""
+        elem = space.element_size
+        # One vectored LightNVM command per building block, plus the
+        # host B-tree walk for that block.
+        issued = self.cpu.run_issue_work(
+            earliest,
+            self.costs.per_command + self.costs.per_node * space.rank,
+            label="stl_translate")
+        block = self.stl.read_block(space_id, access, issued, out=out)
+        transferred = self.link.transfer(block.pages * self.page_size,
+                                         block.completion_time)
+        # Host assembly: scatter the block's rows into the tile buffer —
+        # one memcpy per block-row segment ([P1] residue).
+        done = self.cpu.copy(access.element_count() * elem, transferred,
+                             access.extent()[-1] * elem, label=label)
+        return done, block.pages
 
     # ------------------------------------------------------------------
     # DRAM tier glue (only reached with cache=CacheConfig(...) set)
@@ -235,16 +243,7 @@ class SoftwareNdsSystem(NdsSystem):
 
     def _prefetch_region(self, space_id: int, space, access,
                          start: float) -> float:
-        """One speculative block read: LightNVM command, link transfer
-        and the host copy into the tier."""
-        issued = self.cpu.run_issue_work(
-            start,
-            self.costs.per_command + self.costs.per_node * space.rank,
-            label="stl_translate")
-        block = self.stl.read_block(space_id, access, issued)
-        elem = space.element_size
-        transfer = self.link.transfer(block.pages * self.page_size,
-                                      block.completion_time)
-        return self.cpu.copy(access.element_count() * elem,
-                             transfer.end_time, access.extent()[-1] * elem,
-                             label="cache_copy")
+        """One speculative block read into the tier."""
+        done, _pages = self._read_access(space_id, space, access, start,
+                                         label="cache_copy")
+        return done

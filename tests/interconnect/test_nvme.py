@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.interconnect import (NVME_LIMITS, NvmeCommand, NvmeOpcode,
-                                saturation_curve)
+from repro.interconnect import NVME_LIMITS, NvmeOpcode, saturation_curve
 
 
 class TestOpcode:
@@ -30,23 +29,6 @@ class TestLimits:
     def test_empty_dimensionality(self):
         with pytest.raises(ValueError):
             NVME_LIMITS.validate_dimensionality([])
-
-
-class TestCommand:
-    def test_nd_read_requires_matching_ranks(self):
-        with pytest.raises(ValueError):
-            NvmeCommand(opcode=NvmeOpcode.ND_READ, coordinate=(1,),
-                        sub_dimensionality=(4, 4))
-
-    def test_valid_nd_write(self):
-        cmd = NvmeCommand(opcode=NvmeOpcode.ND_WRITE, coordinate=(0, 1),
-                          sub_dimensionality=(128, 128),
-                          payload_bytes=65536)
-        assert cmd.opcode.is_extended
-
-    def test_negative_payload(self):
-        with pytest.raises(ValueError):
-            NvmeCommand(opcode=NvmeOpcode.READ, payload_bytes=-1)
 
 
 class TestSaturationCurve:
