@@ -105,8 +105,8 @@ class TrafficStream:
         row reads). Called exactly once per *admitted* request, in
         arrival order, so seeded factories stay deterministic even
         when admission control sheds.
-    token_rate / token_burst:
-        Token-bucket admission (None = no throttle).
+    token_rate:
+        Token-bucket admission, one-token burst (None = no throttle).
     admission_queue:
         Maximum admitted-but-incomplete requests; an arrival beyond
         the bound is shed (None = unbounded).
@@ -117,7 +117,6 @@ class TrafficStream:
     def __init__(self, name: str, arrivals: ArrivalProcess,
                  request_ops: RequestFactory, *,
                  token_rate: Optional[float] = None,
-                 token_burst: float = 1.0,
                  admission_queue: Optional[int] = None,
                  weight: float = 1.0,
                  latency_target: Optional[float] = None) -> None:
@@ -127,7 +126,6 @@ class TrafficStream:
         self.arrivals = arrivals
         self.request_ops = request_ops
         self.token_rate = token_rate
-        self.token_burst = token_burst
         self.admission_queue = admission_queue
         self.weight = weight
         self.latency_target = latency_target
@@ -329,8 +327,7 @@ class OpenLoopInjector:
                 schedule.append((time, index, seq))
         schedule.sort()
 
-        buckets = [TokenBucket(s.token_rate, s.token_burst)
-                   for s in self.streams]
+        buckets = [TokenBucket(s.token_rate) for s in self.streams]
         backlogs: List[List[float]] = [[] for _ in self.streams]
         reports = {s.name: StreamTrafficReport(stream=s.name)
                    for s in self.streams}
