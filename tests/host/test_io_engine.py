@@ -149,3 +149,73 @@ class TestStatsWhenABatchRaises:
         assert cpu.stats.get_count("host_ios") == ios_before + 2
         assert link.stats.get_count("transfers") == 2 + 1
         assert ssd.flash.stats.get_count("pages_read") == pages_before + 1
+
+
+class TestHostCountsOnTimelinesAndProbe:
+    """The host issue core, the copy cores and the link count their
+    reservations on their own timelines (``Timeline.ops``); the bytes
+    they moved are counted by the probe's metrics. Over reads with
+    chunked copies, writes with gather copies and runs whose middle
+    request is refused, the probe's event counts equal the timelines'
+    op counts and its byte counters equal what the executed requests
+    moved."""
+
+    def test_probe_counts_match_timelines_and_requests(self):
+        from repro.obs.metrics import MetricsRegistry
+        from repro.systems import BaselineSystem
+        system = BaselineSystem(TINY_TEST)
+        registry = MetricsRegistry()
+        system.set_metrics(registry)
+        engine, cpu, link = system.engine, system.cpu, system.link
+        page = TINY_TEST.geometry.page_size
+        bad = system.ssd.logical_pages
+        moved = {"pages": 0, "copied": 0}
+
+        def check():
+            copy_ops = sum(core.ops for core in cpu.copy_lines.servers)
+            assert registry.histogram("host.issue").count \
+                == cpu.issue_line.ops
+            assert registry.histogram("link.transfer").count \
+                == link.line.ops
+            assert registry.histogram("host.copy").count == copy_ops
+            assert registry.counter("link.bytes").value \
+                == moved["pages"] * page
+            assert registry.counter("host.copy.bytes").value \
+                == moved["copied"]
+
+        # a write run, two of its requests gathered by a host copy
+        engine.run_writes(IoRun([0, 1, 2, 4], [1, 1, 2, 1], [page] * 4,
+                                [64, None, 0, None]))
+        moved["pages"] += 5
+        moved["copied"] += 2 * page
+        check()
+        assert cpu.issue_line.ops == link.line.ops == 4
+
+        # a read run with chunked placement copies
+        engine.run_reads(IoRun([0, 2], [2, 3], [300, 500], [64, 128]))
+        moved["pages"] += 5
+        moved["copied"] += 800
+        check()
+        assert cpu.issue_line.ops == link.line.ops == 6
+
+        # a read run whose middle request has a bad LPN: the first
+        # request ran whole, the bad one was issued and decoded only
+        with pytest.raises(ValueError):
+            engine.run_reads(IoRun([0, bad, 2], [1, 1, 1], [100, 100, 100],
+                                   [0, 0, 0]))
+        moved["pages"] += 1
+        moved["copied"] += 100
+        check()
+        assert cpu.issue_line.ops == 8
+        assert link.line.ops == 7
+
+        # the same for a write run: the bad request was also gathered
+        # and sent before the device refused it
+        with pytest.raises(ValueError):
+            engine.run_writes(IoRun([3, bad, 5], [1, 1, 1],
+                                    [200, 200, 200], [0, 0, 0]))
+        moved["pages"] += 2
+        moved["copied"] += 400
+        check()
+        assert cpu.issue_line.ops == 10
+        assert link.line.ops == 9
