@@ -169,7 +169,6 @@ class NdsApi:
             total.end_time = max(total.end_time, part.end_time)
             if out is not None and part.data is not None:
                 self._place(out, region, part.data)
-        total.stats.count("api_reads")
         if out is None:
             return None, total
         if dtype is None:
@@ -202,7 +201,6 @@ class NdsApi:
                                          start_time=start_time)
             total.blocks.extend(part.blocks)
             total.end_time = max(total.end_time, part.end_time)
-        total.stats.count("api_writes")
         return total
 
     # ------------------------------------------------------------------

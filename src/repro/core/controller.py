@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.sim.resources import Timeline
-from repro.sim.stats import StatSet
 
 __all__ = ["ControllerTiming", "NdsController"]
 
@@ -61,7 +60,6 @@ class NdsController:
         self.translate_line = Timeline("ctrl_translate")
         self.allocate_line = Timeline("ctrl_alloc")
         self.assemble_line = Timeline("ctrl_assemble")
-        self.stats = StatSet()
         #: the owning system's :class:`~repro.obs.probe.Probe` while a
         #: trace or metrics subscriber is attached, else None
         self.probe = None
@@ -70,7 +68,6 @@ class NdsController:
     def handle_command(self, earliest_start: float) -> float:
         start, end = self.command_line.reserve(earliest_start,
                                                self.timing.command_handle)
-        self.stats.count("ctrl_commands")
         if self.probe is not None:
             self.probe.stage("ctrl_cmd", "nvme_command", "ctrl.command",
                              start, end)
@@ -81,7 +78,6 @@ class NdsController:
         duration = (self.timing.translate_per_node * nodes_visited
                     + self.timing.translate_per_block * blocks)
         start, end = self.translate_line.reserve(earliest_start, duration)
-        self.stats.count("ctrl_translations")
         if self.probe is not None:
             self.probe.stage("ctrl_translate", "stl_translate",
                              "ctrl.translate", start, end)
@@ -90,7 +86,6 @@ class NdsController:
     def allocate(self, earliest_start: float, units: int) -> float:
         duration = self.timing.allocate_per_unit * units
         start, end = self.allocate_line.reserve(earliest_start, duration)
-        self.stats.count("ctrl_allocations", units)
         if self.probe is not None:
             self.probe.stage("ctrl_alloc", "stl_allocate", "ctrl.allocate",
                              start, end)
@@ -103,7 +98,6 @@ class NdsController:
         duration = (self.timing.assemble_per_page * pages
                     + num_bytes / self.timing.assemble_bandwidth)
         start, end = self.assemble_line.reserve(earliest_start, duration)
-        self.stats.count("ctrl_assembled_bytes", num_bytes)
         if self.probe is not None:
             self.probe.assemble(start, end, num_bytes)
         return end

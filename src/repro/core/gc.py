@@ -28,13 +28,12 @@ set current. Nothing here writes ``free_pages`` or the set directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Set, Tuple
 
 from repro.core.allocator import NdsAllocator
 from repro.ftl.gc import RelocatingCollector, _low_mark
 from repro.nvm.flash import FlashArray
-from repro.sim.stats import StatSet
 
 __all__ = ["NdsGarbageCollector", "NdsGcResult"]
 
@@ -48,14 +47,13 @@ class NdsGcResult:
     end_time: float
     units_relocated: int = 0
     blocks_erased: int = 0
-    stats: StatSet = field(default_factory=StatSet)
 
 
 class NdsGarbageCollector(RelocatingCollector):
     """Greedy GC over the NDS allocator's planes."""
 
     CHAINED = False
-    LAYER, RELOCATED, STAT_PREFIX = "stl", "units_relocated", "nds_gc_"
+    LAYER, RELOCATED = "stl", "units_relocated"
     RESULT = NdsGcResult
 
     def __init__(self, allocator: NdsAllocator, flash: FlashArray,
@@ -131,8 +129,6 @@ class NdsGarbageCollector(RelocatingCollector):
                 total.blocks_erased += part.blocks_erased
                 total.end_time = max(total.end_time, part.end_time)
                 total.ran = total.ran or part.ran
-        total.stats.count("nds_gc_units_relocated", total.units_relocated)
-        total.stats.count("nds_gc_blocks_erased", total.blocks_erased)
         return total
 
     def _moved(self, owner, old_ppa: int, new_ppa: int) -> None:

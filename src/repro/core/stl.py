@@ -70,7 +70,6 @@ class StlOpResult:
     end_time: float
     blocks: List[BlockOpResult] = field(default_factory=list)
     data: Optional[np.ndarray] = None
-    stats: StatSet = field(default_factory=StatSet)
 
     @property
     def elapsed(self) -> float:
@@ -572,7 +571,6 @@ class SpaceTranslationLayer:
             result.blocks.append(block)
             if block.completion_time > result.end_time:
                 result.end_time = block.completion_time
-        result.stats.count("stl_reads")
         return result
 
     def _write_accesses(self, space_id: int, extents: Tuple[int, ...],
@@ -596,7 +594,6 @@ class SpaceTranslationLayer:
             result.blocks.append(block)
             if block.completion_time > result.end_time:
                 result.end_time = block.completion_time
-        result.stats.count("stl_writes")
         return result
 
     def _merge_read(self, space: Space, access: BlockAccess, ppas: List,

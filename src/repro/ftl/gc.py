@@ -24,14 +24,13 @@ from __future__ import annotations
 
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Set, Tuple
 
 from repro.faults.errors import EraseFailError, ProgramFailError
 from repro.ftl.mapping import OutOfSpaceError, PageMapFTL, PlaneAllocator
 from repro.nvm.flash import FlashArray
 from repro.nvm.geometry import Geometry
-from repro.sim.stats import StatSet
 
 __all__ = ["GarbageCollector", "GcResult", "RelocatingCollector"]
 
@@ -56,7 +55,6 @@ class GcResult:
     end_time: float
     pages_relocated: int = 0
     blocks_erased: int = 0
-    stats: StatSet = field(default_factory=StatSet)
 
 
 class RelocatingCollector:
@@ -73,7 +71,7 @@ class RelocatingCollector:
       running end, with False every read issues at the start time;
     * ``LAYER``, the trace layer name;
     * ``RELOCATED``, the result's relocation-count attribute (also the
-      ``probe.gc`` label), and ``STAT_PREFIX`` for the result's stats;
+      ``probe.gc`` label);
     * ``RESULT``, the result type, built as
       ``RESULT(ran, end_time, relocated, blocks_erased)``.
     """
@@ -183,10 +181,7 @@ class RelocatingCollector:
             ran = True
         self.total_relocated += relocated
         self.total_erased += erased
-        result = self.RESULT(ran, end, relocated, erased)
-        result.stats.count(self.STAT_PREFIX + self.RELOCATED, relocated)
-        result.stats.count(self.STAT_PREFIX + "blocks_erased", erased)
-        return result
+        return self.RESULT(ran, end, relocated, erased)
 
     # ------------------------------------------------------------------
     def _relocate(self, plane: PlaneAllocator, block: int, now: float,
@@ -335,7 +330,7 @@ class GarbageCollector(RelocatingCollector):
     """
 
     CHAINED = True
-    LAYER, RELOCATED, STAT_PREFIX = "ftl", "pages_relocated", "gc_"
+    LAYER, RELOCATED = "ftl", "pages_relocated"
     RESULT = GcResult
 
     def __init__(self, ftl: PageMapFTL, flash: FlashArray,

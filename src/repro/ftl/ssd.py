@@ -121,7 +121,8 @@ class BaselineSSD:
                 gc_result = collect(plane.channel, plane.bank, end)
                 if gc_result.end_time > end:
                     end = gc_result.end_time
-                stats.merge(gc_result.stats)
+                stats.count("gc_pages_relocated", gc_result.pages_relocated)
+                stats.count("gc_blocks_erased", gc_result.blocks_erased)
             # PageMapFTL.allocate: bind before the old page is
             # invalidated, so a full plane leaves it live
             old = map_get(lpn)

@@ -12,13 +12,16 @@ from __future__ import annotations
 
 from repro.host.memory import MemoryModel
 from repro.sim.resources import MultiTimeline, Timeline
-from repro.sim.stats import StatSet
 
 __all__ = ["HostCpu"]
 
 
 class HostCpu:
-    """Host processor resources and cost accounting."""
+    """Host processor resources and cost accounting.
+
+    Busy time and request counts live on the timelines (``issue_line``,
+    ``copy_lines``); bytes copied reach the probe's metrics
+    (``host.copy.bytes``)."""
 
     def __init__(self, per_io_cost: float = 4e-6,
                  memory: MemoryModel = MemoryModel(),
@@ -29,7 +32,6 @@ class HostCpu:
         self.memory = memory
         self.issue_line = Timeline("host_issue")
         self.copy_lines = MultiTimeline(copy_cores, "host_copy")
-        self.stats = StatSet()
         #: the owning system's :class:`~repro.obs.probe.Probe` while a
         #: trace or metrics subscriber is attached, else None
         self.probe = None
@@ -38,8 +40,6 @@ class HostCpu:
     def issue_io(self, earliest_start: float) -> float:
         """Charge one request's software-stack cost; returns finish time."""
         start, end = self.issue_line.reserve(earliest_start, self.per_io_cost)
-        self.stats.count("host_ios")
-        self.stats.add_time("host_issue", self.per_io_cost)
         if self.probe is not None:
             self.probe.stage("host_issue", "issue_io", "host.issue", start,
                              end)
@@ -50,7 +50,6 @@ class HostCpu:
         """Charge arbitrary work to the issue core (e.g. host-side STL);
         ``label`` names the span in traces."""
         start, end = self.issue_line.reserve(earliest_start, seconds)
-        self.stats.add_time("host_issue", seconds)
         if self.probe is not None:
             self.probe.stage("host_issue", label, f"host.{label}", start, end)
         return end
@@ -62,9 +61,6 @@ class HostCpu:
         ``"cache_copy"`` so hit service attributes to its own layer)."""
         duration = self.memory.copy_time(num_bytes, chunk_bytes)
         start, end, _core = self.copy_lines.reserve(earliest_start, duration)
-        self.stats.count("host_copies")
-        self.stats.count("host_copied_bytes", num_bytes)
-        self.stats.add_time("host_copy", duration)
         if self.probe is not None:
             self.probe.copy(start, end, duration, num_bytes, label)
         return end

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -114,8 +114,8 @@ class HostIoEngine:
     the FTL write step (``BaselineSSD._program_lpns``) into the run's
     stats, so no request builds a device result. With a probe attached,
     the events those layers would emit are emitted at the same point.
-    Per-layer stats are committed when the run ends, also when a request
-    raises, so they always match the timelines.
+    The timelines themselves count each step's busy time and ops, so a
+    request that raises leaves exactly the steps that ran counted.
     """
 
     def __init__(self, ssd: BaselineSSD, link: Link, cpu: HostCpu,
@@ -162,98 +162,85 @@ class HostIoEngine:
         completions_append = result.completions.append
         data_append = result.data.append
         probe = self.probe
-        # per-layer stat accumulators, committed in the finally below;
-        # the float additions happen in the per-request order of add_time
-        ops_before = self._op_counts()
-        issue_time_acc = cpu.stats.times.get("host_issue", 0.0)
-        copy_time_acc = cpu.stats.times.get("host_copy", 0.0)
-        copied_bytes = 0
         end_time = start_time
         useful_total = 0
         fetched_total = 0
         pages_total = 0
         unmapped_total = 0
-        try:
-            for first, count, useful, chunk in zip(run.firsts, run.counts,
-                                                   run.useful, run.chunks):
-                earliest = window_earliest(start_time)
-                # host software stack (cpu.issue_io)
-                issue_start = issue_line.free_at
-                if issue_start < earliest:
-                    issue_start = earliest
-                issued = issue_start + per_io
-                issue_line.free_at = issued
-                issue_line.busy_time += per_io
-                issue_line.ops += 1
-                issue_time_acc += per_io
+        for first, count, useful, chunk in zip(run.firsts, run.counts,
+                                               run.useful, run.chunks):
+            earliest = window_earliest(start_time)
+            # host software stack (cpu.issue_io)
+            issue_start = issue_line.free_at
+            if issue_start < earliest:
+                issue_start = earliest
+            issued = issue_start + per_io
+            issue_line.free_at = issued
+            issue_line.busy_time += per_io
+            issue_line.ops += 1
+            if probe is not None:
+                probe.stage("host_issue", "issue_io", "host.issue",
+                            issue_start, issued)
+            # device controller command handling
+            ctrl_start = ctrl_line.free_at
+            if ctrl_start < issued:
+                ctrl_start = issued
+            ctrl_done = ctrl_start + ctrl_time
+            ctrl_line.free_at = ctrl_done
+            ctrl_line.busy_time += ctrl_time
+            ctrl_line.ops += 1
+            if probe is not None:
+                probe.stage("device_ctrl", "ftl_map", "ftl.map",
+                            ctrl_start, ctrl_done)
+            # device: FTL map (page indices) + flash fan-out
+            # (ssd.read_lpns)
+            if first < 0 or first + count > logical_pages:
+                check_lpns(range(first, first + count))
+            if count == 1 and not with_data:
+                ppa = map_get(first)
+                ppas = () if ppa is None else (ppa,)
+            else:
+                resolved = list(map(map_get, range(first, first + count)))
+                ppas = [ppa for ppa in resolved if ppa is not None]
+            device_end = read_pages(ppas, ctrl_done)
+            pages_total += len(ppas)
+            unmapped_total += count - len(ppas)
+            data_append(ssd._gather(resolved) if with_data else None)
+            # link data transfer (link.transfer)
+            fetched = count * page_size
+            duration = link_overhead + fetched / link_bandwidth
+            link_start = link_line.free_at
+            if link_start < device_end:
+                link_start = device_end
+            done = link_start + duration
+            link_line.free_at = done
+            link_line.busy_time += duration
+            link_line.ops += 1
+            fetched_total += fetched
+            if probe is not None:
+                probe.transfer(link_start, done, fetched)
+            # optional host placement copy (cpu.copy)
+            if chunk is not None:
+                duration = copy_time(useful, chunk)
+                core = copy_servers[0]
+                for candidate in copy_servers[1:]:
+                    if candidate.free_at < core.free_at:
+                        core = candidate
+                copy_start = core.free_at
+                if copy_start < done:
+                    copy_start = done
+                done = copy_start + duration
+                core.free_at = done
+                core.busy_time += duration
+                core.ops += 1
                 if probe is not None:
-                    probe.stage("host_issue", "issue_io", "host.issue",
-                                issue_start, issued)
-                # device controller command handling
-                ctrl_start = ctrl_line.free_at
-                if ctrl_start < issued:
-                    ctrl_start = issued
-                ctrl_done = ctrl_start + ctrl_time
-                ctrl_line.free_at = ctrl_done
-                ctrl_line.busy_time += ctrl_time
-                ctrl_line.ops += 1
-                if probe is not None:
-                    probe.stage("device_ctrl", "ftl_map", "ftl.map",
-                                ctrl_start, ctrl_done)
-                # device: FTL map (page indices) + flash fan-out
-                # (ssd.read_lpns)
-                if first < 0 or first + count > logical_pages:
-                    check_lpns(range(first, first + count))
-                if count == 1 and not with_data:
-                    ppa = map_get(first)
-                    ppas = () if ppa is None else (ppa,)
-                else:
-                    resolved = list(map(map_get, range(first, first + count)))
-                    ppas = [ppa for ppa in resolved if ppa is not None]
-                device_end = read_pages(ppas, ctrl_done)
-                pages_total += len(ppas)
-                unmapped_total += count - len(ppas)
-                data_append(ssd._gather(resolved) if with_data else None)
-                # link data transfer (link.transfer)
-                fetched = count * page_size
-                duration = link_overhead + fetched / link_bandwidth
-                link_start = link_line.free_at
-                if link_start < device_end:
-                    link_start = device_end
-                done = link_start + duration
-                link_line.free_at = done
-                link_line.busy_time += duration
-                link_line.ops += 1
-                fetched_total += fetched
-                if probe is not None:
-                    probe.transfer(link_start, done, fetched)
-                # optional host placement copy (cpu.copy)
-                if chunk is not None:
-                    duration = copy_time(useful, chunk)
-                    core = copy_servers[0]
-                    for candidate in copy_servers[1:]:
-                        if candidate.free_at < core.free_at:
-                            core = candidate
-                    copy_start = core.free_at
-                    if copy_start < done:
-                        copy_start = done
-                    done = copy_start + duration
-                    core.free_at = done
-                    core.busy_time += duration
-                    core.ops += 1
-                    copy_time_acc += duration
-                    copied_bytes += useful
-                    if probe is not None:
-                        probe.copy(copy_start, done, duration, useful,
-                                   "host_copy")
-                window_complete(done)
-                completions_append(done)
-                useful_total += useful
-                if done > end_time:
-                    end_time = done
-        finally:
-            self._commit(ops_before, issue_time_acc, copy_time_acc,
-                         copied_bytes, fetched_total)
+                    probe.copy(copy_start, done, duration, useful,
+                               "host_copy")
+            window_complete(done)
+            completions_append(done)
+            useful_total += useful
+            if done > end_time:
+                end_time = done
         result.end_time = end_time
         result.useful_bytes = useful_total
         result.fetched_bytes = fetched_total
@@ -292,123 +279,81 @@ class HostIoEngine:
         completions_append = result.completions.append
         stats = result.stats
         probe = self.probe
-        ops_before = self._op_counts()
-        issue_time_acc = cpu.stats.times.get("host_issue", 0.0)
-        copy_time_acc = cpu.stats.times.get("host_copy", 0.0)
-        copied_bytes = 0
         end_time = start_time
         useful_total = 0
         sent_total = 0
-        try:
-            for first, count, useful, chunk, payload in zip(
-                    run.firsts, run.counts, run.useful, run.chunks,
-                    run.payloads or repeat(None)):
-                earliest = window_earliest(start_time)
-                # host software stack (cpu.issue_io)
-                issue_start = issue_line.free_at
-                if issue_start < earliest:
-                    issue_start = earliest
-                issued = issue_start + per_io
-                issue_line.free_at = issued
-                issue_line.busy_time += per_io
-                issue_line.ops += 1
-                issue_time_acc += per_io
+        for first, count, useful, chunk, payload in zip(
+                run.firsts, run.counts, run.useful, run.chunks,
+                run.payloads or repeat(None)):
+            earliest = window_earliest(start_time)
+            # host software stack (cpu.issue_io)
+            issue_start = issue_line.free_at
+            if issue_start < earliest:
+                issue_start = earliest
+            issued = issue_start + per_io
+            issue_line.free_at = issued
+            issue_line.busy_time += per_io
+            issue_line.ops += 1
+            if probe is not None:
+                probe.stage("host_issue", "issue_io", "host.issue",
+                            issue_start, issued)
+            # host gathers scattered application data into the DMA
+            # buffer before the transfer (serialization cost, [P1])
+            if chunk is not None:
+                duration = copy_time(useful, chunk)
+                core = copy_servers[0]
+                for candidate in copy_servers[1:]:
+                    if candidate.free_at < core.free_at:
+                        core = candidate
+                copy_start = core.free_at
+                if copy_start < issued:
+                    copy_start = issued
+                issued = copy_start + duration
+                core.free_at = issued
+                core.busy_time += duration
+                core.ops += 1
                 if probe is not None:
-                    probe.stage("host_issue", "issue_io", "host.issue",
-                                issue_start, issued)
-                # host gathers scattered application data into the DMA
-                # buffer before the transfer (serialization cost, [P1])
-                if chunk is not None:
-                    duration = copy_time(useful, chunk)
-                    core = copy_servers[0]
-                    for candidate in copy_servers[1:]:
-                        if candidate.free_at < core.free_at:
-                            core = candidate
-                    copy_start = core.free_at
-                    if copy_start < issued:
-                        copy_start = issued
-                    issued = copy_start + duration
-                    core.free_at = issued
-                    core.busy_time += duration
-                    core.ops += 1
-                    copy_time_acc += duration
-                    copied_bytes += useful
-                    if probe is not None:
-                        probe.copy(copy_start, issued, duration, useful,
-                                   "host_copy")
-                # link data transfer (link.transfer)
-                sent = count * page_size
-                duration = link_overhead + sent / link_bandwidth
-                link_start = link_line.free_at
-                if link_start < issued:
-                    link_start = issued
-                link_end = link_start + duration
-                link_line.free_at = link_end
-                link_line.busy_time += duration
-                link_line.ops += 1
-                sent_total += sent
-                if probe is not None:
-                    probe.transfer(link_start, link_end, sent)
-                # device controller command handling
-                ctrl_start = ctrl_line.free_at
-                if ctrl_start < link_end:
-                    ctrl_start = link_end
-                ctrl_done = ctrl_start + ctrl_time
-                ctrl_line.free_at = ctrl_done
-                ctrl_line.busy_time += ctrl_time
-                ctrl_line.ops += 1
-                if probe is not None:
-                    probe.stage("device_ctrl", "ftl_map", "ftl.map",
-                                ctrl_start, ctrl_done)
-                # device: allocation, programs, GC (ssd.write_lpns)
-                if first < 0 or first + count > logical_pages:
-                    check_lpns(range(first, first + count))
-                done = program_lpns(range(first, first + count), ctrl_done,
-                                    payload, stats)
-                window_complete(done)
-                completions_append(done)
-                useful_total += useful
-                if done > end_time:
-                    end_time = done
-        finally:
-            self._commit(ops_before, issue_time_acc, copy_time_acc,
-                         copied_bytes, sent_total)
+                    probe.copy(copy_start, issued, duration, useful,
+                               "host_copy")
+            # link data transfer (link.transfer)
+            sent = count * page_size
+            duration = link_overhead + sent / link_bandwidth
+            link_start = link_line.free_at
+            if link_start < issued:
+                link_start = issued
+            link_end = link_start + duration
+            link_line.free_at = link_end
+            link_line.busy_time += duration
+            link_line.ops += 1
+            sent_total += sent
+            if probe is not None:
+                probe.transfer(link_start, link_end, sent)
+            # device controller command handling
+            ctrl_start = ctrl_line.free_at
+            if ctrl_start < link_end:
+                ctrl_start = link_end
+            ctrl_done = ctrl_start + ctrl_time
+            ctrl_line.free_at = ctrl_done
+            ctrl_line.busy_time += ctrl_time
+            ctrl_line.ops += 1
+            if probe is not None:
+                probe.stage("device_ctrl", "ftl_map", "ftl.map",
+                            ctrl_start, ctrl_done)
+            # device: allocation, programs, GC (ssd.write_lpns)
+            if first < 0 or first + count > logical_pages:
+                check_lpns(range(first, first + count))
+            done = program_lpns(range(first, first + count), ctrl_done,
+                                payload, stats)
+            window_complete(done)
+            completions_append(done)
+            useful_total += useful
+            if done > end_time:
+                end_time = done
         result.end_time = end_time
         result.useful_bytes = useful_total
         result.fetched_bytes = sent_total
         result.stats.count("io_requests", len(run))
         return result
-
-    # ------------------------------------------------------------------
-    # stats of the inlined per-layer steps
-    # ------------------------------------------------------------------
-    def _op_counts(self) -> Tuple[int, int, int]:
-        """Reservations so far on the issue core, the copy cores and
-        the link — the request counts :meth:`_commit` writes back."""
-        cpu = self.cpu
-        return (cpu.issue_line.ops,
-                sum(core.ops for core in cpu.copy_lines.servers),
-                self.link.line.ops)
-
-    def _commit(self, ops_before: Tuple[int, int, int], issue_time: float,
-                copy_time: float, copied_bytes: int,
-                link_bytes: int) -> None:
-        """Write a batch's CPU and link accumulators back to the layers'
-        stats, as the per-request ``issue_io``/``copy``/``transfer``
-        calls would have left them."""
-        ios, copies, transfers = (now - before for now, before
-                                  in zip(self._op_counts(), ops_before))
-        cpu_stats = self.cpu.stats
-        if ios:
-            cpu_stats.times["host_issue"] = issue_time
-            cpu_stats.count("host_ios", ios)
-        if copies:
-            cpu_stats.times["host_copy"] = copy_time
-            cpu_stats.count("host_copies", copies)
-            cpu_stats.count("host_copied_bytes", copied_bytes)
-        if transfers:
-            self.link.stats.count("transfers", transfers)
-            self.link.stats.count("bytes", link_bytes)
 
     def reset_time(self) -> None:
         self.ssd.reset_time()

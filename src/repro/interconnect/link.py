@@ -1,6 +1,8 @@
 """Host ↔ device link model.
 
-One FCFS :class:`~repro.sim.resources.Timeline` carries every transfer.
+One FCFS :class:`~repro.sim.resources.Timeline` carries every transfer
+and counts them; the bytes moved reach the probe's metrics
+(``link.bytes``).
 Each transfer pays a fixed per-command overhead plus ``size/bandwidth``
 — the model behind the paper's [P2]: small requests cannot amortize the
 per-transaction cost, so a 32 KB request reaches only ~66 % of peak
@@ -10,7 +12,6 @@ while ≥ 2 MB requests saturate (§2.1).
 from __future__ import annotations
 
 from repro.sim.resources import Timeline
-from repro.sim.stats import StatSet
 
 __all__ = ["Link"]
 
@@ -36,7 +37,6 @@ class Link:
         self.bandwidth = bandwidth
         self.command_overhead = command_overhead
         self.line = Timeline(name)
-        self.stats = StatSet()
         #: the owning system's :class:`~repro.obs.probe.Probe` while a
         #: trace or metrics subscriber is attached, else None
         self.probe = None
@@ -50,8 +50,6 @@ class Link:
             raise ValueError("num_bytes must be non-negative")
         start, end = self.line.reserve(earliest_start,
                                        self.transfer_duration(num_bytes))
-        self.stats.count("transfers")
-        self.stats.count("bytes", num_bytes)
         if self.probe is not None:
             self.probe.transfer(start, end, num_bytes)
         return end

@@ -2,7 +2,7 @@
 
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.resources import MultiTimeline, Timeline
-from repro.sim.stats import StatSet, effective_bandwidth
+from repro.sim.stats import StatSet
 
 __all__ = [
     "Simulator",
@@ -10,5 +10,4 @@ __all__ = [
     "Timeline",
     "MultiTimeline",
     "StatSet",
-    "effective_bandwidth",
 ]

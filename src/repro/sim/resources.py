@@ -22,7 +22,8 @@ __all__ = ["Timeline", "MultiTimeline"]
 class Timeline:
     """A single FCFS server with a next-free-time cursor.
 
-    Tracks total busy time so utilization can be reported.
+    It is the one place its resource's busy time (``busy_time``) and
+    reservation count (``ops``) are kept (see :mod:`repro.sim.stats`).
     """
 
     __slots__ = ("name", "free_at", "busy_time", "ops")
@@ -47,16 +48,6 @@ class Timeline:
         self.busy_time += duration
         self.ops += 1
         return start, end
-
-    def peek(self, earliest_start: float) -> float:
-        """When would a reservation made now actually start?"""
-        return max(earliest_start, self.free_at)
-
-    def utilization(self, horizon: float) -> float:
-        """Fraction of ``[0, horizon]`` this server was busy."""
-        if horizon <= 0:
-            return 0.0
-        return min(1.0, self.busy_time / horizon)
 
     def reset(self, start_time: float = 0.0) -> None:
         self.free_at = float(start_time)
@@ -101,25 +92,8 @@ class MultiTimeline:
         start, end = best.reserve(earliest_start, duration)
         return start, end, index
 
-    def reserve_on(self, index: int, earliest_start: float, duration: float) -> Tuple[float, float]:
-        """Reserve on a specific server (e.g. a request pinned to one bank)."""
-        return self.servers[index].reserve(earliest_start, duration)
-
-    @property
-    def count(self) -> int:
-        return len(self.servers)
-
     def busy_time(self) -> float:
         return sum(s.busy_time for s in self.servers)
-
-    def utilization(self, horizon: float) -> float:
-        """Mean utilization over all servers for ``[0, horizon]``."""
-        if horizon <= 0:
-            return 0.0
-        return min(1.0, self.busy_time() / (horizon * len(self.servers)))
-
-    def max_free_at(self) -> float:
-        return max(s.free_at for s in self.servers)
 
     def reset(self, start_time: float = 0.0) -> None:
         for s in self.servers:

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.host import HostCpu, MemoryModel
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.probe import Probe
 
 
 class TestIssueLine:
@@ -22,7 +24,8 @@ class TestIssueLine:
         cpu = HostCpu()
         cpu.issue_io(0.0)
         cpu.issue_io(0.0)
-        assert cpu.stats.get_count("host_ios") == 2
+        assert cpu.issue_line.ops == 2
+        assert cpu.issue_line.busy_time == 2 * cpu.per_io_cost
 
 
 class TestCopyLine:
@@ -49,8 +52,11 @@ class TestCopyLine:
 
     def test_stats_track_bytes(self):
         cpu = HostCpu()
+        registry = MetricsRegistry()
+        cpu.probe = Probe(metrics=registry)
         cpu.copy(1234, 0.0)
-        assert cpu.stats.get_count("host_copied_bytes") == 1234
+        assert registry.counter("host.copy.bytes").value == 1234
+        assert cpu.copy_lines.servers[0].ops == 1
 
 
 def test_reset_time():
@@ -59,7 +65,7 @@ def test_reset_time():
     cpu.copy(1000, 0.0)
     cpu.reset_time()
     assert cpu.issue_line.free_at == 0.0
-    assert cpu.copy_lines.max_free_at() == 0.0
+    assert all(core.free_at == 0.0 for core in cpu.copy_lines.servers)
 
 
 def test_negative_per_io_rejected():

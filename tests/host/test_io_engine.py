@@ -89,10 +89,9 @@ class TestWrites:
 
 
 class TestStatsWhenABatchRaises:
-    """A request that raises midway leaves every layer's stats in step
-    with its timeline: the steps that ran are counted, the rest are
-    not — exactly what per-request ``issue_io``/``copy``/``transfer``
-    calls would leave behind."""
+    """A request that raises midway leaves every layer's timeline
+    counting exactly the steps that ran: the requests before the bad
+    one executed whole, the bad one only up to where it was refused."""
 
     @staticmethod
     def _system(**kwargs):
@@ -106,15 +105,14 @@ class TestStatsWhenABatchRaises:
         with pytest.raises(ValueError):
             engine.run_reads(IoRun([0, bad], [1, 1], [256, 256], [0, 0]))
         assert cpu.issue_line.ops == 2
-        assert cpu.stats.get_count("host_ios") == 2
-        assert cpu.stats.times["host_issue"] == 2 * cpu.per_io_cost
+        assert cpu.issue_line.busy_time == 2 * cpu.per_io_cost
         assert engine.controller_line.ops == 2
         assert link.line.ops == 1
-        assert link.stats.get_count("transfers") == 1
-        assert link.stats.get_count("bytes") == TINY_TEST.geometry.page_size
-        assert cpu.stats.get_count("host_copies") == 1
-        assert cpu.stats.times["host_copy"] == \
-            cpu.copy_lines.servers[0].busy_time
+        assert link.line.busy_time == \
+            link.transfer_duration(TINY_TEST.geometry.page_size)
+        copy_core = cpu.copy_lines.servers[0]
+        assert copy_core.ops == 1
+        assert copy_core.busy_time == cpu.memory.copy_time(256, 0)
 
     def test_write_batch_with_bad_lpn(self):
         system = self._system()
@@ -124,11 +122,12 @@ class TestStatsWhenABatchRaises:
             engine.run_writes(IoRun([0, bad], [1, 1], [256, 256], [0, 0]))
         # the second request was issued, gathered, sent and decoded
         # before the device refused it
-        assert cpu.stats.get_count("host_ios") == cpu.issue_line.ops == 2
-        assert cpu.stats.times["host_issue"] == 2 * cpu.per_io_cost
-        assert cpu.stats.get_count("host_copies") == 2
-        assert link.stats.get_count("transfers") == link.line.ops == 2
+        assert cpu.issue_line.ops == 2
+        assert cpu.issue_line.busy_time == 2 * cpu.per_io_cost
+        assert cpu.copy_lines.servers[0].ops == 2
+        assert link.line.ops == 2
         assert engine.controller_line.ops == 2
+        assert system.ssd.flash.stats.get_count("pages_programmed") == 1
 
     def test_read_batch_hitting_a_dead_channel(self):
         from repro.faults.errors import UncorrectableError
@@ -143,11 +142,11 @@ class TestStatsWhenABatchRaises:
         assert first.channel != second.channel
         ssd.flash.faults.dead_channels.add(second.channel)
         pages_before = ssd.flash.stats.get_count("pages_read")
-        ios_before = cpu.stats.get_count("host_ios")
+        ios_before = cpu.issue_line.ops
         with pytest.raises(UncorrectableError):
             engine.run_reads(_requests(2))
-        assert cpu.stats.get_count("host_ios") == ios_before + 2
-        assert link.stats.get_count("transfers") == 2 + 1
+        assert cpu.issue_line.ops == ios_before + 2
+        assert link.line.ops == 2 + 1
         assert ssd.flash.stats.get_count("pages_read") == pages_before + 1
 
 

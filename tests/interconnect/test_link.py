@@ -4,6 +4,8 @@ import pytest
 
 from repro.interconnect import Link
 from repro.nvm import PAPER_PROTOTYPE
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.probe import Probe
 
 
 def _efficiency(request_bytes: int) -> float:
@@ -41,10 +43,12 @@ class TestTransfer:
             link.transfer(-1, 0.0)
 
     def test_stats(self, link):
+        registry = MetricsRegistry()
+        link.probe = Probe(metrics=registry)
         link.transfer(100, 0.0)
         link.transfer(200, 0.0)
-        assert link.stats.get_count("transfers") == 2
-        assert link.stats.get_count("bytes") == 300
+        assert link.line.ops == 2
+        assert registry.counter("link.bytes").value == 300
 
 
 class TestEfficiency:

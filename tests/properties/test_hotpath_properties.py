@@ -294,8 +294,7 @@ def _checked_background(stl, now, budget):
     if len(visited) < len(expected):
         assert result.end_time >= now + budget
     if not expected:
-        assert result.stats.counters == {"nds_gc_units_relocated": 0,
-                                          "nds_gc_blocks_erased": 0}
+        assert (result.units_relocated, result.blocks_erased) == (0, 0)
     return result
 
 

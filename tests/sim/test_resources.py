@@ -25,7 +25,7 @@ class TestTimeline:
         line.reserve(0.0, 1.0)
         line.reserve(5.0, 2.0)
         assert line.busy_time == pytest.approx(3.0)
-        assert line.utilization(10.0) == pytest.approx(0.3)
+        assert line.ops == 2
 
     def test_zero_duration_allowed(self):
         line = Timeline("t")
@@ -36,12 +36,6 @@ class TestTimeline:
         with pytest.raises(ValueError):
             line.reserve(0.0, -1.0)
 
-    def test_peek_does_not_reserve(self):
-        line = Timeline("t")
-        line.reserve(0.0, 4.0)
-        assert line.peek(1.0) == 4.0
-        assert line.free_at == 4.0
-
     def test_reset(self):
         line = Timeline("t")
         line.reserve(0.0, 4.0)
@@ -49,14 +43,6 @@ class TestTimeline:
         assert line.free_at == 0.0
         assert line.busy_time == 0.0
         assert line.ops == 0
-
-    def test_utilization_clamps_to_one(self):
-        line = Timeline("t")
-        line.reserve(0.0, 5.0)
-        assert line.utilization(1.0) == 1.0
-
-    def test_utilization_of_empty_horizon(self):
-        assert Timeline("t").utilization(0.0) == 0.0
 
 
 class TestMultiTimeline:
@@ -69,27 +55,23 @@ class TestMultiTimeline:
         assert i1 != i2
         assert s3 == 5.0  # both busy until 5
 
-    def test_reserve_on_pins_a_server(self):
-        pool = MultiTimeline(3, "p")
-        pool.reserve_on(1, 0.0, 4.0)
-        start, _end = pool.reserve_on(1, 0.0, 1.0)
-        assert start == 4.0
-
     def test_needs_at_least_one_server(self):
         with pytest.raises(ValueError):
             MultiTimeline(0)
 
     def test_aggregate_utilization(self):
+        """The pool's busy time sums its servers' own."""
         pool = MultiTimeline(2, "p")
         pool.reserve(0.0, 4.0)
-        assert pool.utilization(4.0) == pytest.approx(0.5)
-        assert pool.busy_time() == pytest.approx(4.0)
+        pool.reserve(0.0, 1.0)
+        assert [s.busy_time for s in pool.servers] == [4.0, 1.0]
+        assert pool.busy_time() == pytest.approx(5.0)
 
     def test_reset(self):
         pool = MultiTimeline(2, "p")
         pool.reserve(0.0, 4.0)
         pool.reset()
-        assert pool.max_free_at() == 0.0
+        assert all(s.free_at == 0.0 for s in pool.servers)
 
 
 class TestWidePoolDispatch:
