@@ -107,7 +107,7 @@ def run_cell(system_name: str, devices: int,
     member_profile = _profile_for(profile, devices, mode)
     system = (factory(member_profile) if devices <= 1
               else factory(member_profile, devices=devices))
-    ingest_datasets(workload, system)
+    ingest_datasets([workload], system)
     system.reset_time()
     system._reset_runtime()
 

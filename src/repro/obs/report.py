@@ -102,7 +102,7 @@ def run_system_report(system_name: str, workload,
                          f"{sorted(SYSTEM_FACTORIES)}")
     system = factory(profile) if devices <= 1 else factory(
         profile, devices=devices)
-    ingest_datasets(workload, system)
+    ingest_datasets([workload], system)
     system.reset_time()
     system._reset_runtime()
 

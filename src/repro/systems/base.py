@@ -7,9 +7,11 @@ cost model, and exposes dataset-level operations the workloads use:
 * ``read_tile`` — fetch an arbitrary axis-aligned tile into host memory
   *in the layout the compute kernel wants*, paying whatever marshalling
   that architecture requires;
-* ``write_tile`` — the reverse;
-* ``tile_io_time`` — the isolated duration of one tile fetch (used by
-  the pipeline model of Fig. 10).
+* ``write_tile`` — the reverse.
+
+The pipeline model of Fig. 10 times each fetch shape with
+:func:`~repro.workloads.runner.measure_io_times`: the spacing of a few
+fetches of that shape, all issued at t=0 through ``read_tile``.
 
 All three architectures implement the same interface, so workloads and
 benchmarks are architecture-agnostic — which is exactly the programming
@@ -431,16 +433,6 @@ class StorageSystem(abc.ABC):
         if self.cluster is None:
             return None
         return self.cluster.device_report()
-
-    # ------------------------------------------------------------------
-    def tile_io_time(self, dataset: str, origin: Sequence[int],
-                     extents: Sequence[int]) -> float:
-        """Isolated duration of one tile fetch, used as the I/O stage
-        time of the Fig. 10 pipeline model."""
-        self.reset_time()
-        result = self.read_tile(dataset, origin, extents, start_time=0.0,
-                                with_data=False)
-        return result.elapsed
 
 
 def row_runs(dims: Sequence[int], origin: Sequence[int],

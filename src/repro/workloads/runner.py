@@ -68,21 +68,46 @@ def speedup(baseline: WorkloadRunResult, other: WorkloadRunResult) -> float:
     return baseline.total_time / other.total_time
 
 
-def ingest_datasets(workload: Workload, system: StorageSystem) -> None:
-    """Store every dataset (oracle: one copy per distinct fetch shape)."""
-    plan = workload.tile_plan()
+def ingest_datasets(workloads: Sequence[Workload],
+                    system: StorageSystem,
+                    qos: Optional[Dict[str, QosSpec]] = None) -> None:
+    """Ingest every dataset once; workloads may share datasets by name
+    (identical dims/element size), the oracle gets one tile-major copy
+    per distinct (dataset, fetch shape). Tenants with a QoS shard get
+    their datasets pinned to that shard (STL systems only)."""
+    shards = _dataset_shards(workloads, system, qos)
     if isinstance(system, OracleSystem):
-        shapes: Dict[str, List[Tuple[int, ...]]] = {}
-        for fetch in plan:
-            shapes.setdefault(fetch.dataset, [])
-            if fetch.extents not in shapes[fetch.dataset]:
-                shapes[fetch.dataset].append(fetch.extents)
-        for ds in workload.datasets():
-            for shape in shapes.get(ds.name, [ds.dims]):
-                system.ingest(ds.name, ds.dims, ds.element_size, tile=shape)
+        done = set()
+        for workload in workloads:
+            shapes: Dict[str, List[Tuple[int, ...]]] = {}
+            for fetch in workload.tile_plan():
+                shapes.setdefault(fetch.dataset, [])
+                if fetch.extents not in shapes[fetch.dataset]:
+                    shapes[fetch.dataset].append(fetch.extents)
+            for ds in workload.datasets():
+                for shape in shapes.get(ds.name, [ds.dims]):
+                    if (ds.name, shape) in done:
+                        continue
+                    done.add((ds.name, shape))
+                    system.ingest(ds.name, ds.dims, ds.element_size,
+                                  tile=shape)
         return
-    for ds in workload.datasets():
-        system.ingest(ds.name, ds.dims, ds.element_size)
+    seen: Dict[str, Tuple[Tuple[int, ...], int]] = {}
+    for workload in workloads:
+        for ds in workload.datasets():
+            signature = (ds.dims, ds.element_size)
+            if ds.name in seen:
+                if seen[ds.name] != signature:
+                    raise ValueError(
+                        f"dataset {ds.name!r} declared with conflicting "
+                        f"shapes across co-run workloads")
+                continue
+            seen[ds.name] = signature
+            if ds.name in shards:
+                system.ingest(ds.name, ds.dims, ds.element_size,
+                              shard=shards[ds.name])
+            else:
+                system.ingest(ds.name, ds.dims, ds.element_size)
 
 
 def measure_io_times(workload: Workload, system: StorageSystem,
@@ -198,48 +223,6 @@ def _dataset_shards(workloads: Sequence[Workload],
     return shards
 
 
-def _co_ingest(workloads: Sequence[Workload],
-               system: StorageSystem,
-               qos: Optional[Dict[str, QosSpec]] = None) -> None:
-    """Ingest every dataset once; workloads may share datasets by name
-    (identical dims/element size), the oracle gets one tile-major copy
-    per distinct (dataset, fetch shape). Tenants with a QoS shard get
-    their datasets pinned to that shard (STL systems only)."""
-    shards = _dataset_shards(workloads, system, qos)
-    if isinstance(system, OracleSystem):
-        done = set()
-        for workload in workloads:
-            shapes: Dict[str, List[Tuple[int, ...]]] = {}
-            for fetch in workload.tile_plan():
-                shapes.setdefault(fetch.dataset, [])
-                if fetch.extents not in shapes[fetch.dataset]:
-                    shapes[fetch.dataset].append(fetch.extents)
-            for ds in workload.datasets():
-                for shape in shapes.get(ds.name, [ds.dims]):
-                    if (ds.name, shape) in done:
-                        continue
-                    done.add((ds.name, shape))
-                    system.ingest(ds.name, ds.dims, ds.element_size,
-                                  tile=shape)
-        return
-    seen: Dict[str, Tuple[Tuple[int, ...], int]] = {}
-    for workload in workloads:
-        for ds in workload.datasets():
-            signature = (ds.dims, ds.element_size)
-            if ds.name in seen:
-                if seen[ds.name] != signature:
-                    raise ValueError(
-                        f"dataset {ds.name!r} declared with conflicting "
-                        f"shapes across co-run workloads")
-                continue
-            seen[ds.name] = signature
-            if ds.name in shards:
-                system.ingest(ds.name, ds.dims, ds.element_size,
-                              shard=shards[ds.name])
-            else:
-                system.ingest(ds.name, ds.dims, ds.element_size)
-
-
 def co_run_workloads(workloads: Sequence[Workload], system: StorageSystem,
                      queue_depth: int = 8,
                      arbitration: str = "round_robin",
@@ -277,7 +260,7 @@ def co_run_workloads(workloads: Sequence[Workload], system: StorageSystem,
         raise ValueError(f"qos specs for unknown workloads: {sorted(unknown)}")
     kernels = kernels if kernels is not None else KernelModel(gpu)
     if ingest:
-        _co_ingest(workloads, system, qos)
+        ingest_datasets(workloads, system, qos)
     system.reset_time()
     if trace is not None:
         system.set_trace(trace)
@@ -350,7 +333,7 @@ def run_workload(workload: Workload, system: StorageSystem,
     """Execute one workload end to end on one system (timing model)."""
     kernels = kernels if kernels is not None else KernelModel(gpu)
     if ingest:
-        ingest_datasets(workload, system)
+        ingest_datasets([workload], system)
     plan = workload.tile_plan()
     io_times = measure_io_times(workload, system, plan, samples=samples)
     stage_times: List[List[float]] = []

@@ -17,20 +17,20 @@ def small_gemm():
 class TestIngest:
     def test_ingest_all_datasets(self, small_gemm):
         system = BaselineSystem(TINY_TEST, store_data=False)
-        ingest_datasets(small_gemm, system)
+        ingest_datasets([small_gemm], system)
         system.read_tile("A", (0, 0), (16, 16))
         system.read_tile("B", (0, 0), (16, 16))
 
     def test_oracle_gets_per_shape_copies(self, small_gemm):
         oracle = OracleSystem(TINY_TEST, store_data=False)
-        ingest_datasets(small_gemm, oracle)
+        ingest_datasets([small_gemm], oracle)
         oracle.read_tile("A", (16, 0), (16, 16))
 
 
 class TestMeasurement:
     def test_io_times_per_shape(self, small_gemm):
         system = BaselineSystem(TINY_TEST, store_data=False)
-        ingest_datasets(small_gemm, system)
+        ingest_datasets([small_gemm], system)
         times = measure_io_times(small_gemm, system,
                                  small_gemm.tile_plan())
         assert set(times) == {("A", (16, 16)), ("B", (16, 16))}
@@ -39,10 +39,11 @@ class TestMeasurement:
     def test_streaming_time_below_isolated(self, small_gemm):
         """Steady-state streaming must not exceed isolated latency."""
         system = BaselineSystem(TINY_TEST, store_data=False)
-        ingest_datasets(small_gemm, system)
+        ingest_datasets([small_gemm], system)
         fetch = small_gemm.tile_plan()[0]
-        isolated = system.tile_io_time(fetch.dataset, fetch.origin,
-                                       fetch.extents)
+        system.reset_time()
+        isolated = system.read_tile(fetch.dataset, fetch.origin,
+                                    fetch.extents).elapsed
         times = measure_io_times(small_gemm, system,
                                  small_gemm.tile_plan())
         assert times[fetch.shape_key] <= isolated * 1.001

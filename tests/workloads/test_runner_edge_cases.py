@@ -32,7 +32,7 @@ def small_ttv():
 class TestOracle3d:
     def test_oracle_ingests_3d_tile_copies(self, midi_profile, small_ttv):
         oracle = OracleSystem(midi_profile, store_data=False)
-        ingest_datasets(small_ttv, oracle)
+        ingest_datasets([small_ttv], oracle)
         fetch = small_ttv.tile_plan()[0]
         oracle.reset_time()
         result = oracle.read_tile(fetch.dataset, fetch.origin,
@@ -50,7 +50,7 @@ class TestSampling:
     def test_single_fetch_shape_still_measures(self, midi_profile,
                                                small_ttv):
         system = BaselineSystem(midi_profile, store_data=False)
-        ingest_datasets(small_ttv, system)
+        ingest_datasets([small_ttv], system)
         plan = small_ttv.tile_plan()[:1]
         times = measure_io_times(small_ttv, system, plan, samples=4)
         assert len(times) == 1
@@ -59,7 +59,7 @@ class TestSampling:
     def test_more_samples_never_crash_on_short_plans(self, midi_profile,
                                                      small_ttv):
         system = BaselineSystem(midi_profile, store_data=False)
-        ingest_datasets(small_ttv, system)
+        ingest_datasets([small_ttv], system)
         plan = small_ttv.tile_plan()[:2]
         times = measure_io_times(small_ttv, system, plan, samples=9)
         assert all(t > 0 for t in times.values())
